@@ -33,9 +33,8 @@ OUT = HERE / "out"
 
 import workloads  # noqa: E402
 
-SETUP_PROBES = 6        # set-up-only interpreters per run, besides the passes
+SETUP_PROBES = 8        # set-up-only interpreters per run, besides the passes
 PASS_TIMEOUT = 150      # seconds; no pass of the seed commit comes near it
-DOCUMENTED_EXITS = {0, 1, 2, 3}
 # the exact work counts every run prints
 COUNTED = ("groups.candidates_raw", "groups.candidates_connected", "aut.orbits",
            "aut.perm_images", "classify.reps_analyzed", "permgroup.normalizer_elements",
@@ -48,9 +47,11 @@ class BenchError(Exception):
 
 # ---------------------------------------------------------------- passes
 
-def spawn(workload: str, seed: int, *, trace: bool = False, setup_only: bool = False,
-          spans_file: Path | None = None, only: list[int] | None = None) -> dict:
-    cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload, "--seed", str(seed)]
+def spawn(workload: str, seed: int, *, pass_index: int = 0, trace: bool = False,
+          setup_only: bool = False, spans_file: Path | None = None,
+          only: list[int] | None = None) -> dict:
+    cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload, "--seed", str(seed),
+           "--pass-index", str(pass_index)]
     if trace:
         cmd.append("--trace")
     if setup_only:
@@ -77,23 +78,28 @@ def spawn(workload: str, seed: int, *, trace: bool = False, setup_only: bool = F
 
 def measure(workload: str, seed: int, seconds: float, trace: bool,
             only: list[int] | None = None) -> tuple[list[float], list[dict]]:
-    """The run's passes, between two sets of set-up probes; probing at both
-    ends samples the host at two times.  A traced run alternates untraced
-    and traced passes and has at least one of each."""
+    """The run's passes, with the set-up probes spread before, between and
+    after them, so that they sample the host at several times.  A traced
+    run alternates untraced and traced passes and has at least one of each."""
 
     def probes(count):
         return [spawn(workload, seed, setup_only=True, only=only)["setup_s"]
                 for _ in range(count)]
 
     count = max(2 if trace else 1, int(seconds // workloads.PASS_SECONDS[workload]))
-    setups = probes(SETUP_PROBES // 2)
+    # SETUP_PROBES split as evenly as may be over the count + 1 gaps
+    gaps = [SETUP_PROBES * (i + 1) // (count + 1) - SETUP_PROBES * i // (count + 1)
+            for i in range(count + 1)]
+    setups = probes(gaps[0])
     passes: list[dict] = []
     for i in range(count):
         traced = trace and i % 2 == 1
         spans_file = OUT / f"spans-{workload}-seed{seed}-pass{i}.jsonl" if traced else None
-        passes.append(spawn(workload, seed, trace=traced, spans_file=spans_file, only=only))
+        passes.append(spawn(workload, seed, pass_index=i, trace=traced, spans_file=spans_file,
+                            only=only))
         setups.append(passes[-1]["setup_s"])
-    return setups + probes(SETUP_PROBES - SETUP_PROBES // 2), passes
+        setups += probes(gaps[i + 1])
+    return setups, passes
 
 
 # ---------------------------------------------------------------- checks
@@ -126,9 +132,11 @@ def expected(key: str, golden: dict) -> dict | None:
 def check(passes: list[dict], golden: dict) -> dict:
     """Failed operations and wrong answers, and whether the counters repeat.
 
-    An operation fails when it raised, exited with an undocumented code or
-    differed from its golden answer; only the last two are wrong answers,
-    which make the run incorrect.
+    An operation fails when it raised or differed from its golden answer
+    (which holds the documented exit code, so an undocumented one differs).
+    Every failure is a wrong answer, which makes the run incorrect, except
+    that a malformed input (``workloads.MALFORMED``) may raise: that is the
+    known defect of the seed commit, kept visible as a failed operation.
     """
     attempted = failed = wrong = 0
     problems: list[str] = []
@@ -139,58 +147,81 @@ def check(passes: list[dict], golden: dict) -> dict:
             got = op["answer"]
             if op["status"] != "ok":
                 failed += 1
+                if op["key"] not in workloads.MALFORMED:
+                    wrong += 1
                 problems.append(f"failed: {op['key']}: {op['status']}")
             elif got != want:
                 failed += 1
                 wrong += 1
                 problems.append(f"wrong answer: {op['key']}: got {got}, golden {want}")
-            elif got.get("exit", 0) not in DOCUMENTED_EXITS:
-                failed += 1
-                problems.append(f"undocumented exit: {op['key']}: {got['exit']}")
-    first = passes[0]["counts"]
-    for p in passes[1:]:
-        diff = {k for k in first.keys() & p["counts"].keys() if first[k] != p["counts"][k]}
-        if diff:
-            wrong += 1
-            problems.append(f"work counts differ between passes: {sorted(diff)}")
+    # passes made from the same inputs must count the same work
+    by_inputs: dict[str, list[dict]] = {}
+    for p in passes:
+        by_inputs.setdefault(p["inputs"], []).append(p)
+    for same in by_inputs.values():
+        first = same[0]["counts"]
+        for p in same[1:]:
+            diff = {k for k in first.keys() & p["counts"].keys() if first[k] != p["counts"][k]}
+            if diff:
+                wrong += 1
+                problems.append(f"work counts differ between passes: {sorted(diff)}")
     return {"attempted": attempted, "failed": failed, "wrong": wrong, "problems": problems}
 
 
 # --------------------------------------------------------------- metrics
 
-def best_latencies(passes: list[dict]) -> list[float]:
-    """Each operation's fastest latency over the passes, in milliseconds.
-
-    The host's speed drops by up to 1.7x for seconds at a time under load
-    from its other tenants; an operation's fastest pass is the one least
-    slowed by them, so best-of-passes is far steadier than the median.
-    """
-    return [min(ms) for ms in zip(*[[op["ms"] for op in p["ops"]] for p in passes])]
+def pass_totals(passes: list[dict], field: str) -> list[float]:
+    """Each pass's sum of one latency field over its operations."""
+    return [sum(op[field] for op in p["ops"]) for p in passes]
 
 
-def request_latencies(workload: str, passes: list[dict]) -> list[float]:
-    best = best_latencies([p for p in passes if not p["traced"]])
-    return sorted([sum(best)] if workload in workloads.WHOLE_PASS_REQUEST else best)
+def request_latencies(workload: str, passes: list[dict], field: str = "ref") -> list[float]:
+    """The latency samples of the percentiles, in reference units (or raw
+    milliseconds with ``field="ms"``).  On graph_queries every query of
+    every untraced pass is a sample.  A census workload's one request is
+    the whole pass, the census job a user waits for: the median over the
+    untraced passes of their totals."""
+    plain = [p for p in passes if not p["traced"]]
+    if workload in workloads.WHOLE_PASS_REQUEST:
+        return [statistics.median(pass_totals(plain, field))]
+    return sorted(op[field] for p in plain for op in p["ops"])
+
+
+def percentiles(samples: list[float]) -> tuple[float, float]:
+    p90 = (statistics.quantiles(samples, n=10, method="inclusive")[8]
+           if len(samples) > 1 else samples[0])
+    return statistics.median(samples), p90
 
 
 def end_to_end(workload: str, setups: list[float],
                passes: list[dict]) -> dict[str, tuple[float, str]]:
     plain = [p for p in passes if not p["traced"]]
-    requests = request_latencies(workload, passes)
-    p90 = (statistics.quantiles(requests, n=10, method="inclusive")[8]
-           if len(requests) > 1 else requests[0])
+    p50, p90 = percentiles(request_latencies(workload, passes))
     return {
-        "wall_s": (sum(best_latencies(plain)) / 1000, "s"),
+        "wall_ref": (statistics.median(pass_totals(plain, "ref")), "ref"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mib": (statistics.median([p["rss_mib"] for p in plain]), "MiB"),
-        "query_p50_ms": (statistics.median(requests), "ms"),
-        "query_p90_ms": (p90, "ms"),
+        "query_p50_ref": (p50, "ref"),
+        "query_p90_ref": (p90, "ref"),
+    }
+
+
+def raw_times(workload: str, passes: list[dict]) -> dict[str, tuple[float, str]]:
+    """The same latencies in seconds and milliseconds as measured, host
+    speed and all: printed and recorded, but not metrics of BENCHMARK.json,
+    whose bounds they could not keep on a host of unsteady speed."""
+    plain = [p for p in passes if not p["traced"]]
+    p50, p90 = percentiles(request_latencies(workload, passes, "ms"))
+    return {
+        "raw.wall_s": (statistics.median(pass_totals(plain, "ms")) / 1000, "s"),
+        "raw.query_p50_ms": (p50, "ms"),
+        "raw.query_p90_ms": (p90, "ms"),
+        "raw.reference_ms": (statistics.median([p["reference_ms"] for p in plain]), "ms"),
     }
 
 
 def per_layer(passes: list[dict]) -> dict[str, tuple[float, str]]:
     traced = [p for p in passes if p["traced"]]
-    plain = [p for p in passes if not p["traced"]]
     out = {name: (statistics.median([p["layers"][name] for p in traced]), "s")
            for name in traced[0]["layers"]}
     c = traced[0]["counts"]
@@ -203,27 +234,14 @@ def per_layer(passes: list[dict]) -> dict[str, tuple[float, str]]:
     out["classify.edge_transitive_ratio"] = (
         c.get("classify.edge_transitive", 0) / reps if reps else 0.0, "ratio")
 
+    # computed: spans in a pass times the tracer's measured cost of one span
     out["trace.overhead_s"] = (
-        (sum(best_latencies(traced)) - sum(best_latencies(plain))) / 1000, "s")
+        statistics.median([p["spans"] * p["span_cost_s"] for p in traced]), "s")
     out["trace.spans"] = (statistics.median([p["spans"] for p in traced]), "count")
     return out
 
 
 # ------------------------------------------------------------------- run
-
-def reference_loop_ms() -> float:
-    """Fastest of three runs of a fixed pure-Python loop that does not touch
-    metacirc: it slows with load from other tenants of a shared host, which
-    the load average inside the virtual machine does not show."""
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        total = 0
-        for i in range(200_000):
-            total += i * i % 7
-        best = min(best, time.perf_counter() - start)
-    return best * 1000
-
 
 def environment(seed: int) -> dict:
     commit = "unknown"  # a source tree without .git names no commit
@@ -234,7 +252,7 @@ def environment(seed: int) -> dict:
         except (OSError, subprocess.SubprocessError):
             pass
     return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-            "loadavg_before": os.getloadavg(), "reference_loop_ms_before": reference_loop_ms(),
+            "loadavg_before": os.getloadavg(),
             "git_commit": commit, "seed": seed}
 
 
@@ -243,9 +261,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
     env = environment(seed)
     setups, passes = measure(workload, seed, seconds, trace, only)
     env["loadavg_after"] = os.getloadavg()
-    env["reference_loop_ms_after"] = reference_loop_ms()
     verdict = check(passes, golden)
     metrics = end_to_end(workload, setups, passes)
+    metrics.update(raw_times(workload, passes))
     if trace:
         metrics.update(per_layer(passes))
     plain = [p for p in passes if not p["traced"]]
@@ -255,7 +273,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
         "counts": plain[0]["counts"],
         "samples": len(request_latencies(workload, passes)),
         "missing_targets": passes[0]["missing_targets"],
-        "passes": [{k: p[k] for k in ("traced", "setup_s", "pass_s", "rss_mib", "counts", "ops")}
+        "passes": [{k: p[k] for k in ("inputs", "traced", "setup_s", "pass_s", "rss_mib",
+                                      "reference_ms", "counts", "ops")}
                    for p in passes],
     }
     if only is None:

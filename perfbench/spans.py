@@ -143,6 +143,26 @@ def _wrap(rec: Recorder, fn, name: str, count):
     return wrapper
 
 
+def span_cost_s(calls: int = 20_000, repeats: int = 5) -> float:
+    """The tracer's own cost of one span: a traced call of a no-op minus a
+    plain call of it, fastest of ``repeats`` rounds of ``calls`` calls."""
+
+    def noop():
+        return None
+
+    def round_s(fn) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return time.perf_counter() - start
+
+    best = float("inf")
+    for _ in range(repeats):
+        traced = _wrap(Recorder(trace=True), noop, "noop", None)
+        best = min(best, round_s(traced) - round_s(noop))
+    return max(best, 0.0) / calls
+
+
 def _patch_order(rec: Recorder, cls, name: str) -> None:
     """Time only the first ``order`` of each group: that call builds the
     stabilizer chain, later ones multiply cached transversal sizes."""

@@ -4,9 +4,8 @@
 Runs ``run.py`` once per seed on each workload, untraced, and prints for
 every end-to-end metric the median and the distance between the first and
 third quartile (``statistics.quantiles(values, n=4)``) as a share of the
-median.  A spread above a metric's bound (``setup_s`` excepted) fails the
-check; so do work counts that differ between runs of one seed-independent
-workload.
+median.  A spread above a metric's bound fails the check; so do work
+counts that differ between runs of one seed-independent workload.
 
     python3 perfbench/spread.py --seeds 10 [--workloads census_ref sweep_135]
 """
@@ -18,6 +17,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -50,11 +50,14 @@ def main() -> int:
     for w in args.workloads:
         runs = []
         for seed in range(args.first_seed, args.first_seed + args.seeds):
+            start = time.monotonic()
             result, counts = one_run(w, seed, bench["run_seconds"])
             runs.append((result, counts))
+            took = time.monotonic() - start
             print(f"{w} seed {seed}: " + " ".join(
                 f"{k}={v['value']:.5g}" for k, v in result["metrics"].items())
-                + f" failed={result['failed']}/{result['attempted']} correct={result['correct']}",
+                + f" failed={result['failed']}/{result['attempted']} correct={result['correct']}"
+                + f" ({took:.0f} s)",
                 flush=True)
         ok &= all(r["correct"] for r, _ in runs)
         if w != "graph_queries" and len({c for _, c in runs}) != 1:
@@ -64,7 +67,7 @@ def main() -> int:
             values = [r["metrics"][m["name"]]["value"] for r, _ in runs]
             q1, med, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med
-            within = m["name"] == "setup_s" or spread <= m["bound"]
+            within = spread <= m["bound"]
             ok &= within
             print(f"{w} {m['name']}: median {med:.5g} {m['unit']}, spread {spread:.3f} "
                   f"(bound {m['bound']}, a third {m['bound'] / 3:.3f})"

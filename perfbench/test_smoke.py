@@ -3,12 +3,14 @@
     python3 -m pytest perfbench/test_smoke.py -q     # about half a minute
 
 One small operation per workload, untraced and traced, must give the golden
-answers; a corrupted golden answer must be reported as a wrong answer; and
-without the package source the benchmark must fail without a result.
+answers; a corrupted golden answer, or an operation that raises, must be
+reported as a wrong answer; and without the package source the benchmark
+must fail without a result.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 import shutil
@@ -56,9 +58,13 @@ def test_small_operation_matches_golden(records, workload):
     assert chk["wrong"] == 0, chk["problems"]
     # the only operations allowed to fail are the malformed inputs
     assert all(p.startswith("failed: malformed") for p in chk["problems"]), chk["problems"]
-    for name in ("wall_s", "setup_s", "peak_rss_mib", "query_p50_ms", "query_p90_ms",
-                 "trace.overhead_s"):
-        assert name in record["metrics"]
+    for name in ("wall_ref", "setup_s", "peak_rss_mib", "query_p50_ref", "query_p90_ref",
+                 "raw.wall_s", "raw.reference_ms"):
+        assert record["metrics"][name]["value"] > 0
+    # untraced passes sample the host's speed, traced ones do not
+    assert all(op["ref"] > 0 for op in record["passes"][0]["ops"])
+    assert all(op["ref"] is None for op in record["passes"][1]["ops"])
+    assert record["metrics"]["trace.overhead_s"]["value"] > 0
 
 
 def test_traced_pass_reports_every_layer(records):
@@ -82,6 +88,64 @@ def test_corrupted_golden_query_is_a_wrong_answer(records, golden):
     bad["queries"]["classes"]["11,5,3,1#0"]["aut_order"] += 1
     chk = run.check(records["graph_queries"]["passes"], bad)
     assert chk["wrong"] == 4  # `aut --file` and `aut --graph6`, in two passes
+
+
+def test_raising_census_operation_is_a_wrong_answer(golden, monkeypatch):
+    import worker
+
+    worker.import_package()
+    from metacirc import classify
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(classify, "classify_spec", broken)
+    args = argparse.Namespace(workload="census_ref", seed=1, trace=False, setup_only=False,
+                              spans_file=None, only=[0])
+    run.OUT.mkdir(exist_ok=True)
+    result = worker.run_pass(args, run.OUT)  # census passes write no files
+    assert result["ops"][0]["status"] == "raised RuntimeError: injected"
+    chk = run.check([result], golden)
+    assert chk["wrong"] == 1 and chk["failed"] == 1
+
+
+def test_only_malformed_inputs_may_raise(records, golden):
+    passes = copy.deepcopy(records["graph_queries"]["passes"])
+    chk = run.check(passes, golden)
+    assert chk["failed"] == 4 and chk["wrong"] == 0  # two malformed inputs, two passes
+    op = passes[0]["ops"][0]
+    op["status"], op["answer"] = "raised RuntimeError: injected", None
+    chk = run.check(passes, golden)
+    assert chk["failed"] == 5 and chk["wrong"] == 1
+
+
+def test_work_counts_repeat_between_passes_of_the_same_inputs(records, golden):
+    passes = copy.deepcopy(records["census_ref"]["passes"])
+    passes[1]["counts"]["aut.orbits"] += 1
+    assert run.check(passes, golden)["wrong"] == 1
+    # graph_queries relabels each pass with its own seed: no comparison
+    passes = copy.deepcopy(records["graph_queries"]["passes"])
+    assert passes[0]["inputs"] != passes[1]["inputs"]
+    passes[1]["counts"]["autosearch.generators"] += 1
+    assert run.check(passes, golden)["wrong"] == 0
+
+
+def test_sampler_accounting():
+    import hostspeed
+
+    s = hostspeed.Sampler()
+    # samples of 1 ms every 10 ms, the host twice as slow from t = 1 s on
+    for i in range(200):
+        start, took = i * 0.01, 0.001 if i < 100 else 0.002
+        s.starts.append(start)
+        s.seconds.append(took)
+        s.handler_ends.append(start + took)
+    assert s.inside(0.2, 0.3) == pytest.approx(0.010)
+    assert s.inside(0.2015, 0.2095) == 0.0
+    # 9 ms of work in each 10 ms stretch, at 1 ms, then at 2 ms a reference
+    assert s.in_reference_units(0.2, 0.3) == pytest.approx(90)
+    assert s.in_reference_units(1.5, 1.6) == pytest.approx(40)
+    assert s.in_reference_units(0.2015, 0.2095) == pytest.approx(8)
 
 
 def test_fails_without_package_source():

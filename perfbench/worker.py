@@ -31,6 +31,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
+import hostspeed  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -110,35 +111,43 @@ def _exit_answer(result):
     return {"exit": result[0]}, {}
 
 
-def query_operations(seed: int, workdir: Path) -> list[tuple]:
-    """Graph6 files of the census classes, each relabeled by a seeded random
-    permutation, and the ``aut``/``iso`` queries on them."""
+def query_operations(inputs: str, workdir: Path) -> list[tuple]:
+    """The ``aut``/``iso`` queries on graph6 files of the census classes.
+    Every graph a query reads is the class under a random relabeling of its
+    own, seeded by ``inputs``, so that no relabeling's luck is shared between
+    queries."""
     from metacirc.graphs import build_cayley, to_graph6
     from metacirc.groups import GroupSpec
 
     classes = json.loads((HERE / "golden" / "queries.json").read_text())["classes"]
-    rng = random.Random(seed)
-    files: dict[str, tuple[str, str]] = {}
-    for i, key in enumerate(sorted(classes)):
+    rng = random.Random(inputs)
+    graphs = {}
+    for key in sorted(classes):
         spec = GroupSpec(*map(int, key.split("#")[0].split(",")))
-        graph = build_cayley([spec.element(*x) for x in classes[key]["set"]], spec)
-        paths = []
-        for tag in "ab":
-            perm = list(range(graph.n))
-            rng.shuffle(perm)
-            path = workdir / f"{i}{tag}.g6"
-            path.write_bytes(to_graph6(graph.relabel(perm)) + b"\n")
-            paths.append(str(path))
-        files[key] = (paths[0], paths[1])
+        graphs[key] = build_cayley([spec.element(*x) for x in classes[key]["set"]], spec)
+    written = 0
+
+    def relabeled(key: str) -> bytes:
+        perm = list(range(graphs[key].n))
+        rng.shuffle(perm)
+        return to_graph6(graphs[key].relabel(perm))
+
+    def relabeled_file(key: str) -> str:
+        nonlocal written
+        path = workdir / f"{written}.g6"
+        written += 1
+        path.write_bytes(relabeled(key) + b"\n")
+        return str(path)
 
     ops = []
     for key in sorted(classes):
-        ops.append((f"aut {key}", lambda f=files[key][0]: _cli(["aut", "--file", f]), _aut_answer))
+        f = relabeled_file(key)
+        ops.append((f"aut {key}", lambda f=f: _cli(["aut", "--file", f]), _aut_answer))
     for key in sorted(classes):
-        g6 = Path(files[key][1]).read_text().strip()
+        g6 = relabeled(key).decode()
         ops.append((f"aut-graph6 {key}", lambda g6=g6: _cli(["aut", "--graph6", g6]), _aut_answer))
     for key in sorted(classes):
-        a, b = files[key]
+        a, b = relabeled_file(key), relabeled_file(key)
         ops.append((f"iso-same {key}", lambda a=a, b=b: _cli(["iso", "--a", a, "--b", b]), _iso_answer))
     # non-isomorphic pairs: the classes of each order in a seeded cycle, each
     # paired with the next, so every class is in two pairs whatever the seed
@@ -152,23 +161,33 @@ def query_operations(seed: int, workdir: Path) -> list[tuple]:
         for key, other in zip(cycle, cycle[1:] + cycle[:1]):
             if key == other:
                 continue
-            a, b = files[key][0], files[other][1]
+            a, b = relabeled_file(key), relabeled_file(other)
             ops.append((f"iso-diff {key} {other}",
                         lambda a=a, b=b: _cli(["iso", "--a", a, "--b", b]), _iso_answer))
     missing = str(workdir / "missing.g6")
     ops.append((workloads.MALFORMED[0], lambda: _cli(["aut", "--graph6", "zzz"]), _exit_answer))
     ops.append((workloads.MALFORMED[1],
-                lambda: _cli(["iso", "--a", missing, "--b", files[sorted(classes)[0]][0]]),
+                lambda b=relabeled_file(sorted(classes)[0]): _cli(["iso", "--a", missing, "--b", b]),
                 _exit_answer))
     return ops
 
 
 # ------------------------------------------------------------------- pass
 
+def inputs_of(args) -> str:
+    """What a pass's inputs are made from.  A graph_queries pass relabels
+    the classes with a seed of its own, derived from the run's seed and the
+    pass's index: how much work an unseeded search does depends on the
+    labeling, so a run's percentiles, taken over the queries of several
+    relabelings, depend less on the seed.  The census workloads have no
+    random input."""
+    return f"{args.seed}/{args.pass_index}" if args.workload == "graph_queries" else "fixed"
+
+
 def run_pass(args, workdir: Path) -> dict:
     import_package()
     if args.workload == "graph_queries":
-        ops = query_operations(args.seed, workdir)
+        ops = query_operations(inputs_of(args), workdir)
     else:
         ops = census_operations(args.workload)
     if args.only is not None:
@@ -179,7 +198,13 @@ def run_pass(args, workdir: Path) -> dict:
     if args.setup_only:
         return {"ready": ready}
 
+    # an untraced pass samples the host's speed while it runs; a traced one
+    # does not, so the sampler's handler adds nothing to the spans
+    sampler = None if args.trace else hostspeed.Sampler()
+    if sampler is not None:
+        sampler.start()
     results = []
+    intervals = []
     extra: dict[str, int] = {}
     cli_errors = 0
     for i, (key, thunk, answer) in enumerate(ops):
@@ -190,7 +215,7 @@ def run_pass(args, workdir: Path) -> dict:
             status = "ok"
         except Exception as exc:  # a failed operation is a measurement, not a crash
             result, status = None, f"raised {type(exc).__name__}: {exc}"
-        ms = (time.perf_counter() - start) * 1000
+        intervals.append((start, time.perf_counter()))
         got = None
         if result is not None:
             got, counts = answer(result)
@@ -199,21 +224,34 @@ def run_pass(args, workdir: Path) -> dict:
         # every graph_queries operation is one command-line call
         if args.workload == "graph_queries" and (result is None or result[0] != 0):
             cli_errors += 1
-        results.append({"key": key, "ms": ms, "status": status, "answer": got})
+        results.append({"key": key, "status": status, "answer": got})
+    if sampler is not None:
+        sampler.stop()
+    for op, (start, end) in zip(results, intervals):
+        seconds = end - start
+        if sampler is None:
+            op["ms"], op["ref"] = seconds * 1000, None
+        else:
+            op["ms"] = (seconds - sampler.inside(start, end)) * 1000
+            op["ref"] = sampler.in_reference_units(start, end)
 
     counts = dict(rec.counts)
     counts.update(extra)
     counts["cli.errors"] = cli_errors
     out = {
         "ready": ready,
+        "inputs": inputs_of(args),
         "ops": results,
         "counts": counts,
         "rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "reference_ms": (None if sampler is None
+                         else hostspeed.median(sampler.seconds) * 1000),
         "missing_targets": missing,
     }
     if args.trace:
         out["layers"] = rec.self_times(spans.metric_of_span())
         out["spans"] = len(rec.spans)
+        out["span_cost_s"] = spans.span_cost_s()  # after the clock, so untimed
         if args.spans_file:
             rec.write_spans(Path(args.spans_file))
     return out
@@ -226,10 +264,13 @@ def main() -> int:
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--setup-only", action="store_true", help="stop after set-up")
     ap.add_argument("--spans-file", default=None, help="write the spans here (traced pass)")
+    ap.add_argument("--pass-index", type=int, default=0,
+                    help="the pass's index in its run; graph_queries relabels by it")
     ap.add_argument("--only", type=int, nargs="*", default=None,
                     help="run only these operation indexes (smoke test)")
     args = ap.parse_args()
     OUT.mkdir(exist_ok=True)
+    hostspeed.pin_to_current_cpu()
     workdir = Path(tempfile.mkdtemp(prefix="pass-", dir=OUT))
     try:
         result = run_pass(args, workdir)

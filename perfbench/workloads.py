@@ -30,11 +30,15 @@ QUERY_MAX_ORDER = 200
 
 WORKLOADS = ("census_ref", "sweep_135", "theorem_large", "graph_queries")
 
-# about how long one pass takes at the seed commit on a 2-CPU host in its
-# slower periods; a run makes seconds // PASS_SECONDS passes, at least one.
-# The count never depends on how fast the passes went, so best-of-passes is
-# the same statistic in every run and on every commit
-PASS_SECONDS = {"census_ref": 11, "sweep_135": 20, "theorem_large": 10, "graph_queries": 7}
+# the seconds of a run given to each pass: a run makes seconds // PASS_SECONDS
+# passes, at least one.  The count never depends on how fast the passes went,
+# so a faster commit earns no extra passes.  In reference units (see
+# hostspeed.py) census_ref had a ten-run spread of 0.078 with one pass a run
+# and 0.02 to 0.03 with two; sweep_135, whose pass is longest, keeps one.
+# graph_queries gets three: its percentiles depend on how the seeded
+# relabelings fall, and every pass brings new ones (four passes, tried on
+# five seeds, left the spread of its 90th percentile no smaller)
+PASS_SECONDS = {"census_ref": 10, "sweep_135": 20, "theorem_large": 10, "graph_queries": 6}
 
 # the latency percentiles need samples: graph_queries has 103 queries a pass,
 # the census workloads only 4, 17 and 2 classify_spec calls (and the sweep's
