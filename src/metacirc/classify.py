@@ -17,7 +17,7 @@ mismatch is recorded in the report, never silently dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -44,7 +44,6 @@ from metacirc.groups import (
     regular_representation,
 )
 from metacirc.permgroup import (
-    arc_orbit_count,
     edge_orbit_count,
     max_s_arc_transitive,
     normalizer_of_regular,
@@ -94,9 +93,12 @@ class ClassReport:
     standard_j: int | None
     orbit_size: int
 
+    def set_list(self) -> list[list[int]]:
+        return [list(x) for x in self.connection_set]
+
     def to_json_dict(self) -> dict:
         return {
-            "set": [[x.u, x.v, x.w] for x in self.connection_set],
+            "set": self.set_list(),
             "canonical": self.canonical,
             "aut_order": self.aut_order,
             "stab_order": self.stab_order,
@@ -254,16 +256,16 @@ def _standard_forms(spec: GroupSpec) -> dict[tuple[int, ...], int]:
 
 
 def analyze_connection_set(
-    spec: GroupSpec,
-    S: Sequence[Element],
-    orbit_size: int = 1,
-    normalizer_bound: int = 10_000_000,
+    spec: GroupSpec, S: Sequence[Element], orbit_size: int = 1
 ) -> ClassReport | None:
     """Full classification data for one connection set.
 
     Returns None when the graph is not edge-transitive (such sets leave the
     census).  The graph automorphism search is seeded with the right-regular
-    translations, which are always automorphisms of a Cayley graph.
+    translations, which are always automorphisms of a Cayley graph.  One
+    stabilizer chain, based at vertex 0, gives |Aut|, the vertex stabilizer
+    and the normalizer of the regular copy of G; that copy is normal exactly
+    when its normalizer is all of Aut.
     """
     S = tuple(S)
     graph = build_cayley(S, spec)
@@ -275,9 +277,7 @@ def analyze_connection_set(
     s = max_s_arc_transitive(aut, graph)
     arc = s >= 1
     aut_order = aut.order
-    stab_order = aut.point_stabilizer(0).order
-    normal = _regular_copy_is_normal(aut, spec)
-    normalizer_order = normalizer_of_regular(aut, spec, bound=normalizer_bound)
+    normalizer_order = normalizer_of_regular(aut, spec)
     maps = _cached_maps(spec)
     set_stab = len(aut_stabilizer(S, spec, maps))
     standard_key = tuple(spec.index(x) for x in set_orbit_canonical(S, spec, maps))
@@ -286,13 +286,13 @@ def analyze_connection_set(
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),
         aut_order=aut_order,
-        stab_order=stab_order,
+        stab_order=aut.stabilizer_order,
         vertex=vertex,
         edge=True,
         arc=arc,
         half=vertex and not arc,
         s=s,
-        normal_cayley=normal,
+        normal_cayley=normalizer_order == aut_order,
         normalizer_order=normalizer_order,
         set_stabilizer_order=set_stab,
         normalizer_ok=normalizer_order == spec.order * set_stab,
@@ -301,54 +301,11 @@ def analyze_connection_set(
     )
 
 
-def _regular_copy_is_normal(aut: PermGroup, spec: GroupSpec) -> bool:
-    from metacirc.groups import right_multiplication_perm
-    from metacirc.permgroup import compose, inverse_perm
-
-    regs = [tuple(p) for p in regular_representation(spec)]
-
-    def in_regular(q):
-        return q == tuple(right_multiplication_perm(spec.at_index(q[0]), spec))
-
-    for x in aut.generators:
-        xinv = inverse_perm(x)
-        if not all(in_regular(compose(compose(xinv, g), x)) for g in regs):
-            return False
-    return True
-
-
-def _worker(args: tuple) -> dict | None:
+def _worker(args: tuple) -> ClassReport | None:
     m, n, r, ell, rep_indices, orbit_size = args
     spec = GroupSpec(m, n, r, ell)
     rep = tuple(spec.at_index(i) for i in rep_indices)
-    report = analyze_connection_set(spec, rep, orbit_size)
-    if report is None:
-        return None
-    d = report.to_json_dict()
-    d["normalizer_order"] = report.normalizer_order
-    d["set_stabilizer_order"] = report.set_stabilizer_order
-    d["orbit_size"] = report.orbit_size
-    return d
-
-
-def _report_from_dict(spec: GroupSpec, d: dict) -> ClassReport:
-    return ClassReport(
-        connection_set=tuple(Element(u, v, w) for u, v, w in d["set"]),
-        canonical=d["canonical"],
-        aut_order=d["aut_order"],
-        stab_order=d["stab_order"],
-        vertex=d["vertex"],
-        edge=d["edge"],
-        arc=d["arc"],
-        half=d["half"],
-        s=d["s"],
-        normal_cayley=d["normal_cayley"],
-        normalizer_order=d["normalizer_order"],
-        set_stabilizer_order=d["set_stabilizer_order"],
-        normalizer_ok=d["normalizer_ok"],
-        standard_j=d["standard_j"],
-        orbit_size=d["orbit_size"],
-    )
+    return analyze_connection_set(spec, rep, orbit_size)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -392,30 +349,27 @@ def classify_spec(
         if not dedup:
             findings.append("aut-orbit dedup unavailable; deduplicated by canonical form only")
 
-    class_dicts = _run_reps(spec, orbits, jobs)
-
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
-    merged: dict[str, dict] = {}
-    for d in class_dicts:
-        if d is None:
+    merged: dict[str, ClassReport] = {}
+    for c in _run_reps(spec, orbits, jobs):
+        if c is None:
             continue
-        prev = merged.get(d["canonical"])
+        prev = merged.get(c.canonical)
         if prev is None:
-            merged[d["canonical"]] = d
+            merged[c.canonical] = c
         else:
-            prev["orbit_size"] += d["orbit_size"]
+            merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
             if dedup and mode == "oracle":
                 findings.append(
-                    f"isomorphic graphs from distinct Aut(G)-orbits: {prev['set']} vs {d['set']}"
+                    f"isomorphic graphs from distinct Aut(G)-orbits: "
+                    f"{prev.set_list()} vs {c.set_list()}"
                 )
             if mode == "theorem":
                 findings.append(
-                    f"standard sets j={prev['standard_j']} and j={d['standard_j']} are isomorphic"
+                    f"standard sets j={prev.standard_j} and j={c.standard_j} are isomorphic"
                 )
-    classes = sorted(
-        (_report_from_dict(spec, d) for d in merged.values()), key=lambda c: c.canonical
-    )
+    classes = sorted(merged.values(), key=lambda c: c.canonical)
 
     table_row = TABLE1.get((spec.m, spec.n)) if spec.ell == 1 else None
     if table_row is not None and spec.is_abelian and (spec.m, spec.n) != (5, 1):
@@ -464,7 +418,7 @@ def classify_spec(
     )
 
 
-def _run_reps(spec: GroupSpec, orbits, jobs: int) -> list[dict | None]:
+def _run_reps(spec: GroupSpec, orbits, jobs: int) -> list[ClassReport | None]:
     tasks = [
         (spec.m, spec.n, spec.r, spec.ell, tuple(spec.index(x) for x in rep), size)
         for rep, size in orbits
@@ -572,10 +526,6 @@ def emit_report(report: GroupReport, path: str | Path, graphs: bool = False) -> 
             g = build_cayley(c.connection_set, report.spec)
             path.with_suffix(f".class{i}.g6").write_bytes(to_graph6(g) + b"\n")
             path.with_suffix(f".class{i}.dot").write_text(to_dot(g))
-
-
-def load_report_dict(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 # ----------------------------------------------- CI property cross-check

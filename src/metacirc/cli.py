@@ -8,7 +8,8 @@ Subcommands:
 * ``aut``       automorphism group of a graph6 graph
 * ``iso``       isomorphism test between two graph6 graphs
 * ``export``    a standard-form Cayley graph in graph6/dot/json
-* ``sweep``     census over all hypothesis-(*) specs up to an order bound
+* ``sweep``     census over all hypothesis-(*) specs up to an order bound,
+  optionally writing one JSON report per spec (JSONL) with ``--out``
 
 Exit codes: 0 success, 1 usage error, 2 computation bound exceeded,
 3 disagreement with the bundled predictions under --strict.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from metacirc.aut import parametrized_count
@@ -107,6 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--strict", action="store_true")
+    p.add_argument("--out", type=str, default=None, help="also write one JSON report per spec (JSONL)")
     return parser
 
 
@@ -161,15 +164,32 @@ def _disagrees(payload: dict) -> bool:
     return bool(payload["findings"])
 
 
+def _parse_graph6(data: bytes | str) -> Graph:
+    try:
+        return from_graph6(data)
+    except ValueError as exc:
+        raise _UsageError(f"malformed graph6: {exc}") from exc
+
+
+def _read_graph6_file(path: str) -> Graph:
+    try:
+        lines = Path(path).read_bytes().split()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    if not lines:
+        raise _UsageError(f"no graph6 line in {path}")
+    return _parse_graph6(lines[0])
+
+
 def _read_graph(args) -> Graph:
     if getattr(args, "graph6", None):
-        return from_graph6(args.graph6)
+        return _parse_graph6(args.graph6)
     if getattr(args, "file", None):
-        return from_graph6(Path(args.file).read_bytes().split()[0])
+        return _read_graph6_file(args.file)
     data = sys.stdin.buffer.read().split()
     if not data:
         raise _UsageError("no graph given: use --graph6, --file, or stdin")
-    return from_graph6(data[0])
+    return _parse_graph6(data[0])
 
 
 def _cmd_aut(args) -> int:
@@ -185,8 +205,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    g1 = from_graph6(Path(args.a).read_bytes().split()[0])
-    g2 = from_graph6(Path(args.b).read_bytes().split()[0])
+    g1 = _read_graph6_file(args.a)
+    g2 = _read_graph6_file(args.b)
     verdict = are_isomorphic(g1, g2)
     print("isomorphic" if verdict else "not isomorphic")
     return EXIT_OK
@@ -209,10 +229,21 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    try:
+        sink = open(args.out, "w") if args.out else nullcontext()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+    with sink as out:
+        return _sweep(args, out)
+
+
+def _sweep(args, out) -> int:
     disagreement = False
     print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
     for spec in iter_specs(args.max_order):
         report = classify_spec(spec, mode="oracle", bound=args.max_order, jobs=args.jobs)
+        if out is not None:
+            out.write(json.dumps(report_to_json_dict(report)) + "\n")
         orders = ",".join(str(c.aut_order) for c in report.classes) or "-"
         agree = report.agreement_theorem2
         disagreement |= agree is False or bool(report.findings)

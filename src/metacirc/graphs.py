@@ -255,6 +255,9 @@ def from_graph6(data: bytes | str) -> Graph:
     vals = [c - 63 for c in data]
     if any(v < 0 or v > 63 for v in vals):
         raise ValueError("invalid graph6 byte")
+    header = 8 if vals[:2] == [63, 63] else 4 if vals[:1] == [63] else 1
+    if len(vals) < header:
+        raise ValueError("truncated graph6 header")
     if vals and vals[0] == 63:
         if len(vals) > 1 and vals[1] == 63:
             n = 0

@@ -3,7 +3,9 @@
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)``
 applies p first, then q.  The chain is built with a deterministic
 Schreier-Sims: every Schreier generator is sifted, so the resulting order is
-exact.  Base points are picked greedily from the largest orbit at each level.
+exact.  The base starts at point 0, so the chain below its first level is the
+stabilizer of point 0; later base points are picked greedily from the largest
+orbit at each level.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph
-from metacirc.groups import GroupSpec, right_multiplication_perm
+from metacirc.groups import GroupSpec, regular_representation, right_multiplication_perm
 
 Perm = tuple[int, ...]
+
+# most elements an enumeration of a group or of a point stabilizer may yield
+ELEMENT_BOUND = 10_000_000
 
 
 def identity_perm(n: int) -> Perm:
@@ -78,25 +84,24 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for lvl in self.chain():
-            out *= len(lvl.transversal)
-        return out
+        return prod(len(lvl.transversal) for lvl in self.chain())
+
+    @property
+    def stabilizer_order(self) -> int:
+        """Order of the stabilizer of point 0: the chain below its first level."""
+        return prod(len(lvl.transversal) for lvl in self.chain()[1:])
 
     def contains(self, p: Sequence[int]) -> bool:
         residue, _ = _sift(self.chain(), _check_perm(p, self.degree), 0)
         return is_identity(residue)
 
-    def elements(self, bound: int = 10_000_000) -> Iterator[Perm]:
+    def elements(self, bound: int = ELEMENT_BOUND) -> Iterator[Perm]:
         """All group elements from the chain transversals."""
-        if self.order > bound:
-            raise BoundExceeded(f"group order {self.order} exceeds bound {bound}")
-        levels = self.chain()
-        if not levels:
-            yield identity_perm(self.degree)
-            return
-        for reps in product(*[list(lvl.transversal.values()) for lvl in levels]):
-            yield reduce(compose, reversed(reps))
+        return _transversal_products(self.chain(), self.degree, bound)
+
+    def stabilizer_elements(self, bound: int = ELEMENT_BOUND) -> Iterator[Perm]:
+        """All elements of the stabilizer of point 0."""
+        return _transversal_products(self.chain()[1:], self.degree, bound)
 
     # ------------------------------------------------------------- orbits
 
@@ -129,23 +134,23 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return self.degree == 0 or len(self.orbit(0)) == self.degree
 
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, via a chain rebased at that point."""
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
-        levels = _schreier_sims(self.degree, self.generators, first_point=point)
-        gens: list[Perm] = []
-        for lvl in levels[1:]:
-            gens.extend(lvl.gens)
-        return PermGroup(self.degree, gens)
+
+def _transversal_products(levels: Sequence[_Level], degree: int, bound: int) -> Iterator[Perm]:
+    """Each element of the group the levels generate, once: the products of
+    one transversal element per level."""
+    size = prod(len(lvl.transversal) for lvl in levels)
+    if size > bound:
+        raise BoundExceeded(f"{size} elements exceed the enumeration bound {bound}")
+    if not levels:
+        yield identity_perm(degree)
+        return
+    for reps in product(*[list(lvl.transversal.values()) for lvl in levels]):
+        yield reduce(compose, reversed(reps))
 
 
-def _schreier_sims(
-    degree: int, generators: Sequence[Perm], first_point: int | None = None
-) -> list[_Level]:
-    levels: list[_Level] = []
-    if first_point is not None:
-        levels.append(_Level(first_point, [], {first_point: identity_perm(degree)}))
+def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
+    # point 0 is always the first base point, even when every generator fixes it
+    levels = [_Level(0, [], {0: identity_perm(degree)})] if degree else []
 
     def gens_from(i: int) -> list[Perm]:
         # generators of the i-th group on the chain: every strong generator
@@ -247,10 +252,6 @@ def _sift(levels: list[_Level], p: Perm, start: int) -> tuple[Perm, int]:
     return p, i
 
 
-def group_order(g: PermGroup) -> int:
-    return g.order
-
-
 # ---------------------------------------------------------- graph orbits
 
 def _check_automorphisms(group: PermGroup, graph: Graph) -> None:
@@ -327,17 +328,19 @@ def max_s_arc_transitive(group: PermGroup, graph: Graph, cap: int = 3) -> int:
     return best
 
 
-def normalizer_of_regular(aut: PermGroup, spec: GroupSpec, bound: int = 10_000_000) -> int:
-    """Order of the normalizer of the regular copy of G inside aut.
+def normalizer_of_regular(aut: PermGroup, spec: GroupSpec) -> int:
+    """Order of the normalizer N of the regular copy R of G inside aut.
 
-    Filters every element of aut; membership in the regular subgroup is the
-    O(n) check "equals right multiplication by the image of the identity".
+    R is transitive, so N = R(N ∩ A_0) with A_0 the stabilizer of vertex 0,
+    and R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x normalizes R}.  Only
+    A_0 is enumerated; membership in R is the O(n) check "equals right
+    multiplication by the image of the identity".
     """
     if aut.degree != spec.order:
         raise ValueError("degree mismatch")
-    if aut.order > bound:
-        raise BoundExceeded(f"|aut| = {aut.order} exceeds bound {bound}")
-    regular_gens = [tuple(p) for p in _regular_gens(spec)]
+    regular_gens = [tuple(p) for p in regular_representation(spec)]
+    if not all(aut.contains(g) for g in regular_gens):
+        raise ValueError("the regular copy of G is not a subgroup of aut")
     cache: dict[int, Perm] = {}
 
     def in_regular(q: Perm) -> bool:
@@ -349,14 +352,8 @@ def normalizer_of_regular(aut: PermGroup, spec: GroupSpec, bound: int = 10_000_0
         return q == p
 
     count = 0
-    for x in aut.elements(bound):
+    for x in aut.stabilizer_elements():
         xinv = inverse_perm(x)
         if all(in_regular(compose(compose(xinv, g), x)) for g in regular_gens):
             count += 1
-    return count
-
-
-def _regular_gens(spec: GroupSpec):
-    from metacirc.groups import regular_representation
-
-    return regular_representation(spec)
+    return spec.order * count

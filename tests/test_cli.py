@@ -155,6 +155,27 @@ def test_iso(capsys, tmp_path):
     assert code == 0 and out.strip() == "not isomorphic"
 
 
+def test_aut_malformed_graph6_exit_1(capsys):
+    for bad in ("zzz", "~", "\x7f"):
+        code, out, err = run_cli(capsys, "aut", "--graph6", bad)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed graph6") and err.count("\n") == 1
+
+
+def test_aut_missing_file_exit_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "aut", "--file", str(tmp_path / "missing.g6"))
+    assert code == 1 and err.startswith("error: cannot read") and err.count("\n") == 1
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"")
+    code, _, err = run_cli(capsys, "aut", "--file", str(empty))
+    assert code == 1 and err.startswith("error: no graph6 line")
+
+
+def test_iso_missing_file_exit_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "iso", "--a", str(tmp_path / "missing.g6"), "--b", "x")
+    assert code == 1 and err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- export
 
 def test_export_formats(capsys):
@@ -182,14 +203,25 @@ def test_export_graph6_matches_library(capsys):
 
 # ----------------------------------------------------------------- sweep
 
-def test_sweep_small(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--max-order", "40")
+def test_sweep_small(capsys, tmp_path):
+    jsonl = tmp_path / "census.jsonl"
+    code, out, _ = run_cli(capsys, "sweep", "--max-order", "40", "--out", str(jsonl))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("m n r")
     rows = {tuple(line.split()[:3]) for line in lines[1:]}
     assert ("7", "3", "2") in rows
     assert ("13", "3", "3") in rows
+    # one report per table row, in the same order, as classify prints it
+    reports = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [[str(r["group"][k]) for k in "mnr"] for r in reports] \
+        == [line.split()[:3] for line in lines[1:]]
+    g = reports[0]["group"]
+    _, first, _ = run_cli(capsys, "classify", "--m", str(g["m"]), "--n", str(g["n"]),
+                          "--r", str(g["r"]))
+    assert reports[0] == json.loads(first)
+    # the table is the same with or without --out
+    assert run_cli(capsys, "sweep", "--max-order", "40")[1] == out
 
 
 def test_console_script_subprocess():

@@ -1,18 +1,17 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
+from metacirc.autosearch import analyze
+from metacirc.classify import classify_spec
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set
-from metacirc.groups import Element, GroupSpec, regular_representation
+from metacirc.groups import Element, GroupSpec, regular_representation, right_multiplication_perm
 from metacirc.permgroup import (
     PermGroup,
     arc_orbit_count,
     compose,
     edge_orbit_count,
-    group_order,
     identity_perm,
     inverse_perm,
     max_s_arc_transitive,
@@ -58,16 +57,11 @@ def mulclose(gens, cap=100_000):
 
 # -------------------------------------------------------------- order/chain
 
-def test_group_order_examples():
-    assert group_order(S5) == 120
-    assert group_order(C5) == 5
-    assert group_order(PermGroup(4, [])) == 1
-
-
 def test_chain_order_matches_exhaustive_closure():
     cases = [
         S5,
         C5,
+        PermGroup(4, []),
         PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)]),  # D6
         PermGroup(4, [cycle(4, 0, 1, 2), cycle(4, 1, 2, 3)]),        # A4
         PermGroup(21, regular_representation(F21)),
@@ -94,6 +88,8 @@ def test_contains():
 def test_elements_bound():
     with pytest.raises(BoundExceeded):
         list(S5.elements(bound=100))
+    with pytest.raises(BoundExceeded):
+        list(S5.stabilizer_elements(bound=10))
 
 
 # ------------------------------------------------------- orbits/stabilizers
@@ -105,32 +101,29 @@ def test_orbit_examples():
 
 
 def test_point_stabilizer_s5():
-    stab = S5.point_stabilizer(0)
-    assert stab.order == 24
-    assert all(g[0] == 0 for g in stab.generators)
+    stab = list(S5.stabilizer_elements())
+    assert S5.stabilizer_order == len(stab) == len(set(stab)) == 24
+    assert all(g[0] == 0 for g in stab)
 
 
 def test_point_stabilizer_regular_group_is_trivial():
     ghat = PermGroup(21, regular_representation(F21))
     assert ghat.is_transitive()
-    for v in (0, 5, 20):
-        assert ghat.point_stabilizer(v).order == 1
+    assert ghat.stabilizer_order == 1
+    assert list(ghat.stabilizer_elements()) == [identity_perm(21)]
 
 
 def test_orbit_stabilizer_identity():
-    rng = random.Random(1)
     groups = [S5, C5, PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)])]
     for grp in groups:
-        for _ in range(3):
-            p = rng.randrange(grp.degree)
-            assert len(grp.orbit(p)) * grp.point_stabilizer(p).order == grp.order
+        assert len(grp.orbit(0)) * grp.stabilizer_order == grp.order
 
 
 def test_point_out_of_range():
     with pytest.raises(ValueError):
         S5.orbit(9)
     with pytest.raises(ValueError):
-        S5.point_stabilizer(-1)
+        S5.orbit(-1)
 
 
 # ----------------------------------------------------------- graph orbits
@@ -207,3 +200,36 @@ def test_normalizer_of_regular_in_itself():
 def test_normalizer_degree_mismatch():
     with pytest.raises(ValueError):
         normalizer_of_regular(S5, F21)
+
+
+def test_normalizer_needs_the_regular_copy():
+    with pytest.raises(ValueError):
+        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)]), Z5)
+
+
+def reference_normalizer_order(aut, spec):
+    """|N_aut(R)| by filtering every element of aut, not only the stabilizer."""
+    regular_gens = [tuple(p) for p in regular_representation(spec)]
+
+    def in_regular(q):
+        return q == tuple(right_multiplication_perm(spec.at_index(q[0]), spec))
+
+    count = 0
+    for x in aut.elements():
+        xinv = inverse_perm(x)
+        if all(in_regular(compose(compose(xinv, g), x)) for g in regular_gens):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("mnrl", [(5, 1, 1, 1), (7, 3, 2, 1), (11, 5, 3, 1), (11, 5, 3, 3)])
+def test_normalizer_matches_reference_on_census_classes(mnrl):
+    spec = GroupSpec(*mnrl)
+    classes = classify_spec(spec).classes
+    assert classes
+    for c in classes:
+        graph = build_cayley(c.connection_set, spec)
+        aut = PermGroup(graph.n, analyze(graph, seeds=regular_representation(spec)).generators)
+        ref = reference_normalizer_order(aut, spec)
+        assert normalizer_of_regular(aut, spec) == ref == c.normalizer_order
+        assert c.normal_cayley == (ref == aut.order)
