@@ -57,6 +57,12 @@ def mulclose(gens, cap=100_000):
 
 # -------------------------------------------------------------- order/chain
 
+def test_group_order_examples():
+    assert S5.order == 120
+    assert C5.order == 5
+    assert PermGroup(4, []).order == 1
+
+
 def test_chain_order_matches_exhaustive_closure():
     cases = [
         S5,
