@@ -258,18 +258,15 @@ def from_graph6(data: bytes | str) -> Graph:
     header = 8 if vals[:2] == [63, 63] else 4 if vals[:1] == [63] else 1
     if len(vals) < header:
         raise ValueError("truncated graph6 header")
-    if vals and vals[0] == 63:
-        if len(vals) > 1 and vals[1] == 63:
-            n = 0
-            for v in vals[2:8]:
-                n = (n << 6) | v
-            body = vals[8:]
-        else:
-            n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-            body = vals[4:]
+    if header == 8:
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+    elif header == 4:
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
     else:
         n = vals[0]
-        body = vals[1:]
+    body = vals[header:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need}")

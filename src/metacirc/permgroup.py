@@ -99,9 +99,9 @@ class PermGroup:
         """All group elements from the chain transversals."""
         return _transversal_products(self.chain(), self.degree, bound)
 
-    def stabilizer_elements(self, bound: int = ELEMENT_BOUND) -> Iterator[Perm]:
+    def stabilizer_elements(self) -> Iterator[Perm]:
         """All elements of the stabilizer of point 0."""
-        return _transversal_products(self.chain()[1:], self.degree, bound)
+        return _transversal_products(self.chain()[1:], self.degree, ELEMENT_BOUND)
 
     # ------------------------------------------------------------- orbits
 

@@ -156,7 +156,7 @@ def test_iso(capsys, tmp_path):
 
 
 def test_aut_malformed_graph6_exit_1(capsys):
-    for bad in ("zzz", "~", "\x7f"):
+    for bad in ("zzz", "~", "~~??", "\x7f"):
         code, out, err = run_cli(capsys, "aut", "--graph6", bad)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed graph6") and err.count("\n") == 1
@@ -174,6 +174,13 @@ def test_aut_missing_file_exit_1(capsys, tmp_path):
 def test_iso_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "iso", "--a", str(tmp_path / "missing.g6"), "--b", "x")
     assert code == 1 and err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_sweep_unwritable_out_exit_1(capsys, tmp_path):
+    out_path = tmp_path / "missing_dir" / "x.jsonl"
+    code, out, err = run_cli(capsys, "sweep", "--max-order", "5", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- export

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from metacirc import permgroup
 from metacirc.autosearch import analyze
 from metacirc.classify import classify_spec
 from metacirc.errors import BoundExceeded
@@ -91,11 +92,13 @@ def test_contains():
     assert not C5.contains((1, 0, 2, 3, 4))
 
 
-def test_elements_bound():
+def test_elements_bound(monkeypatch):
     with pytest.raises(BoundExceeded):
         list(S5.elements(bound=100))
+    # the stabilizer of point 0 in S5 has 24 elements
+    monkeypatch.setattr(permgroup, "ELEMENT_BOUND", 10)
     with pytest.raises(BoundExceeded):
-        list(S5.stabilizer_elements(bound=10))
+        list(S5.stabilizer_elements())
 
 
 # ------------------------------------------------------- orbits/stabilizers
