@@ -24,13 +24,7 @@ from math import gcd
 from pathlib import Path
 from typing import Sequence
 
-from metacirc.aut import (
-    apply_aut,
-    aut_stabilizer,
-    aut_vertex_permutations,
-    automorphism_maps,
-    set_orbit_canonical,
-)
+from metacirc.aut import aut_generators, set_orbit
 from metacirc.autosearch import PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set, to_dot, to_graph6
@@ -204,29 +198,19 @@ def candidate_orbits(
     orbit (correct but slower downstream).
     """
     try:
-        perms = aut_vertex_permutations(spec)
+        gens, _ = _aut_generators(spec)
     except (ValueError, BoundExceeded):
         return [(S, 1) for S in candidates], False
-    index_sets = [tuple(spec.index(x) for x in S) for S in candidates]
+    index_sets = [tuple(sorted(spec.index(x) for x in S)) for S in candidates]
     position = {s: i for i, s in enumerate(index_sets)}
     seen = [False] * len(candidates)
     orbits = []
     for i, start in enumerate(index_sets):
         if seen[i]:
             continue
-        orbit = {start}
-        frontier = [start]
-        seen[i] = True
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for p in perms:
-                    im = tuple(sorted(p[x] for x in s))
-                    if im not in orbit:
-                        orbit.add(im)
-                        seen[position[im]] = True
-                        nxt.append(im)
-            frontier = nxt
+        orbit = set_orbit(start, gens)
+        for s in orbit:
+            seen[position[s]] = True
         rep = min(orbit)
         orbits.append((tuple(spec.at_index(x) for x in rep), len(orbit)))
     return orbits, True
@@ -234,9 +218,15 @@ def candidate_orbits(
 
 # ------------------------------------------------------------ per-rep work
 
-@lru_cache(maxsize=64)
-def _cached_maps(spec: GroupSpec):
-    return automorphism_maps(spec)
+# one generating set of Aut(G) per spec, shared by the orbit reduction and
+# every class of the spec
+_aut_generators = lru_cache(maxsize=64)(aut_generators)
+
+
+def _set_orbit(S: Sequence[Element], spec: GroupSpec) -> set[tuple[int, ...]]:
+    """Aut(G)-orbit of the connection set S, as sorted vertex-index tuples."""
+    gens, _ = _aut_generators(spec)
+    return set_orbit((spec.index(x) for x in S), gens)
 
 
 @lru_cache(maxsize=64)
@@ -244,13 +234,11 @@ def _standard_forms(spec: GroupSpec) -> dict[tuple[int, ...], int]:
     """Aut(G)-canonical key of each standard set S_j, for recognition."""
     if spec.is_abelian or not (spec.sylow_cyclic and spec.hypothesis_star):
         return {}
-    maps = _cached_maps(spec)
     out = {}
     for j in range(1, spec.n0):
         if gcd(j, spec.n) != 1:
             continue
-        S = standard_connection_set(j, spec)
-        key = tuple(spec.index(x) for x in set_orbit_canonical(S, spec, maps))
+        key = min(_set_orbit(standard_connection_set(j, spec), spec))
         out.setdefault(key, j)
     return out
 
@@ -278,10 +266,9 @@ def analyze_connection_set(
     arc = s >= 1
     aut_order = aut.order
     normalizer_order = normalizer_of_regular(aut, spec)
-    maps = _cached_maps(spec)
-    set_stab = len(aut_stabilizer(S, spec, maps))
-    standard_key = tuple(spec.index(x) for x in set_orbit_canonical(S, spec, maps))
-    standard_j = _standard_forms(spec).get(standard_key)
+    orbit = _set_orbit(S, spec)
+    set_stab = _aut_generators(spec)[1] // len(orbit)
+    standard_j = _standard_forms(spec).get(min(orbit))
     return ClassReport(
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),

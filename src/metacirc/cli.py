@@ -144,10 +144,13 @@ def _cmd_classify(args, mode: str) -> int:
         return EXIT_BOUND
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if args.out:
+        try:
+            emit_report(report, args.out, graphs=args.graphs)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     payload = report_to_json_dict(report)
     print(json.dumps(payload, indent=2))
-    if args.out:
-        emit_report(report, args.out, graphs=args.graphs)
     if args.strict and _disagrees(payload):
         print("strict: disagreement with bundled predictions", file=sys.stderr)
         return EXIT_DISAGREEMENT

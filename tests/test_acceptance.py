@@ -9,12 +9,13 @@ import json
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from metacirc.aut import brute_force_automorphisms, enumerate_aut
 from metacirc.autosearch import analyze
-from metacirc.classify import classify_spec, isomorphism_orbit_comparison
+from metacirc.classify import classify_spec, isomorphism_orbit_comparison, report_to_json_dict
 from metacirc.cli import main
 from metacirc.graphs import build_cayley
 from metacirc.groups import (
@@ -30,6 +31,10 @@ from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import regular_generator_perms, sample_hypothesis_star_specs
 
 TABLE_KEYS = {(5, 1), (7, 3), (11, 5), (23, 11)}
+
+# `metacirc sweep --max-order 231 --out census_231.jsonl`, frozen before the
+# orbit reduction moved to a generating set of Aut(G)
+GOLDEN_CENSUS = Path(__file__).parent / "data" / "census_231.jsonl"
 
 
 def check(num: int, ok: bool, desc: str) -> None:
@@ -71,8 +76,16 @@ def sweep_specs():
 
 
 @pytest.fixture(scope="module")
-def sweep_reports():
-    return [(spec, classify_spec(spec, bound=231)) for spec in sweep_specs()]
+def census_231():
+    """The census of ``metacirc sweep --max-order 231``: every spec, classified
+    as the sweep does."""
+    return [(spec, classify_spec(spec, bound=231)) for spec in iter_specs(231)]
+
+
+@pytest.fixture(scope="module")
+def sweep_reports(census_231):
+    keep = set(sweep_specs())
+    return [(spec, rep) for spec, rep in census_231 if spec in keep]
 
 
 # --------------------------------------------------------------------------
@@ -306,3 +319,9 @@ def test_criterion_10_ci_property(capsys):
             "isomorphism coincides with Aut(G)-conjugacy wherever gcd(|G|, stab) = 1 "
             f"({'; '.join(details)})",
         )
+
+
+def test_golden_census_231(census_231):
+    """The sweep's JSONL, regenerated, equals the frozen census byte for byte."""
+    jsonl = "".join(json.dumps(report_to_json_dict(rep)) + "\n" for _, rep in census_231)
+    assert jsonl.encode() == GOLDEN_CENSUS.read_bytes()

@@ -11,6 +11,7 @@ from metacirc.aut import (
     AutoMap,
     GeneratorImages,
     apply_aut,
+    aut_generators,
     aut_stabilizer,
     aut_vertex_permutations,
     automorphism_maps,
@@ -20,9 +21,10 @@ from metacirc.aut import (
     identity_map,
     involutions,
     parametrized_count,
-    set_orbit_canonical,
+    set_orbit,
 )
 from metacirc.groups import Element, GroupSpec, IDENTITY, closure_size, euler_phi, inv, mul
+from metacirc.permgroup import PermGroup
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -232,29 +234,61 @@ def test_aut_stabilizer_brute_force_backend():
 
 # ------------------------------------------------------- orbit canonical
 
+def orbit_min(S, spec):
+    """Aut(G)-canonical key of S: the least set in its orbit."""
+    gens, _ = aut_generators(spec)
+    return min(set_orbit((spec.index(x) for x in S), gens))
+
+
 def test_set_orbit_canonical_idempotent_and_orbit_invariant():
     spec = F21
     maps = enumerate_aut(spec)
     S = S1(spec)
-    canon = set_orbit_canonical(S, spec, maps)
-    assert set_orbit_canonical(canon, spec, maps) == canon
+    canon = orbit_min(S, spec)
+    assert orbit_min([spec.at_index(i) for i in canon], spec) == canon
     rng = random.Random(11)
     for _ in range(20):
         f = rng.choice(maps)
         image = [apply_aut(f, x, spec) for x in S]
-        assert set_orbit_canonical(image, spec, maps) == canon
+        assert orbit_min(image, spec) == canon
 
 
 def test_set_orbit_canonical_frozen_example():
     spec = F21
     other = (Element(0, 1, 0), Element(3, 1, 0), Element(0, 2, 0), inv(Element(3, 1, 0), spec))
-    assert set_orbit_canonical(other, spec) == set_orbit_canonical(S1(spec), spec)
-    assert set_orbit_canonical(S1(spec), spec) == (
-        Element(0, 1, 0),
-        Element(1, 1, 0),
-        Element(0, 2, 0),
-        Element(5, 2, 0),
+    assert orbit_min(other, spec) == orbit_min(S1(spec), spec)
+    assert orbit_min(S1(spec), spec) == tuple(
+        spec.index(x)
+        for x in (Element(0, 1, 0), Element(1, 1, 0), Element(0, 2, 0), Element(5, 2, 0))
     )
+
+
+# ------------------------------------------------------- generating set
+
+# Sylow-cyclic (parametrized maps) and brute-force specs
+GENERATOR_SPECS = [
+    GroupSpec(7, 3, 2),
+    GroupSpec(11, 5, 3, ell=3),
+    GroupSpec(9, 3, 4),
+    GroupSpec(25, 5, 6),
+]
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
+def test_aut_generators_generate_aut(spec):
+    gens, order = aut_generators(spec)
+    assert order == len(automorphism_maps(spec))
+    assert PermGroup(spec.order, gens).order == order
+    assert len(gens) < order
+
+
+def test_set_orbit_size_is_index_of_stabilizer():
+    for spec in (F21, GroupSpec(9, 3, 4)):
+        gens, order = aut_generators(spec)
+        S = S1(spec)
+        orbit = set_orbit((spec.index(x) for x in S), gens)
+        assert len(orbit) * len(aut_stabilizer(S, spec)) == order
+        assert all(t == tuple(sorted(t)) and len(t) == 4 for t in orbit)
 
 
 # ---------------------------------------------------- vertex permutations

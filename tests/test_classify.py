@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from metacirc.aut import aut_stabilizer, aut_vertex_permutations
 from metacirc.classify import (
     analyze_connection_set,
     candidate_orbits,
@@ -64,14 +65,50 @@ def test_candidate_orbits_uses_brute_force_backend():
 def test_candidate_orbits_fallback_without_aut(monkeypatch):
     import metacirc.classify as mc
 
-    def refuse(spec, maps=None):
+    def refuse(spec):
         raise ValueError("no automorphism backend")
 
-    monkeypatch.setattr(mc, "aut_vertex_permutations", refuse)
+    monkeypatch.setattr(mc, "_aut_generators", refuse)
     cands = enumerate_candidates(F21)
     orbits, dedup = mc.candidate_orbits(cands, F21)
     assert not dedup
     assert len(orbits) == len(cands) and all(size == 1 for _, size in orbits)
+
+
+def full_group_orbits(candidates, spec):
+    """Reference orbit reduction: every candidate's images under every
+    element of Aut(G), as vertex permutations."""
+    perms = aut_vertex_permutations(spec)
+    seen = set()
+    out = []
+    for S in candidates:
+        key = tuple(sorted(spec.index(x) for x in S))
+        if key in seen:
+            continue
+        orbit = {tuple(sorted(p[i] for i in key)) for p in perms}
+        seen |= orbit
+        out.append((tuple(spec.at_index(i) for i in min(orbit)), len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(25, 5, 6)],
+    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+)
+def test_candidate_orbits_match_full_group_reference(spec):
+    cands = enumerate_candidates(spec)
+    orbits, dedup = candidate_orbits(cands, spec)
+    assert dedup
+    assert orbits == full_group_orbits(cands, spec)
+
+
+def test_set_stabilizer_order_matches_reference():
+    for spec in (F21, GroupSpec(11, 5, 3)):
+        report = classify_spec(spec)
+        assert report.classes
+        for c in report.classes:
+            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec))
 
 
 # ----------------------------------------------------------- single sets

@@ -183,6 +183,15 @@ def test_sweep_unwritable_out_exit_1(capsys, tmp_path):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+def test_classify_unwritable_out_exit_1(capsys, tmp_path):
+    out_path = tmp_path / "missing_dir" / "r.json"
+    code, out, err = run_cli(
+        capsys, "classify", "--m", "5", "--n", "1", "--r", "1", "--out", str(out_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- export
 
 def test_export_formats(capsys):
