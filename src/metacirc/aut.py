@@ -25,7 +25,6 @@ from metacirc.groups import (
     IDENTITY,
     Element,
     GroupSpec,
-    closure_size,
     element_order,
     euler_phi,
     inv,
@@ -179,6 +178,9 @@ def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[Ge
 
     Independent of the parametrized route: searches all elements of the right
     orders, checks the defining relations, and confirms the images generate.
+    Images (a', b', c') that satisfy the relations give an endomorphism whose
+    image is <a'><b'><c'>, with <a'> normal and c' central; it is all of G iff
+    |<b'><c'>| = n * ell and <a'> meets <b'><c'> trivially.
     """
     if spec.order > max_order:
         raise ValueError(f"group order {spec.order} exceeds brute-force bound {max_order}")
@@ -193,16 +195,34 @@ def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[Ge
         and mul(g, spec.generator_a(), spec) == mul(spec.generator_a(), g, spec)
         and mul(g, spec.generator_b(), spec) == mul(spec.generator_b(), g, spec)
     ]
+    c_powers = [_power_table(g, spec.ell, spec) for g in c_cands]
     out = []
     for img_a in a_cands:
         target = power(img_a, spec.r, spec)
+        a_powers = set(_power_table(img_a, spec.m, spec)[1:])
         for img_b in b_cands:
             if mul(mul(inv(img_b, spec), img_a, spec), img_b, spec) != target:
                 continue
-            for img_c in c_cands:
-                if closure_size([img_a, img_b, img_c], spec) == spec.order:
+            b_powers = _power_table(img_b, spec.n, spec)
+            for img_c, powers in zip(c_cands, c_powers):
+                if _complements(a_powers, b_powers, powers, spec):
                     out.append(GeneratorImages(img_a, img_b, img_c))
     return out
+
+
+def _complements(
+    a_powers: set[Element], b_powers: list[Element], c_powers: list[Element], spec: GroupSpec
+) -> bool:
+    """Whether the products of b_powers and c_powers are n * ell distinct
+    elements, none of them in a_powers (the non-identity elements of <a'>)."""
+    seen: set[Element] = set()
+    for x in b_powers:
+        for y in c_powers:
+            z = mul(x, y, spec)
+            if z in seen or z in a_powers:
+                return False
+            seen.add(z)
+    return True
 
 
 def automorphism_maps(spec: GroupSpec, max_order: int = 4000) -> list[Automorphism]:

@@ -243,9 +243,7 @@ def _standard_forms(spec: GroupSpec) -> dict[tuple[int, ...], int]:
     return out
 
 
-def analyze_connection_set(
-    spec: GroupSpec, S: Sequence[Element], orbit_size: int = 1
-) -> ClassReport | None:
+def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport | None:
     """Full classification data for one connection set.
 
     Returns None when the graph is not edge-transitive (such sets leave the
@@ -284,15 +282,15 @@ def analyze_connection_set(
         set_stabilizer_order=set_stab,
         normalizer_ok=normalizer_order == spec.order * set_stab,
         standard_j=standard_j,
-        orbit_size=orbit_size,
+        orbit_size=len(orbit),
     )
 
 
 def _worker(args: tuple) -> ClassReport | None:
-    m, n, r, ell, rep_indices, orbit_size = args
+    m, n, r, ell, rep_indices = args
     spec = GroupSpec(m, n, r, ell)
     rep = tuple(spec.at_index(i) for i in rep_indices)
-    return analyze_connection_set(spec, rep, orbit_size)
+    return analyze_connection_set(spec, rep)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -325,7 +323,7 @@ def classify_spec(
                 "the no-central-Sylow condition; use oracle mode"
             )
         raw = connected = 0
-        orbits = [(standard_connection_set(j, spec), 1) for j in theorem_js(spec)]
+        reps = [standard_connection_set(j, spec) for j in theorem_js(spec)]
         dedup = True
     else:
         raw_sets = inverse_closed_four_subsets(spec)
@@ -333,13 +331,14 @@ def classify_spec(
         candidates = enumerate_candidates(spec, bound=bound)
         connected = len(candidates)
         orbits, dedup = candidate_orbits(candidates, spec)
+        reps = [rep for rep, _ in orbits]
         if not dedup:
             findings.append("aut-orbit dedup unavailable; deduplicated by canonical form only")
 
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
     merged: dict[str, ClassReport] = {}
-    for c in _run_reps(spec, orbits, jobs):
+    for c in _run_reps(spec, reps, jobs):
         if c is None:
             continue
         prev = merged.get(c.canonical)
@@ -394,7 +393,7 @@ def classify_spec(
         classes=classes,
         raw_candidates=raw,
         connected_candidates=connected,
-        orbit_count=len(orbits),
+        orbit_count=len(reps),
         phi_n0_half=phi_n0_half,
         thm2_exception_count=exception if thm2_applicable else None,
         thm2_claim=thm2_claim,
@@ -405,11 +404,8 @@ def classify_spec(
     )
 
 
-def _run_reps(spec: GroupSpec, orbits, jobs: int) -> list[ClassReport | None]:
-    tasks = [
-        (spec.m, spec.n, spec.r, spec.ell, tuple(spec.index(x) for x in rep), size)
-        for rep, size in orbits
-    ]
+def _run_reps(spec: GroupSpec, reps, jobs: int) -> list[ClassReport | None]:
+    tasks = [(spec.m, spec.n, spec.r, spec.ell, tuple(spec.index(x) for x in rep)) for rep in reps]
     if jobs <= 1 or len(tasks) <= 1:
         return [_worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor

@@ -1,19 +1,25 @@
 """Permutation groups via stabilizer chains, plus orbit counting on graphs.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)``
-applies p first, then q.  The chain is built with a deterministic
-Schreier-Sims: every Schreier generator is sifted, so the resulting order is
-exact.  The base starts at point 0, so the chain below its first level is the
-stabilizer of point 0; later base points are picked greedily from the largest
-orbit at each level.
+applies p first, then q.  The chain is built with the deterministic
+incremental Schreier-Sims algorithm (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 4.4.2): levels are completed bottom-up, and each
+Schreier generator -- a triple of level, orbit point and strong generator --
+is tested exactly once.  Transversals are only ever extended, so a Schreier
+generator that sifted to the identity stays sifted; a new strong generator
+reopens only the levels it joins.  The resulting order is exact.  The base
+starts at point 0, so the chain below its first level is the stabilizer of
+point 0; later base points are picked greedily from the largest orbit at each
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from metacirc.errors import BoundExceeded
@@ -26,24 +32,29 @@ Perm = tuple[int, ...]
 ELEMENT_BOUND = 10_000_000
 
 
+# shared, so that the ints of every inverse come from one tuple
+@lru_cache(maxsize=16)
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Apply p first, then q."""
-    return tuple(q[x] for x in p)
+    if len(p) < 2:
+        # itemgetter of one index returns a scalar, of none it raises
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def inverse_perm(p: Sequence[int]) -> Perm:
     out = [0] * len(p)
-    for i, x in enumerate(p):
+    for i, x in zip(identity_perm(len(p)), p):
         out[x] = i
     return tuple(out)
 
 
 def is_identity(p: Sequence[int]) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return tuple(p) == identity_perm(len(p))
 
 
 def _check_perm(p: Sequence[int], degree: int) -> Perm:
@@ -92,8 +103,8 @@ class PermGroup:
         return prod(len(lvl.transversal) for lvl in self.chain()[1:])
 
     def contains(self, p: Sequence[int]) -> bool:
-        residue, _ = _sift(self.chain(), _check_perm(p, self.degree), 0)
-        return is_identity(residue)
+        a, b, _ = _sift(self.chain(), _check_perm(p, self.degree), identity_perm(self.degree), 0)
+        return a == b
 
     def elements(self, bound: int = ELEMENT_BOUND) -> Iterator[Perm]:
         """All group elements from the chain transversals."""
@@ -149,74 +160,71 @@ def _transversal_products(levels: Sequence[_Level], degree: int, bound: int) -> 
 
 
 def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
+    """Base and strong generating set of the group the generators generate.
+
+    Level l holds the strong generators S_l that generate the l-th group on
+    the chain and a transversal of that group's orbit of the l-th base point,
+    built as the Schreier generators of the level are tested.  A residue that
+    drops out at level j while level i is tested joins S_{i+1}, ..., S_j, and
+    testing resumes at level j; the levels above j keep the triples they
+    tested.  The chain is complete once level 0 has no untested triple.
+    """
+    if not degree:
+        return []
+    ident = identity_perm(degree)
     # point 0 is always the first base point, even when every generator fixes it
-    levels = [_Level(0, [], {0: identity_perm(degree)})] if degree else []
+    levels = [_Level(0, [], {0: ident})]
+    # orbit points of each level in the order they joined its transversal, and
+    # for each of them how many of the level's generators have been applied
+    orbits: list[list[int]] = [[0]]
+    tested: list[list[int]] = [[0]]
 
-    def gens_from(i: int) -> list[Perm]:
-        # generators of the i-th group on the chain: every strong generator
-        # stored at level i or deeper fixes the base points above it
-        out: list[Perm] = []
-        for lvl in levels[i:]:
-            out.extend(lvl.gens)
-        return out
+    def add_generator(y: Perm, top: int, j: int) -> int:
+        if j == len(levels):
+            point = _pick_base_point(y)
+            levels.append(_Level(point, [], {point: ident}))
+            orbits.append([point])
+            tested.append([0])
+        for lvl in levels[top : j + 1]:
+            lvl.gens.append(y)
+        return j
 
-    def rebuild_transversal(i: int) -> None:
+    def test_level(i: int) -> int:
+        """Test the untested triples of level i; the level to go on with."""
         lvl = levels[i]
-        gens = gens_from(i)
-        lvl.transversal = {lvl.point: identity_perm(degree)}
-        frontier = [lvl.point]
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                u = lvl.transversal[beta]
-                for g in gens:
-                    gamma = g[beta]
-                    if gamma not in lvl.transversal:
-                        lvl.transversal[gamma] = compose(u, g)
-                        nxt.append(gamma)
-            frontier = nxt
-
-    def establish(i: int) -> None:
-        # re-establish the strong-generation property for levels[i:],
-        # assuming it already holds for levels[i+1:]
-        if i >= len(levels):
-            return
-        while True:
-            rebuild_transversal(i)
-            lvl = levels[i]
-            gens = gens_from(i)
-            added = False
-            for beta in list(lvl.transversal):
-                u = lvl.transversal[beta]
-                for g in gens:
-                    x = compose(u, g)
-                    schreier = compose(x, inverse_perm(lvl.transversal[x[lvl.point]]))
-                    if is_identity(schreier):
-                        continue
-                    residue, j = _sift(levels, schreier, i + 1)
-                    if is_identity(residue):
-                        continue
-                    if j == len(levels):
-                        levels.append(_Level(_pick_base_point(residue)))
-                    levels[j].gens.append(residue)
-                    for l in range(j, i, -1):
-                        establish(l)
-                    added = True
-                    break
-                if added:
-                    break
-            if not added:
-                return
+        gens, transversal = lvl.gens, lvl.transversal
+        orbit, done = orbits[i], tested[i]
+        k = 0
+        while k < len(orbit):
+            beta = orbit[k]
+            u = transversal[beta]
+            for q in range(done[k], len(gens)):
+                done[k] = q + 1
+                g = gens[q]
+                ug = compose(u, g)
+                gamma = g[beta]
+                v = transversal.get(gamma)
+                if v is None:
+                    transversal[gamma] = ug
+                    orbit.append(gamma)
+                    done.append(0)
+                    continue
+                if ug == v:
+                    continue
+                # the Schreier generator ug * v^-1
+                a, b, j = _sift(levels, ug, v, i + 1)
+                if a != b:
+                    return add_generator(compose(a, inverse_perm(b)), i + 1, j)
+            k += 1
+        return i - 1
 
     for p in generators:
-        residue, j = _sift(levels, p, 0)
-        if is_identity(residue):
+        a, b, j = _sift(levels, p, ident, 0)
+        if a == b:
             continue
-        if j == len(levels):
-            levels.append(_Level(_pick_base_point(residue)))
-        levels[j].gens.append(residue)
-        for l in range(j, -1, -1):
-            establish(l)
+        i = add_generator(compose(a, inverse_perm(b)), 0, j)
+        while i >= 0:
+            i = test_level(i)
     return levels
 
 
@@ -240,16 +248,25 @@ def _pick_base_point(p: Perm) -> int:
     return best_point
 
 
-def _sift(levels: list[_Level], p: Perm, start: int) -> tuple[Perm, int]:
-    i = start
-    while i < len(levels):
+def _sift(levels: list[_Level], a: Perm, b: Perm, start: int) -> tuple[Perm, Perm, int]:
+    """Sift a * b^-1 (a first, as in compose) through levels[start:] without
+    inverting anything.
+
+    Returns (a, b', j): the residue is a * b'^-1, the identity iff a == b',
+    and j is the level it dropped out at (len(levels) if it went through).
+    Dividing the residue by a transversal element u is b' -> compose(u, b').
+    """
+    for i in range(start, len(levels)):
         lvl = levels[i]
-        u = lvl.transversal.get(p[lvl.point])
+        beta = b.index(a[lvl.point])
+        if beta == lvl.point:
+            # the transversal element of the base point is the identity
+            continue
+        u = lvl.transversal.get(beta)
         if u is None:
-            return p, i
-        p = compose(p, inverse_perm(u))
-        i += 1
-    return p, i
+            return a, b, i
+        b = compose(u, b)
+    return a, b, len(levels)
 
 
 # ---------------------------------------------------------- graph orbits

@@ -23,7 +23,17 @@ from metacirc.aut import (
     parametrized_count,
     set_orbit,
 )
-from metacirc.groups import Element, GroupSpec, IDENTITY, closure_size, euler_phi, inv, mul
+from metacirc.groups import (
+    IDENTITY,
+    Element,
+    GroupSpec,
+    closure_size,
+    element_order,
+    euler_phi,
+    inv,
+    mul,
+    power,
+)
 from metacirc.permgroup import PermGroup
 
 F21 = GroupSpec(7, 3, 2)
@@ -126,6 +136,25 @@ def test_brute_force_on_non_sylow_cyclic_specs():
     shaped = [f for f in maps if f.img_a.v == 0]
     assert len(shaped) == 18
     assert len(brute_force_automorphisms(GroupSpec(45, 3, 16))) == 216
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(9, 3, 4), GroupSpec(9, 9, 4), GroupSpec(25, 5, 6)], ids=str)
+def test_brute_force_matches_closure_reference(spec):
+    # reference: the image triples that satisfy the relations and whose
+    # closure is all of G, in the search's loop order
+    a, b = spec.generator_a(), spec.generator_b()
+    order = {g: element_order(g, spec) for g in spec.elements()}
+    central = [g for g in spec.elements() if mul(g, a, spec) == mul(a, g, spec) and mul(g, b, spec) == mul(b, g, spec)]
+    expected = [
+        GeneratorImages(x, y, z)
+        for x in spec.elements()
+        if order[x] == spec.m
+        for y in spec.elements()
+        if order[y] == spec.n and mul(mul(inv(y, spec), x, spec), y, spec) == power(x, spec.r, spec)
+        for z in central
+        if order[z] == spec.ell and closure_size([x, y, z], spec) == spec.order
+    ]
+    assert brute_force_automorphisms(spec) == expected
 
 
 def test_composition_closure():

@@ -159,6 +159,15 @@ def test_classify_f21_theorem_mode_matches_oracle():
     assert [c.canonical for c in theorem.classes] == [c.canonical for c in oracle.classes]
 
 
+def test_theorem_mode_orbit_size_matches_oracle():
+    # the standard set of (13,3,3) lies in an Aut(G)-orbit of 78 sets; theorem
+    # mode takes the size from that orbit as oracle mode does
+    spec = GroupSpec(13, 3, 3)
+    oracle = classify_spec(spec, mode="oracle")
+    theorem = classify_spec(spec, mode="theorem")
+    assert [c.orbit_size for c in theorem.classes] == [c.orbit_size for c in oracle.classes] == [78]
+
+
 def test_classify_f39_half_transitive():
     rep = classify_spec(GroupSpec(13, 3, 3))
     assert rep.oracle_count == 1 == rep.thm2_claim

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metacirc import permgroup
 from metacirc.autosearch import analyze
@@ -71,12 +73,65 @@ def test_chain_order_matches_exhaustive_closure():
         PermGroup(4, []),
         PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)]),  # D6
         PermGroup(4, [cycle(4, 0, 1, 2), cycle(4, 1, 2, 3)]),        # A4
+        PermGroup(4, [cycle(4, 0, 2, 1), cycle(4, 0, 3)]),           # S4
         PermGroup(21, regular_representation(F21)),
         PermGroup(7, [cycle(7, 0, 1, 2, 3, 4, 5, 6), cycle(7, 1, 2, 4)]),  # F21 on 7 pts
         PermGroup(8, [cycle(8, 0, 1, 2, 3, 4, 5, 6, 7), cycle(8, 1, 3)]),
     ]
     for grp in cases:
         assert grp.order == len(mulclose(grp.generators or [identity_perm(grp.degree)]))
+
+
+@st.composite
+def random_groups(draw):
+    """A degree of 0 to 9 and 0 to 3 generators, each either arbitrary or a
+    product of up to three transpositions (so that groups other than the
+    alternating and symmetric ones come up), plus a sample of permutations
+    of that degree to test membership with."""
+    n = draw(st.integers(0, 9))
+    perms = st.permutations(range(n)).map(tuple)
+
+    def from_swaps(swaps):
+        p = list(range(n))
+        for a, b in swaps:
+            p[a], p[b] = p[b], p[a]
+        return tuple(p)
+
+    gen = perms
+    if n:
+        points = st.integers(0, n - 1)
+        gen = st.one_of(st.lists(st.tuples(points, points), min_size=1, max_size=3).map(from_swaps), perms)
+    return n, draw(st.lists(gen, max_size=3)), draw(st.lists(perms, max_size=5))
+
+
+@given(random_groups())
+@settings(max_examples=100, deadline=None)
+def test_chain_matches_closure_on_random_groups(case):
+    n, gens, sample = case
+    grp = PermGroup(n, gens)
+    els = mulclose(gens or [identity_perm(n)], cap=400_000)
+    assert grp.order == len(els)
+    stab = list(grp.stabilizer_elements())
+    assert len(stab) == len(set(stab)) == grp.stabilizer_order
+    assert set(stab) <= els
+    assert n == 0 or all(x[0] == 0 for x in stab)
+    for p in sample + gens:
+        assert grp.contains(p) == (p in els)
+
+
+def test_long_base():
+    # 80 disjoint transpositions: an elementary abelian group of order 2^80
+    # whose chain needs one level per transposition
+    gens = []
+    for k in range(80):
+        p = list(range(160))
+        p[2 * k], p[2 * k + 1] = p[2 * k + 1], p[2 * k]
+        gens.append(tuple(p))
+    grp = PermGroup(160, gens)
+    assert grp.order == 2**80
+    assert len(grp.chain()) == 80
+    assert grp.contains(compose(gens[3], gens[70]))
+    assert not grp.contains(cycle(160, 0, 2))
 
 
 def test_elements_enumeration_is_exact():
