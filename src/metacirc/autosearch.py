@@ -15,8 +15,9 @@ root branch instead of one per vertex.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from metacirc.graphs import Graph, to_graph6
@@ -30,13 +31,6 @@ class SearchResult:
     generators: list[tuple[int, ...]]  # includes any seeds
     canonical_order: list[int]         # position -> vertex
     canonical_key: tuple[int, ...]
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _initial_partition(g: Graph) -> list[list[int]]:
@@ -69,45 +63,82 @@ def _initial_partition(g: Graph) -> list[list[int]]:
     return cells
 
 
-def _refine(adj_bits: list[int], cells: list[list[int]], active: list[int] | None) -> list[list[int]]:
-    """Equitable refinement; fragments are ordered by ascending neighbor count."""
-    queue: deque[int] = deque(_mask(c) for c in cells) if active is None else deque(active)
-    while queue:
-        smask = queue.popleft()
-        out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
+def _refine(
+    adj: Sequence[Sequence[int]], cells: list[list[int]], splitters: list[list[int]] | None
+) -> list[list[int]]:
+    """Equitable refinement; fragments are ordered by ascending neighbor count.
+
+    Cells are addressed by their start position in the ordered partition, as
+    in nauty (McKay & Piperno, "Practical graph isomorphism, II", 2014), and
+    keep their vertices in ascending order.  A splitter is a vertex list.
+    Splitting by it walks the adjacency lists of its vertices only: the cells
+    holding a counted vertex are the only ones that can split, and the
+    uncounted rest of such a cell is its count-0 fragment.  Touched cells are
+    split in partition order and every fragment is queued as a splitter, so
+    the work of a splitter is proportional to its edges and to the cells it
+    touches, not to the size of the graph.
+    """
+    n = len(adj)
+    cell_at: list[list[int] | None] = [None] * n  # start position -> cell
+    # vertex -> start of its cell; -1 in a singleton cell, which cannot split
+    cell_of = [-1] * n
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell
+        if len(cell) > 1:
             for v in cell:
-                buckets.setdefault((adj_bits[v] & smask).bit_count(), []).append(v)
+                cell_of[v] = start
+        start += len(cell)
+    queue: deque[list[int]] = deque(cells if splitters is None else splitters)
+    while queue:
+        splitter = queue.popleft()
+        # vertex -> its number of neighbours in the splitter, if nonzero
+        if len(splitter) == 1:
+            counts = dict.fromkeys(adj[splitter[0]], 1)
+        else:
+            counts = Counter(chain.from_iterable([adj[w] for w in splitter]))
+        touched: dict[int, list[int]] = {}  # cell start -> its counted vertices
+        for u in counts:
+            s = cell_of[u]
+            if s >= 0:
+                touched.setdefault(s, []).append(u)
+        for s in sorted(touched):
+            cell = cell_at[s]
+            hit = touched[s]
+            buckets = {0: [v for v in cell if v not in counts]} if len(hit) < len(cell) else {}
+            hit.sort()
+            for v in hit:
+                buckets.setdefault(counts[v], []).append(v)
             if len(buckets) == 1:
-                out.append(cell)
-            else:
-                for k in sorted(buckets):
-                    frag = buckets[k]
-                    out.append(frag)
-                    queue.append(_mask(frag))
-        cells = out
-    return cells
-
-
-def _individualize(cells: list[list[int]], target_idx: int, v: int) -> tuple[list[list[int]], list[int]]:
-    """Split the target cell into [v] and the rest; return new cells and the
-    active splitter masks for the follow-up refinement."""
+                continue
+            pos = s
+            for k in sorted(buckets):
+                frag = buckets[k]
+                cell_at[pos] = frag
+                if len(frag) == 1:
+                    cell_of[frag[0]] = -1
+                elif pos != s:
+                    for v in frag:
+                        cell_of[v] = pos
+                queue.append(frag)
+                pos += len(frag)
     out = []
-    active = []
-    for i, cell in enumerate(cells):
-        if i != target_idx:
-            out.append(cell)
-            continue
-        rest = [u for u in cell if u != v]
-        out.append([v])
-        out.append(rest)
-        active.append(1 << v)
-        active.append(_mask(rest))
-    return out, active
+    start = 0
+    while start < n:
+        cell = cell_at[start]
+        out.append(cell)
+        start += len(cell)
+    return out
+
+
+def _individualize(
+    cells: list[list[int]], target_idx: int, v: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Split the target cell into [v] and the rest; return new cells and the
+    splitters for the follow-up refinement."""
+    cell = cells[target_idx]
+    rest = [u for u in cell if u != v]
+    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v], rest]
 
 
 def _target_cell(cells: list[list[int]]) -> int:
@@ -145,6 +176,39 @@ def _is_automorphism(g: Graph, p: Sequence[int]) -> bool:
     return all({p[u] for u in rows[v]} == rows[p[v]] for v in range(g.n))
 
 
+class _Orbits:
+    """Union-find of the orbits of a growing set of permutations, with a
+    flag per orbit: does it hold a processed vertex."""
+
+    __slots__ = ("parent", "hit")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.hit = [False] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def add(self, p: Sequence[int]) -> None:
+        """Merge the orbits that the permutation p joins."""
+        find, parent, hit = self.find, self.parent, self.hit
+        for x, y in enumerate(p):
+            if x != y:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[ry] = rx
+                    hit[rx] = hit[rx] or hit[ry]
+
+    def mark(self, v: int) -> None:
+        self.hit[self.find(v)] = True
+
+    def processed(self, v: int) -> bool:
+        return self.hit[self.find(v)]
+
+
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     """Run the search once, returning generators and the canonical labeling."""
     if g.directed:
@@ -164,29 +228,9 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
             gens.append(p)
             gen_set.add(p)
 
-    adj_bits = g.bit_rows()
+    adj = g.adjacency
     first: tuple[tuple[int, ...], list[int]] | None = None
     best: tuple[tuple[int, ...], list[int]] | None = None
-
-    def orbit_hits(v: int, fixed: list[int], processed: list[int]) -> bool:
-        relevant = [p for p in gens if all(p[x] == x for x in fixed)]
-        if not relevant:
-            return False
-        seen = {v}
-        frontier = [v]
-        targets = set(processed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in relevant:
-                    y = p[x]
-                    if y in targets:
-                        return True
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return False
 
     def handle_leaf(cells: list[list[int]]) -> None:
         nonlocal first, best
@@ -214,15 +258,22 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
         if t < 0:
             handle_leaf(cells)
             return
-        processed: list[int] = []
+        # orbits of the generators that fix `fixed` pointwise; a branch is
+        # equivalent to a processed one iff its vertex shares their orbit
+        orbits = _Orbits(g.n)
+        fed = 0
         for v in cells[t]:
-            if orbit_hits(v, fixed, processed):
+            for p in gens[fed:]:
+                if all(p[x] == x for x in fixed):
+                    orbits.add(p)
+            fed = len(gens)
+            if orbits.processed(v):
                 continue
-            child, active = _individualize(cells, t, v)
-            rec(_refine(adj_bits, child, active), fixed + [v])
-            processed.append(v)
+            child, splitters = _individualize(cells, t, v)
+            rec(_refine(adj, child, splitters), fixed + [v])
+            orbits.mark(v)
 
-    rec(_refine(adj_bits, _initial_partition(g), None), [])
+    rec(_refine(adj, _initial_partition(g), None), [])
     assert best is not None
     return SearchResult(gens, best[1], best[0])
 

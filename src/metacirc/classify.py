@@ -69,7 +69,11 @@ THM2_EXCEPTION_COUNTS = {(11, 5): 3, (23, 11): 6}
 
 @dataclass
 class ClassReport:
-    """One isomorphism class of connected tetravalent edge-transitive graphs."""
+    """One isomorphism class of connected tetravalent edge-transitive graphs.
+
+    The fields that need Aut(G) (``set_stabilizer_order``, ``normalizer_ok``,
+    ``standard_j`` and ``orbit_size``) are None when Aut(G) is out of reach.
+    """
 
     connection_set: tuple[Element, ...]
     canonical: str
@@ -82,10 +86,10 @@ class ClassReport:
     s: int
     normal_cayley: bool
     normalizer_order: int
-    set_stabilizer_order: int
-    normalizer_ok: bool
+    set_stabilizer_order: int | None
+    normalizer_ok: bool | None
     standard_j: int | None
-    orbit_size: int
+    orbit_size: int | None
 
     def set_list(self) -> list[list[int]]:
         return [list(x) for x in self.connection_set]
@@ -197,10 +201,10 @@ def candidate_orbits(
     When Aut(G) is out of reach each candidate becomes its own singleton
     orbit (correct but slower downstream).
     """
-    try:
-        gens, _ = _aut_generators(spec)
-    except (ValueError, BoundExceeded):
+    aut_g = _aut_generators_if_known(spec)
+    if aut_g is None:
         return [(S, 1) for S in candidates], False
+    gens, _ = aut_g
     index_sets = [tuple(sorted(spec.index(x) for x in S)) for S in candidates]
     position = {s: i for i, s in enumerate(index_sets)}
     seen = [False] * len(candidates)
@@ -221,6 +225,15 @@ def candidate_orbits(
 # one generating set of Aut(G) per spec, shared by the orbit reduction and
 # every class of the spec
 _aut_generators = lru_cache(maxsize=64)(aut_generators)
+
+
+def _aut_generators_if_known(spec: GroupSpec) -> tuple[list[list[int]], int] | None:
+    """The generators of Aut(G) and |Aut(G)|, or None when Aut(G) is out of
+    reach (a non-Sylow-cyclic group above the brute-force bound)."""
+    try:
+        return _aut_generators(spec)
+    except (ValueError, BoundExceeded):
+        return None
 
 
 def _set_orbit(S: Sequence[Element], spec: GroupSpec) -> set[tuple[int, ...]]:
@@ -264,9 +277,15 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     arc = s >= 1
     aut_order = aut.order
     normalizer_order = normalizer_of_regular(aut, spec)
-    orbit = _set_orbit(S, spec)
-    set_stab = _aut_generators(spec)[1] // len(orbit)
-    standard_j = _standard_forms(spec).get(min(orbit))
+    aut_g = _aut_generators_if_known(spec)
+    if aut_g is None:
+        orbit_size = set_stab = standard_j = normalizer_ok = None
+    else:
+        orbit = _set_orbit(S, spec)
+        orbit_size = len(orbit)
+        set_stab = aut_g[1] // orbit_size
+        standard_j = _standard_forms(spec).get(min(orbit))
+        normalizer_ok = normalizer_order == spec.order * set_stab
     return ClassReport(
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),
@@ -280,9 +299,9 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
         normal_cayley=normalizer_order == aut_order,
         normalizer_order=normalizer_order,
         set_stabilizer_order=set_stab,
-        normalizer_ok=normalizer_order == spec.order * set_stab,
+        normalizer_ok=normalizer_ok,
         standard_j=standard_j,
-        orbit_size=len(orbit),
+        orbit_size=orbit_size,
     )
 
 
@@ -345,7 +364,8 @@ def classify_spec(
         if prev is None:
             merged[c.canonical] = c
         else:
-            merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
+            if prev.orbit_size is not None:
+                merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
             if dedup and mode == "oracle":
                 findings.append(
                     f"isomorphic graphs from distinct Aut(G)-orbits: "
@@ -370,12 +390,13 @@ def classify_spec(
         agreement_theorem2 = len(classes) == thm2_claim
 
     for c in classes:
-        if not c.normalizer_ok:
+        if c.normalizer_ok is False:
             findings.append(
                 f"normalizer identity fails for {list(map(spec.index, c.connection_set))}: "
                 f"|N| = {c.normalizer_order}, |G|*|Aut(G,S)| = {spec.order * c.set_stabilizer_order}"
             )
-        if thm2_applicable and c.standard_j is None:
+        # without Aut(G) no class can be recognized as standard
+        if thm2_applicable and c.standard_j is None and c.orbit_size is not None:
             findings.append(
                 f"class {c.canonical!r} has no standard-form representative"
             )

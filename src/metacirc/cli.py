@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from metacirc.aut import parametrized_count
-from metacirc.autosearch import are_isomorphic, automorphism_group, canonical_form
+from metacirc.autosearch import analyze, are_isomorphic, canonical_form
 from metacirc.classify import (
     classify_spec,
     emit_report,
@@ -41,6 +41,7 @@ from metacirc.graphs import (
     to_graph6,
 )
 from metacirc.groups import GroupSpec, iter_specs
+from metacirc.permgroup import PermGroup
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,11 +198,13 @@ def _read_graph(args) -> Graph:
 
 def _cmd_aut(args) -> int:
     g = _read_graph(args)
-    group = automorphism_group(g)
+    # one search gives both the generators and the canonical labeling
+    result = analyze(g)
+    group = PermGroup(g.n, result.generators)
     print(f"n={g.n}")
     print(f"aut_order={group.order}")
     print(f"transitive={group.is_transitive()}")
-    print(f"canonical={canonical_form(g).decode('ascii')}")
+    print(f"canonical={canonical_form(g, result).decode('ascii')}")
     for p in group.generators:
         print("generator=" + " ".join(map(str, p)))
     return EXIT_OK

@@ -7,6 +7,7 @@ into the package's own arithmetic, so that the two routes stay independent.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 from math import gcd
 
@@ -212,3 +213,41 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def bitmask_refine(adj_bits: list[int], cells: list[list[int]], active: list[int] | None) -> list[list[int]]:
+    """Equitable refinement by whole-partition passes over bitmasks.
+
+    Each splitter, a vertex-set bitmask, re-buckets every vertex of every
+    non-singleton cell by its number of neighbours in the splitter; a cell
+    that splits is replaced by its fragments in ascending count order, each
+    queued as a splitter.  ``active`` holds the first splitters (every cell
+    when None).  This costs O(n) per splitter whatever its size.
+    """
+
+    def mask(vertices) -> int:
+        m = 0
+        for v in vertices:
+            m |= 1 << v
+        return m
+
+    queue = deque(mask(c) for c in cells) if active is None else deque(active)
+    while queue:
+        smask = queue.popleft()
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets: dict[int, list[int]] = {}
+            for v in cell:
+                buckets.setdefault((adj_bits[v] & smask).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                for k in sorted(buckets):
+                    frag = buckets[k]
+                    out.append(frag)
+                    queue.append(mask(frag))
+        cells = out
+    return cells

@@ -7,11 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc.aut import apply_aut, automorphism_maps
-from metacirc.autosearch import analyze, are_isomorphic, automorphism_group, canonical_form
+from metacirc.autosearch import (
+    _individualize,
+    _initial_partition,
+    _refine,
+    analyze,
+    are_isomorphic,
+    automorphism_group,
+    canonical_form,
+)
 from metacirc.graphs import build_cayley, from_graph6, graph_from_edges, standard_connection_set
 from metacirc.groups import Element, GroupSpec, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
-from oracles import backtracking_automorphism_count, brute_force_graph_automorphisms, brute_force_isomorphic
+from oracles import (
+    backtracking_automorphism_count,
+    bitmask_refine,
+    brute_force_graph_automorphisms,
+    brute_force_isomorphic,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -38,6 +51,72 @@ def random_relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def refine_fixture(n, kind, rng):
+    """A sparse, dense or disconnected random graph, or a relabeled circulant."""
+    if kind == "sparse":
+        return random_graph(n, rng.uniform(0.02, 0.15), rng)
+    if kind == "dense":
+        return random_graph(n, rng.uniform(0.6, 0.95), rng)
+    if kind == "disconnected":
+        # two copies of one random graph, plus an isolated vertex if n is odd
+        half = random_graph(n // 2, 0.3, rng)
+        k = n // 2
+        return graph_from_edges(n, half.edges() + [(u + k, v + k) for u, v in half.edges()])
+    jumps = {rng.randint(1, max(1, n // 2)) for _ in range(rng.randint(1, 3))}
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in jumps if d % n}
+    return random_relabel(graph_from_edges(n, sorted(edges)), rng)
+
+
+def bits(vertices):
+    return sum(1 << v for v in vertices)
+
+
+# ------------------------------------------------------------- refinement
+
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
+    rnd=st.random_module(),
+)
+@settings(max_examples=150, deadline=None)
+def test_refine_matches_bitmask_reference(n, kind, rnd):
+    """Splitter-local refinement gives the reference's cells, in the same
+    order and each in ascending vertex order, after the initial refinement
+    and after every step of a random sequence of individualizations."""
+    rng = random.Random(rnd.seed)
+    g = refine_fixture(n, kind, rng)
+    adj_bits = g.bit_rows()
+    cells = _initial_partition(g)
+    refined = _refine(g.adjacency, cells, None)
+    assert refined == bitmask_refine(adj_bits, cells, None)
+    while True:
+        assert all(cell == sorted(cell) for cell in refined)
+        open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
+        if not open_cells:
+            break
+        t = rng.choice(open_cells)
+        child, splitters = _individualize(refined, t, rng.choice(refined[t]))
+        refined = _refine(g.adjacency, child, splitters)
+        assert refined == bitmask_refine(adj_bits, child, [bits(s) for s in splitters])
+
+
+@given(n=st.integers(1, 30), p=st.floats(0.05, 0.9), rnd=st.random_module())
+@settings(max_examples=100, deadline=None)
+def test_refine_matches_reference_from_any_partition(n, p, rnd):
+    """The same from an arbitrary ordered partition and arbitrary splitters,
+    neither of them equitable."""
+    rng = random.Random(rnd.seed)
+    g = random_graph(n, p, rng)
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    cells = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    splitters = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))]
+    assert _refine(g.adjacency, cells, splitters) == bitmask_refine(
+        g.bit_rows(), cells, [bits(s) for s in splitters]
+    )
 
 
 # ----------------------------------------------------------- group orders

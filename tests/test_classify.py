@@ -75,6 +75,28 @@ def test_candidate_orbits_fallback_without_aut(monkeypatch):
     assert len(orbits) == len(cands) and all(size == 1 for _, size in orbits)
 
 
+def test_classify_without_aut_reports_unknowns(monkeypatch):
+    """With Aut(G) out of reach, oracle mode still gives a report: classes
+    deduplicated by canonical form, the fields that need Aut(G) unknown, and
+    the documented finding."""
+    import metacirc.classify as mc
+
+    def refuse(spec):
+        raise ValueError("no automorphism backend")
+
+    monkeypatch.setattr(mc, "_aut_generators", refuse)
+    rep = mc.classify_spec(F21)
+    assert rep.findings == ["aut-orbit dedup unavailable; deduplicated by canonical form only"]
+    assert rep.orbit_count == rep.connected_candidates == 42
+    (c,) = rep.classes
+    assert (c.aut_order, c.stab_order, c.s, c.arc) == (336, 16, 1, True)
+    assert c.standard_j is None and c.normalizer_ok is None
+    assert c.set_stabilizer_order is None and c.orbit_size is None
+    payload = mc.report_to_json_dict(rep)
+    assert payload["classes"][0]["normalizer_ok"] is None
+    assert payload["classes"][0]["standard_j"] is None
+
+
 def full_group_orbits(candidates, spec):
     """Reference orbit reduction: every candidate's images under every
     element of Aut(G), as vertex permutations."""

@@ -123,6 +123,25 @@ def test_aut_from_string(capsys):
     assert "transitive=True" in out
 
 
+def test_aut_runs_one_search(capsys, monkeypatch):
+    """The generators and the canonical form come from one search."""
+    import metacirc.autosearch as autosearch
+    import metacirc.cli as cli
+
+    searched = []
+    search = autosearch.analyze
+
+    def counted(*args, **kwargs):
+        searched.append(args[0].n)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(autosearch, "analyze", counted)
+    code, out, _ = run_cli(capsys, "aut", "--graph6", "D~{")
+    assert code == 0 and "aut_order=120" in out
+    assert searched == [5]
+
+
 def test_aut_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     g = build_cayley(standard_connection_set(1, GroupSpec(7, 3, 2)), GroupSpec(7, 3, 2))
     path = tmp_path / "g.g6"

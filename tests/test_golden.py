@@ -1,0 +1,44 @@
+"""Golden gates for the paths the 231-vertex census never runs.
+
+The files under ``data/`` were frozen from the commit before the
+splitter-local refinement and are compared byte for byte:
+
+* ``classify_*.json``: the stdout of ``metacirc classify`` for oracle mode
+  above 231 vertices and with a central factor, and for theorem mode;
+* ``aut_queries.json``: the stdout of ``metacirc aut --graph6 G`` for census
+  classes and two disconnected graphs, each under a fixed random relabeling
+  (stored as the input G).  The search is unseeded here, so the generator
+  lines depend on the order in which branches are pruned.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from metacirc.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+REPORTS = {
+    "classify_23_11_2_1_oracle.json": ["--m", "23", "--n", "11", "--r", "2"],
+    "classify_11_5_3_3_oracle.json": ["--m", "11", "--n", "5", "--r", "3", "--ell", "3"],
+    "classify_43_7_4_1_theorem.json": ["--m", "43", "--n", "7", "--r", "4", "--mode", "theorem"],
+    "classify_29_7_7_3_theorem.json": [
+        "--m", "29", "--n", "7", "--r", "7", "--ell", "3", "--mode", "theorem",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_golden_classify_report(name, capsysbinary):
+    assert main(["classify", *REPORTS[name]]) == 0
+    assert capsysbinary.readouterr().out == (DATA / name).read_bytes()
+
+
+def test_golden_aut_queries(capsysbinary):
+    for row in json.loads((DATA / "aut_queries.json").read_text()):
+        assert main(["aut", "--graph6", row["graph6"]]) == 0
+        assert capsysbinary.readouterr().out == row["stdout"].encode(), row["graph"]
