@@ -135,10 +135,16 @@ def _individualize(
     cells: list[list[int]], target_idx: int, v: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Split the target cell into [v] and the rest; return new cells and the
-    splitters for the follow-up refinement."""
+    splitters for the follow-up refinement.
+
+    The input partition is equitable, so only [v] is a splitter: once it has
+    been processed, every cell has a constant number of neighbours in the
+    rest of the target cell (its count in the whole cell minus its adjacency
+    to v), and that rest would split nothing.
+    """
     cell = cells[target_idx]
     rest = [u for u in cell if u != v]
-    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v], rest]
+    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v]]
 
 
 def _target_cell(cells: list[list[int]]) -> int:

@@ -1,10 +1,13 @@
-"""End-to-end census: enumerate tetravalent connection sets, reduce by
-Aut(G)-orbits, compute full graph automorphism groups, classify transitivity,
-and compare against the bundled theoretical predictions.
+"""End-to-end census: take one connection set per Aut(G)-orbit of
+tetravalent connection sets, compute full graph automorphism groups,
+classify transitivity, and compare against the bundled theoretical
+predictions.
 
 Two modes:
 
-* ``oracle``: enumerate every inverse-closed generating 4-subset, one class
+* ``oracle``: every Aut(G)-orbit of inverse-closed 4-subsets, met in a fixed
+  walk over all of them, is taken once and tested for generation once on a
+  single member; each generating orbit's least member is analyzed, one class
   per isomorphism type.  This is the ground truth.
 * ``theorem``: build only the distinguished standard-form sets S_j; equals
   the oracle list exactly when the count formula phi(n0)/2 is right.
@@ -19,8 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -31,11 +33,10 @@ from metacirc.graphs import build_cayley, standard_connection_set, to_dot, to_gr
 from metacirc.groups import (
     Element,
     GroupSpec,
-    IDENTITY,
     euler_phi,
     inv,
-    mul,
     regular_representation,
+    right_multiplication_perm,
 )
 from metacirc.permgroup import (
     edge_orbit_count,
@@ -134,90 +135,67 @@ class GroupReport:
 
 # ------------------------------------------------------------- candidates
 
-def inverse_closed_four_subsets(spec: GroupSpec) -> list[tuple[Element, ...]]:
-    """All identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1}.
+def orbit_representatives(
+    spec: GroupSpec, bound: int = 1000
+) -> tuple[list[tuple[tuple[int, ...], int]], bool]:
+    """Aut(G)-orbits of the connected tetravalent connection sets.
 
-    |G| odd means no involutions, so these are exactly the pairs of distinct
-    inverse pairs: C((|G|-1)/2, 2) sets.
+    The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
+    C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so there
+    are no involutions).  They are walked as sorted vertex-index tuples,
+    inverse pairs in the order of their smaller index; a set met for the
+    first time has its Aut(G)-orbit taken, and the later members of that
+    orbit are skipped.  Automorphisms preserve generation, so one
+    generation test decides the whole orbit (orderly generation in the
+    sense of Read, 1978).
+
+    Returns ([(least member, orbit size)] of the generating orbits, in
+    order of their first member, dedup_available).  When Aut(G) is out of
+    reach every set is its own orbit and the flag is False.
     """
-    pairs = []
-    seen: set[Element] = set()
-    for g in spec.elements():
-        if g == IDENTITY or g in seen:
-            continue
-        h = inv(g, spec)
-        seen.add(g)
-        seen.add(h)
-        pairs.append((g, h))
-    out = []
-    for p1, p2 in combinations(pairs, 2):
-        out.append(tuple(sorted(p1 + p2, key=spec.index)))
-    return out
-
-
-def enumerate_candidates(spec: GroupSpec, bound: int = 1000) -> list[tuple[Element, ...]]:
-    """Connected candidates: inverse-closed 4-subsets that generate G."""
     if spec.order > bound:
         raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
-    mult = _index_mult_table(spec)
-    out = []
-    for S in inverse_closed_four_subsets(spec):
-        if _generates(S, spec, mult):
-            out.append(S)
-    return out
+    aut_g = _aut_generators_if_known(spec)
+    inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
+    pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+    right: dict[int, list[int]] = {}  # x -> the permutation g -> g*x
+    orbits = []
+    covered: set[tuple[int, ...]] = set()
+    for i, p in enumerate(pairs):
+        for q in pairs[i + 1:]:
+            s = tuple(sorted(p + q))
+            if s in covered:
+                continue
+            orbit = {s} if aut_g is None else set_orbit(s, aut_g[0])
+            covered |= orbit
+            if _generates(spec, right, p[0], q[0]):
+                orbits.append((min(orbit), len(orbit)))
+    return orbits, aut_g is not None
 
 
-def _index_mult_table(spec: GroupSpec) -> list[list[int]]:
-    els = list(spec.elements())
-    return [[spec.index(mul(x, y, spec)) for y in els] for x in els]
-
-
-def _generates(S: Sequence[Element], spec: GroupSpec, mult: list[list[int]]) -> bool:
-    gens = [spec.index(x) for x in S]
+def _generates(spec: GroupSpec, right: dict[int, list[int]], x: int, y: int) -> bool:
+    """Whether the elements of vertex indices x and y generate G.  ``right``
+    caches the right-multiplication permutations built so far."""
+    perms = []
+    for z in (x, y):
+        if z not in right:
+            right[z] = right_multiplication_perm(spec.at_index(z), spec)
+        perms.append(right[z])
     seen = bytearray(spec.order)
     seen[0] = 1
     frontier = [0]
     count = 1
     while frontier:
         nxt = []
-        for x in frontier:
-            row = mult[x]
-            for s in gens:
-                y = row[s]
-                if not seen[y]:
-                    seen[y] = 1
+        for g in frontier:
+            for perm in perms:
+                h = perm[g]
+                if not seen[h]:
+                    seen[h] = 1
                     count += 1
-                    nxt.append(y)
+                    nxt.append(h)
         frontier = nxt
     return count == spec.order
-
-
-def candidate_orbits(
-    candidates: Sequence[tuple[Element, ...]], spec: GroupSpec
-) -> tuple[list[tuple[tuple[Element, ...], int]], bool]:
-    """Partition candidates into Aut(G)-orbits.
-
-    Returns ([(lex-least representative, orbit size)], dedup_available).
-    When Aut(G) is out of reach each candidate becomes its own singleton
-    orbit (correct but slower downstream).
-    """
-    aut_g = _aut_generators_if_known(spec)
-    if aut_g is None:
-        return [(S, 1) for S in candidates], False
-    gens, _ = aut_g
-    index_sets = [tuple(sorted(spec.index(x) for x in S)) for S in candidates]
-    position = {s: i for i, s in enumerate(index_sets)}
-    seen = [False] * len(candidates)
-    orbits = []
-    for i, start in enumerate(index_sets):
-        if seen[i]:
-            continue
-        orbit = set_orbit(start, gens)
-        for s in orbit:
-            seen[position[s]] = True
-        rep = min(orbit)
-        orbits.append((tuple(spec.at_index(x) for x in rep), len(orbit)))
-    return orbits, True
 
 
 # ------------------------------------------------------------ per-rep work
@@ -342,14 +320,15 @@ def classify_spec(
                 "the no-central-Sylow condition; use oracle mode"
             )
         raw = connected = 0
-        reps = [standard_connection_set(j, spec) for j in theorem_js(spec)]
+        reps = [
+            tuple(spec.index(x) for x in standard_connection_set(j, spec))
+            for j in theorem_js(spec)
+        ]
         dedup = True
     else:
-        raw_sets = inverse_closed_four_subsets(spec)
-        raw = len(raw_sets)
-        candidates = enumerate_candidates(spec, bound=bound)
-        connected = len(candidates)
-        orbits, dedup = candidate_orbits(candidates, spec)
+        orbits, dedup = orbit_representatives(spec, bound=bound)
+        raw = comb((spec.order - 1) // 2, 2)
+        connected = sum(size for _, size in orbits)
         reps = [rep for rep, _ in orbits]
         if not dedup:
             findings.append("aut-orbit dedup unavailable; deduplicated by canonical form only")
@@ -425,8 +404,10 @@ def classify_spec(
     )
 
 
-def _run_reps(spec: GroupSpec, reps, jobs: int) -> list[ClassReport | None]:
-    tasks = [(spec.m, spec.n, spec.r, spec.ell, tuple(spec.index(x) for x in rep)) for rep in reps]
+def _run_reps(
+    spec: GroupSpec, reps: Sequence[tuple[int, ...]], jobs: int
+) -> list[ClassReport | None]:
+    tasks = [(spec.m, spec.n, spec.r, spec.ell, rep) for rep in reps]
     if jobs <= 1 or len(tasks) <= 1:
         return [_worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -542,18 +523,17 @@ def isomorphism_orbit_comparison(spec: GroupSpec, bound: int = 1000) -> list[dic
     group.  Canonical forms coincide exactly on equal orbit keys iff
     isomorphism is decided by Aut(G)-conjugacy.
     """
-    candidates = enumerate_candidates(spec, bound=bound)
-    orbits, dedup = candidate_orbits(candidates, spec)
+    orbits, dedup = orbit_representatives(spec, bound=bound)
     if not dedup:
         raise ValueError("Aut(G) needed for the comparison")
     out = []
     for rep, size in orbits:
-        graph = build_cayley(rep, spec)
+        graph = build_cayley([spec.at_index(x) for x in rep], spec)
         result = analyze(graph, seeds=regular_representation(spec))
         aut = PermGroup(graph.n, result.generators)
         out.append(
             {
-                "orbit_key": tuple(spec.index(x) for x in rep),
+                "orbit_key": rep,
                 "canonical": canonical_form(graph, result).decode("ascii"),
                 "stab_order": aut.order // spec.order,
                 "orbit_size": size,

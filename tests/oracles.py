@@ -8,7 +8,7 @@ into the package's own arithmetic, so that the two routes stay independent.
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 
@@ -251,3 +251,79 @@ def bitmask_refine(adj_bits: list[int], cells: list[list[int]], active: list[int
                     queue.append(mask(frag))
         cells = out
     return cells
+
+
+def inverse_closed_four_subsets(m: int, n: int, r: int, ell: int = 1) -> list[tuple[int, ...]]:
+    """All identity-free inverse-closed 4-subsets, as sorted vertex-index
+    tuples: inverse pairs are listed by their first-met index and every two
+    distinct pairs, in ``combinations`` order, form one set."""
+    inverse = _inverses(_right_multiplications(m, n, r, ell))
+    pairs = []
+    seen = {0}
+    for x in range(m * n * ell):
+        if x not in seen:
+            seen.update((x, inverse[x]))
+            pairs.append((x, inverse[x]))
+    return [tuple(sorted(p + q)) for p, q in combinations(pairs, 2)]
+
+
+def enumerate_candidates(m: int, n: int, r: int, ell: int = 1) -> list[tuple[int, ...]]:
+    """The connected candidates, in the order of
+    :func:`inverse_closed_four_subsets`: every set is tested for generation
+    by a breadth-first search of the subgroup it generates."""
+    right = _right_multiplications(m, n, r, ell)
+    out = []
+    for S in inverse_closed_four_subsets(m, n, r, ell):
+        perms = [right[s] for s in S]
+        seen, frontier = {0}, {0}
+        while frontier:
+            frontier = {p[x] for x in frontier for p in perms} - seen
+            seen |= frontier
+        if len(seen) == len(right):
+            out.append(S)
+    return out
+
+
+def candidate_orbits(candidates, gens) -> list[tuple[tuple[int, ...], int]]:
+    """Partition candidates into the orbits of the group the vertex
+    permutations ``gens`` generate: (least member, orbit size) per orbit, in
+    the order of each orbit's first candidate."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for S in candidates:
+        if S in seen:
+            continue
+        orbit = {S}
+        frontier = [S]
+        while frontier:
+            images = {tuple(sorted(p[x] for x in t)) for t in frontier for p in gens}
+            frontier = list(images - orbit)
+            orbit.update(frontier)
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return out
+
+
+def _right_multiplications(m: int, n: int, r: int, ell: int) -> list[list[int]]:
+    """Per vertex index j = u + m*v + m*n*w, the permutation x -> x * j,
+    composed from the right multiplications by a, b and c."""
+    pa, pb, pc = regular_generator_perms(m, n, r, ell)
+
+    def powers(p, k):
+        out = [list(range(len(p)))]
+        for _ in range(k - 1):
+            out.append(perm_compose(out[-1], p))
+        return out
+
+    a_pow, b_pow, c_pow = powers(pa, m), powers(pb, n), powers(pc, ell)
+    return [
+        perm_compose(perm_compose(a_pow[u], b_pow[v]), c_pow[w])
+        for w in range(ell)
+        for v in range(n)
+        for u in range(m)
+    ]
+
+
+def _inverses(right: list[list[int]]) -> list[int]:
+    """j -> j^-1: the x with x * j = 1."""
+    return [p.index(0) for p in right]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacirc import autosearch
 from metacirc.aut import apply_aut, automorphism_maps
 from metacirc.autosearch import (
     _individualize,
@@ -117,6 +118,32 @@ def test_refine_matches_reference_from_any_partition(n, p, rnd):
     assert _refine(g.adjacency, cells, splitters) == bitmask_refine(
         g.bit_rows(), cells, [bits(s) for s in splitters]
     )
+
+
+def two_splitter_individualize(cells, target_idx, v):
+    """The former individualization, which also queued the rest of the
+    target cell as a splitter."""
+    cell = cells[target_idx]
+    rest = [u for u in cell if u != v]
+    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v], rest]
+
+
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
+    rnd=st.random_module(),
+)
+@settings(max_examples=100, deadline=None)
+def test_search_result_unchanged_without_rest_splitter(n, kind, rnd):
+    """Individualizing with [v] as the only splitter gives the search result
+    (generators in order, canonical order and key) of also splitting by the
+    rest of the target cell."""
+    g = refine_fixture(n, kind, random.Random(rnd.seed))
+    result = analyze(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch, "_individualize", two_splitter_individualize)
+        reference = analyze(g)
+    assert result == reference
 
 
 # ----------------------------------------------------------- group orders

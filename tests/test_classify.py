@@ -1,65 +1,79 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 
 from metacirc.aut import aut_stabilizer, aut_vertex_permutations
 from metacirc.classify import (
+    _aut_generators,
     analyze_connection_set,
-    candidate_orbits,
     classify_spec,
     emit_report,
-    enumerate_candidates,
-    inverse_closed_four_subsets,
     isomorphism_orbit_comparison,
+    orbit_representatives,
     report_to_json_dict,
     theorem_js,
     verify_table1,
 )
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import standard_connection_set
-from metacirc.groups import Element, GroupSpec, closure_size, inv
+from metacirc.groups import Element, GroupSpec, closure_size, inv, iter_specs
+from oracles import candidate_orbits, enumerate_candidates, inverse_closed_four_subsets
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
 
 
+def spec_id(spec):
+    return f"{spec.m}-{spec.n}-{spec.r}-{spec.ell}"
+
+
+def orbit_members(rep, spec):
+    """The Aut(G)-orbit of rep, from every element of Aut(G)."""
+    return {tuple(sorted(p[x] for x in rep)) for p in aut_vertex_permutations(spec)}
+
+
 # ------------------------------------------------------------- candidates
 
 def test_raw_candidate_counts():
-    assert len(inverse_closed_four_subsets(Z5)) == 1
-    assert len(inverse_closed_four_subsets(F21)) == 45
-    assert len(inverse_closed_four_subsets(GroupSpec(23, 11, 2))) == 7875
+    assert classify_spec(Z5).raw_candidates == 1
+    assert classify_spec(F21).raw_candidates == 45
+    assert len(inverse_closed_four_subsets(23, 11, 2)) == comb(126, 2) == 7875
 
 
 def test_candidates_are_valid_and_generating():
-    cands = enumerate_candidates(F21)
-    assert len(cands) == 42
-    for S in cands:
-        assert len(set(S)) == 4
-        assert all(inv(x, F21) in S for x in S)
-        assert closure_size(S, F21) == 21
+    orbits, dedup = orbit_representatives(F21)
+    assert dedup and sum(size for _, size in orbits) == 42
+    for rep, size in orbits:
+        members = orbit_members(rep, F21)
+        assert len(members) == size and min(members) == rep
+        for S in members:
+            S = [F21.at_index(x) for x in S]
+            assert len(set(S)) == 4
+            assert all(inv(x, F21) in S for x in S)
+            assert closure_size(S, F21) == 21
 
 
 def test_candidate_bound():
     with pytest.raises(BoundExceeded):
-        enumerate_candidates(GroupSpec(23, 11, 2), bound=100)
+        classify_spec(GroupSpec(23, 11, 2), bound=100)
+    with pytest.raises(BoundExceeded):
+        orbit_representatives(GroupSpec(23, 11, 2), bound=100)
 
 
 def test_candidate_orbits_cover_everything():
-    cands = enumerate_candidates(F21)
-    orbits, dedup = candidate_orbits(cands, F21)
+    orbits, dedup = orbit_representatives(F21)
     assert dedup
-    assert sum(size for _, size in orbits) == len(cands)
+    assert sum(size for _, size in orbits) == len(enumerate_candidates(7, 3, 2))
     assert len(orbits) == 2
 
 
 def test_candidate_orbits_uses_brute_force_backend():
     spec = GroupSpec(9, 3, 4)
-    cands = enumerate_candidates(spec)
-    orbits, dedup = candidate_orbits(cands, spec)
-    assert dedup and sum(size for _, size in orbits) == len(cands)
+    orbits, dedup = orbit_representatives(spec)
+    assert dedup and sum(size for _, size in orbits) == len(enumerate_candidates(9, 3, 4))
 
 
 def test_candidate_orbits_fallback_without_aut(monkeypatch):
@@ -69,10 +83,10 @@ def test_candidate_orbits_fallback_without_aut(monkeypatch):
         raise ValueError("no automorphism backend")
 
     monkeypatch.setattr(mc, "_aut_generators", refuse)
-    cands = enumerate_candidates(F21)
-    orbits, dedup = mc.candidate_orbits(cands, F21)
+    cands = enumerate_candidates(7, 3, 2)
+    orbits, dedup = mc.orbit_representatives(F21)
     assert not dedup
-    assert len(orbits) == len(cands) and all(size == 1 for _, size in orbits)
+    assert orbits == [(S, 1) for S in cands]
 
 
 def test_classify_without_aut_reports_unknowns(monkeypatch):
@@ -97,32 +111,38 @@ def test_classify_without_aut_reports_unknowns(monkeypatch):
     assert payload["classes"][0]["standard_j"] is None
 
 
-def full_group_orbits(candidates, spec):
-    """Reference orbit reduction: every candidate's images under every
-    element of Aut(G), as vertex permutations."""
-    perms = aut_vertex_permutations(spec)
-    seen = set()
-    out = []
-    for S in candidates:
-        key = tuple(sorted(spec.index(x) for x in S))
-        if key in seen:
-            continue
-        orbit = {tuple(sorted(p[i] for i in key)) for p in perms}
-        seen |= orbit
-        out.append((tuple(spec.at_index(i) for i in min(orbit)), len(orbit)))
-    return out
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(25, 5, 6)],
+    ids=spec_id,
+)
+def test_candidate_orbits_match_full_group_reference(spec):
+    """The orbits agree with reducing the reference candidates by every
+    element of Aut(G), not just a generating set."""
+    orbits, dedup = orbit_representatives(spec)
+    assert dedup
+    cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
+    assert orbits == candidate_orbits(cands, aut_vertex_permutations(spec))
 
 
 @pytest.mark.parametrize(
     "spec",
-    [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(25, 5, 6)],
-    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+    list(iter_specs(231))
+    + [Z5, GroupSpec(11, 5, 3, ell=3), GroupSpec(33, 5, 4), GroupSpec(9, 9, 4)],
+    ids=spec_id,
 )
-def test_candidate_orbits_match_full_group_reference(spec):
-    cands = enumerate_candidates(spec)
-    orbits, dedup = candidate_orbits(cands, spec)
+def test_orbit_representatives_match_enumerate_then_reduce(spec):
+    """The orbit-first walk gives the representatives, sizes and order of
+    enumerating every set, testing each for generation and reducing the
+    generating ones by Aut(G)-orbits, and the raw count is the closed form."""
+    raw = inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell)
+    cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
+    expected = candidate_orbits(cands, _aut_generators(spec)[0])
+    orbits, dedup = orbit_representatives(spec, bound=spec.order)
     assert dedup
-    assert orbits == full_group_orbits(cands, spec)
+    assert orbits == expected
+    assert sum(size for _, size in orbits) == len(cands)
+    assert comb((spec.order - 1) // 2, 2) == len(raw)
 
 
 def test_set_stabilizer_order_matches_reference():
@@ -215,6 +235,14 @@ def test_classify_55_vertices():
     assert rep.agreement_theorem2 is True
     assert rep.agreement_table1 is True  # structural checks; count 3 != 6 is separate
     assert any("no standard-form representative" in f for f in rep.findings)
+
+
+def test_classify_465_vertices():
+    # a scale point beyond the golden census: Z31:Z15, 26796 raw sets
+    rep = classify_spec(GroupSpec(31, 15, 7), bound=500)
+    assert rep.raw_candidates == comb(232, 2)
+    assert rep.oracle_count == 4 == rep.thm2_claim
+    assert report_to_json_dict(rep)["agreement"]["theorem2"] is True
 
 
 def test_classify_non_sylow_cyclic_27():
