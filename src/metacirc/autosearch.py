@@ -10,7 +10,11 @@ is the canonical form (emitted as graph6).
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
 Cayley graphs (with their regular translations supplied) search a single
-root branch instead of one per vertex.
+root branch instead of one per vertex.  That branch individualizes vertex 0:
+the initial partition of a vertex-transitive graph is one cell, whose first
+vertex is 0.  Every automorphism found then fixes vertex 0, and by the
+first-path property of the search (McKay & Piperno, "Practical graph
+isomorphism, II", 2014) those found generate the stabilizer of vertex 0.
 """
 
 from __future__ import annotations
@@ -28,9 +32,15 @@ MAX_DEGREE = 2000
 
 @dataclass
 class SearchResult:
-    generators: list[tuple[int, ...]]  # includes any seeds
+    generators: list[tuple[int, ...]]  # the seeds first, then those found
     canonical_order: list[int]         # position -> vertex
     canonical_key: tuple[int, ...]
+    n_seeds: int = 0                   # how many generators are seeds
+
+    @property
+    def found(self) -> list[tuple[int, ...]]:
+        """The automorphisms the search found, without the seeds."""
+        return self.generators[self.n_seeds:]
 
 
 def _initial_partition(g: Graph) -> list[list[int]]:
@@ -234,6 +244,7 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
             gens.append(p)
             gen_set.add(p)
 
+    n_seeds = len(gens)
     adj = g.adjacency
     first: tuple[tuple[int, ...], list[int]] | None = None
     best: tuple[tuple[int, ...], list[int]] | None = None
@@ -281,7 +292,7 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
 
     rec(_refine(adj, _initial_partition(g), None), [])
     assert best is not None
-    return SearchResult(gens, best[1], best[0])
+    return SearchResult(gens, best[1], best[0], n_seeds)
 
 
 def automorphism_group(g: Graph) -> PermGroup:

@@ -38,11 +38,7 @@ from metacirc.groups import (
     regular_representation,
     right_multiplication_perm,
 )
-from metacirc.permgroup import (
-    edge_orbit_count,
-    max_s_arc_transitive,
-    normalizer_of_regular,
-)
+from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 
 
 @dataclass(frozen=True)
@@ -205,6 +201,13 @@ def _generates(spec: GroupSpec, right: dict[int, list[int]], x: int, y: int) -> 
 _aut_generators = lru_cache(maxsize=64)(aut_generators)
 
 
+@lru_cache(maxsize=64)
+def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The right translations by a, b and c: the seeds of every class's
+    search and the generators of R for its normalizer."""
+    return tuple(tuple(p) for p in regular_representation(spec))
+
+
 def _aut_generators_if_known(spec: GroupSpec) -> tuple[list[list[int]], int] | None:
     """The generators of Aut(G) and |Aut(G)|, or None when Aut(G) is out of
     reach (a non-Sylow-cyclic group above the brute-force bound)."""
@@ -238,23 +241,31 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     """Full classification data for one connection set.
 
     Returns None when the graph is not edge-transitive (such sets leave the
-    census).  The graph automorphism search is seeded with the right-regular
-    translations, which are always automorphisms of a Cayley graph.  One
-    stabilizer chain, based at vertex 0, gives |Aut|, the vertex stabilizer
-    and the normalizer of the regular copy of G; that copy is normal exactly
-    when its normalizer is all of Aut.
+    census).  Every fact is read at vertex 0, since Aut = R * A_0 with R the
+    regular copy of G and A_0 the stabilizer of vertex 0:
+
+    * the automorphism search is seeded with R, so every automorphism it
+      finds fixes vertex 0, and those found generate A_0 (first-path
+      property, see ``autosearch``); only A_0 gets a stabilizer chain, and
+      |Aut| = |G| * |A_0|;
+    * edge-, arc- and s-arc-transitivity come from the orbits of A_0 on the
+      neighbours and the s-arcs of vertex 0 (``orbits_at_zero``);
+    * the normalizer of R is found by enumerating A_0, and R is normal
+      exactly when its normalizer is all of Aut.
     """
     S = tuple(S)
     graph = build_cayley(S, spec)
-    result = analyze(graph, seeds=regular_representation(spec))
-    aut = PermGroup(graph.n, result.generators)
-    if edge_orbit_count(aut, graph) != 1:
+    regular = _regular_representation(spec)
+    result = analyze(graph, seeds=regular)
+    a0 = PermGroup(graph.n, result.found)
+    inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
+    edge_orbits, s = orbits_at_zero(a0, graph, inverse)
+    if edge_orbits != 1:
         return None
-    vertex = aut.is_transitive()
-    s = max_s_arc_transitive(aut, graph)
     arc = s >= 1
-    aut_order = aut.order
-    normalizer_order = normalizer_of_regular(aut, spec)
+    stab_order = a0.order
+    aut_order = spec.order * stab_order
+    normalizer_order = normalizer_of_regular(a0, spec, regular)
     aut_g = _aut_generators_if_known(spec)
     if aut_g is None:
         orbit_size = set_stab = standard_j = normalizer_ok = None
@@ -268,11 +279,11 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),
         aut_order=aut_order,
-        stab_order=aut.stabilizer_order,
-        vertex=vertex,
+        stab_order=stab_order,
+        vertex=True,
         edge=True,
         arc=arc,
-        half=vertex and not arc,
+        half=not arc,
         s=s,
         normal_cayley=normalizer_order == aut_order,
         normalizer_order=normalizer_order,
@@ -529,13 +540,12 @@ def isomorphism_orbit_comparison(spec: GroupSpec, bound: int = 1000) -> list[dic
     out = []
     for rep, size in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
-        result = analyze(graph, seeds=regular_representation(spec))
-        aut = PermGroup(graph.n, result.generators)
+        result = analyze(graph, seeds=_regular_representation(spec))
         out.append(
             {
                 "orbit_key": rep,
                 "canonical": canonical_form(graph, result).decode("ascii"),
-                "stab_order": aut.order // spec.order,
+                "stab_order": PermGroup(graph.n, result.found).order,
                 "orbit_size": size,
             }
         )

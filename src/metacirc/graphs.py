@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -214,25 +215,31 @@ def orbital_graph(
 
 # ------------------------------------------------------------------ formats
 
+# graph6 body bytes are 63 plus a 6-bit value, the same sextets base64
+# writes as these letters: the bit packing runs through binascii
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+
+
 def to_graph6(g: Graph) -> bytes:
-    """Bit-exact graph6: size bytes, then the upper triangle column by column."""
+    """Bit-exact graph6: size bytes, then the upper triangle column by column.
+
+    Column j holds the bits of rows 0..j-1, so it is the low j bits of row
+    j's bitmask, least significant first.  The concatenated bits are padded
+    to whole base64 groups and encoded by ``binascii``.
+    """
     if g.directed:
         raise ValueError("graph6 encodes undirected graphs")
-    out = bytearray(_graph6_size(g.n))
-    bits = 0
-    nbits = 0
+    size = _graph6_size(g.n)
+    nbits = g.n * (g.n - 1) // 2
+    if not nbits:
+        return size
     rows = g.bit_rows()
-    for j in range(1, g.n):
-        row = rows[j]
-        for i in range(j):
-            bits = (bits << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + bits)
-                bits = nbits = 0
-    if nbits:
-        out.append(63 + (bits << (6 - nbits)))
-    return bytes(out)
+    bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
+    bits += "0" * (-nbits % 24)
+    body = binascii.b2a_base64(int(bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
+    return size + body[: (nbits + 5) // 6].translate(_TO_GRAPH6)
 
 
 def _graph6_size(n: int) -> bytes:
@@ -252,9 +259,9 @@ def from_graph6(data: bytes | str) -> Graph:
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[10:]
-    vals = [c - 63 for c in data]
-    if any(v < 0 or v > 63 for v in vals):
+    if data and (min(data) < 63 or max(data) > 126):
         raise ValueError("invalid graph6 byte")
+    vals = [c - 63 for c in data[:8]]
     header = 8 if vals[:2] == [63, 63] else 4 if vals[:1] == [63] else 1
     if len(vals) < header:
         raise ValueError("truncated graph6 header")
@@ -266,18 +273,26 @@ def from_graph6(data: bytes | str) -> Graph:
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
     else:
         n = vals[0]
-    body = vals[header:]
+    body = data[header:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need}")
-    edges = []
-    idx = 0
+    # each body byte is one sextet; whole base64 groups decode to 3 bytes
+    text = body.translate(_FROM_GRAPH6) + b"A" * (-len(body) % 4)
+    raw = binascii.a2b_base64(text)
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if (body[idx // 6] >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
-    return graph_from_edges(n, edges)
+        column = bits[pos : pos + j]
+        i = column.find("1")
+        while i >= 0:
+            adj[j].append(i)
+            adj[i].append(j)
+            i = column.find("1", i + 1)
+        pos += j
+    # each row holds its lower neighbours in order, then its upper ones
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def to_dot(g: Graph) -> str:

@@ -11,6 +11,13 @@ reopens only the levels it joins.  The resulting order is exact.  The base
 starts at point 0, so the chain below its first level is the stabilizer of
 point 0; later base points are picked greedily from the largest orbit at each
 level.
+
+The graph orbit counts come in two forms.  ``edge_orbit_count`` and
+``arc_orbit_count`` act on the whole edge or arc set of any graph.  For a
+vertex-transitive graph, ``orbits_at_zero`` needs only the stabilizer A_0 of
+vertex 0: it counts edge orbits and decides s-arc-transitivity on the
+neighbours and the deg*(deg-1)^(s-1) s-arcs at vertex 0, and
+``normalizer_of_regular`` enumerates A_0 alone.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph
-from metacirc.groups import GroupSpec, regular_representation, right_multiplication_perm
+from metacirc.groups import GroupSpec, right_multiplication_perm
 
 Perm = tuple[int, ...]
 
@@ -279,7 +286,11 @@ def _check_automorphisms(group: PermGroup, graph: Graph) -> None:
                 raise ValueError("generator does not preserve adjacency")
 
 
-def _orbit_count(items: list[tuple[int, ...]], gens: list[Perm], sort_images: bool = False) -> int:
+def _orbit_count(
+    items: list[tuple[int, ...]], gens: Sequence[Perm | Mapping[int, int]], sort_images: bool = False
+) -> int:
+    """Orbits of the group the maps ``gens`` generate on the tuples ``items``;
+    each map needs to be defined on the points of the items only."""
     index = {item: k for k, item in enumerate(items)}
     seen = [False] * len(items)
     count = 0
@@ -316,48 +327,68 @@ def arc_orbit_count(group: PermGroup, graph: Graph) -> int:
     return _orbit_count(graph.arcs(), group.generators)
 
 
-def s_arcs(graph: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-arcs: non-backtracking walks (v0, ..., vs)."""
+def s_arcs_at_zero(graph: Graph, s: int) -> list[tuple[int, ...]]:
+    """The s-arcs (0, v1, ..., vs) from vertex 0: non-backtracking walks."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    walks = graph.arcs()
+    walks = [(0, x) for x in graph.adjacency[0]]
     for _ in range(s - 1):
-        walks = [
-            w + (x,)
-            for w in walks
-            for x in graph.adjacency[w[-1]]
-            if x != w[-2]
-        ]
+        walks = [w + (x,) for w in walks for x in graph.adjacency[w[-1]] if x != w[-2]]
     return walks
 
 
-def max_s_arc_transitive(group: PermGroup, graph: Graph, cap: int = 3) -> int:
-    """Largest s <= cap with a single orbit on s-arcs; 0 if not arc-transitive."""
-    _check_automorphisms(group, graph)
-    if graph.n_edges == 0 or _orbit_count(graph.arcs(), group.generators) != 1:
-        return 0
-    best = 1
-    for s in range(2, cap + 1):
-        arcs = s_arcs(graph, s)
-        if not arcs or _orbit_count(arcs, group.generators) != 1:
-            break
-        best = s
-    return best
+def orbits_at_zero(
+    stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, int], cap: int = 3
+) -> tuple[int, int]:
+    """Edge orbits and s-arc-transitivity of a vertex-transitive graph,
+    counted at vertex 0.
 
+    ``stabilizer`` is the stabilizer A_0 of vertex 0 in a vertex-transitive
+    group A of automorphisms, and ``reverse`` maps each neighbour x of 0 to
+    the neighbour y such that A maps the arc (x, 0) to (0, y); in a Cayley
+    graph, right translation by x^-1 maps (x, 1) to (1, x^-1).  Every arc,
+    edge and s-arc of the graph is then the image of one at vertex 0, and two
+    at vertex 0 share an A-orbit iff A_0 maps one to the other.  So the
+    A-orbits on edges are the A_0-orbits on N(0) merged along x ~ reverse[x],
+    and A is s-arc-transitive iff A_0 is transitive on the s-arcs from 0.
 
-def normalizer_of_regular(aut: PermGroup, spec: GroupSpec) -> int:
-    """Order of the normalizer N of the regular copy R of G inside aut.
-
-    R is transitive, so N = R(N ∩ A_0) with A_0 the stabilizer of vertex 0,
-    and R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x normalizes R}.  Only
-    A_0 is enumerated; membership in R is the O(n) check "equals right
-    multiplication by the image of the identity".
+    Returns (edge orbit count, largest s <= cap with one orbit on s-arcs,
+    0 if not arc-transitive).  Raises ValueError when a generator of A_0 is
+    not an automorphism or moves vertex 0, or when ``reverse`` does not
+    permute N(0).
     """
-    if aut.degree != spec.order:
+    _check_automorphisms(stabilizer, graph)
+    gens = stabilizer.generators
+    if any(g[0] != 0 for g in gens):
+        raise ValueError("generator moves vertex 0")
+    nbrs = graph.adjacency[0]
+    if sorted(reverse.get(x, -1) for x in nbrs) != list(nbrs):
+        raise ValueError("reverse does not permute the neighbours of 0")
+    edge_orbits = _orbit_count([(x,) for x in nbrs], [*gens, reverse])
+    s = 0
+    while s < cap:
+        walks = s_arcs_at_zero(graph, s + 1)
+        if not walks or _orbit_count(walks, gens) != 1:
+            break
+        s += 1
+    return edge_orbits, s
+
+
+def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Sequence[Perm]) -> int:
+    """Order of the normalizer N of the regular copy R of G in A = R * A_0.
+
+    ``stabilizer`` is A_0, the stabilizer of vertex 0 in a group A of
+    permutations of the vertex indices that contains R, and ``regular``
+    holds generators of R.  R is transitive, so N = R(N ∩ A_0), and
+    R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x normalizes R}.  Only A_0 is
+    enumerated, from its own chain; membership in R is the O(n) check
+    "equals right multiplication by the image of the identity".
+    """
+    if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
         raise ValueError("degree mismatch")
-    regular_gens = [tuple(p) for p in regular_representation(spec)]
-    if not all(aut.contains(g) for g in regular_gens):
-        raise ValueError("the regular copy of G is not a subgroup of aut")
+    if any(g[0] != 0 for g in stabilizer.generators):
+        raise ValueError("the stabilizer moves vertex 0, so it is no complement of R")
+    regular_gens = [tuple(p) for p in regular]
     cache: dict[int, Perm] = {}
 
     def in_regular(q: Perm) -> bool:
@@ -369,7 +400,7 @@ def normalizer_of_regular(aut: PermGroup, spec: GroupSpec) -> int:
         return q == p
 
     count = 0
-    for x in aut.stabilizer_elements():
+    for x in stabilizer.elements():
         xinv = inverse_perm(x)
         if all(in_regular(compose(compose(xinv, g), x)) for g in regular_gens):
             count += 1

@@ -327,3 +327,99 @@ def _right_multiplications(m: int, n: int, r: int, ell: int) -> list[list[int]]:
 def _inverses(right: list[list[int]]) -> list[int]:
     """j -> j^-1: the x with x * j = 1."""
     return [p.index(0) for p in right]
+
+
+def s_arcs(adjacency: list[list[int]], s: int) -> list[tuple[int, ...]]:
+    """All s-arcs of the graph: non-backtracking walks (v0, ..., vs)."""
+    walks = [(u, v) for u, row in enumerate(adjacency) for v in row]
+    for _ in range(s - 1):
+        walks = [w + (x,) for w in walks for x in adjacency[w[-1]] if x != w[-2]]
+    return walks
+
+
+def orbit_count(items, gens) -> int:
+    """Orbits of the group the permutations ``gens`` generate on the tuples
+    ``items``, by a breadth-first search from each item not yet reached."""
+    seen: set = set()
+    count = 0
+    for item in items:
+        if item in seen:
+            continue
+        count += 1
+        seen.add(item)
+        frontier = [item]
+        while frontier:
+            images = {tuple(g[x] for x in it) for it in frontier for g in gens}
+            frontier = list(images - seen)
+            seen.update(frontier)
+    return count
+
+
+def max_s_arc_transitive(gens, adjacency: list[list[int]], cap: int = 3) -> int:
+    """Largest s <= cap such that the group the automorphisms ``gens``
+    generate has one orbit on all s-arcs of the graph; 0 if not
+    arc-transitive."""
+    best = 0
+    for s in range(1, cap + 1):
+        walks = s_arcs(adjacency, s)
+        if not walks or orbit_count(walks, gens) != 1:
+            break
+        best = s
+    return best
+
+
+def group_elements(gens, degree: int) -> set[tuple[int, ...]]:
+    """Every element of the group the permutations generate, by closure."""
+    els = {tuple(range(degree))}
+    frontier = list(els)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(perm_compose(p, g))
+                if q not in els:
+                    els.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return els
+
+
+def normalizer_order(gens, m: int, n: int, r: int, ell: int = 1) -> int:
+    """|N_A(R)| for the group A the vertex permutations ``gens`` generate and
+    the regular copy R of G: every element of A is tested, not only the
+    stabilizer of a vertex."""
+    right = _right_multiplications(m, n, r, ell)
+    regular = regular_generator_perms(m, n, r, ell)
+    count = 0
+    for x in group_elements(gens, m * n * ell):
+        xinv = [0] * len(x)
+        for i, y in enumerate(x):
+            xinv[y] = i
+        if all(perm_compose(perm_compose(xinv, g), x) == right[x[g[xinv[0]]]] for g in regular):
+            count += 1
+    return count
+
+
+def graph6_bit_by_bit(adjacency: list[list[int]]) -> bytes:
+    """graph6 of a graph, one upper-triangle bit at a time: the size bytes,
+    then column j = 1, 2, ... of the upper triangle, rows 0..j-1, packed six
+    bits to a byte and offset by 63."""
+    n = len(adjacency)
+    if n <= 62:
+        out = bytearray([n + 63])
+    elif n <= 258047:
+        out = bytearray([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    else:
+        out = bytearray([126, 126] + [63 + ((n >> k) & 63) for k in range(30, -1, -6)])
+    adj = [set(row) for row in adjacency]
+    bits = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            bits = (bits << 1) | (i in adj[j])
+            nbits += 1
+            if nbits == 6:
+                out.append(63 + bits)
+                bits = nbits = 0
+    if nbits:
+        out.append(63 + (bits << (6 - nbits)))
+    return bytes(out)

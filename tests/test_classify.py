@@ -17,10 +17,12 @@ from metacirc.classify import (
     theorem_js,
     verify_table1,
 )
+from metacirc.autosearch import analyze
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import standard_connection_set
-from metacirc.groups import Element, GroupSpec, closure_size, inv, iter_specs
-from oracles import candidate_orbits, enumerate_candidates, inverse_closed_four_subsets
+from metacirc.graphs import build_cayley, standard_connection_set
+from metacirc.groups import Element, GroupSpec, closure_size, inv, iter_specs, regular_representation
+from metacirc.permgroup import PermGroup, edge_orbit_count, orbits_at_zero
+from oracles import candidate_orbits, enumerate_candidates, inverse_closed_four_subsets, max_s_arc_transitive
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -143,6 +145,32 @@ def test_orbit_representatives_match_enumerate_then_reduce(spec):
     assert orbits == expected
     assert sum(size for _, size in orbits) == len(cands)
     assert comb((spec.order - 1) // 2, 2) == len(raw)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(7, 3, 2, ell=3), GroupSpec(7, 3, 2, ell=5)],
+    ids=spec_id,
+)
+def test_vertex_zero_analysis_matches_whole_graph(spec):
+    """On every generating orbit, edge-transitive or not: the automorphisms
+    the seeded search finds fix vertex 0 and generate its whole stabilizer
+    in the full group's chain, and the counts at vertex 0 equal the
+    whole-graph edge-orbit count and s-arc-transitivity."""
+    regular = regular_representation(spec)
+    orbits, _ = orbit_representatives(spec)
+    for rep, _ in orbits:
+        graph = build_cayley([spec.at_index(x) for x in rep], spec)
+        result = analyze(graph, seeds=regular)
+        assert all(g[0] == 0 for g in result.found)
+        aut = PermGroup(graph.n, result.generators)
+        a0 = PermGroup(graph.n, result.found)
+        assert a0.order == aut.stabilizer_order
+        inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
+        assert orbits_at_zero(a0, graph, inverse) == (
+            edge_orbit_count(aut, graph),
+            max_s_arc_transitive(aut.generators, graph.adjacency),
+        )
 
 
 def test_set_stabilizer_order_matches_reference():

@@ -22,7 +22,7 @@ from metacirc.graphs import (
     validate_connection_set,
 )
 from metacirc.groups import Element, GroupSpec, IDENTITY, closure_size, inv, regular_representation
-from oracles import parse_graph6
+from oracles import graph6_bit_by_bit, parse_graph6
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -216,6 +216,31 @@ def test_graph6_roundtrip_random(n, rnd):
     g = graph_from_edges(n, edges)
     assert from_graph6(to_graph6(g)) == g
     assert [list(r) for r in parse_graph6(to_graph6(g))] == [list(r) for r in g.adjacency]
+
+
+@given(st.integers(0, 130), st.sampled_from([0.0, 0.03, 0.5, 1.0]), st.random_module())
+@settings(max_examples=80, deadline=None)
+def test_graph6_matches_bit_by_bit_reference(n, p, rnd):
+    # 62/63 switch the size header; every residue of the bit count mod 24
+    # (one base64 group) comes up below 130 vertices
+    rng = random.Random(rnd.seed)
+    g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    data = to_graph6(g)
+    assert data == graph6_bit_by_bit([list(r) for r in g.adjacency])
+    assert from_graph6(data) == g
+
+
+def test_graph6_large_graphs_match_bit_by_bit_reference():
+    for n in (609, 1081):
+        g = graph_from_edges(n, [(i, (i * 7 + k) % n) for i in range(n) for k in (1, 5)])
+        data = to_graph6(g)
+        assert data == graph6_bit_by_bit([list(r) for r in g.adjacency])
+        assert from_graph6(data) == g
+
+
+def test_graph6_decoder_ignores_padding_bits():
+    # 3 vertices use 3 of the 6 bits of the one body byte
+    assert from_graph6(b"Bx") == from_graph6(b"Bw") == graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_dot_output():

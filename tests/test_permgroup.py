@@ -9,24 +9,25 @@ from metacirc.autosearch import analyze
 from metacirc.classify import classify_spec
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set
-from metacirc.groups import Element, GroupSpec, regular_representation, right_multiplication_perm
+from metacirc.groups import Element, GroupSpec, inv, regular_representation
 from metacirc.permgroup import (
     PermGroup,
     arc_orbit_count,
     compose,
     edge_orbit_count,
     identity_perm,
-    inverse_perm,
-    max_s_arc_transitive,
     normalizer_of_regular,
-    s_arcs,
+    orbits_at_zero,
+    s_arcs_at_zero,
 )
+from oracles import max_s_arc_transitive, normalizer_order, s_arcs
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
 K5 = build_cayley([Element(u, 0, 0) for u in range(1, 5)], Z5)
 
 S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+S4 = PermGroup(5, [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)])  # the stabilizer of 0 in S5
 C5 = PermGroup(5, [(1, 2, 3, 4, 0)])
 
 
@@ -212,88 +213,122 @@ def test_orbit_count_rejects_non_automorphism():
         edge_orbit_count(bad, path)
 
 
+def negation(n):
+    """x -> -x on Z_n, the inverse map of a circulant's connection set."""
+    return {x: (-x) % n for x in range(n)}
+
+
+def inverses(spec):
+    return {spec.index(x): spec.index(inv(x, spec)) for x in spec.elements()}
+
+
+def cycle_graph(n):
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def test_s_arcs_counts():
-    assert len(s_arcs(K5, 1)) == 20
-    assert len(s_arcs(K5, 2)) == 20 * 3
-    c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert len(s_arcs(c6, 3)) == 12  # cycles never backtrack
+    assert len(s_arcs(K5.adjacency, 1)) == 20
+    assert len(s_arcs(K5.adjacency, 2)) == 20 * 3
+    c6 = cycle_graph(6)
+    assert len(s_arcs(c6.adjacency, 3)) == 12  # cycles never backtrack
+    # both graphs are vertex-transitive: n times the s-arcs at vertex 0
+    for g, s in ((K5, 1), (K5, 2), (c6, 3)):
+        walks = s_arcs_at_zero(g, s)
+        assert all(w[0] == 0 for w in walks)
+        assert g.n * len(walks) == len(s_arcs(g.adjacency, s))
 
 
 def test_max_s_arc_transitive_k5():
     # 3-arcs split into closing (v3 = v0) and open walks, so s stops at 2
-    assert max_s_arc_transitive(S5, K5) == 2
+    assert orbits_at_zero(S4, K5, negation(5)) == (1, 2)
+    assert max_s_arc_transitive(S5.generators, K5.adjacency) == 2
+    assert edge_orbit_count(S5, K5) == 1
 
 
 def test_max_s_arc_circulant_orbit_set():
     # Cay(Z13, {±1, ±5}): the set is the orbit of the multiplicative subgroup
     # generated by 5, so multiplication by 5 is an automorphism and the full
     # group is arc-transitive
-    from metacirc.autosearch import automorphism_group
-
     z13 = GroupSpec(13, 1, 1)
     g = build_cayley([Element(u, 0, 0) for u in (1, 5, 8, 12)], z13)
-    aut = automorphism_group(g)
-    assert max_s_arc_transitive(aut, g) >= 1
+    result = analyze(g, seeds=regular_representation(z13))
+    edges, s = orbits_at_zero(PermGroup(13, result.found), g, negation(13))
+    assert edges == 1 and s >= 1
+    assert s == max_s_arc_transitive(result.generators, g.adjacency)
 
 
 def test_max_s_arc_zero_when_not_arc_transitive():
     g = build_cayley(standard_connection_set(1, F21), F21)
     ghat = PermGroup(21, regular_representation(F21))
-    assert max_s_arc_transitive(ghat, g) == 0
+    # A_0 of the regular copy alone is trivial: two edge orbits, no arc-transitivity
+    assert orbits_at_zero(PermGroup(21, []), g, inverses(F21)) == (2, 0)
+    assert max_s_arc_transitive(ghat.generators, g.adjacency) == 0
+    assert edge_orbit_count(ghat, g) == 2
 
 
 def test_max_s_arc_cycle_is_capped():
-    c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    d6 = PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), tuple((-i) % 6 for i in range(6))])
-    assert max_s_arc_transitive(d6, c6, cap=3) == 3
-    assert max_s_arc_transitive(d6, c6, cap=2) == 2
+    c6 = cycle_graph(6)
+    reflection = tuple((-i) % 6 for i in range(6))
+    d6 = PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), reflection])
+    stab = PermGroup(6, [reflection])
+    assert orbits_at_zero(stab, c6, negation(6), cap=3) == (1, 3)
+    assert orbits_at_zero(stab, c6, negation(6), cap=2) == (1, 2)
+    assert max_s_arc_transitive(d6.generators, c6.adjacency, cap=3) == 3
+    assert max_s_arc_transitive(d6.generators, c6.adjacency, cap=2) == 2
+
+
+def test_orbits_at_zero_rejects_non_automorphism():
+    path = graph_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        orbits_at_zero(PermGroup(3, [(0, 2, 1)]), path, {1: 1})
+    # an automorphism that moves vertex 0 belongs to no stabilizer of it
+    c6 = cycle_graph(6)
+    with pytest.raises(ValueError):
+        orbits_at_zero(PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5)]), c6, negation(6))
+    # the reverse map must permute the neighbours of 0
+    for reverse in ({1: 1, 5: 1}, {1: 5}):
+        with pytest.raises(ValueError):
+            orbits_at_zero(PermGroup(6, []), c6, reverse)
 
 
 # ------------------------------------------------------------- normalizer
 
 def test_normalizer_k5():
     # N = AGL(1,5) of order 20; index over |G| = 4 = |Aut(G,S)|
-    assert normalizer_of_regular(S5, Z5) == 20
+    assert normalizer_of_regular(S4, Z5, regular_representation(Z5)) == 20
+    assert normalizer_order(S5.generators, 5, 1, 1) == 20
 
 
 def test_normalizer_of_regular_in_itself():
     ghat = PermGroup(21, regular_representation(F21))
-    assert normalizer_of_regular(ghat, F21) == 21
+    assert normalizer_of_regular(PermGroup(21, []), F21, regular_representation(F21)) == 21
+    assert normalizer_order(ghat.generators, 7, 3, 2) == 21
 
 
 def test_normalizer_degree_mismatch():
     with pytest.raises(ValueError):
-        normalizer_of_regular(S5, F21)
+        normalizer_of_regular(S4, F21, regular_representation(F21))
+    with pytest.raises(ValueError):
+        normalizer_of_regular(S4, Z5, regular_representation(F21))
 
 
 def test_normalizer_needs_the_regular_copy():
+    # R * A_0 is a group only for the stabilizer A_0 of vertex 0, which R
+    # complements; a group moving 0 is none
     with pytest.raises(ValueError):
-        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)]), Z5)
-
-
-def reference_normalizer_order(aut, spec):
-    """|N_aut(R)| by filtering every element of aut, not only the stabilizer."""
-    regular_gens = [tuple(p) for p in regular_representation(spec)]
-
-    def in_regular(q):
-        return q == tuple(right_multiplication_perm(spec.at_index(q[0]), spec))
-
-    count = 0
-    for x in aut.elements():
-        xinv = inverse_perm(x)
-        if all(in_regular(compose(compose(xinv, g), x)) for g in regular_gens):
-            count += 1
-    return count
+        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)]), Z5, regular_representation(Z5))
 
 
 @pytest.mark.parametrize("mnrl", [(5, 1, 1, 1), (7, 3, 2, 1), (11, 5, 3, 1), (11, 5, 3, 3)])
 def test_normalizer_matches_reference_on_census_classes(mnrl):
     spec = GroupSpec(*mnrl)
+    regular = regular_representation(spec)
     classes = classify_spec(spec).classes
     assert classes
     for c in classes:
         graph = build_cayley(c.connection_set, spec)
-        aut = PermGroup(graph.n, analyze(graph, seeds=regular_representation(spec)).generators)
-        ref = reference_normalizer_order(aut, spec)
-        assert normalizer_of_regular(aut, spec) == ref == c.normalizer_order
-        assert c.normal_cayley == (ref == aut.order)
+        result = analyze(graph, seeds=regular)
+        ref = normalizer_order(result.generators, *mnrl)
+        a0 = PermGroup(graph.n, result.found)
+        assert normalizer_of_regular(a0, spec, regular) == ref == c.normalizer_order
+        assert c.normal_cayley == (ref == PermGroup(graph.n, result.generators).order)
