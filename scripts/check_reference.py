@@ -27,10 +27,10 @@ REFERENCE_SPECS = [
 ]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     structural_ok = True
     for spec in REFERENCE_SPECS:

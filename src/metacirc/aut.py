@@ -85,17 +85,6 @@ class GeneratorImages:
 Automorphism = Union[AutoMap, GeneratorImages]
 
 
-def apply_aut(f: Automorphism, g: Element, spec: GroupSpec) -> Element:
-    """Image of g = a^u b^v c^w, computed as f(a)^u f(b)^v f(c)^w."""
-    img_a, img_b, img_c = f.images(spec)
-    out = mul(power(img_a, g.u, spec), power(img_b, g.v, spec), spec)
-    return mul(out, power(img_c, g.w, spec), spec)
-
-
-def identity_map(spec: GroupSpec) -> AutoMap:
-    return AutoMap(1, 0, 0, 1).normalized(spec)
-
-
 def _verify(f: Automorphism, spec: GroupSpec) -> None:
     img_a, img_b, img_c = f.images(spec)
     assert element_order(img_a, spec) == spec.m
@@ -143,34 +132,6 @@ def parametrized_count(spec: GroupSpec) -> int:
     t_count = gcd(rsum(spec.r, n, spec), m)
     l_count = sum(1 for l in range(n // n0) if gcd(1 + l * n0, n) == 1)
     return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
-
-
-def compose_aut(f: Automorphism, g: Automorphism, spec: GroupSpec) -> AutoMap:
-    """The composite map x -> g(f(x)), re-expressed in parametrized form."""
-    fa, fb, fc = f.images(spec)
-    img_a = apply_aut(g, fa, spec)
-    img_b = apply_aut(g, fb, spec)
-    img_c = apply_aut(g, fc, spec)
-    assert img_a.v == 0 and img_a.w == 0 and img_b.w == 0
-    assert img_c.u == 0 and img_c.v == 0
-    if spec.n == 1:
-        l = 0
-    else:
-        assert (img_b.v - 1) % spec.n0 == 0
-        l = ((img_b.v - 1) // spec.n0) % (spec.n // spec.n0)
-    return AutoMap(img_a.u, img_b.u, l, img_c.w)
-
-
-def involutions(spec: GroupSpec) -> list[AutoMap]:
-    """All parametrized automorphisms of order exactly 2."""
-    ident = identity_map(spec)
-    out = []
-    for f in enumerate_aut(spec):
-        if f == ident:
-            continue
-        if compose_aut(f, f, spec) == ident:
-            out.append(f)
-    return out
 
 
 def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[GeneratorImages]:
@@ -232,12 +193,9 @@ def automorphism_maps(spec: GroupSpec, max_order: int = 4000) -> list[Automorphi
     return list(brute_force_automorphisms(spec, max_order=max_order))
 
 
-def aut_vertex_permutations(
-    spec: GroupSpec, maps: Sequence[Automorphism] | None = None
-) -> list[list[int]]:
-    """Action of Aut(G) on vertex indices, one permutation per map."""
-    if maps is None:
-        maps = automorphism_maps(spec)
+def aut_vertex_permutations(spec: GroupSpec, maps: Sequence[Automorphism]) -> list[list[int]]:
+    """Action of the automorphisms ``maps`` on vertex indices, one
+    permutation per map."""
     perms = []
     for f in maps:
         img_a, img_b, img_c = f.images(spec)
@@ -308,17 +266,3 @@ def _power_table(g: Element, count: int, spec: GroupSpec) -> list[Element]:
     for _ in range(count - 1):
         out.append(mul(out[-1], g, spec))
     return out
-
-
-def aut_stabilizer(
-    S: Iterable[Element], spec: GroupSpec, maps: Sequence[Automorphism] | None = None
-) -> list[Automorphism]:
-    """Aut(G, S): the automorphisms fixing the connection set S setwise.
-
-    Filters all of Aut(G).  The census takes |Aut(G, S)| from the size of
-    :func:`set_orbit` instead; this is the reference the tests compare with.
-    """
-    S = frozenset(S)
-    if maps is None:
-        maps = automorphism_maps(spec)
-    return [f for f in maps if frozenset(apply_aut(f, x, spec) for x in S) == S]

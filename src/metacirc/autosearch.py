@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
+from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, to_graph6
 from metacirc.permgroup import PermGroup
 
@@ -227,10 +228,8 @@ class _Orbits:
 
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     """Run the search once, returning generators and the canonical labeling."""
-    if g.directed:
-        raise ValueError("automorphism search expects an undirected graph")
     if g.n > MAX_DEGREE:
-        raise ValueError(f"graph too large (n = {g.n} > {MAX_DEGREE})")
+        raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
     if g.n == 0:
         return SearchResult([], [], ())
 

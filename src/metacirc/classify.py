@@ -137,13 +137,13 @@ def orbit_representatives(
     """Aut(G)-orbits of the connected tetravalent connection sets.
 
     The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
-    C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so there
-    are no involutions).  They are walked as sorted vertex-index tuples,
-    inverse pairs in the order of their smaller index; a set met for the
-    first time has its Aut(G)-orbit taken, and the later members of that
-    orbit are skipped.  Automorphisms preserve generation, so one
-    generation test decides the whole orbit (orderly generation in the
-    sense of Read, 1978).
+    C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so no
+    element but the identity is its own inverse).  They are walked as
+    sorted vertex-index tuples, inverse pairs in the order of their smaller
+    index; a set met for the first time has its Aut(G)-orbit taken, and
+    the later members of that orbit are skipped.  Automorphisms preserve
+    generation, so one generation test decides the whole orbit (orderly
+    generation in the sense of Read, 1978).
 
     Returns ([(least member, orbit size)] of the generating orbits, in
     order of their first member, dedup_available).  When Aut(G) is out of

@@ -29,7 +29,6 @@ from metacirc.classify import (
     classify_spec,
     emit_report,
     report_to_json_dict,
-    verify_table1,
 )
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import (

@@ -1,4 +1,4 @@
-"""Connection sets, Cayley graphs, quotients, orbital graphs, serialization."""
+"""Connection sets, Cayley graphs, serialization."""
 
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ from metacirc.groups import Element, GroupSpec, IDENTITY, inv, mul
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph (or digraph) as per-vertex sorted neighbor tuples."""
+    """Simple graph as per-vertex sorted neighbor tuples."""
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    directed: bool = False
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != self.n:
@@ -28,21 +27,17 @@ class Graph:
                 raise ValueError(f"loop at vertex {v}")
             if any(u < 0 or u >= self.n for u in row):
                 raise ValueError("neighbor out of range")
-        if not self.directed:
-            nbrs = [set(row) for row in self.adjacency]
-            for v, row in enumerate(self.adjacency):
-                if any(v not in nbrs[u] for u in row):
-                    raise ValueError("adjacency is not symmetric")
+        nbrs = [set(row) for row in self.adjacency]
+        for v, row in enumerate(self.adjacency):
+            if any(v not in nbrs[u] for u in row):
+                raise ValueError("adjacency is not symmetric")
 
     @property
     def n_edges(self) -> int:
-        total = sum(len(row) for row in self.adjacency)
-        return total if self.directed else total // 2
+        return sum(len(row) for row in self.adjacency) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """Undirected edge list, each as (u, v) with u < v."""
-        if self.directed:
-            raise ValueError("edge list is for undirected graphs")
+        """Edge list, each as (u, v) with u < v."""
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def arcs(self) -> list[tuple[int, int]]:
@@ -66,7 +61,7 @@ class Graph:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for v, row in enumerate(self.adjacency):
             adj[perm[v]] = sorted(perm[u] for u in row)
-        return Graph(self.n, tuple(tuple(row) for row in adj), self.directed)
+        return Graph(self.n, tuple(tuple(row) for row in adj))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "adj": [list(row) for row in self.adjacency]}
@@ -121,98 +116,6 @@ def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
     return Graph(spec.order, tuple(adjacency))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == g.n
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.adjacency[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
-
-
-def quotient_graph(g: Graph, blocks: Sequence[Sequence[int]]) -> Graph:
-    """Simple graph on the blocks; B ~ B' iff some edge joins them."""
-    block_of = [-1] * g.n
-    for b, block in enumerate(blocks):
-        for v in block:
-            if v < 0 or v >= g.n or block_of[v] != -1:
-                raise ValueError("blocks must partition the vertex set")
-            block_of[v] = b
-    if any(b == -1 for b in block_of):
-        raise ValueError("blocks must partition the vertex set")
-    edges = set()
-    for v in range(g.n):
-        for u in g.adjacency[v]:
-            bu, bv = block_of[u], block_of[v]
-            if bu != bv:
-                edges.add((min(bu, bv), max(bu, bv)))
-    return graph_from_edges(len(blocks), edges)
-
-
-def orbital_graph(
-    gens: Sequence[Sequence[int]], seed: tuple[int, int]
-) -> tuple[Graph, bool]:
-    """Orbital (di)graph: arc set = orbit of the seed pair under <gens>.
-
-    Returns the graph and whether the orbital is self-paired (the reversed
-    seed lies in the orbit).  Self-paired orbitals come back undirected.
-    """
-    if not gens:
-        raise ValueError("need at least one permutation")
-    n = len(gens[0])
-    a, b = seed
-    if a == b:
-        raise ValueError("seed must be a pair of distinct vertices")
-    arcs = {(a, b)}
-    frontier = [(a, b)]
-    while frontier:
-        nxt = []
-        for (x, y) in frontier:
-            for p in gens:
-                arc = (p[x], p[y])
-                if arc not in arcs:
-                    arcs.add(arc)
-                    nxt.append(arc)
-        frontier = nxt
-    self_paired = (b, a) in arcs
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (x, y) in arcs:
-        adj[x].add(y)
-    return (
-        Graph(n, tuple(tuple(sorted(s)) for s in adj), directed=not self_paired),
-        self_paired,
-    )
-
-
 # ------------------------------------------------------------------ formats
 
 # graph6 body bytes are 63 plus a 6-bit value, the same sextets base64
@@ -229,8 +132,6 @@ def to_graph6(g: Graph) -> bytes:
     j's bitmask, least significant first.  The concatenated bits are padded
     to whole base64 groups and encoded by ``binascii``.
     """
-    if g.directed:
-        raise ValueError("graph6 encodes undirected graphs")
     size = _graph6_size(g.n)
     nbits = g.n * (g.n - 1) // 2
     if not nbits:
@@ -296,15 +197,8 @@ def from_graph6(data: bytes | str) -> Graph:
 
 
 def to_dot(g: Graph) -> str:
-    kind, sep = ("digraph", "->") if g.directed else ("graph", "--")
-    lines = [f"{kind} G {{"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    if g.directed:
-        for u, v in g.arcs():
-            lines.append(f"  {u} {sep} {v};")
-    else:
-        for u, v in g.edges():
-            lines.append(f"  {u} {sep} {v};")
+    lines = ["graph G {"]
+    lines += [f"  {v};" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

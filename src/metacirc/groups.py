@@ -247,43 +247,6 @@ def element_order(g: Element, spec: GroupSpec) -> int:
     raise AssertionError("unreachable: order divides |G|")
 
 
-def closure_size(gens: Iterable[Element], spec: GroupSpec) -> int:
-    """Size of the subgroup generated by gens, by breadth-first closure."""
-    return len(closure(gens, spec))
-
-
-def closure(gens: Iterable[Element], spec: GroupSpec) -> set[Element]:
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = mul(g, h, spec)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return seen
-
-
-def is_generating_pair(i1: int, i2: int, j: int, spec: GroupSpec) -> bool:
-    """Whether {a^i1 b^j, a^i2 b^j} generates all of G (ell = 1 only).
-
-    Closed form: gcd(j, n) = 1 and gcd(i2 - i1, i1 * rsum(r, n), m) = 1.
-    The modulus must take part in the gcd: a^(i2-i1) and (a^i1 b^j)^n
-    together generate a^d with d the three-way gcd.
-    """
-    if spec.ell != 1:
-        raise ValueError("generating-pair criterion applies to ell = 1 specs")
-    if gcd(j, spec.n) != 1:
-        return False
-    return gcd(gcd(i2 - i1, i1 * rsum(spec.r, spec.n, spec)), spec.m) == 1
-
-
 def regular_representation(spec: GroupSpec) -> list[list[int]]:
     """Right-multiplication permutations of the generators a, b, c.
 

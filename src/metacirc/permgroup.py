@@ -139,16 +139,6 @@ class PermGroup:
             frontier = nxt
         return seen
 
-    def orbits(self) -> list[set[int]]:
-        seen: set[int] = set()
-        out = []
-        for v in range(self.degree):
-            if v not in seen:
-                orb = self.orbit(v)
-                seen |= orb
-                out.append(orb)
-        return out
-
     def is_transitive(self) -> bool:
         return self.degree == 0 or len(self.orbit(0)) == self.degree
 

@@ -3,11 +3,14 @@
 Everything here is deliberately written from first principles (single-relation
 actions, exhaustive search, naive permutation composition) and must not call
 into the package's own arithmetic, so that the two routes stay independent.
+Functions that take a ``GroupSpec`` use only its parameters and the fixed
+vertex indexing u + m*v + m*n*w (``spec.index``, ``spec.at_index``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -304,9 +307,11 @@ def candidate_orbits(candidates, gens) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+@lru_cache(maxsize=16)
 def _right_multiplications(m: int, n: int, r: int, ell: int) -> list[list[int]]:
     """Per vertex index j = u + m*v + m*n*w, the permutation x -> x * j,
-    composed from the right multiplications by a, b and c."""
+    composed from the right multiplications by a, b and c.  Cached: callers
+    only read it."""
     pa, pb, pc = regular_generator_perms(m, n, r, ell)
 
     def powers(p, k):
@@ -322,6 +327,56 @@ def _right_multiplications(m: int, n: int, r: int, ell: int) -> list[list[int]]:
         for v in range(n)
         for u in range(m)
     ]
+
+
+def closure(gens, spec) -> set:
+    """The subgroup the elements ``gens`` generate, by breadth-first closure
+    over the right multiplications."""
+    right = _right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    gens = [spec.index(g) for g in gens]
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = {right[h][x] for x in frontier for h in gens} - seen
+        seen |= frontier
+    return {spec.at_index(i) for i in seen}
+
+
+def closure_size(gens, spec) -> int:
+    return len(closure(gens, spec))
+
+
+def apply_aut(f, g, spec):
+    """Image of g = a^u b^v c^w under the automorphism f, as the product
+    f(a)^u f(b)^v f(c)^w of right multiplications."""
+    right = _right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    x = 0
+    for image, k in zip(f.images(spec), g):
+        step = right[spec.index(image)]
+        for _ in range(k):
+            x = step[x]
+    return spec.at_index(x)
+
+
+def aut_stabilizer(S, spec, maps) -> list:
+    """Aut(G, S): the automorphisms among ``maps`` that fix the set S."""
+    S = frozenset(S)
+    return [f for f in maps if frozenset(apply_aut(f, x, spec) for x in S) == S]
+
+
+def connected_components(adjacency: list[list[int]]) -> list[list[int]]:
+    """The vertex sets of the components, each sorted, by least vertex."""
+    seen: set[int] = set()
+    comps = []
+    for start in range(len(adjacency)):
+        if start in seen:
+            continue
+        comp, frontier = {start}, {start}
+        while frontier:
+            frontier = {u for v in frontier for u in adjacency[v]} - comp
+            comp |= frontier
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
 
 
 def _inverses(right: list[list[int]]) -> list[int]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc import autosearch
-from metacirc.aut import apply_aut, automorphism_maps
+from metacirc.aut import automorphism_maps
 from metacirc.autosearch import (
     _individualize,
     _initial_partition,
@@ -21,6 +21,7 @@ from metacirc.graphs import build_cayley, from_graph6, graph_from_edges, standar
 from metacirc.groups import Element, GroupSpec, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import (
+    apply_aut,
     backtracking_automorphism_count,
     bitmask_refine,
     brute_force_graph_automorphisms,

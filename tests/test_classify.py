@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from metacirc.aut import aut_stabilizer, aut_vertex_permutations
+from metacirc.aut import aut_vertex_permutations, automorphism_maps
 from metacirc.classify import (
     _aut_generators,
     analyze_connection_set,
@@ -20,9 +20,16 @@ from metacirc.classify import (
 from metacirc.autosearch import analyze
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
-from metacirc.groups import Element, GroupSpec, closure_size, inv, iter_specs, regular_representation
+from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, edge_orbit_count, orbits_at_zero
-from oracles import candidate_orbits, enumerate_candidates, inverse_closed_four_subsets, max_s_arc_transitive
+from oracles import (
+    aut_stabilizer,
+    candidate_orbits,
+    closure_size,
+    enumerate_candidates,
+    inverse_closed_four_subsets,
+    max_s_arc_transitive,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -34,7 +41,8 @@ def spec_id(spec):
 
 def orbit_members(rep, spec):
     """The Aut(G)-orbit of rep, from every element of Aut(G)."""
-    return {tuple(sorted(p[x] for x in rep)) for p in aut_vertex_permutations(spec)}
+    perms = aut_vertex_permutations(spec, automorphism_maps(spec))
+    return {tuple(sorted(p[x] for x in rep)) for p in perms}
 
 
 # ------------------------------------------------------------- candidates
@@ -124,7 +132,7 @@ def test_candidate_orbits_match_full_group_reference(spec):
     orbits, dedup = orbit_representatives(spec)
     assert dedup
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
-    assert orbits == candidate_orbits(cands, aut_vertex_permutations(spec))
+    assert orbits == candidate_orbits(cands, aut_vertex_permutations(spec, automorphism_maps(spec)))
 
 
 @pytest.mark.parametrize(
@@ -178,7 +186,7 @@ def test_set_stabilizer_order_matches_reference():
         report = classify_spec(spec)
         assert report.classes
         for c in report.classes:
-            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec))
+            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, automorphism_maps(spec)))
 
 
 # ----------------------------------------------------------- single sets

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import metacirc
 from metacirc.cli import main
-from metacirc.graphs import build_cayley, standard_connection_set, to_graph6
+from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set, to_graph6
 from metacirc.groups import Element, GroupSpec
 
 
@@ -211,6 +214,35 @@ def test_classify_unwritable_out_exit_1(capsys, tmp_path):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+# 2001 vertices: one more than the automorphism search takes
+LARGE_CYCLE = graph_from_edges(2001, [(i, (i + 1) % 2001) for i in range(2001)])
+
+
+def test_aut_too_large_exit_2(capsys, tmp_path):
+    path = tmp_path / "cycle.g6"
+    path.write_bytes(to_graph6(LARGE_CYCLE) + b"\n")
+    code, out, err = run_cli(capsys, "aut", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph too large") and err.count("\n") == 1
+
+
+def test_iso_too_large_exit_2(capsys, tmp_path):
+    path = tmp_path / "cycle.g6"
+    path.write_bytes(to_graph6(LARGE_CYCLE) + b"\n")
+    code, out, err = run_cli(capsys, "iso", "--a", str(path), "--b", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph too large") and err.count("\n") == 1
+
+
+def test_classify_theorem_too_large_exit_2(capsys):
+    # Z67:Z33 has 2211 elements: a bound, not a usage error
+    code, out, err = run_cli(
+        capsys, "classify", "--m", "67", "--n", "33", "--r", "4", "--mode", "theorem"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph too large") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- export
 
 def test_export_formats(capsys):
@@ -260,10 +292,14 @@ def test_sweep_small(capsys, tmp_path):
 
 
 def test_console_script_subprocess():
+    # the child imports the package from where this process found it
+    src = str(Path(metacirc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "metacirc.cli", "info", "--m", "5", "--n", "1", "--r", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert "order=5" in out.stdout

@@ -6,23 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacirc.aut import apply_aut, aut_vertex_permutations, automorphism_maps
+from metacirc.aut import aut_vertex_permutations, automorphism_maps
 from metacirc.graphs import (
     Graph,
     build_cayley,
-    connected_components,
     from_graph6,
     graph_from_edges,
-    is_connected,
-    orbital_graph,
-    quotient_graph,
     standard_connection_set,
     to_dot,
     to_graph6,
     validate_connection_set,
 )
-from metacirc.groups import Element, GroupSpec, IDENTITY, closure_size, inv, regular_representation
-from oracles import graph6_bit_by_bit, parse_graph6
+from metacirc.groups import Element, GroupSpec, IDENTITY, inv, regular_representation
+from oracles import apply_aut, closure_size, connected_components, graph6_bit_by_bit, parse_graph6
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -92,15 +88,14 @@ def test_build_cayley_k5():
 def test_build_cayley_f21_standard():
     g = build_cayley(standard_connection_set(1, F21), F21)
     assert g.n == 21 and g.n_edges == 42
-    assert is_connected(g)
+    assert len(connected_components(g.adjacency)) == 1
     assert all(d == 4 for d in g.degrees())
 
 
 def test_build_cayley_disconnected():
     S = [Element(1, 0, 0), Element(2, 0, 0), Element(5, 0, 0), Element(6, 0, 0)]
     g = build_cayley(S, F21)
-    comps = connected_components(g)
-    assert not is_connected(g)
+    comps = connected_components(g.adjacency)
     assert len(comps) == 3 and all(len(c) == 7 for c in comps)
 
 
@@ -114,7 +109,7 @@ def test_cayley_connected_iff_generating():
         if len(S) != 4:
             continue
         g = build_cayley(S, F21)
-        assert is_connected(g) == (closure_size(S, F21) == 21)
+        assert (len(connected_components(g.adjacency)) == 1) == (closure_size(S, F21) == 21)
 
 
 def test_right_regular_action_gives_graph_automorphisms():
@@ -134,56 +129,6 @@ def test_cayley_isomorphic_under_group_automorphisms():
     for f, p in zip(maps[:12], perms[:12]):
         Sf = [apply_aut(f, x, F21) for x in S]
         assert g.relabel(p) == build_cayley(Sf, F21)
-
-
-# --------------------------------------------------------------- quotients
-
-def test_quotient_triangle():
-    z15 = GroupSpec(15, 1, 1)
-    S = [Element(u, 0, 0) for u in (1, 4, 11, 14)]
-    g = build_cayley(S, z15)
-    blocks = [[v for v in range(15) if v % 3 == i] for i in range(3)]
-    q = quotient_graph(g, blocks)
-    assert q.n == 3 and q.n_edges == 3
-
-
-def test_quotient_degenerate_cases():
-    g = cycle_graph(6)
-    assert quotient_graph(g, [[v] for v in range(6)]) == g
-    single = quotient_graph(g, [list(range(6))])
-    assert single.n == 1 and single.n_edges == 0
-
-
-def test_quotient_rejects_non_partition():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        quotient_graph(g, [[0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        quotient_graph(g, [[0, 1]])
-
-
-# ---------------------------------------------------------------- orbitals
-
-def test_orbital_regular_cycle():
-    rot = [(i + 1) % 5 for i in range(5)]
-    g, self_paired = orbital_graph([rot], (0, 1))
-    assert not self_paired and g.directed
-    assert g.arcs() == [(i, (i + 1) % 5) for i in range(5)]
-
-
-def test_orbital_dihedral_self_paired():
-    rot = [(i + 1) % 5 for i in range(5)]
-    refl = [(-i) % 5 for i in range(5)]
-    g, self_paired = orbital_graph([rot, refl], (0, 1))
-    assert self_paired and not g.directed
-    assert g == cycle_graph(5)
-
-
-def test_orbital_two_transitive():
-    # S4 on 4 points is 2-transitive: one orbital with all 12 ordered pairs
-    g, self_paired = orbital_graph([[1, 0, 2, 3], [1, 2, 3, 0]], (0, 1))
-    assert self_paired
-    assert len(g.arcs()) == 12
 
 
 # ------------------------------------------------------------------ graph6
@@ -247,8 +192,11 @@ def test_dot_output():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     text = to_dot(g)
     assert "graph G {" in text and "0 -- 1;" in text and "1 -- 2;" in text
-    digraph, _ = orbital_graph([[1, 2, 0]], (0, 1))
-    assert "->" in to_dot(digraph)
+    assert to_dot(K5) == (
+        "graph G {\n  0;\n  1;\n  2;\n  3;\n  4;\n"
+        "  0 -- 1;\n  0 -- 2;\n  0 -- 3;\n  0 -- 4;\n  1 -- 2;\n"
+        "  1 -- 3;\n  1 -- 4;\n  2 -- 3;\n  2 -- 4;\n  3 -- 4;\n}\n"
+    )
 
 
 def test_json_dict():

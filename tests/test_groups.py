@@ -12,19 +12,16 @@ from metacirc.groups import (
     Element,
     GroupSpec,
     canonical_r,
-    closure,
-    closure_size,
     element_order,
     euler_phi,
     inv,
-    is_generating_pair,
     iter_specs,
     mul,
     power,
     regular_representation,
     rsum,
 )
-from oracles import oracle_mul_index, perm_compose, perm_power, regular_generator_perms
+from oracles import closure, closure_size, oracle_mul_index, perm_compose, perm_power, regular_generator_perms
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -247,33 +244,6 @@ def test_closure_is_a_subgroup():
         assert inv(g, F21) in sub
         for h in sub:
             assert mul(g, h, F21) in sub
-
-
-# -------------------------------------------------------- generating pairs
-
-def test_is_generating_pair_examples():
-    assert is_generating_pair(0, 1, 1, F21)
-    assert not is_generating_pair(0, 7, 1, F21)   # a^7 = 1: the set degenerates
-    assert not is_generating_pair(1, 1, 2, F21)   # same element twice
-    with pytest.raises(ValueError):
-        is_generating_pair(0, 1, 1, GroupSpec(7, 3, 2, ell=5))
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [F21, GroupSpec(13, 3, 3), GroupSpec(7, 9, 2), GroupSpec(35, 3, 16), GroupSpec(9, 3, 4), GroupSpec(11, 5, 3)],
-    ids=str,
-)
-def test_is_generating_pair_agrees_with_closure(spec):
-    for j in range(spec.n):
-        for i1 in range(spec.m):
-            for i2 in range(spec.m):
-                got = is_generating_pair(i1, i2, j, spec)
-                expected = (
-                    closure_size([Element(i1, j % spec.n, 0), Element(i2, j % spec.n, 0)], spec)
-                    == spec.order
-                )
-                assert got == expected, (spec, i1, i2, j)
 
 
 # ------------------------------------------------- regular representation
