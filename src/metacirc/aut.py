@@ -242,7 +242,7 @@ def set_orbit(S: Iterable[int], gens: Sequence[Sequence[int]]) -> set[tuple[int,
     |Aut(G)| / |Aut(G, S)| sets and its least member is the same for every
     set in it, so it serves as an Aut(G)-canonical key.
     """
-    return _orbit(tuple(sorted(S)), gens, lambda p, t: tuple(sorted(p[x] for x in t)))
+    return _orbit(tuple(sorted(S)), gens, lambda p, t: tuple(sorted(map(p.__getitem__, t))))
 
 
 def _orbit(start: tuple[int, ...], gens, image) -> set[tuple[int, ...]]:

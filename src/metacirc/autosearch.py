@@ -19,6 +19,7 @@ isomorphism, II", 2014) those found generate the stabilizer of vertex 0.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
@@ -44,25 +45,38 @@ class SearchResult:
         return self.generators[self.n_seeds:]
 
 
-def _initial_partition(g: Graph) -> list[list[int]]:
+def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[list[int]]:
     """Cells by (degree, neighbor degrees, distance-2 degrees), an
-    isomorphism-invariant starting colouring."""
+    isomorphism-invariant starting colouring.
+
+    Automorphisms preserve the signature, so it is computed once per orbit of
+    the automorphisms ``seeds`` and given to the whole orbit: a graph whose
+    seeds are transitive, as a Cayley graph's translations are, gets one.
+    """
     deg = g.degrees()
-    sigs = []
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
-        two = set()
-        for u in nbrs:
-            two.update(g.adjacency[u])
-        two.discard(v)
-        two.difference_update(nbrs)
-        sigs.append(
-            (
+    root = list(range(g.n))
+    if seeds:
+        orbits = _Orbits(g.n)
+        for p in seeds:
+            orbits.add(p)
+        root = [orbits.find(v) for v in root]
+    sig_of = {}
+    for v, r in enumerate(root):
+        if r == v:
+            nbrs = g.adjacency[v]
+            two = set()
+            for u in nbrs:
+                two.update(g.adjacency[u])
+            two.discard(v)
+            two.difference_update(nbrs)
+            sig_of[v] = (
                 deg[v],
                 tuple(sorted(deg[u] for u in nbrs)),
                 tuple(sorted(deg[u] for u in two)),
             )
-        )
+    if len(sig_of) == 1:
+        return [list(range(g.n))]
+    sigs = [sig_of[r] for r in root]
     order = sorted(range(g.n), key=lambda v: (sigs[v], v))
     cells: list[list[int]] = []
     for v in order:
@@ -87,7 +101,9 @@ def _refine(
     uncounted rest of such a cell is its count-0 fragment.  Touched cells are
     split in partition order and every fragment is queued as a splitter, so
     the work of a splitter is proportional to its edges and to the cells it
-    touches, not to the size of the graph.
+    touches, not to the size of the graph.  Splitters that cannot split
+    anything are skipped: every splitter once all cells are singletons, and
+    a one-vertex splitter with no neighbour in a non-singleton cell.
     """
     n = len(adj)
     cell_at: list[list[int] | None] = [None] * n  # start position -> cell
@@ -100,12 +116,16 @@ def _refine(
             for v in cell:
                 cell_of[v] = start
         start += len(cell)
+    ncells = len(cells)
     queue: deque[list[int]] = deque(cells if splitters is None else splitters)
-    while queue:
+    while queue and ncells < n:
         splitter = queue.popleft()
         # vertex -> its number of neighbours in the splitter, if nonzero
         if len(splitter) == 1:
-            counts = dict.fromkeys(adj[splitter[0]], 1)
+            hits = [u for u in adj[splitter[0]] if cell_of[u] >= 0]
+            if not hits:
+                continue
+            counts = dict.fromkeys(hits, 1)
         else:
             counts = Counter(chain.from_iterable([adj[w] for w in splitter]))
         touched: dict[int, list[int]] = {}  # cell start -> its counted vertices
@@ -122,6 +142,7 @@ def _refine(
                 buckets.setdefault(counts[v], []).append(v)
             if len(buckets) == 1:
                 continue
+            ncells += len(buckets) - 1
             pos = s
             for k in sorted(buckets):
                 frag = buckets[k]
@@ -188,9 +209,9 @@ def _leaf_key(order: Sequence[int], g: Graph) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _is_automorphism(g: Graph, p: Sequence[int]) -> bool:
-    rows = [set(r) for r in g.adjacency]
-    return all({p[u] for u in rows[v]} == rows[p[v]] for v in range(g.n))
+def _is_automorphism(rows: Sequence[set[int]], p: Sequence[int]) -> bool:
+    """Whether p maps the neighbour sets ``rows`` onto themselves."""
+    return all({p[u] for u in row} == rows[x] for row, x in zip(rows, p))
 
 
 class _Orbits:
@@ -235,9 +256,10 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
 
     gens: list[tuple[int, ...]] = []
     gen_set: set[tuple[int, ...]] = set()
+    rows = [set(r) for r in g.adjacency] if seeds else []
     for p in seeds:
         p = tuple(p)
-        if len(p) != g.n or sorted(p) != list(range(g.n)) or not _is_automorphism(g, p):
+        if len(p) != g.n or sorted(p) != list(range(g.n)) or not _is_automorphism(rows, p):
             raise ValueError("seed is not an automorphism")
         if any(i != x for i, x in enumerate(p)) and p not in gen_set:
             gens.append(p)
@@ -289,7 +311,13 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
             rec(_refine(adj, child, splitters), fixed + [v])
             orbits.mark(v)
 
-    rec(_refine(adj, _initial_partition(g), None), [])
+    try:
+        rec(_refine(adj, _initial_partition(g, gens), None), [])
+    except RecursionError:
+        # each level of the tree is one frame of rec
+        raise BoundExceeded(
+            f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None
     assert best is not None
     return SearchResult(gens, best[1], best[0], n_seeds)
 

@@ -35,8 +35,8 @@ from metacirc.groups import (
     GroupSpec,
     euler_phi,
     inv,
+    left_translation,
     regular_representation,
-    right_multiplication_perm,
 )
 from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 
@@ -147,14 +147,15 @@ def orbit_representatives(
 
     Returns ([(least member, orbit size)] of the generating orbits, in
     order of their first member, dedup_available).  When Aut(G) is out of
-    reach every set is its own orbit and the flag is False.
+    reach every set is its own orbit and the flag is False.  The pair of each
+    generating orbit goes to the spec's orbit cache, under its least member.
     """
     if spec.order > bound:
         raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
     aut_g = _aut_generators_if_known(spec)
     inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
     pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
-    right: dict[int, list[int]] = {}  # x -> the permutation g -> g*x
+    keys = _orbit_keys(spec)
     orbits = []
     covered: set[tuple[int, ...]] = set()
     for i, p in enumerate(pairs):
@@ -164,19 +165,18 @@ def orbit_representatives(
                 continue
             orbit = {s} if aut_g is None else set_orbit(s, aut_g[0])
             covered |= orbit
-            if _generates(spec, right, p[0], q[0]):
-                orbits.append((min(orbit), len(orbit)))
+            if _generates(spec, p[0], q[0]):
+                key = (min(orbit), len(orbit))
+                orbits.append(key)
+                if aut_g is not None:
+                    keys[key[0]] = key
     return orbits, aut_g is not None
 
 
-def _generates(spec: GroupSpec, right: dict[int, list[int]], x: int, y: int) -> bool:
-    """Whether the elements of vertex indices x and y generate G.  ``right``
-    caches the right-multiplication permutations built so far."""
-    perms = []
-    for z in (x, y):
-        if z not in right:
-            right[z] = right_multiplication_perm(spec.at_index(z), spec)
-        perms.append(right[z])
+def _generates(spec: GroupSpec, x: int, y: int) -> bool:
+    """Whether the elements of vertex indices x and y generate G: the orbit
+    of the identity under left multiplication by x and y is <x, y>."""
+    perms = (left_translation(x, spec), left_translation(y, spec))
     seen = bytearray(spec.order)
     seen[0] = 1
     frontier = [0]
@@ -217,10 +217,24 @@ def _aut_generators_if_known(spec: GroupSpec) -> tuple[list[list[int]], int] | N
         return None
 
 
-def _set_orbit(S: Sequence[Element], spec: GroupSpec) -> set[tuple[int, ...]]:
-    """Aut(G)-orbit of the connection set S, as sorted vertex-index tuples."""
-    gens, _ = _aut_generators(spec)
-    return set_orbit((spec.index(x) for x in S), gens)
+@lru_cache(maxsize=64)
+def _orbit_keys(spec: GroupSpec) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """The spec's orbit cache: (least member, size) of the Aut(G)-orbit of
+    each connection set met so far, by its sorted vertex-index tuple.  Only
+    these pairs are kept, never the orbits."""
+    return {}
+
+
+def _orbit_key(S: Sequence[Element], spec: GroupSpec) -> tuple[tuple[int, ...], int]:
+    """(least member, size) of the Aut(G)-orbit of the connection set S; each
+    orbit is walked once per spec and set."""
+    key = tuple(sorted(spec.index(x) for x in S))
+    keys = _orbit_keys(spec)
+    hit = keys.get(key)
+    if hit is None:
+        orbit = set_orbit(key, _aut_generators(spec)[0])
+        hit = keys[key] = (min(orbit), len(orbit))
+    return hit
 
 
 @lru_cache(maxsize=64)
@@ -232,7 +246,7 @@ def _standard_forms(spec: GroupSpec) -> dict[tuple[int, ...], int]:
     for j in range(1, spec.n0):
         if gcd(j, spec.n) != 1:
             continue
-        key = min(_set_orbit(standard_connection_set(j, spec), spec))
+        key, _ = _orbit_key(standard_connection_set(j, spec), spec)
         out.setdefault(key, j)
     return out
 
@@ -270,10 +284,9 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     if aut_g is None:
         orbit_size = set_stab = standard_j = normalizer_ok = None
     else:
-        orbit = _set_orbit(S, spec)
-        orbit_size = len(orbit)
+        key, orbit_size = _orbit_key(S, spec)
         set_stab = aut_g[1] // orbit_size
-        standard_j = _standard_forms(spec).get(min(orbit))
+        standard_j = _standard_forms(spec).get(key)
         normalizer_ok = normalizer_order == spec.order * set_stab
     return ClassReport(
         connection_set=S,

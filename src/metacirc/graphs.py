@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from metacirc.groups import Element, GroupSpec, IDENTITY, inv, mul
+from metacirc.groups import Element, GroupSpec, IDENTITY, inv, left_translation, mul
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,13 @@ def standard_connection_set(j: int, spec: GroupSpec) -> tuple[Element, ...]:
 
 
 def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
-    """Cayley graph on the vertex indexing: x ~ y iff y * x^-1 in S, i.e. y = s*x."""
+    """Cayley graph on the vertex indexing: x ~ y iff y * x^-1 in S, i.e. y = s*x.
+
+    Row x zips the images of x under the four left translations by S.
+    """
     S = validate_connection_set(S, spec)
-    adjacency = []
-    for x in spec.elements():
-        adjacency.append(tuple(sorted(spec.index(mul(s, x, spec)) for s in S)))
-    return Graph(spec.order, tuple(adjacency))
+    rows = zip(*[left_translation(spec.index(s), spec) for s in S])
+    return Graph(spec.order, tuple(tuple(sorted(row)) for row in rows))
 
 
 # ------------------------------------------------------------------ formats

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -260,9 +262,38 @@ def regular_representation(spec: GroupSpec) -> list[list[int]]:
     return perms
 
 
-def right_multiplication_perm(g: Element, spec: GroupSpec) -> list[int]:
-    """Permutation x -> x*g on vertex indices."""
-    return [spec.index(mul(x, g, spec)) for x in spec.elements()]
+def left_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:
+    """Permutation x -> s*x on vertex indices, for the element of index s.
+
+    By the product rule the a-exponent of s*x is s.u + x.u * r^-s.v, a
+    function of x's a-exponent alone, while the b- and c-exponents just add.
+    So the m images of each block of m consecutive indices (one b- and
+    c-exponent) are one fixed block permutation, shifted to the block of s*x.
+    No group multiplication is made.  Cached per spec, by index.
+    """
+    table = _left_translations(spec)
+    p = table.get(s)
+    if p is None:
+        g = spec.at_index(s)
+        m, n, ell = spec.m, spec.n, spec.ell
+        rinv = spec.rpow_inv(g.v)
+        block = [(g.u + u * rinv) % m for u in range(m)]
+        starts = [m * ((g.v + v) % n + n * ((g.w + w) % ell)) for w in range(ell) for v in range(n)]
+        if m == 1:
+            p = tuple(starts)
+        else:
+            # slices of the identity, so every table shares one set of ints
+            ident, pick = table[0], itemgetter(*block)
+            p = tuple(itertools.chain.from_iterable([pick(ident[k : k + m]) for k in starts]))
+        table[s] = p
+    return p
+
+
+@lru_cache(maxsize=8)
+def _left_translations(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
+    """The left translations of ``spec`` built so far, by index; the
+    identity's is there from the start."""
+    return {0: tuple(range(spec.order))}
 
 
 def canonical_r(m: int, n: int, r: int) -> int:

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph
-from metacirc.groups import GroupSpec, right_multiplication_perm
+from metacirc.groups import GroupSpec, left_translation
 
 Perm = tuple[int, ...]
 
@@ -371,23 +371,22 @@ def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Seque
     permutations of the vertex indices that contains R, and ``regular``
     holds generators of R.  R is transitive, so N = R(N ∩ A_0), and
     R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x normalizes R}.  Only A_0 is
-    enumerated, from its own chain; membership in R is the O(n) check
-    "equals right multiplication by the image of the identity".
+    enumerated, from its own chain.  R, the right translations, is the
+    centralizer of the left translations in the symmetric group (Dixon &
+    Mortimer, *Permutation Groups*, 4.2), so a conjugate lies in R iff it
+    commutes with the left translations by a, b and c.
     """
     if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
         raise ValueError("degree mismatch")
     if any(g[0] != 0 for g in stabilizer.generators):
         raise ValueError("the stabilizer moves vertex 0, so it is no complement of R")
     regular_gens = [tuple(p) for p in regular]
-    cache: dict[int, Perm] = {}
+    left = [left_translation(spec.index(g), spec)
+            for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())]
+    left = [p for p in left if not is_identity(p)]
 
     def in_regular(q: Perm) -> bool:
-        e = q[0]
-        p = cache.get(e)
-        if p is None:
-            p = tuple(right_multiplication_perm(spec.at_index(e), spec))
-            cache[e] = p
-        return q == p
+        return all(compose(p, q) == compose(q, p) for p in left)
 
     count = 0
     for x in stabilizer.elements():

@@ -455,6 +455,23 @@ def normalizer_order(gens, m: int, n: int, r: int, ell: int = 1) -> int:
     return count
 
 
+def normalizer_by_right_translations(elements, m: int, n: int, r: int, ell: int = 1) -> int:
+    """|G| * #{x in ``elements`` : x normalizes R}, for the elements of the
+    stabilizer A_0 of vertex 0: a conjugate x^-1 g x of a generator g of R
+    lies in R iff it is the right multiplication by its image of vertex 0."""
+    right = _right_multiplications(m, n, r, ell)
+    regular = regular_generator_perms(m, n, r, ell)
+    count = 0
+    for x in elements:
+        xinv = [0] * len(x)
+        for i, y in enumerate(x):
+            xinv[y] = i
+        conjugates = [perm_compose(perm_compose(xinv, g), x) for g in regular]
+        if all(q == right[q[0]] for q in conjugates):
+            count += 1
+    return m * n * ell * count
+
+
 def graph6_bit_by_bit(adjacency: list[list[int]]) -> bytes:
     """graph6 of a graph, one upper-triangle bit at a time: the size bytes,
     then column j = 1, 2, ... of the upper triangle, rows 0..j-1, packed six

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from metacirc import autosearch
 from metacirc.aut import automorphism_maps
+from metacirc.classify import orbit_representatives
 from metacirc.autosearch import (
     _individualize,
     _initial_partition,
@@ -18,7 +19,7 @@ from metacirc.autosearch import (
     canonical_form,
 )
 from metacirc.graphs import build_cayley, from_graph6, graph_from_edges, standard_connection_set
-from metacirc.groups import Element, GroupSpec, regular_representation
+from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import (
     apply_aut,
@@ -119,6 +120,33 @@ def test_refine_matches_reference_from_any_partition(n, p, rnd):
     assert _refine(g.adjacency, cells, splitters) == bitmask_refine(
         g.bit_rows(), cells, [bits(s) for s in splitters]
     )
+
+
+@pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
+def test_seeded_initial_partition_on_census_graphs(spec):
+    """With the regular translations as seeds, one signature per Cayley
+    graph gives the partition of a signature per vertex."""
+    regular = regular_representation(spec)
+    orbits, _ = orbit_representatives(spec, bound=spec.order)
+    for rep, _ in orbits:
+        g = build_cayley([spec.at_index(x) for x in rep], spec)
+        assert _initial_partition(g, regular) == _initial_partition(g)
+
+
+@given(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
+    rnd=st.random_module(),
+)
+@settings(max_examples=60, deadline=None)
+def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
+    """The same when the seeds have several orbits: any subset of the
+    automorphisms an unseeded search finds."""
+    rng = random.Random(rnd.seed)
+    g = refine_fixture(n, kind, rng)
+    gens = analyze(g).generators
+    seeds = rng.sample(gens, rng.randint(0, len(gens)))
+    assert _initial_partition(g, seeds) == _initial_partition(g)
 
 
 def two_splitter_individualize(cells, target_idx, v):

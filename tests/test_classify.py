@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from metacirc.aut import aut_vertex_permutations, automorphism_maps
+from metacirc import classify
+from metacirc.aut import aut_vertex_permutations, automorphism_maps, set_orbit
 from metacirc.classify import (
     _aut_generators,
+    _orbit_key,
+    _orbit_keys,
+    _standard_forms,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -187,6 +191,51 @@ def test_set_stabilizer_order_matches_reference():
         assert report.classes
         for c in report.classes:
             assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, automorphism_maps(spec)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [F21, GroupSpec(13, 3, 3), GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4)],
+    ids=spec_id,
+)
+def test_orbit_cache_holds_least_member_and_size(spec):
+    """The orbit cache gives (min(o), len(o)) of the set_orbit o of a set:
+    for the representatives the walk stores, for the greatest member of each
+    of their orbits and for the standard sets."""
+    gens, _ = _aut_generators(spec)
+    orbits, _ = orbit_representatives(spec)
+    sets = []
+    for rep, size in orbits:
+        o = set_orbit(rep, gens)
+        assert _orbit_keys(spec)[rep] == (min(o), len(o)) == (rep, size)
+        sets += [rep, max(o)]
+    if spec.sylow_cyclic:
+        sets += [
+            tuple(spec.index(x) for x in standard_connection_set(j, spec))
+            for j in range(1, spec.n0)
+            if gcd(j, spec.n) == 1
+        ]
+    for S in sets:
+        o = set_orbit(S, gens)
+        assert _orbit_key([spec.at_index(x) for x in S], spec) == (min(o), len(o))
+
+
+def test_theorem_mode_walks_each_orbit_once(monkeypatch):
+    """The classes and the standard-form table share one walk per standard set."""
+    spec = GroupSpec(29, 7, 7)
+    walked = []
+
+    def counted(S, gens):
+        S = tuple(S)
+        walked.append(S)
+        return set_orbit(S, gens)
+
+    monkeypatch.setattr(classify, "set_orbit", counted)
+    _orbit_keys.cache_clear()
+    _standard_forms.cache_clear()
+    report = classify_spec(spec, mode="theorem")
+    assert report.classes
+    assert len(walked) == len(set(walked)) == sum(gcd(j, spec.n) == 1 for j in range(1, spec.n0))
 
 
 # ----------------------------------------------------------- single sets

@@ -234,6 +234,25 @@ def test_iso_too_large_exit_2(capsys, tmp_path):
     assert err.startswith("error: graph too large") and err.count("\n") == 1
 
 
+# K_{1,1200}: under the vertex cap, but every level of the search
+# individualizes one more leaf, deeper than the recursion limit allows
+STAR = graph_from_edges(1201, [(0, i) for i in range(1, 1201)])
+
+
+def test_aut_deep_search_exit_2(capsys):
+    code, out, err = run_cli(capsys, "aut", "--graph6", to_graph6(STAR).decode())
+    assert code == 2 and out == ""
+    assert err.startswith("error: search tree deeper") and err.count("\n") == 1
+
+
+def test_iso_deep_search_exit_2(capsys, tmp_path):
+    path = tmp_path / "star.g6"
+    path.write_bytes(to_graph6(STAR) + b"\n")
+    code, out, err = run_cli(capsys, "iso", "--a", str(path), "--b", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: search tree deeper") and err.count("\n") == 1
+
+
 def test_classify_theorem_too_large_exit_2(capsys):
     # Z67:Z33 has 2211 elements: a bound, not a usage error
     code, out, err = run_cli(

@@ -16,6 +16,7 @@ from metacirc.groups import (
     euler_phi,
     inv,
     iter_specs,
+    left_translation,
     mul,
     power,
     regular_representation,
@@ -289,6 +290,22 @@ def test_order_of_regular_b_permutation():
     _, pb, _ = regular_representation(F21)
     assert perm_power(pb, 3) == list(range(21))
     assert perm_power(pb, 1) != list(range(21))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231))
+    + [Z5, GroupSpec(7, 3, 2, ell=3), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 9, 4)]
+    + [GroupSpec(1, 9, 0), GroupSpec(1, 1, 0, ell=7)],
+    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+)
+def test_left_translation_matches_mul(spec):
+    """The closed-form left translation by s is x -> index(mul(s, x)), for
+    every element s."""
+    elements = list(spec.elements())
+    for s in elements:
+        expected = tuple(spec.index(mul(s, x, spec)) for x in elements)
+        assert left_translation(spec.index(s), spec) == expected
 
 
 # ----------------------------------------------------------------- sweeps

@@ -9,7 +9,7 @@ from metacirc.autosearch import analyze
 from metacirc.classify import classify_spec
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set
-from metacirc.groups import Element, GroupSpec, inv, regular_representation
+from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
 from metacirc.permgroup import (
     PermGroup,
     arc_orbit_count,
@@ -20,7 +20,13 @@ from metacirc.permgroup import (
     orbits_at_zero,
     s_arcs_at_zero,
 )
-from oracles import max_s_arc_transitive, normalizer_order, s_arcs
+from oracles import (
+    max_s_arc_transitive,
+    normalizer_by_right_translations,
+    normalizer_order,
+    oracle_mul_index,
+    s_arcs,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -332,3 +338,49 @@ def test_normalizer_matches_reference_on_census_classes(mnrl):
         a0 = PermGroup(graph.n, result.found)
         assert normalizer_of_regular(a0, spec, regular) == ref == c.normalizer_order
         assert c.normal_cayley == (ref == PermGroup(graph.n, result.generators).order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(135)) + [GroupSpec(11, 5, 3, ell=3)],
+    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+)
+def test_normalizer_matches_right_translation_membership(spec):
+    """Testing membership in R by commuting with the left translations
+    counts what testing it against the right translations counts, on every
+    edge-transitive class."""
+    regular = regular_representation(spec)
+    for c in classify_spec(spec, bound=spec.order).classes:
+        graph = build_cayley(c.connection_set, spec)
+        a0 = PermGroup(graph.n, analyze(graph, seeds=regular).found)
+        expected = normalizer_by_right_translations(
+            a0.elements(), spec.m, spec.n, spec.r, spec.ell
+        )
+        assert normalizer_of_regular(a0, spec, regular) == expected == c.normalizer_order
+
+
+@pytest.mark.parametrize("spec", [F21, GroupSpec(11, 5, 3, ell=3)], ids=["7-3-2-1", "11-5-3-3"])
+def test_normalizer_needs_every_left_translation(spec):
+    """For each generator g, a permutation that fixes 0 and commutes with the
+    left translation by g alone: that translation on one orbit of it away
+    from 0, the identity elsewhere.  Its conjugates of R commute with that
+    translation, so the count is right only if every generator is tested."""
+    regular = regular_representation(spec)
+    params = (spec.m, spec.n, spec.r, spec.ell)
+    for g in (1, spec.m, spec.m * spec.n):
+        if g >= spec.order:
+            continue
+        left = [oracle_mul_index(g, x, *params) for x in range(spec.order)]
+        h = next(x for x in range(spec.order) if 0 not in _cycle(left, x))
+        moved = set(_cycle(left, h))
+        x = tuple(left[y] if y in moved else y for y in range(spec.order))
+        a0 = PermGroup(spec.order, [x])
+        expected = normalizer_by_right_translations(a0.elements(), *params)
+        assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
+
+
+def _cycle(p, x):
+    out = [x]
+    while p[out[-1]] != x:
+        out.append(p[out[-1]])
+    return out
