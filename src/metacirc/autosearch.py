@@ -23,7 +23,7 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, to_graph6
@@ -88,8 +88,36 @@ def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[li
     return cells
 
 
+class NotEdgeTransitive(Exception):
+    """The refinement after individualizing vertex 0 split the edges at 0
+    into classes that no automorphism joins."""
+
+
+def _edge_classes(cell_of: Sequence[int], reverse: Mapping[int, int]) -> int:
+    """Classes of the neighbours x of 0 under "same cell" and x ~ reverse[x];
+    ``cell_of`` is ``_refine``'s map, -1 for a singleton cell."""
+
+    def cell(x: int) -> int:
+        return cell_of[x] if cell_of[x] >= 0 else ~x  # ~x names x's singleton
+
+    parent = {cell(x): cell(x) for x in reverse}
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for x, y in reverse.items():
+        parent[find(cell(x))] = find(cell(y))
+    return sum(c == p for c, p in parent.items())
+
+
 def _refine(
-    adj: Sequence[Sequence[int]], cells: list[list[int]], splitters: list[list[int]] | None
+    adj: Sequence[Sequence[int]],
+    cells: list[list[int]],
+    splitters: list[list[int]] | None,
+    equitable: bool = False,
+    reverse: Mapping[int, int] | None = None,
 ) -> list[list[int]]:
     """Equitable refinement; fragments are ordered by ascending neighbor count.
 
@@ -103,23 +131,51 @@ def _refine(
     the work of a splitter is proportional to its edges and to the cells it
     touches, not to the size of the graph.  Splitters that cannot split
     anything are skipped: every splitter once all cells are singletons, and
-    a one-vertex splitter with no neighbour in a non-singleton cell.
+    a one-vertex splitter with no neighbour in a non-singleton cell.  A cell
+    every vertex of which has one count is left whole without bucketing.
+
+    When the partition is already equitable to a cell C that splits (C was
+    a splitter of this call, or ``equitable`` says the input came from
+    ``_individualize`` on an equitable partition), the last fragment is
+    queued but skipped: at its turn the partition is equitable to C and to
+    every other fragment of C, popped before it, so it splits nothing.
+
+    ``reverse``, given only for the unit partition with vertex 0
+    individualized, maps each neighbour x of 0 to its reverse as in
+    ``permgroup.orbits_at_zero``.  Every partition this call passes through
+    is then preserved by the stabilizer A_0 of 0 (refinement commutes with
+    relabeling), so A_0's orbits on N(0) lie in cells; if the cells of N(0),
+    merged along x ~ reverse[x], form two classes, so do the edge orbits,
+    and NotEdgeTransitive is raised.  The test runs after each splitter
+    that split a cell holding a neighbour of 0.
     """
     n = len(adj)
     cell_at: list[list[int] | None] = [None] * n  # start position -> cell
     # vertex -> start of its cell; -1 in a singleton cell, which cannot split
     cell_of = [-1] * n
+    done: set[int] = set()  # starts of cells the partition is equitable to
     start = 0
     for cell in cells:
         cell_at[start] = cell
         if len(cell) > 1:
             for v in cell:
                 cell_of[v] = start
+            if equitable:
+                done.add(start)
         start += len(cell)
     ncells = len(cells)
-    queue: deque[list[int]] = deque(cells if splitters is None else splitters)
+    # (splitter, skip): a skipped splitter is the last fragment of a cell in `done`
+    queue = deque((c, False) for c in (cells if splitters is None else splitters))
+    # starts of the cells holding a neighbour of 0, if watched
+    watched = set() if reverse is None else {cell_of[x] for x in reverse}
     while queue and ncells < n:
-        splitter = queue.popleft()
+        splitter, skip = queue.popleft()
+        if len(splitter) > 1:
+            s = cell_of[splitter[0]]
+            if s >= 0 and cell_at[s] is splitter:
+                done.add(s)
+        if skip:
+            continue
         # vertex -> its number of neighbours in the splitter, if nonzero
         if len(splitter) == 1:
             hits = [u for u in adj[splitter[0]] if cell_of[u] >= 0]
@@ -133,16 +189,23 @@ def _refine(
             s = cell_of[u]
             if s >= 0:
                 touched.setdefault(s, []).append(u)
+        moved = False
         for s in sorted(touched):
             cell = cell_at[s]
             hit = touched[s]
-            buckets = {0: [v for v in cell if v not in counts]} if len(hit) < len(cell) else {}
+            if len(hit) < len(cell):
+                buckets = {0: [v for v in cell if v not in counts]}
+            elif len(set(map(counts.__getitem__, hit))) == 1:
+                continue
+            else:
+                buckets = {}
             hit.sort()
             for v in hit:
                 buckets.setdefault(counts[v], []).append(v)
-            if len(buckets) == 1:
-                continue
             ncells += len(buckets) - 1
+            moved = moved or s in watched
+            last = max(buckets) if s in done else None
+            done.discard(s)
             pos = s
             for k in sorted(buckets):
                 frag = buckets[k]
@@ -152,8 +215,12 @@ def _refine(
                 elif pos != s:
                     for v in frag:
                         cell_of[v] = pos
-                queue.append(frag)
+                queue.append((frag, k == last))
                 pos += len(frag)
+        if moved:
+            if _edge_classes(cell_of, reverse) > 1:
+                raise NotEdgeTransitive
+            watched = {cell_of[x] for x in reverse}
     out = []
     start = 0
     while start < n:
@@ -247,8 +314,18 @@ class _Orbits:
         return self.hit[self.find(v)]
 
 
-def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
-    """Run the search once, returning generators and the canonical labeling."""
+def analyze(
+    g: Graph, seeds: Sequence[Sequence[int]] = (), reverse: Mapping[int, int] | None = None
+) -> SearchResult:
+    """Run the search once, returning generators and the canonical labeling.
+
+    ``reverse``, for a vertex-transitive graph, maps each neighbour x of 0
+    to the neighbour y such that some automorphism maps the arc (x, 0) to
+    (0, y), as in ``permgroup.orbits_at_zero``.  Given it, the search raises
+    NotEdgeTransitive as soon as the refinement of its root branch at vertex
+    0 shows two edge orbits (see ``_refine``); a graph that passes may still
+    have several, which ``orbits_at_zero`` counts.
+    """
     if g.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
     if g.n == 0:
@@ -267,6 +344,10 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
 
     n_seeds = len(gens)
     adj = g.adjacency
+    if reverse is not None:
+        if sorted(reverse.get(x, -1) for x in adj[0]) != list(adj[0]):
+            raise ValueError("reverse does not permute the neighbours of 0")
+        reverse = {x: reverse[x] for x in adj[0]}
     first: tuple[tuple[int, ...], list[int]] | None = None
     best: tuple[tuple[int, ...], list[int]] | None = None
 
@@ -308,7 +389,9 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
             if orbits.processed(v):
                 continue
             child, splitters = _individualize(cells, t, v)
-            rec(_refine(adj, child, splitters), fixed + [v])
+            # A_0 preserves the unit partition with 0 individualized
+            watch = reverse if v == 0 and len(cells) == 1 else None
+            rec(_refine(adj, child, splitters, True, watch), fixed + [v])
             orbits.mark(v)
 
     try:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from metacirc.aut import aut_generators, set_orbit
-from metacirc.autosearch import PermGroup, analyze, canonical_form
+from metacirc.autosearch import NotEdgeTransitive, PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set, to_dot, to_graph6
 from metacirc.groups import (
@@ -262,6 +262,9 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
       finds fixes vertex 0, and those found generate A_0 (first-path
       property, see ``autosearch``); only A_0 gets a stabilizer chain, and
       |Aut| = |G| * |A_0|;
+    * most sets that are not edge-transitive leave during the search's
+      first refinement at vertex 0, which sees two edge orbits there
+      (NotEdgeTransitive, given x ~ x^-1 as ``reverse``);
     * edge-, arc- and s-arc-transitivity come from the orbits of A_0 on the
       neighbours and the s-arcs of vertex 0 (``orbits_at_zero``);
     * the normalizer of R is found by enumerating A_0, and R is normal
@@ -270,9 +273,12 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     S = tuple(S)
     graph = build_cayley(S, spec)
     regular = _regular_representation(spec)
-    result = analyze(graph, seeds=regular)
-    a0 = PermGroup(graph.n, result.found)
     inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
+    try:
+        result = analyze(graph, seeds=regular, reverse=inverse)
+    except NotEdgeTransitive:
+        return None
+    a0 = PermGroup(graph.n, result.found)
     edge_orbits, s = orbits_at_zero(a0, graph, inverse)
     if edge_orbits != 1:
         return None

@@ -87,7 +87,8 @@ def bits(vertices):
 def test_refine_matches_bitmask_reference(n, kind, rnd):
     """Splitter-local refinement gives the reference's cells, in the same
     order and each in ascending vertex order, after the initial refinement
-    and after every step of a random sequence of individualizations."""
+    and after every step of a random sequence of individualizations, also
+    when told that the partition before individualizing was equitable."""
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     adj_bits = g.bit_rows()
@@ -103,6 +104,8 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
         child, splitters = _individualize(refined, t, rng.choice(refined[t]))
         refined = _refine(g.adjacency, child, splitters)
         assert refined == bitmask_refine(adj_bits, child, [bits(s) for s in splitters])
+        # the search's call: the input came from an equitable partition
+        assert _refine(g.adjacency, child, splitters, equitable=True) == refined
 
 
 @given(n=st.integers(1, 30), p=st.floats(0.05, 0.9), rnd=st.random_module())

@@ -21,7 +21,7 @@ from metacirc.classify import (
     theorem_js,
     verify_table1,
 )
-from metacirc.autosearch import analyze
+from metacirc.autosearch import NotEdgeTransitive, analyze
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
 from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
@@ -183,6 +183,60 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
             edge_orbit_count(aut, graph),
             max_s_arc_transitive(aut.generators, graph.adjacency),
         )
+
+
+def edge_split_exits(spec):
+    """Per generating orbit: the edge orbits that ``orbits_at_zero`` counts
+    from the search without ``reverse``, and whether the search given
+    x ~ x^-1 as ``reverse`` raised.  A search that did not raise returned
+    the result of the one without."""
+    regular = regular_representation(spec)
+    orbits, _ = orbit_representatives(spec)
+    out = []
+    for rep, _ in orbits:
+        graph = build_cayley([spec.at_index(x) for x in rep], spec)
+        inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
+        full = analyze(graph, seeds=regular)
+        edge_orbits, _ = orbits_at_zero(PermGroup(graph.n, full.found), graph, inverse)
+        try:
+            result = analyze(graph, seeds=regular, reverse=inverse)
+        except NotEdgeTransitive:
+            out.append((edge_orbits, True))
+        else:
+            assert result == full
+            out.append((edge_orbits, False))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(7, 3, 2, ell=3), GroupSpec(7, 3, 2, ell=5)],
+    ids=spec_id,
+)
+def test_edge_split_exit_is_sound(spec):
+    """On every generating orbit: the seeded search given x ~ x^-1 raises
+    NotEdgeTransitive only when A_0 has more than one edge orbit, and
+    otherwise returns the result of the search without it."""
+    assert all(edge_orbits > 1 for edge_orbits, caught in edge_split_exits(spec) if caught)
+
+
+def test_edge_split_exit_catches_census_ref_orbits():
+    """On the four census_ref specs, 28 of the 43 generating orbits are not
+    edge-transitive, and the refinement at vertex 0 catches all 28."""
+    specs = (F21, GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2))
+    exits = [e for spec in specs for e in edge_split_exits(spec)]
+    assert len(exits) == 43
+    assert sum(edge_orbits > 1 for edge_orbits, _ in exits) == 28
+    assert sum(caught for _, caught in exits) == 28
+
+
+def test_analyze_rejects_bad_reverse():
+    graph = build_cayley(standard_connection_set(1, F21), F21)
+    nbrs = graph.adjacency[0]
+    with pytest.raises(ValueError):
+        analyze(graph, reverse={x: x for x in nbrs[1:]})
+    with pytest.raises(ValueError):
+        analyze(graph, reverse={x: nbrs[0] for x in nbrs})
 
 
 def test_set_stabilizer_order_matches_reference():
