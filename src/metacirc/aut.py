@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence, Union
 
+from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
     Element,
@@ -144,7 +145,7 @@ def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[Ge
     |<b'><c'>| = n * ell and <a'> meets <b'><c'> trivially.
     """
     if spec.order > max_order:
-        raise ValueError(f"group order {spec.order} exceeds brute-force bound {max_order}")
+        raise BoundExceeded(f"group order {spec.order} exceeds brute-force bound {max_order}")
     elements = list(spec.elements())
     orders = {g: element_order(g, spec) for g in elements}
     a_cands = [g for g in elements if orders[g] == spec.m]

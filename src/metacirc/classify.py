@@ -12,6 +12,13 @@ Two modes:
 * ``theorem``: build only the distinguished standard-form sets S_j; equals
   the oracle list exactly when the count formula phi(n0)/2 is right.
 
+``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
+takes each class's Aut(G)-orbit (least member, size) from the walk or from
+the standard sets, and reads |Aut(G, S)|, the normalizer identity and the
+standard form S_j off those orbits.  ``analyze_connection_set`` reads the
+rest off the graph of one set and never needs Aut(G), so neither does a
+worker process.
+
 Counts are compared against the count formula, its stated exceptions, and
 the reference table of the four exceptional arc-transitive graphs; every
 mismatch is recorded in the report, never silently dropped.
@@ -69,7 +76,9 @@ class ClassReport:
     """One isomorphism class of connected tetravalent edge-transitive graphs.
 
     The fields that need Aut(G) (``set_stabilizer_order``, ``normalizer_ok``,
-    ``standard_j`` and ``orbit_size``) are None when Aut(G) is out of reach.
+    ``standard_j`` and ``orbit_size``) belong to the group, not to the graph:
+    ``analyze_connection_set`` leaves them None and ``classify_spec`` fills
+    them in.  ``standard_j`` stays None for a class with no standard set.
     """
 
     connection_set: tuple[Element, ...]
@@ -83,10 +92,10 @@ class ClassReport:
     s: int
     normal_cayley: bool
     normalizer_order: int
-    set_stabilizer_order: int | None
-    normalizer_ok: bool | None
-    standard_j: int | None
-    orbit_size: int | None
+    set_stabilizer_order: int | None = None
+    normalizer_ok: bool | None = None
+    standard_j: int | None = None
+    orbit_size: int | None = None
 
     def set_list(self) -> list[list[int]]:
         return [list(x) for x in self.connection_set]
@@ -133,7 +142,7 @@ class GroupReport:
 
 def orbit_representatives(
     spec: GroupSpec, bound: int = 1000
-) -> tuple[list[tuple[tuple[int, ...], int]], bool]:
+) -> list[tuple[tuple[int, ...], int]]:
     """Aut(G)-orbits of the connected tetravalent connection sets.
 
     The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
@@ -145,17 +154,14 @@ def orbit_representatives(
     generation, so one generation test decides the whole orbit (orderly
     generation in the sense of Read, 1978).
 
-    Returns ([(least member, orbit size)] of the generating orbits, in
-    order of their first member, dedup_available).  When Aut(G) is out of
-    reach every set is its own orbit and the flag is False.  The pair of each
-    generating orbit goes to the spec's orbit cache, under its least member.
+    Returns [(least member, orbit size)] of the generating orbits, in order
+    of their first member.
     """
     if spec.order > bound:
         raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
-    aut_g = _aut_generators_if_known(spec)
+    gens, _ = _aut_generators(spec)
     inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
     pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
-    keys = _orbit_keys(spec)
     orbits = []
     covered: set[tuple[int, ...]] = set()
     for i, p in enumerate(pairs):
@@ -163,14 +169,11 @@ def orbit_representatives(
             s = tuple(sorted(p + q))
             if s in covered:
                 continue
-            orbit = {s} if aut_g is None else set_orbit(s, aut_g[0])
+            orbit = set_orbit(s, gens)
             covered |= orbit
             if _generates(spec, p[0], q[0]):
-                key = (min(orbit), len(orbit))
-                orbits.append(key)
-                if aut_g is not None:
-                    keys[key[0]] = key
-    return orbits, aut_g is not None
+                orbits.append((min(orbit), len(orbit)))
+    return orbits
 
 
 def _generates(spec: GroupSpec, x: int, y: int) -> bool:
@@ -197,7 +200,7 @@ def _generates(spec: GroupSpec, x: int, y: int) -> bool:
 # ------------------------------------------------------------ per-rep work
 
 # one generating set of Aut(G) per spec, shared by the orbit reduction and
-# every class of the spec
+# the census of the spec; never needed by the per-class work
 _aut_generators = lru_cache(maxsize=64)(aut_generators)
 
 
@@ -206,49 +209,6 @@ def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """The right translations by a, b and c: the seeds of every class's
     search and the generators of R for its normalizer."""
     return tuple(tuple(p) for p in regular_representation(spec))
-
-
-def _aut_generators_if_known(spec: GroupSpec) -> tuple[list[list[int]], int] | None:
-    """The generators of Aut(G) and |Aut(G)|, or None when Aut(G) is out of
-    reach (a non-Sylow-cyclic group above the brute-force bound)."""
-    try:
-        return _aut_generators(spec)
-    except (ValueError, BoundExceeded):
-        return None
-
-
-@lru_cache(maxsize=64)
-def _orbit_keys(spec: GroupSpec) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
-    """The spec's orbit cache: (least member, size) of the Aut(G)-orbit of
-    each connection set met so far, by its sorted vertex-index tuple.  Only
-    these pairs are kept, never the orbits."""
-    return {}
-
-
-def _orbit_key(S: Sequence[Element], spec: GroupSpec) -> tuple[tuple[int, ...], int]:
-    """(least member, size) of the Aut(G)-orbit of the connection set S; each
-    orbit is walked once per spec and set."""
-    key = tuple(sorted(spec.index(x) for x in S))
-    keys = _orbit_keys(spec)
-    hit = keys.get(key)
-    if hit is None:
-        orbit = set_orbit(key, _aut_generators(spec)[0])
-        hit = keys[key] = (min(orbit), len(orbit))
-    return hit
-
-
-@lru_cache(maxsize=64)
-def _standard_forms(spec: GroupSpec) -> dict[tuple[int, ...], int]:
-    """Aut(G)-canonical key of each standard set S_j, for recognition."""
-    if spec.is_abelian or not (spec.sylow_cyclic and spec.hypothesis_star):
-        return {}
-    out = {}
-    for j in range(1, spec.n0):
-        if gcd(j, spec.n) != 1:
-            continue
-        key, _ = _orbit_key(standard_connection_set(j, spec), spec)
-        out.setdefault(key, j)
-    return out
 
 
 def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport | None:
@@ -286,14 +246,6 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     stab_order = a0.order
     aut_order = spec.order * stab_order
     normalizer_order = normalizer_of_regular(a0, spec, regular)
-    aut_g = _aut_generators_if_known(spec)
-    if aut_g is None:
-        orbit_size = set_stab = standard_j = normalizer_ok = None
-    else:
-        key, orbit_size = _orbit_key(S, spec)
-        set_stab = aut_g[1] // orbit_size
-        standard_j = _standard_forms(spec).get(key)
-        normalizer_ok = normalizer_order == spec.order * set_stab
     return ClassReport(
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),
@@ -306,10 +258,6 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
         s=s,
         normal_cayley=normalizer_order == aut_order,
         normalizer_order=normalizer_order,
-        set_stabilizer_order=set_stab,
-        normalizer_ok=normalizer_ok,
-        standard_j=standard_j,
-        orbit_size=orbit_size,
     )
 
 
@@ -325,6 +273,25 @@ def _worker(args: tuple) -> ClassReport | None:
 def theorem_js(spec: GroupSpec) -> list[int]:
     """One j per isomorphism class of standard sets: j and n0 - j pair up."""
     return [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1 and 2 * j < spec.n0]
+
+
+def _standard_orbits(
+    spec: GroupSpec, gens: Sequence[Sequence[int]], walked: dict[tuple[int, ...], int]
+) -> dict[int, tuple[tuple[int, ...], int]]:
+    """(least member, size) of the Aut(G)-orbit of each standard set S_j, by
+    j.  A standard set that is itself the least member of an orbit in
+    ``walked`` (least member -> size) takes that orbit's size unwalked."""
+    out = {}
+    for j in range(1, spec.n0):
+        if gcd(j, spec.n) != 1:
+            continue
+        S = tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+        if S in walked:
+            out[j] = (S, walked[S])
+        else:
+            orbit = set_orbit(S, gens)
+            out[j] = (min(orbit), len(orbit))
+    return out
 
 
 def classify_spec(
@@ -350,37 +317,48 @@ def classify_spec(
                 "the no-central-Sylow condition; use oracle mode"
             )
         raw = connected = 0
-        reps = [
-            tuple(spec.index(x) for x in standard_connection_set(j, spec))
-            for j in theorem_js(spec)
-        ]
-        dedup = True
+        gens, aut_order = _aut_generators(spec)
+        standard = _standard_orbits(spec, gens, {})
+        js = theorem_js(spec)
+        reps = [tuple(spec.index(x) for x in standard_connection_set(j, spec)) for j in js]
+        orbits = [standard[j] for j in js]
     else:
-        orbits, dedup = orbit_representatives(spec, bound=bound)
+        orbits = orbit_representatives(spec, bound=bound)
+        gens, aut_order = _aut_generators(spec)
+        standard = None
         raw = comb((spec.order - 1) // 2, 2)
         connected = sum(size for _, size in orbits)
         reps = [rep for rep, _ in orbits]
-        if not dedup:
-            findings.append("aut-orbit dedup unavailable; deduplicated by canonical form only")
 
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
     merged: dict[str, ClassReport] = {}
-    for c in _run_reps(spec, reps, jobs):
+    for (least, size), c in zip(orbits, _run_reps(spec, reps, jobs)):
         if c is None:
             continue
+        if standard is None:
+            # only once a class survives; a standard set that the walk met as
+            # a least member takes its pair from the walk
+            standard = _standard_orbits(spec, gens, dict(orbits)) if thm2_applicable else {}
+        set_stab = aut_order // size
+        c = replace(
+            c,
+            orbit_size=size,
+            set_stabilizer_order=set_stab,
+            normalizer_ok=c.normalizer_order == spec.order * set_stab,
+            standard_j=min((j for j, (key, _) in standard.items() if key == least), default=None),
+        )
         prev = merged.get(c.canonical)
         if prev is None:
             merged[c.canonical] = c
         else:
-            if prev.orbit_size is not None:
-                merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
-            if dedup and mode == "oracle":
+            merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
+            if mode == "oracle":
                 findings.append(
                     f"isomorphic graphs from distinct Aut(G)-orbits: "
                     f"{prev.set_list()} vs {c.set_list()}"
                 )
-            if mode == "theorem":
+            else:
                 findings.append(
                     f"standard sets j={prev.standard_j} and j={c.standard_j} are isomorphic"
                 )
@@ -399,13 +377,12 @@ def classify_spec(
         agreement_theorem2 = len(classes) == thm2_claim
 
     for c in classes:
-        if c.normalizer_ok is False:
+        if not c.normalizer_ok:
             findings.append(
                 f"normalizer identity fails for {list(map(spec.index, c.connection_set))}: "
                 f"|N| = {c.normalizer_order}, |G|*|Aut(G,S)| = {spec.order * c.set_stabilizer_order}"
             )
-        # without Aut(G) no class can be recognized as standard
-        if thm2_applicable and c.standard_j is None and c.orbit_size is not None:
+        if thm2_applicable and c.standard_j is None:
             findings.append(
                 f"class {c.canonical!r} has no standard-form representative"
             )
@@ -553,9 +530,7 @@ def isomorphism_orbit_comparison(spec: GroupSpec, bound: int = 1000) -> list[dic
     group.  Canonical forms coincide exactly on equal orbit keys iff
     isomorphism is decided by Aut(G)-conjugacy.
     """
-    orbits, dedup = orbit_representatives(spec, bound=bound)
-    if not dedup:
-        raise ValueError("Aut(G) needed for the comparison")
+    orbits = orbit_representatives(spec, bound=bound)
     out = []
     for rep, size in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)

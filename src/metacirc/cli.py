@@ -23,7 +23,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from metacirc.aut import parametrized_count
+from metacirc.aut import brute_force_automorphisms, parametrized_count
 from metacirc.autosearch import analyze, are_isomorphic, canonical_form
 from metacirc.classify import (
     classify_spec,
@@ -115,16 +115,10 @@ def build_parser() -> _Parser:
 
 def _cmd_info(args) -> int:
     spec = _spec_from_args(args)
-    try:
+    if spec.sylow_cyclic:
         aut_order = parametrized_count(spec)
-    except ValueError:
-        from metacirc.aut import brute_force_automorphisms
-
-        try:
-            aut_order = len(brute_force_automorphisms(spec))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BOUND
+    else:
+        aut_order = len(brute_force_automorphisms(spec))
     print(f"m={spec.m} n={spec.n} r={spec.r} ell={spec.ell}")
     print(f"n0={spec.n0}")
     print(f"order={spec.order}")

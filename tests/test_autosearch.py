@@ -130,7 +130,7 @@ def test_seeded_initial_partition_on_census_graphs(spec):
     """With the regular translations as seeds, one signature per Cayley
     graph gives the partition of a signature per vertex."""
     regular = regular_representation(spec)
-    orbits, _ = orbit_representatives(spec, bound=spec.order)
+    orbits = orbit_representatives(spec, bound=spec.order)
     for rep, _ in orbits:
         g = build_cayley([spec.at_index(x) for x in rep], spec)
         assert _initial_partition(g, regular) == _initial_partition(g)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,7 @@ from metacirc import classify
 from metacirc.aut import aut_vertex_permutations, automorphism_maps, set_orbit
 from metacirc.classify import (
     _aut_generators,
-    _orbit_key,
-    _orbit_keys,
-    _standard_forms,
+    _standard_orbits,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -24,7 +23,7 @@ from metacirc.classify import (
 from metacirc.autosearch import NotEdgeTransitive, analyze
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
-from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
+from metacirc.groups import Element, GroupSpec, euler_phi, inv, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, edge_orbit_count, orbits_at_zero
 from oracles import (
     aut_stabilizer,
@@ -58,8 +57,8 @@ def test_raw_candidate_counts():
 
 
 def test_candidates_are_valid_and_generating():
-    orbits, dedup = orbit_representatives(F21)
-    assert dedup and sum(size for _, size in orbits) == 42
+    orbits = orbit_representatives(F21)
+    assert sum(size for _, size in orbits) == 42
     for rep, size in orbits:
         members = orbit_members(rep, F21)
         assert len(members) == size and min(members) == rep
@@ -78,51 +77,15 @@ def test_candidate_bound():
 
 
 def test_candidate_orbits_cover_everything():
-    orbits, dedup = orbit_representatives(F21)
-    assert dedup
+    orbits = orbit_representatives(F21)
     assert sum(size for _, size in orbits) == len(enumerate_candidates(7, 3, 2))
     assert len(orbits) == 2
 
 
 def test_candidate_orbits_uses_brute_force_backend():
     spec = GroupSpec(9, 3, 4)
-    orbits, dedup = orbit_representatives(spec)
-    assert dedup and sum(size for _, size in orbits) == len(enumerate_candidates(9, 3, 4))
-
-
-def test_candidate_orbits_fallback_without_aut(monkeypatch):
-    import metacirc.classify as mc
-
-    def refuse(spec):
-        raise ValueError("no automorphism backend")
-
-    monkeypatch.setattr(mc, "_aut_generators", refuse)
-    cands = enumerate_candidates(7, 3, 2)
-    orbits, dedup = mc.orbit_representatives(F21)
-    assert not dedup
-    assert orbits == [(S, 1) for S in cands]
-
-
-def test_classify_without_aut_reports_unknowns(monkeypatch):
-    """With Aut(G) out of reach, oracle mode still gives a report: classes
-    deduplicated by canonical form, the fields that need Aut(G) unknown, and
-    the documented finding."""
-    import metacirc.classify as mc
-
-    def refuse(spec):
-        raise ValueError("no automorphism backend")
-
-    monkeypatch.setattr(mc, "_aut_generators", refuse)
-    rep = mc.classify_spec(F21)
-    assert rep.findings == ["aut-orbit dedup unavailable; deduplicated by canonical form only"]
-    assert rep.orbit_count == rep.connected_candidates == 42
-    (c,) = rep.classes
-    assert (c.aut_order, c.stab_order, c.s, c.arc) == (336, 16, 1, True)
-    assert c.standard_j is None and c.normalizer_ok is None
-    assert c.set_stabilizer_order is None and c.orbit_size is None
-    payload = mc.report_to_json_dict(rep)
-    assert payload["classes"][0]["normalizer_ok"] is None
-    assert payload["classes"][0]["standard_j"] is None
+    orbits = orbit_representatives(spec)
+    assert sum(size for _, size in orbits) == len(enumerate_candidates(9, 3, 4))
 
 
 @pytest.mark.parametrize(
@@ -133,8 +96,7 @@ def test_classify_without_aut_reports_unknowns(monkeypatch):
 def test_candidate_orbits_match_full_group_reference(spec):
     """The orbits agree with reducing the reference candidates by every
     element of Aut(G), not just a generating set."""
-    orbits, dedup = orbit_representatives(spec)
-    assert dedup
+    orbits = orbit_representatives(spec)
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
     assert orbits == candidate_orbits(cands, aut_vertex_permutations(spec, automorphism_maps(spec)))
 
@@ -152,8 +114,7 @@ def test_orbit_representatives_match_enumerate_then_reduce(spec):
     raw = inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell)
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
     expected = candidate_orbits(cands, _aut_generators(spec)[0])
-    orbits, dedup = orbit_representatives(spec, bound=spec.order)
-    assert dedup
+    orbits = orbit_representatives(spec, bound=spec.order)
     assert orbits == expected
     assert sum(size for _, size in orbits) == len(cands)
     assert comb((spec.order - 1) // 2, 2) == len(raw)
@@ -170,7 +131,7 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
     in the full group's chain, and the counts at vertex 0 equal the
     whole-graph edge-orbit count and s-arc-transitivity."""
     regular = regular_representation(spec)
-    orbits, _ = orbit_representatives(spec)
+    orbits = orbit_representatives(spec)
     for rep, _ in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
         result = analyze(graph, seeds=regular)
@@ -191,7 +152,7 @@ def edge_split_exits(spec):
     x ~ x^-1 as ``reverse`` raised.  A search that did not raise returned
     the result of the one without."""
     regular = regular_representation(spec)
-    orbits, _ = orbit_representatives(spec)
+    orbits = orbit_representatives(spec)
     out = []
     for rep, _ in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
@@ -253,25 +214,22 @@ def test_set_stabilizer_order_matches_reference():
     ids=spec_id,
 )
 def test_orbit_cache_holds_least_member_and_size(spec):
-    """The orbit cache gives (min(o), len(o)) of the set_orbit o of a set:
-    for the representatives the walk stores, for the greatest member of each
-    of their orbits and for the standard sets."""
+    """The walk and the standard table give (min(o), len(o)) of the set_orbit
+    o of a set: the walk for each generating orbit it meets, the table for
+    every standard set, walked or taken from the walk."""
     gens, _ = _aut_generators(spec)
-    orbits, _ = orbit_representatives(spec)
-    sets = []
+    orbits = orbit_representatives(spec)
     for rep, size in orbits:
         o = set_orbit(rep, gens)
-        assert _orbit_keys(spec)[rep] == (min(o), len(o)) == (rep, size)
-        sets += [rep, max(o)]
+        assert (min(o), len(o)) == (rep, size)
     if spec.sylow_cyclic:
-        sets += [
-            tuple(spec.index(x) for x in standard_connection_set(j, spec))
-            for j in range(1, spec.n0)
-            if gcd(j, spec.n) == 1
-        ]
-    for S in sets:
-        o = set_orbit(S, gens)
-        assert _orbit_key([spec.at_index(x) for x in S], spec) == (min(o), len(o))
+        js = [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
+        for walked in ({}, dict(orbits)):
+            standard = _standard_orbits(spec, gens, walked)
+            assert sorted(standard) == js
+            for j in js:
+                o = set_orbit((spec.index(x) for x in standard_connection_set(j, spec)), gens)
+                assert standard[j] == (min(o), len(o))
 
 
 def test_theorem_mode_walks_each_orbit_once(monkeypatch):
@@ -285,8 +243,6 @@ def test_theorem_mode_walks_each_orbit_once(monkeypatch):
         return set_orbit(S, gens)
 
     monkeypatch.setattr(classify, "set_orbit", counted)
-    _orbit_keys.cache_clear()
-    _standard_forms.cache_clear()
     report = classify_spec(spec, mode="theorem")
     assert report.classes
     assert len(walked) == len(set(walked)) == sum(gcd(j, spec.n) == 1 for j in range(1, spec.n0))
@@ -300,8 +256,21 @@ def test_analyze_standard_set_f21():
     assert (c.aut_order, c.stab_order, c.s) == (336, 16, 1)
     assert c.arc and not c.half and not c.normal_cayley
     assert c.vertex and c.edge
-    assert c.normalizer_ok and c.set_stabilizer_order == 2
-    assert c.standard_j == 1
+
+
+def test_analyze_connection_set_never_computes_aut(monkeypatch):
+    """The per-class work needs the group and the set alone; the fields read
+    off Aut(G)-orbits are left to the census."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return _aut_generators(spec)
+
+    monkeypatch.setattr(classify, "_aut_generators", counted)
+    c = analyze_connection_set(F21, standard_connection_set(1, F21))
+    assert calls == []
+    assert (c.orbit_size, c.set_stabilizer_order, c.normalizer_ok, c.standard_j) == (None,) * 4
 
 
 def test_analyze_non_edge_transitive_returns_none():
@@ -330,6 +299,7 @@ def test_classify_f21_oracle():
     assert rep.oracle_count == 1 == rep.thm2_claim
     c = rep.classes[0]
     assert (c.aut_order, c.stab_order, c.s) == (336, 16, 1)
+    assert c.normalizer_ok and c.set_stabilizer_order == 2
     assert c.standard_j == 1
     assert rep.agreement_theorem2 is True and rep.agreement_table1 is True
 
@@ -508,13 +478,54 @@ def test_census_of_z3_times_f55_finds_arc_transitive_cover():
     assert all(c.normalizer_ok for c in rep.classes)
 
 
-def test_reduced_and_unreduced_presentations_agree():
-    # the same group as (33,5,4), presented reduced with a central factor
-    unreduced = classify_spec(GroupSpec(33, 5, 4), bound=231)
-    reduced = classify_spec(GroupSpec(11, 5, 3, ell=3), bound=231)
-    assert sorted(c.canonical for c in unreduced.classes) == sorted(
-        c.canonical for c in reduced.classes
-    )
+@pytest.mark.parametrize(
+    "unreduced, reduced",
+    [
+        (GroupSpec(33, 5, 4), GroupSpec(11, 5, 3, ell=3)),
+        (GroupSpec(35, 3, 11), GroupSpec(7, 3, 2, ell=5)),
+    ],
+    ids=spec_id,
+)
+def test_reduced_and_unreduced_presentations_agree(unreduced, reduced):
+    """One group, presented unreduced and reduced with a central factor,
+    gives the same classes field by field.  Only the connection set and
+    standard_j depend on the presentation: the two index the group
+    differently and have different standard sets."""
+
+    def fields(spec):
+        return [
+            {k: v for k, v in vars(c).items() if k not in ("connection_set", "standard_j")}
+            for c in classify_spec(spec, bound=231).classes
+        ]
+
+    assert fields(unreduced) == fields(reduced)
+
+
+def test_census_231_findings():
+    """The frozen census, read without recomputing anything.  The count
+    formula fails exactly where <a> meets the centre (gcd(r-1, m) > 1), and
+    there the census finds phi(n0) classes, twice the formula, except at
+    (33,5,4) = Z3 x (Z11:Z5), whose fifth class is a non-normal 2-arc-
+    transitive cover.  Apart from it, only the reference graphs on 21 and 55
+    vertices are non-normal Cayley graphs."""
+    path = Path(__file__).parent / "data" / "census_231.jsonl"
+    reports = [json.loads(line) for line in path.read_text().splitlines()]
+
+    def key(report):
+        g = report["group"]
+        return (g["m"], g["n"], g["r"])
+
+    covered = [rep for rep in reports if rep["agreement"]["theorem2"] is not None]
+    failing = [rep for rep in covered if not rep["agreement"]["theorem2"]]
+    assert (len(failing), len(covered) - len(failing)) == (4, 19)
+    for rep in covered:
+        m, _, r = key(rep)
+        assert rep["agreement"]["theorem2"] == (gcd(r - 1, m) == 1)
+    for rep in failing:
+        expected = 5 if key(rep) == (33, 5, 4) else euler_phi(rep["group"]["n0"])
+        assert len(rep["classes"]) == expected
+    non_normal = {key(rep) for rep in reports for c in rep["classes"] if not c["normal_cayley"]}
+    assert non_normal == {(7, 3, 2), (11, 5, 3), (33, 5, 4)}
 
 
 def test_central_factor_second_family():

@@ -94,6 +94,25 @@ def test_classify_jobs_byte_identical_with_edge_split_exit(capsys):
     assert out1 == out2
 
 
+def test_classify_jobs_byte_identical_under_spawn():
+    """Workers started by spawn inherit nothing from the parent process: each
+    imports the package afresh and has only its task to go on."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from metacirc.cli import main\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["classify", "--m", "21", "--n", "9", "--r", "4"]
+    outs = []
+    for jobs in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", script, *argv, "--jobs", jobs],
+                             capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["classes"]
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_usage_error_exit_1(capsys):
@@ -271,6 +290,27 @@ def test_classify_theorem_too_large_exit_2(capsys):
     assert err.startswith("error: graph too large") and err.count("\n") == 1
 
 
+def test_classify_above_brute_force_bound_exit_2(capsys, monkeypatch):
+    """Z465 x Z3 x Z3 (4185 elements) is not Sylow-cyclic, so Aut(G) comes by
+    brute force, whose bound it exceeds: exit 2 before any set is walked."""
+    from metacirc import classify
+
+    def walked(*args):
+        raise AssertionError("a candidate set was walked")
+
+    monkeypatch.setattr(classify, "_generates", walked)
+    code, out, err = run_cli(capsys, "classify", "--m", "3", "--n", "3", "--r", "1",
+                             "--ell", "465", "--bound", "5000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: group order 4185 exceeds brute-force bound") and err.count("\n") == 1
+
+
+def test_info_above_brute_force_bound_exit_2(capsys):
+    code, out, err = run_cli(capsys, "info", "--m", "3", "--n", "3", "--r", "1", "--ell", "465")
+    assert code == 2 and out == ""
+    assert err.startswith("error: group order 4185 exceeds brute-force bound") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- export
 
 def test_export_formats(capsys):
@@ -319,15 +359,18 @@ def test_sweep_small(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--max-order", "40")[1] == out
 
 
-def test_console_script_subprocess():
+def _child_env() -> dict:
     # the child imports the package from where this process found it
     src = str(Path(metacirc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "metacirc.cli", "info", "--m", "5", "--n", "1", "--r", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert out.returncode == 0
     assert "order=5" in out.stdout
