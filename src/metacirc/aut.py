@@ -1,6 +1,8 @@
 """The automorphism group of G = <c> x (<a> : <b>), odd order.
 
-For Sylow-cyclic specs every automorphism acts as
+An automorphism is fixed by its images of a, b and c, and is held as that
+triple of elements throughout.  For Sylow-cyclic specs every automorphism
+acts as
 
     a -> a^s,   b -> a^t b^(1+l*n0),   c -> c^sc,
 
@@ -11,15 +13,15 @@ phi(m) * m * (n/n0) * phi(ell)); on decomposable presentations it restricts t
 to multiples of m / gcd(r-1, m).
 
 Outside the Sylow-cyclic case <a> need not be characteristic and this shape
-misses automorphisms, so :func:`enumerate_aut` refuses and callers fall back
-to :func:`brute_force_automorphisms`.
+misses automorphisms, so :func:`enumerate_aut` refuses there and
+:func:`aut_generators` chooses :func:`brute_force_automorphisms` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
@@ -35,59 +37,8 @@ from metacirc.groups import (
 )
 
 
-@dataclass(frozen=True)
-class AutoMap:
-    """Parametrized automorphism (s, t, l, s_c).
-
-    Parameters are stored as given; images are always reduced mod the spec,
-    so two maps are interchangeable iff their images agree.  enumerate_aut
-    produces normalized parameters, making dataclass equality match equality
-    of action.
-    """
-
-    s: int
-    t: int
-    l: int
-    s_c: int = 1
-
-    def images(self, spec: GroupSpec) -> tuple[Element, Element, Element]:
-        v = (1 + self.l * spec.n0) % spec.n
-        return (
-            spec.element(self.s, 0, 0),
-            spec.element(self.t, v, 0),
-            spec.element(0, 0, self.s_c),
-        )
-
-    def normalized(self, spec: GroupSpec) -> AutoMap:
-        """Canonical parameters: reduced mod (m, m, n/n0, ell).
-
-        Degenerate moduli alias parameters (e.g. s_c is irrelevant when
-        ell = 1); normalized maps compare equal iff they act identically.
-        """
-        l = self.l % (spec.n // spec.n0) if spec.n > 1 else 0
-        return AutoMap(self.s % spec.m, self.t % spec.m, l, self.s_c % spec.ell)
-
-
-@dataclass(frozen=True)
-class GeneratorImages:
-    """Automorphism given directly by the images of a, b, c.
-
-    Used where the parametrized shape does not apply (brute-force fallback).
-    """
-
-    img_a: Element
-    img_b: Element
-    img_c: Element
-
-    def images(self, spec: GroupSpec) -> tuple[Element, Element, Element]:
-        return (self.img_a, self.img_b, self.img_c)
-
-
-Automorphism = Union[AutoMap, GeneratorImages]
-
-
-def _verify(f: Automorphism, spec: GroupSpec) -> None:
-    img_a, img_b, img_c = f.images(spec)
+def _verify(f: tuple[Element, Element, Element], spec: GroupSpec) -> None:
+    img_a, img_b, img_c = f
     assert element_order(img_a, spec) == spec.m
     assert element_order(img_b, spec) == spec.n
     assert element_order(img_c, spec) == spec.ell
@@ -95,11 +46,15 @@ def _verify(f: Automorphism, spec: GroupSpec) -> None:
     assert conj == power(img_a, spec.r, spec) if spec.m > 1 else True
 
 
-def enumerate_aut(spec: GroupSpec, *, verify: bool = False) -> list[AutoMap]:
-    """All automorphisms of a Sylow-cyclic spec, in parametrized form.
+def enumerate_aut(
+    spec: GroupSpec, *, verify: bool = False
+) -> list[tuple[Element, Element, Element]]:
+    """All automorphisms of a Sylow-cyclic spec, as their images of (a, b, c).
 
-    Raises ValueError for non-Sylow-cyclic specs, where the (s, t, l, s_c)
-    shape is incomplete; use brute_force_automorphisms there.
+    The parameters (s, t, l, s_c) run over their values reduced mod
+    (m, m, n/n0, ell), s outermost, so distinct parameters give distinct
+    triples.  Raises ValueError for non-Sylow-cyclic specs, where the shape
+    is incomplete; use brute_force_automorphisms there.
     """
     if not spec.sylow_cyclic:
         raise ValueError(
@@ -108,17 +63,15 @@ def enumerate_aut(spec: GroupSpec, *, verify: bool = False) -> list[AutoMap]:
         )
     m, n, ell, n0 = spec.m, spec.n, spec.ell, spec.n0
     t_step = m // gcd(rsum(spec.r, n, spec), m)
-    s_values = [s for s in range(m) if gcd(s, m) == 1]
-    t_values = range(0, m, t_step)
-    l_values = [l for l in range(n // n0) if gcd(1 + l * n0, n) == 1]
-    c_values = [s for s in range(ell) if gcd(s, ell) == 1]
-    out = [
-        AutoMap(s, t, l, s_c)
-        for s in s_values
-        for t in t_values
-        for l in l_values
-        for s_c in c_values
+    a_images = [Element(s, 0, 0) for s in range(m) if gcd(s, m) == 1]
+    b_images = [
+        Element(t, (1 + l * n0) % n, 0)
+        for t in range(0, m, t_step)
+        for l in range(n // n0)
+        if gcd(1 + l * n0, n) == 1
     ]
+    c_images = [Element(0, 0, s_c) for s_c in range(ell) if gcd(s_c, ell) == 1]
+    out = list(product(a_images, b_images, c_images))
     if verify:
         for f in out:
             _verify(f, spec)
@@ -135,7 +88,9 @@ def parametrized_count(spec: GroupSpec) -> int:
     return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
 
 
-def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[GeneratorImages]:
+def brute_force_automorphisms(
+    spec: GroupSpec, max_order: int = 4000
+) -> list[tuple[Element, Element, Element]]:
     """Exhaustive automorphism search over candidate generator images.
 
     Independent of the parametrized route: searches all elements of the right
@@ -168,7 +123,7 @@ def brute_force_automorphisms(spec: GroupSpec, max_order: int = 4000) -> list[Ge
             b_powers = _power_table(img_b, spec.n, spec)
             for img_c, powers in zip(c_cands, c_powers):
                 if _complements(a_powers, b_powers, powers, spec):
-                    out.append(GeneratorImages(img_a, img_b, img_c))
+                    out.append((img_a, img_b, img_c))
     return out
 
 
@@ -187,52 +142,44 @@ def _complements(
     return True
 
 
-def automorphism_maps(spec: GroupSpec, max_order: int = 4000) -> list[Automorphism]:
-    """Aut(G) via the parametrized route when valid, else by brute force."""
-    if spec.sylow_cyclic:
-        return list(enumerate_aut(spec))
-    return list(brute_force_automorphisms(spec, max_order=max_order))
-
-
-def aut_vertex_permutations(spec: GroupSpec, maps: Sequence[Automorphism]) -> list[list[int]]:
-    """Action of the automorphisms ``maps`` on vertex indices, one
-    permutation per map."""
-    perms = []
-    for f in maps:
-        img_a, img_b, img_c = f.images(spec)
-        a_pow = _power_table(img_a, spec.m, spec)
-        b_pow = _power_table(img_b, spec.n, spec)
-        c_pow = _power_table(img_c, spec.ell, spec)
-        perm = [0] * spec.order
-        for g in spec.elements():
-            image = mul(mul(a_pow[g.u], b_pow[g.v], spec), c_pow[g.w], spec)
-            perm[spec.index(g)] = spec.index(image)
-        perms.append(perm)
-    return perms
-
-
 def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     """A generating set of Aut(G) as vertex permutations, and |Aut(G)|.
 
-    An automorphism is fixed by its images of (a, b, c), so Aut(G) acts
-    regularly on the orbit of that triple: a map lies in the group generated
-    so far iff its triple lies in the generators' orbit of (a, b, c), and the
-    orbit's size is that group's order.  Maps are taken greedily in the order
-    of :func:`automorphism_maps` until the orbit holds all of them.
+    Aut(G) is listed by :func:`enumerate_aut` for Sylow-cyclic specs and by
+    :func:`brute_force_automorphisms` otherwise.  An automorphism is fixed by
+    its images of (a, b, c), so Aut(G) acts regularly on the orbit of that
+    triple: a map lies in the group generated so far iff its triple lies in
+    the generators' orbit of (a, b, c), and the orbit's size is that group's
+    order.  Maps are taken greedily in list order until the orbit holds all
+    of them.
     """
-    maps = automorphism_maps(spec)
+    maps = enumerate_aut(spec) if spec.sylow_cyclic else brute_force_automorphisms(spec)
     abc = (spec.generator_a(), spec.generator_b(), spec.generator_c())
-    base = tuple(spec.index(x) for x in abc)
+    base = tuple(map(spec.index, abc))
     gens: list[list[int]] = []
     orbit = {base}
     for f in maps:
         if len(orbit) == len(maps):
             break
-        if tuple(spec.index(x) for x in f.images(spec)) in orbit:
+        if tuple(map(spec.index, f)) in orbit:
             continue
-        gens += aut_vertex_permutations(spec, [f])
+        gens.append(_permutation(f, spec))
         orbit = _orbit(base, gens, lambda p, t: tuple(p[x] for x in t))
     return gens, len(orbit)
+
+
+def _permutation(f: tuple[Element, Element, Element], spec: GroupSpec) -> list[int]:
+    """Action on vertex indices of the automorphism with images f of
+    (a, b, c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w."""
+    img_a, img_b, img_c = f
+    a_pow = _power_table(img_a, spec.m, spec)
+    b_pow = _power_table(img_b, spec.n, spec)
+    c_pow = _power_table(img_c, spec.ell, spec)
+    perm = [0] * spec.order
+    for g in spec.elements():
+        image = mul(mul(a_pow[g.u], b_pow[g.v], spec), c_pow[g.w], spec)
+        perm[spec.index(g)] = spec.index(image)
+    return perm
 
 
 def set_orbit(S: Iterable[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:

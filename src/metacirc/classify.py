@@ -13,11 +13,11 @@ Two modes:
   the oracle list exactly when the count formula phi(n0)/2 is right.
 
 ``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
-takes each class's Aut(G)-orbit (least member, size) from the walk or from
-the standard sets, and reads |Aut(G, S)|, the normalizer identity and the
-standard form S_j off those orbits.  ``analyze_connection_set`` reads the
-rest off the graph of one set and never needs Aut(G), so neither does a
-worker process.
+takes each class's Aut(G)-orbit size from the walk, or from one walk of the
+class's orbit where the count formula applies (theorem mode always), and
+reads |Aut(G, S)|, the normalizer identity and the standard form S_j off
+those orbits.  ``analyze_connection_set`` reads the rest off the graph of
+one set and never needs Aut(G), so neither does a worker process.
 
 Counts are compared against the count formula, its stated exceptions, and
 the reference table of the four exceptional arc-transitive graphs; every
@@ -261,13 +261,6 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     )
 
 
-def _worker(args: tuple) -> ClassReport | None:
-    m, n, r, ell, rep_indices = args
-    spec = GroupSpec(m, n, r, ell)
-    rep = tuple(spec.at_index(i) for i in rep_indices)
-    return analyze_connection_set(spec, rep)
-
-
 # ---------------------------------------------------------------- pipeline
 
 def theorem_js(spec: GroupSpec) -> list[int]:
@@ -275,23 +268,14 @@ def theorem_js(spec: GroupSpec) -> list[int]:
     return [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1 and 2 * j < spec.n0]
 
 
-def _standard_orbits(
-    spec: GroupSpec, gens: Sequence[Sequence[int]], walked: dict[tuple[int, ...], int]
-) -> dict[int, tuple[tuple[int, ...], int]]:
-    """(least member, size) of the Aut(G)-orbit of each standard set S_j, by
-    j.  A standard set that is itself the least member of an orbit in
-    ``walked`` (least member -> size) takes that orbit's size unwalked."""
-    out = {}
-    for j in range(1, spec.n0):
-        if gcd(j, spec.n) != 1:
-            continue
-        S = tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
-        if S in walked:
-            out[j] = (S, walked[S])
-        else:
-            orbit = set_orbit(S, gens)
-            out[j] = (min(orbit), len(orbit))
-    return out
+def _standard_sets(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
+    """Each standard set S_j with gcd(j, n) = 1, as a sorted vertex-index
+    tuple, by j."""
+    return {
+        j: tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+        for j in range(1, spec.n0)
+        if gcd(j, spec.n) == 1
+    }
 
 
 def classify_spec(
@@ -318,35 +302,38 @@ def classify_spec(
             )
         raw = connected = 0
         gens, aut_order = _aut_generators(spec)
-        standard = _standard_orbits(spec, gens, {})
         js = theorem_js(spec)
         reps = [tuple(spec.index(x) for x in standard_connection_set(j, spec)) for j in js]
-        orbits = [standard[j] for j in js]
+        sizes = [None] * len(reps)
     else:
         orbits = orbit_representatives(spec, bound=bound)
         gens, aut_order = _aut_generators(spec)
-        standard = None
         raw = comb((spec.order - 1) // 2, 2)
         connected = sum(size for _, size in orbits)
         reps = [rep for rep, _ in orbits]
+        sizes = [size for _, size in orbits]
 
+    standard = _standard_sets(spec) if thm2_applicable else {}
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
     merged: dict[str, ClassReport] = {}
-    for (least, size), c in zip(orbits, _run_reps(spec, reps, jobs)):
+    for rep, size, c in zip(reps, sizes, _run_reps(spec, reps, jobs)):
         if c is None:
             continue
-        if standard is None:
-            # only once a class survives; a standard set that the walk met as
-            # a least member takes its pair from the walk
-            standard = _standard_orbits(spec, gens, dict(orbits)) if thm2_applicable else {}
+        standard_j = None
+        if thm2_applicable:
+            # one walk per surviving class: its size in theorem mode, and
+            # the least j whose standard set lies in the class's orbit
+            orbit = set_orbit(rep, gens)
+            size = len(orbit)
+            standard_j = min((j for j, S in standard.items() if S in orbit), default=None)
         set_stab = aut_order // size
         c = replace(
             c,
             orbit_size=size,
             set_stabilizer_order=set_stab,
             normalizer_ok=c.normalizer_order == spec.order * set_stab,
-            standard_j=min((j for j, (key, _) in standard.items() if key == least), default=None),
+            standard_j=standard_j,
         )
         prev = merged.get(c.canonical)
         if prev is None:
@@ -414,13 +401,14 @@ def classify_spec(
 def _run_reps(
     spec: GroupSpec, reps: Sequence[tuple[int, ...]], jobs: int
 ) -> list[ClassReport | None]:
-    tasks = [(spec.m, spec.n, spec.r, spec.ell, rep) for rep in reps]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_worker(t) for t in tasks]
+    sets = [tuple(map(spec.at_index, rep)) for rep in reps]
+    specs = [spec] * len(sets)
+    if jobs <= 1 or len(sets) <= 1:
+        return list(map(analyze_connection_set, specs, sets))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, tasks))
+        return list(pool.map(analyze_connection_set, specs, sets))
 
 
 # ------------------------------------------------------------- table check

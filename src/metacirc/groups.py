@@ -115,9 +115,9 @@ class GroupSpec:
         if pow(self.r, self.n, self.m) != 1 % self.m:
             raise ValueError(f"r^n must be 1 mod m, got r={self.r}, n={self.n}, m={self.m}")
         object.__setattr__(self, "n0", multiplicative_order(self.r, self.m))
-        # power table; ord(r) divides n, so r^-v = r^((n-v) mod n)
+        # power table; r^n0 = 1, so r^v = r^(v mod n0) for any integer v
         pows = [1 % self.m]
-        for _ in range(self.n - 1):
+        for _ in range(self.n0 - 1):
             pows.append(pows[-1] * self.r % self.m)
         object.__setattr__(self, "_r_pow", tuple(pows))
 
@@ -144,7 +144,7 @@ class GroupSpec:
 
     def rpow(self, v: int) -> int:
         """r^v mod m for any integer v."""
-        return self._r_pow[v % self.n] if self.n > 1 else 1 % self.m
+        return self._r_pow[v % self.n0]
 
     def rpow_inv(self, v: int) -> int:
         """r^-v mod m."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 
@@ -346,15 +346,65 @@ def closure_size(gens, spec) -> int:
 
 
 def apply_aut(f, g, spec):
-    """Image of g = a^u b^v c^w under the automorphism f, as the product
-    f(a)^u f(b)^v f(c)^w of right multiplications."""
+    """Image of g = a^u b^v c^w under the automorphism with images
+    f = (f(a), f(b), f(c)), as the product f(a)^u f(b)^v f(c)^w of right
+    multiplications."""
     right = _right_multiplications(spec.m, spec.n, spec.r, spec.ell)
     x = 0
-    for image, k in zip(f.images(spec), g):
+    for image, k in zip(f, g):
         step = right[spec.index(image)]
         for _ in range(k):
             x = step[x]
     return spec.at_index(x)
+
+
+def aut_triples(spec) -> list:
+    """Every automorphism of G as its images (f(a), f(b), f(c)), by
+    exhaustive search over the triples of elements of orders m, n and ell.
+
+    A triple is kept iff walking the Cayley graph on a, b, c breadth-first
+    from the identity, with g*s sent to f(g)*f(s), gives every vertex one
+    image (so f is a homomorphism) and the images are distinct.
+    """
+    right = _right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    order = spec.order
+
+    def element_order(g):
+        k, x = 1, right[g][0]
+        while x:
+            k, x = k + 1, right[g][x]
+        return k
+
+    orders = [element_order(g) for g in range(order)]
+    gens = (1 % spec.m, spec.m * (1 % spec.n), spec.m * spec.n * (1 % spec.ell))
+    cands = [[g for g in range(order) if orders[g] == k] for k in (spec.m, spec.n, spec.ell)]
+    out = []
+    for images in product(*cands):
+        p = [-1] * order
+        p[0] = 0
+        frontier = [0]
+        consistent = True
+        while frontier and consistent:
+            nxt = []
+            for g in frontier:
+                for s, im in zip(gens, images):
+                    h, ph = right[s][g], right[im][p[g]]
+                    if p[h] < 0:
+                        p[h] = ph
+                        nxt.append(h)
+                    elif p[h] != ph:
+                        consistent = False
+            frontier = nxt
+        if consistent and len(set(p)) == order:
+            out.append(tuple(map(spec.at_index, images)))
+    return out
+
+
+def aut_permutations(spec) -> list[list[int]]:
+    """Action of each automorphism of :func:`aut_triples` on vertex
+    indices, by :func:`apply_aut`."""
+    elements = [spec.at_index(i) for i in range(spec.order)]
+    return [[spec.index(apply_aut(f, g, spec)) for g in elements] for f in aut_triples(spec)]
 
 
 def aut_stabilizer(S, spec, maps) -> list:

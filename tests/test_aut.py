@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacirc import aut
 from metacirc.aut import (
-    AutoMap,
-    GeneratorImages,
     aut_generators,
-    aut_vertex_permutations,
-    automorphism_maps,
     brute_force_automorphisms,
     enumerate_aut,
     parametrized_count,
@@ -29,7 +26,7 @@ from metacirc.groups import (
     power,
 )
 from metacirc.permgroup import PermGroup
-from oracles import apply_aut, aut_stabilizer, closure_size
+from oracles import apply_aut, aut_permutations, aut_stabilizer, aut_triples, closure_size
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -47,19 +44,19 @@ PARAMETRIZED_SPECS = [
 ]
 
 
-def images_set(maps, spec):
-    return {f.images(spec) for f in maps}
+def identity_map(spec):
+    return (spec.generator_a(), spec.generator_b(), spec.generator_c())
 
 
 # ------------------------------------------------------------------- apply
 
 def test_apply_identity_map():
     for g in F21.elements():
-        assert apply_aut(AutoMap(1, 0, 0).normalized(F21), g, F21) == g
+        assert apply_aut(identity_map(F21), g, F21) == g
 
 
 def test_apply_frozen_example():
-    f = AutoMap(6, 0, 0)  # a -> a^6, b -> b
+    f = (Element(6, 0, 0), Element(0, 1, 0), IDENTITY)  # a -> a^6, b -> b
     assert apply_aut(f, Element(1, 1, 0), F21) == Element(6, 1, 0)
     assert apply_aut(f, IDENTITY, F21) == IDENTITY
 
@@ -99,7 +96,7 @@ def test_enumerate_on_decomposable_presentation():
     spec = GroupSpec(35, 3, 16)
     maps = enumerate_aut(spec, verify=True)
     assert len(maps) == 168 == parametrized_count(spec)
-    assert all(f.t % 5 == 0 for f in maps)
+    assert all(img_b.u % 5 == 0 for _, img_b, _ in maps)
 
 
 def test_enumerate_rejects_non_sylow_cyclic():
@@ -112,14 +109,15 @@ def test_enumerate_rejects_non_sylow_cyclic():
 def test_enumerate_has_no_duplicates():
     for spec in PARAMETRIZED_SPECS:
         maps = enumerate_aut(spec)
-        assert len(images_set(maps, spec)) == len(maps)
+        assert len(set(maps)) == len(maps)
+        assert all(len(f) == 3 and all(type(x) is Element for x in f) for f in maps)
 
 
 @pytest.mark.parametrize("spec", PARAMETRIZED_SPECS, ids=str)
 def test_enumerate_matches_brute_force(spec):
-    got = images_set(enumerate_aut(spec), spec)
-    expected = images_set(brute_force_automorphisms(spec), spec)
-    assert got == expected
+    got = set(enumerate_aut(spec))
+    expected = set(brute_force_automorphisms(spec))
+    assert got == expected == set(aut_triples(spec))
 
 
 def test_brute_force_on_non_sylow_cyclic_specs():
@@ -128,7 +126,8 @@ def test_brute_force_on_non_sylow_cyclic_specs():
     m27 = GroupSpec(9, 3, 4)
     maps = brute_force_automorphisms(m27)
     assert len(maps) == 54
-    shaped = [f for f in maps if f.img_a.v == 0]
+    assert all(len(f) == 3 and all(type(x) is Element for x in f) for f in maps)
+    shaped = [f for f in maps if f[0].v == 0]
     assert len(shaped) == 18
     assert len(brute_force_automorphisms(GroupSpec(45, 3, 16))) == 216
 
@@ -141,7 +140,7 @@ def test_brute_force_matches_closure_reference(spec):
     order = {g: element_order(g, spec) for g in spec.elements()}
     central = [g for g in spec.elements() if mul(g, a, spec) == mul(a, g, spec) and mul(g, b, spec) == mul(b, g, spec)]
     expected = [
-        GeneratorImages(x, y, z)
+        (x, y, z)
         for x in spec.elements()
         if order[x] == spec.m
         for y in spec.elements()
@@ -155,8 +154,7 @@ def test_brute_force_matches_closure_reference(spec):
 def test_bijectivity_via_image_closure():
     for spec in (F21, GroupSpec(7, 9, 2)):
         for f in enumerate_aut(spec):
-            imgs = f.images(spec)
-            assert closure_size(imgs, spec) == spec.order
+            assert closure_size(f, spec) == spec.order
 
 
 # ------------------------------------------------------------- conjugacy
@@ -197,14 +195,14 @@ def S1(spec):
 
 
 def test_aut_stabilizer_standard_set():
-    stab = aut_stabilizer(S1(F21), F21, automorphism_maps(F21))
+    stab = aut_stabilizer(S1(F21), F21, aut_triples(F21))
     assert len(stab) == 2
-    assert AutoMap(1, 0, 0).normalized(F21) in stab
+    assert identity_map(F21) in stab
 
 
 def test_aut_stabilizer_complete_graph_set():
     S = [Element(u, 0, 0) for u in range(1, 5)]
-    assert len(aut_stabilizer(S, Z5, automorphism_maps(Z5))) == 4
+    assert len(aut_stabilizer(S, Z5, aut_triples(Z5))) == 4
 
 
 def test_aut_stabilizer_trivial_case():
@@ -212,14 +210,14 @@ def test_aut_stabilizer_trivial_case():
     spec = GroupSpec(11, 5, 3)
     S = [Element(0, 1, 0), Element(1, 2, 0), Element(2, 3, 0), Element(0, 4, 0)]
     assert frozenset(inv(x, spec) for x in S) == frozenset(S)
-    assert len(aut_stabilizer(S, spec, automorphism_maps(spec))) == 1
+    assert len(aut_stabilizer(S, spec, aut_triples(spec))) == 1
 
 
 def test_aut_stabilizer_brute_force_backend():
-    # non-Sylow-cyclic spec goes through the generator-image search
+    # non-Sylow-cyclic spec, with the maps of the generator-image search
     spec = GroupSpec(9, 3, 4)
     S = S1(spec)
-    stab = aut_stabilizer(S, spec, automorphism_maps(spec))
+    stab = aut_stabilizer(S, spec, brute_force_automorphisms(spec))
     assert len(stab) >= 1
     for f in stab:
         assert frozenset(apply_aut(f, x, spec) for x in S) == frozenset(S)
@@ -270,7 +268,7 @@ GENERATOR_SPECS = [
 @pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
 def test_aut_generators_generate_aut(spec):
     gens, order = aut_generators(spec)
-    assert order == len(automorphism_maps(spec))
+    assert order == len(aut_triples(spec))
     assert PermGroup(spec.order, gens).order == order
     assert len(gens) < order
 
@@ -280,24 +278,34 @@ def test_set_orbit_size_is_index_of_stabilizer():
         gens, order = aut_generators(spec)
         S = S1(spec)
         orbit = set_orbit((spec.index(x) for x in S), gens)
-        assert len(orbit) * len(aut_stabilizer(S, spec, automorphism_maps(spec))) == order
+        assert len(orbit) * len(aut_stabilizer(S, spec, aut_triples(spec))) == order
         assert all(t == tuple(sorted(t)) and len(t) == 4 for t in orbit)
 
 
 # ---------------------------------------------------- vertex permutations
 
-def test_aut_vertex_permutations_consistent_with_apply():
-    for spec in (F21, GroupSpec(11, 5, 3), GroupSpec(7, 3, 2, ell=5)):
-        maps = automorphism_maps(spec)
-        perms = aut_vertex_permutations(spec, maps)
-        rng = random.Random(3)
-        for f, p in zip(maps, perms):
-            assert sorted(p) == list(range(spec.order))
-            for _ in range(10):
-                i = rng.randrange(spec.order)
-                assert p[i] == spec.index(apply_aut(f, spec.at_index(i), spec))
+def test_aut_generators_consistent_with_apply():
+    """Each generator is the apply_aut permutation of its images of (a, b, c)."""
+    for spec in (F21, GroupSpec(11, 5, 3), GroupSpec(7, 3, 2, ell=5), GroupSpec(9, 3, 4)):
+        perms = dict(zip(aut_triples(spec), aut_permutations(spec)))
+        gens, _ = aut_generators(spec)
+        for p in gens:
+            f = tuple(spec.at_index(p[spec.index(x)]) for x in identity_map(spec))
+            assert p == perms[f]
 
 
-def test_automorphism_maps_dispatch():
-    assert all(isinstance(f, AutoMap) for f in automorphism_maps(F21))
-    assert all(isinstance(f, GeneratorImages) for f in automorphism_maps(GroupSpec(9, 3, 4)))
+def test_aut_generators_brute_force_exactly_off_sylow_cyclic(monkeypatch):
+    calls = {"enumerate": [], "brute": []}
+
+    def counted(key, fn):
+        def wrapper(spec, *args, **kwargs):
+            calls[key].append(spec)
+            return fn(spec, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(aut, "enumerate_aut", counted("enumerate", enumerate_aut))
+    monkeypatch.setattr(aut, "brute_force_automorphisms", counted("brute", brute_force_automorphisms))
+    for spec in GENERATOR_SPECS:
+        aut_generators(spec)
+    assert calls["brute"] == [s for s in GENERATOR_SPECS if not s.sylow_cyclic] != []
+    assert calls["enumerate"] == [s for s in GENERATOR_SPECS if s.sylow_cyclic] != []

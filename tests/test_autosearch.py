@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc import autosearch
-from metacirc.aut import automorphism_maps
+from metacirc.aut import enumerate_aut
 from metacirc.classify import orbit_representatives
 from metacirc.autosearch import (
     _individualize,
@@ -281,7 +281,7 @@ def test_are_isomorphic_relabeling():
 
 
 def test_are_isomorphic_cayley_conjugates():
-    maps = automorphism_maps(F21)
+    maps = enumerate_aut(F21)
     S = standard_connection_set(1, F21)
     g = build_cayley(S, F21)
     for f in maps[::7]:

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from metacirc import classify
-from metacirc.aut import aut_vertex_permutations, automorphism_maps, set_orbit
+from metacirc.aut import set_orbit
 from metacirc.classify import (
     _aut_generators,
-    _standard_orbits,
+    _standard_sets,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -26,7 +26,9 @@ from metacirc.graphs import build_cayley, standard_connection_set
 from metacirc.groups import Element, GroupSpec, euler_phi, inv, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, edge_orbit_count, orbits_at_zero
 from oracles import (
+    aut_permutations,
     aut_stabilizer,
+    aut_triples,
     candidate_orbits,
     closure_size,
     enumerate_candidates,
@@ -44,7 +46,7 @@ def spec_id(spec):
 
 def orbit_members(rep, spec):
     """The Aut(G)-orbit of rep, from every element of Aut(G)."""
-    perms = aut_vertex_permutations(spec, automorphism_maps(spec))
+    perms = aut_permutations(spec)
     return {tuple(sorted(p[x] for x in rep)) for p in perms}
 
 
@@ -98,7 +100,7 @@ def test_candidate_orbits_match_full_group_reference(spec):
     element of Aut(G), not just a generating set."""
     orbits = orbit_representatives(spec)
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
-    assert orbits == candidate_orbits(cands, aut_vertex_permutations(spec, automorphism_maps(spec)))
+    assert orbits == candidate_orbits(cands, aut_permutations(spec))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +207,7 @@ def test_set_stabilizer_order_matches_reference():
         report = classify_spec(spec)
         assert report.classes
         for c in report.classes:
-            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, automorphism_maps(spec)))
+            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, aut_triples(spec)))
 
 
 @pytest.mark.parametrize(
@@ -214,26 +216,29 @@ def test_set_stabilizer_order_matches_reference():
     ids=spec_id,
 )
 def test_orbit_cache_holds_least_member_and_size(spec):
-    """The walk and the standard table give (min(o), len(o)) of the set_orbit
-    o of a set: the walk for each generating orbit it meets, the table for
-    every standard set, walked or taken from the walk."""
+    """The walk gives (min(o), len(o)) of the set_orbit o of each generating
+    orbit it meets; the standard table holds every sorted S_j with
+    gcd(j, n) = 1; and each class's standard_j is the least j whose S_j lies
+    in the class's orbit under every element of Aut(G)."""
     gens, _ = _aut_generators(spec)
     orbits = orbit_representatives(spec)
     for rep, size in orbits:
         o = set_orbit(rep, gens)
         assert (min(o), len(o)) == (rep, size)
-    if spec.sylow_cyclic:
-        js = [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
-        for walked in ({}, dict(orbits)):
-            standard = _standard_orbits(spec, gens, walked)
-            assert sorted(standard) == js
-            for j in js:
-                o = set_orbit((spec.index(x) for x in standard_connection_set(j, spec)), gens)
-                assert standard[j] == (min(o), len(o))
+    standard = _standard_sets(spec)
+    assert sorted(standard) == [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
+    for j, S in standard.items():
+        assert S == tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+    report = classify_spec(spec)
+    thm2_applicable = report.thm2_claim is not None
+    for c in report.classes:
+        members = orbit_members(sorted(map(spec.index, c.connection_set)), spec)
+        expected = min((j for j, S in standard.items() if S in members), default=None)
+        assert c.standard_j == (expected if thm2_applicable else None)
 
 
 def test_theorem_mode_walks_each_orbit_once(monkeypatch):
-    """The classes and the standard-form table share one walk per standard set."""
+    """One walk per class: it gives the class's orbit size and standard_j."""
     spec = GroupSpec(29, 7, 7)
     walked = []
 
@@ -245,7 +250,7 @@ def test_theorem_mode_walks_each_orbit_once(monkeypatch):
     monkeypatch.setattr(classify, "set_orbit", counted)
     report = classify_spec(spec, mode="theorem")
     assert report.classes
-    assert len(walked) == len(set(walked)) == sum(gcd(j, spec.n) == 1 for j in range(1, spec.n0))
+    assert len(walked) == len(set(walked)) == len(theorem_js(spec))
 
 
 # ----------------------------------------------------------- single sets

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacirc.aut import aut_vertex_permutations, automorphism_maps
 from metacirc.graphs import (
     Graph,
     build_cayley,
@@ -18,7 +17,15 @@ from metacirc.graphs import (
     validate_connection_set,
 )
 from metacirc.groups import Element, GroupSpec, IDENTITY, inv, regular_representation
-from oracles import apply_aut, closure_size, connected_components, graph6_bit_by_bit, parse_graph6
+from oracles import (
+    apply_aut,
+    aut_permutations,
+    aut_triples,
+    closure_size,
+    connected_components,
+    graph6_bit_by_bit,
+    parse_graph6,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -122,8 +129,8 @@ def test_right_regular_action_gives_graph_automorphisms():
 
 
 def test_cayley_isomorphic_under_group_automorphisms():
-    maps = automorphism_maps(F21)
-    perms = aut_vertex_permutations(F21, maps)
+    maps = aut_triples(F21)
+    perms = aut_permutations(F21)
     S = standard_connection_set(1, F21)
     g = build_cayley(S, F21)
     for f, p in zip(maps[:12], perms[:12]):

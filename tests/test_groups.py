@@ -330,3 +330,12 @@ def test_iter_specs_small():
 
 def test_euler_phi():
     assert [euler_phi(k) for k in (1, 3, 5, 9, 11)] == [1, 2, 4, 6, 10]
+
+
+def test_power_table_has_n0_entries_for_large_n():
+    # r = 2 has order 3 mod 7, so the table holds 3 entries, not n of them
+    spec = GroupSpec(7, 3000003, 2)
+    assert len(spec._r_pow) == spec.n0 == 3
+    rng = random.Random(17)
+    for v in [0, 1, -1, spec.n, -spec.n - 1] + [rng.randrange(-3 * spec.n, 3 * spec.n) for _ in range(50)]:
+        assert spec.rpow(v) == pow(spec.r, v % spec.n, spec.m)
