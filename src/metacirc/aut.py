@@ -23,6 +23,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
+from metacirc import permgroup
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
@@ -164,7 +165,7 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
         if tuple(map(spec.index, f)) in orbit:
             continue
         gens.append(_permutation(f, spec))
-        orbit = _orbit(base, gens, lambda p, t: tuple(p[x] for x in t))
+        orbit = permgroup.orbit(base, gens, lambda p, t: tuple(p[x] for x in t))
     return gens, len(orbit)
 
 
@@ -190,23 +191,7 @@ def set_orbit(S: Iterable[int], gens: Sequence[Sequence[int]]) -> set[tuple[int,
     |Aut(G)| / |Aut(G, S)| sets and its least member is the same for every
     set in it, so it serves as an Aut(G)-canonical key.
     """
-    return _orbit(tuple(sorted(S)), gens, lambda p, t: tuple(sorted(map(p.__getitem__, t))))
-
-
-def _orbit(start: tuple[int, ...], gens, image) -> set[tuple[int, ...]]:
-    """Breadth-first orbit of ``start``; ``image(p, t)`` applies p to t."""
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for p in gens:
-                im = image(p, t)
-                if im not in orbit:
-                    orbit.add(im)
-                    nxt.append(im)
-        frontier = nxt
-    return orbit
+    return permgroup.orbit(tuple(sorted(S)), gens, lambda p, t: tuple(sorted(map(p.__getitem__, t))))
 
 
 def _power_table(g: Element, count: int, spec: GroupSpec) -> list[Element]:

@@ -3,9 +3,10 @@
 Colour refinement plus individualization backtracking, with automorphism
 (orbit) pruning.  One tree search produces both the automorphism generators
 and the canonical labeling: every leaf is an ordering of the vertices, leaves
-are compared by the relabeled adjacency matrix, equal keys yield
-automorphisms, and the lexicographically least key over the surviving leaves
-is the canonical form (emitted as graph6).
+are compared by the packed rows of the relabeled adjacency matrix
+(``graphs.packed_rows``), equal keys yield automorphisms, and the
+lexicographically least key over the surviving leaves is the canonical form,
+emitted as its graph6.
 
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
@@ -26,7 +27,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import Graph, to_graph6
+from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_rows
 from metacirc.permgroup import PermGroup
 
 MAX_DEGREE = 2000
@@ -36,7 +37,7 @@ MAX_DEGREE = 2000
 class SearchResult:
     generators: list[tuple[int, ...]]  # the seeds first, then those found
     canonical_order: list[int]         # position -> vertex
-    canonical_key: tuple[int, ...]
+    canonical_key: tuple[int, ...]     # packed rows, in canonical_order
     n_seeds: int = 0                   # how many generators are seeds
 
     @property
@@ -256,31 +257,6 @@ def _target_cell(cells: list[list[int]]) -> int:
     return best
 
 
-def _leaf_key(order: Sequence[int], g: Graph) -> tuple[int, ...]:
-    """Relabeled adjacency matrix, one row-mask per new position.
-
-    Bit (n-1-k) of row i encodes adjacency between new positions i and k, so
-    tuple comparison is row-major lexicographic comparison of the matrices.
-    """
-    n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    top = n - 1
-    key = []
-    for v in order:
-        row = 0
-        for u in g.adjacency[v]:
-            row |= 1 << (top - pos[u])
-        key.append(row)
-    return tuple(key)
-
-
-def _is_automorphism(rows: Sequence[set[int]], p: Sequence[int]) -> bool:
-    """Whether p maps the neighbour sets ``rows`` onto themselves."""
-    return all({p[u] for u in row} == rows[x] for row, x in zip(rows, p))
-
-
 class _Orbits:
     """Union-find of the orbits of a growing set of permutations, with a
     flag per orbit: does it hold a processed vertex."""
@@ -333,11 +309,10 @@ def analyze(
 
     gens: list[tuple[int, ...]] = []
     gen_set: set[tuple[int, ...]] = set()
-    rows = [set(r) for r in g.adjacency] if seeds else []
+    seeds = [tuple(p) for p in seeds]
+    if not are_automorphisms(g, seeds):
+        raise ValueError("seed is not an automorphism")
     for p in seeds:
-        p = tuple(p)
-        if len(p) != g.n or sorted(p) != list(range(g.n)) or not _is_automorphism(rows, p):
-            raise ValueError("seed is not an automorphism")
         if any(i != x for i, x in enumerate(p)) and p not in gen_set:
             gens.append(p)
             gen_set.add(p)
@@ -354,7 +329,7 @@ def analyze(
     def handle_leaf(cells: list[list[int]]) -> None:
         nonlocal first, best
         order = [c[0] for c in cells]
-        key = _leaf_key(order, g)
+        key = packed_rows(g, order)
         if first is None:
             first = (key, order)
             best = (key, order)
@@ -410,17 +385,10 @@ def automorphism_group(g: Graph) -> PermGroup:
     return PermGroup(g.n, analyze(g).generators)
 
 
-def canonical_graph(g: Graph, result: SearchResult | None = None) -> Graph:
-    result = result or analyze(g)
-    pos = [0] * g.n
-    for i, v in enumerate(result.canonical_order):
-        pos[v] = i
-    return g.relabel(pos)
-
-
 def canonical_form(g: Graph, result: SearchResult | None = None) -> bytes:
-    """Complete isomorphism invariant: graph6 of the canonical labeling."""
-    return to_graph6(canonical_graph(g, result))
+    """Complete isomorphism invariant: graph6 of the canonical key, the rows
+    of g in the canonical order."""
+    return graph6_of_rows((result or analyze(g)).canonical_key)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

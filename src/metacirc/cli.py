@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from metacirc.aut import brute_force_automorphisms, parametrized_count
@@ -107,7 +108,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="census over hypothesis-(*) specs")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, one spec per task")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", type=str, default=None, help="also write one JSON report per spec (JSONL)")
     return parser
@@ -237,10 +238,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _sweep(args, out) -> int:
+    """Classify every spec, each as one task of one worker pool under
+    ``--jobs``, and report them in spec order."""
+    specs = list(iter_specs(args.max_order))
+    run = partial(classify_spec, mode="oracle", bound=args.max_order, jobs=1)
+    if args.jobs <= 1 or len(specs) <= 1:
+        return _sweep_reports(args, out, map(run, specs))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
+        try:
+            return _sweep_reports(args, out, pool.map(run, specs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _sweep_reports(args, out, reports) -> int:
     disagreement = False
     print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
-    for spec in iter_specs(args.max_order):
-        report = classify_spec(spec, mode="oracle", bound=args.max_order, jobs=args.jobs)
+    for report in reports:
+        spec = report.spec
         if out is not None:
             out.write(json.dumps(report_to_json_dict(report)) + "\n")
         orders = ",".join(str(c.aut_order) for c in report.classes) or "-"

@@ -46,16 +46,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adjacency]
 
-    def bit_rows(self) -> list[int]:
-        """Adjacency as one int bitmask per vertex (bit u set iff u adjacent)."""
-        rows = []
-        for nbrs in self.adjacency:
-            mask = 0
-            for u in nbrs:
-                mask |= 1 << u
-            rows.append(mask)
-        return rows
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under vertex map v -> perm[v]."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -117,6 +107,39 @@ def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
     return Graph(spec.order, tuple(tuple(sorted(row)) for row in rows))
 
 
+# ------------------------------------------------------------ packed rows
+
+def packed_rows(g: Graph, order: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Adjacency matrix as one int per position, position i holding vertex
+    ``order[i]`` (vertex i when ``order`` is None).
+
+    Bit (n-1-k) of row i is set iff positions i and k are adjacent, so tuple
+    comparison is row-major lexicographic comparison of the matrices.
+    """
+    n = g.n
+    if order is None:
+        order = range(n)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    top = n - 1
+    key = []
+    for v in order:
+        row = 0
+        for u in g.adjacency[v]:
+            row |= 1 << (top - pos[u])
+        key.append(row)
+    return tuple(key)
+
+
+def are_automorphisms(g: Graph, perms: Sequence[Sequence[int]]) -> bool:
+    """Whether every p in ``perms`` permutes the vertices (v -> p[v]) and
+    preserves adjacency: the rows of g in the order p are those of g."""
+    points = list(range(g.n))
+    rows = packed_rows(g) if perms else ()
+    return all(sorted(p) == points and packed_rows(g, p) == rows for p in perms)
+
+
 # ------------------------------------------------------------------ formats
 
 # graph6 body bytes are 63 plus a 6-bit value, the same sextets base64
@@ -127,18 +150,24 @@ _FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 def to_graph6(g: Graph) -> bytes:
-    """Bit-exact graph6: size bytes, then the upper triangle column by column.
+    """Bit-exact graph6 of g."""
+    return graph6_of_rows(packed_rows(g))
 
-    Column j holds the bits of rows 0..j-1, so it is the low j bits of row
-    j's bitmask, least significant first.  The concatenated bits are padded
-    to whole base64 groups and encoded by ``binascii``.
+
+def graph6_of_rows(rows: Sequence[int]) -> bytes:
+    """Bit-exact graph6 of the packed rows (see ``packed_rows``): size bytes,
+    then the upper triangle column by column.
+
+    Column j holds the bits of positions 0..j-1, so it is the top j bits of
+    row j, position 0 first.  The concatenated bits are padded to whole
+    base64 groups and encoded by ``binascii``.
     """
-    size = _graph6_size(g.n)
-    nbits = g.n * (g.n - 1) // 2
+    n = len(rows)
+    size = _graph6_size(n)
+    nbits = n * (n - 1) // 2
     if not nbits:
         return size
-    rows = g.bit_rows()
-    bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
+    bits = "".join([format(rows[j] >> (n - j), f"0{j}b") for j in range(1, n)])
     bits += "0" * (-nbits % 24)
     body = binascii.b2a_base64(int(bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
     return size + body[: (nbits + 5) // 6].translate(_TO_GRAPH6)

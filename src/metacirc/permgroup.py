@@ -17,7 +17,8 @@ The graph orbit counts come in two forms.  ``edge_orbit_count`` and
 vertex-transitive graph, ``orbits_at_zero`` needs only the stabilizer A_0 of
 vertex 0: it counts edge orbits and decides s-arc-transitivity on the
 neighbours and the deg*(deg-1)^(s-1) s-arcs at vertex 0, and
-``normalizer_of_regular`` enumerates A_0 alone.
+``normalizer_of_regular`` enumerates A_0 alone.  All orbits off the chain
+come from one breadth-first routine, ``orbit``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import Graph
+from metacirc.graphs import Graph, are_automorphisms
 from metacirc.groups import GroupSpec, left_translation
 
 Perm = tuple[int, ...]
@@ -121,26 +122,27 @@ class PermGroup:
         """All elements of the stabilizer of point 0."""
         return _transversal_products(self.chain()[1:], self.degree, ELEMENT_BOUND)
 
-    # ------------------------------------------------------------- orbits
-
-    def orbit(self, point: int) -> set[int]:
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     def is_transitive(self) -> bool:
-        return self.degree == 0 or len(self.orbit(0)) == self.degree
+        """Whether the orbit of point 0, the transversal of the chain's first
+        level, holds every point."""
+        return self.degree == 0 or len(self.chain()[0].transversal) == self.degree
+
+
+def orbit(start: Hashable, gens: Sequence, image: Callable) -> set:
+    """Breadth-first orbit of ``start`` under the group the maps ``gens``
+    generate; ``image(p, t)`` applies the map p to t."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for p in gens:
+                im = image(p, t)
+                if im not in seen:
+                    seen.add(im)
+                    nxt.append(im)
+        frontier = nxt
+    return seen
 
 
 def _transversal_products(levels: Sequence[_Level], degree: int, bound: int) -> Iterator[Perm]:
@@ -269,11 +271,8 @@ def _sift(levels: list[_Level], a: Perm, b: Perm, start: int) -> tuple[Perm, Per
 # ---------------------------------------------------------- graph orbits
 
 def _check_automorphisms(group: PermGroup, graph: Graph) -> None:
-    rows = [set(row) for row in graph.adjacency]
-    for g in group.generators:
-        for v in range(graph.n):
-            if {g[u] for u in rows[v]} != rows[g[v]]:
-                raise ValueError("generator does not preserve adjacency")
+    if not are_automorphisms(graph, group.generators):
+        raise ValueError("generator does not preserve adjacency")
 
 
 def _orbit_count(
@@ -281,27 +280,16 @@ def _orbit_count(
 ) -> int:
     """Orbits of the group the maps ``gens`` generate on the tuples ``items``;
     each map needs to be defined on the points of the items only."""
-    index = {item: k for k, item in enumerate(items)}
-    seen = [False] * len(items)
+    def image(g, it):
+        im = [g[x] for x in it]
+        return tuple(sorted(im) if sort_images else im)
+
+    left = set(items)
     count = 0
-    for k in range(len(items)):
-        if seen[k]:
-            continue
-        count += 1
-        seen[k] = True
-        frontier = [items[k]]
-        while frontier:
-            nxt = []
-            for it in frontier:
-                for g in gens:
-                    im = tuple(g[x] for x in it)
-                    if sort_images:
-                        im = tuple(sorted(im))
-                    j = index[im]
-                    if not seen[j]:
-                        seen[j] = True
-                        nxt.append(items[j])
-            frontier = nxt
+    for it in items:
+        if it in left:
+            count += 1
+            left -= orbit(it, gens, image)
     return count
 
 

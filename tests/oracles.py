@@ -86,6 +86,16 @@ def brute_force_graph_automorphisms(adjacency: list[list[int]]) -> list[tuple[in
     return out
 
 
+def is_automorphism_by_sets(adjacency: list[list[int]], p) -> bool:
+    """Whether p is a permutation of the vertices that maps each neighbour
+    set onto the neighbour set of the image vertex."""
+    n = len(adjacency)
+    if sorted(p) != list(range(n)):
+        return False
+    adj = [set(row) for row in adjacency]
+    return all({p[x] for x in adj[v]} == adj[p[v]] for v in range(n))
+
+
 def backtracking_automorphism_count(adjacency: list[list[int]]) -> int:
     """Count automorphisms by depth-first assignment with adjacency checks.
 
@@ -218,23 +228,30 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def vertex_mask(vertices) -> int:
+    """The vertex set as a bitmask: bit v set iff v is in it."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def vertex_masks(adjacency) -> list[int]:
+    """Each vertex's neighbour set as a ``vertex_mask``."""
+    return [vertex_mask(row) for row in adjacency]
+
+
 def bitmask_refine(adj_bits: list[int], cells: list[list[int]], active: list[int] | None) -> list[list[int]]:
     """Equitable refinement by whole-partition passes over bitmasks.
 
-    Each splitter, a vertex-set bitmask, re-buckets every vertex of every
-    non-singleton cell by its number of neighbours in the splitter; a cell
-    that splits is replaced by its fragments in ascending count order, each
-    queued as a splitter.  ``active`` holds the first splitters (every cell
-    when None).  This costs O(n) per splitter whatever its size.
+    Each splitter, a ``vertex_mask``, re-buckets every vertex of every
+    non-singleton cell by its number of neighbours in the splitter (its row
+    of ``vertex_masks``); a cell that splits is replaced by its fragments in
+    ascending count order, each queued as a splitter.  ``active`` holds the
+    first splitters (every cell when None).  This costs O(n) per splitter
+    whatever its size.
     """
-
-    def mask(vertices) -> int:
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        return m
-
-    queue = deque(mask(c) for c in cells) if active is None else deque(active)
+    queue = deque(vertex_mask(c) for c in cells) if active is None else deque(active)
     while queue:
         smask = queue.popleft()
         out: list[list[int]] = []
@@ -251,7 +268,7 @@ def bitmask_refine(adj_bits: list[int], cells: list[list[int]], active: list[int
                 for k in sorted(buckets):
                     frag = buckets[k]
                     out.append(frag)
-                    queue.append(mask(frag))
+                    queue.append(vertex_mask(frag))
         cells = out
     return cells
 

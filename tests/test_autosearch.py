@@ -18,7 +18,13 @@ from metacirc.autosearch import (
     automorphism_group,
     canonical_form,
 )
-from metacirc.graphs import build_cayley, from_graph6, graph_from_edges, standard_connection_set
+from metacirc.graphs import (
+    build_cayley,
+    from_graph6,
+    graph_from_edges,
+    standard_connection_set,
+    to_graph6,
+)
 from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import (
@@ -27,6 +33,8 @@ from oracles import (
     bitmask_refine,
     brute_force_graph_automorphisms,
     brute_force_isomorphic,
+    vertex_mask,
+    vertex_masks,
 )
 
 F21 = GroupSpec(7, 3, 2)
@@ -72,10 +80,6 @@ def refine_fixture(n, kind, rng):
     return random_relabel(graph_from_edges(n, sorted(edges)), rng)
 
 
-def bits(vertices):
-    return sum(1 << v for v in vertices)
-
-
 # ------------------------------------------------------------- refinement
 
 @given(
@@ -91,7 +95,7 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
     when told that the partition before individualizing was equitable."""
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
-    adj_bits = g.bit_rows()
+    adj_bits = vertex_masks(g.adjacency)
     cells = _initial_partition(g)
     refined = _refine(g.adjacency, cells, None)
     assert refined == bitmask_refine(adj_bits, cells, None)
@@ -103,7 +107,7 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
         t = rng.choice(open_cells)
         child, splitters = _individualize(refined, t, rng.choice(refined[t]))
         refined = _refine(g.adjacency, child, splitters)
-        assert refined == bitmask_refine(adj_bits, child, [bits(s) for s in splitters])
+        assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
         # the search's call: the input came from an equitable partition
         assert _refine(g.adjacency, child, splitters, equitable=True) == refined
 
@@ -121,7 +125,7 @@ def test_refine_matches_reference_from_any_partition(n, p, rnd):
     cells = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
     splitters = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))]
     assert _refine(g.adjacency, cells, splitters) == bitmask_refine(
-        g.bit_rows(), cells, [bits(s) for s in splitters]
+        vertex_masks(g.adjacency), cells, [vertex_mask(s) for s in splitters]
     )
 
 
@@ -263,6 +267,37 @@ def test_canonical_form_distinguishes():
     assert canonical_form(cycle_graph(6)) != canonical_form(
         graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     )
+
+
+def relabeled_graph6(g, result):
+    """Reference canonical form through a relabeled graph: g relabeled by
+    the canonical order (vertex -> its position), then encoded."""
+    pos = [0] * g.n
+    for i, v in enumerate(result.canonical_order):
+        pos[v] = i
+    return to_graph6(g.relabel(pos))
+
+
+@pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
+def test_canonical_form_matches_relabeled_graph6_on_census_graphs(spec):
+    """The graph6 of the canonical key is that of the canonically relabeled
+    graph, on the graph of every generating orbit, searched as the census
+    searches it."""
+    regular = regular_representation(spec)
+    for rep, _ in orbit_representatives(spec, bound=spec.order):
+        g = build_cayley([spec.at_index(x) for x in rep], spec)
+        result = analyze(g, seeds=regular)
+        assert canonical_form(g, result) == relabeled_graph6(g, result)
+
+
+@given(n=st.sampled_from([0, 1, 2, 62, 63]), p=st.floats(0.1, 0.9), rnd=st.random_module())
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_matches_relabeled_graph6(n, p, rnd):
+    """The same on random graphs, across the graph6 header's growth from
+    one size byte (n <= 62) to four."""
+    g = random_graph(n, p, random.Random(rnd.seed))
+    result = analyze(g)
+    assert canonical_form(g) == canonical_form(g, result) == relabeled_graph6(g, result)
 
 
 def test_canonical_form_is_valid_graph6_of_isomorphic_graph():

@@ -359,6 +359,20 @@ def test_sweep_small(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--max-order", "40")[1] == out
 
 
+def test_sweep_jobs_byte_identical(capsys, tmp_path):
+    """Under --jobs 2 the specs run in one worker pool; the table and the
+    JSONL reports are those of --jobs 1, in the same order."""
+    outs = []
+    for jobs in ("1", "2"):
+        jsonl = tmp_path / f"census{jobs}.jsonl"
+        code, out, _ = run_cli(capsys, "sweep", "--max-order", "135", "--jobs", jobs,
+                               "--out", str(jsonl))
+        assert code == 0
+        outs.append((out, jsonl.read_bytes()))
+    assert outs[0] == outs[1]
+    assert len(outs[0][0].splitlines()) == 18  # the header and 17 specs
+
+
 def _child_env() -> dict:
     # the child imports the package from where this process found it
     src = str(Path(metacirc.__file__).resolve().parents[1])

@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacirc.autosearch import analyze
 from metacirc.graphs import (
     Graph,
+    are_automorphisms,
     build_cayley,
     from_graph6,
+    graph6_of_rows,
     graph_from_edges,
+    packed_rows,
     standard_connection_set,
     to_dot,
     to_graph6,
     validate_connection_set,
 )
-from metacirc.groups import Element, GroupSpec, IDENTITY, inv, regular_representation
+from metacirc.groups import Element, GroupSpec, IDENTITY, inv, iter_specs, regular_representation
 from oracles import (
     apply_aut,
     aut_permutations,
@@ -24,6 +28,7 @@ from oracles import (
     closure_size,
     connected_components,
     graph6_bit_by_bit,
+    is_automorphism_by_sets,
     parse_graph6,
 )
 
@@ -188,6 +193,68 @@ def test_graph6_large_graphs_match_bit_by_bit_reference():
         data = to_graph6(g)
         assert data == graph6_bit_by_bit([list(r) for r in g.adjacency])
         assert from_graph6(data) == g
+
+
+def random_graph(n, p, rng):
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+@given(st.sampled_from([0, 1, 2, 5, 62, 63]), st.floats(0.0, 1.0), st.random_module())
+@settings(max_examples=60, deadline=None)
+def test_packed_rows_in_any_order_are_the_rows_of_the_relabeled_graph(n, p, rnd):
+    """Row i of the rows in the order ``order`` has bit n-1-k set iff
+    order[i] and order[k] are adjacent; they are the identity-order rows of
+    g relabeled by v -> position of v, and their graph6 is that graph's."""
+    rng = random.Random(rnd.seed)
+    g = random_graph(n, p, rng)
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = packed_rows(g, order)
+    adj = [set(row) for row in g.adjacency]
+    assert all((rows[i] >> (n - 1 - k) & 1) == (order[k] in adj[order[i]])
+               for i in range(n) for k in range(n))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    relabeled = g.relabel(pos)
+    assert rows == packed_rows(relabeled)
+    assert graph6_of_rows(rows) == to_graph6(relabeled) == graph6_bit_by_bit(
+        [list(r) for r in relabeled.adjacency]
+    )
+    assert from_graph6(graph6_of_rows(rows)) == relabeled
+    assert from_graph6(to_graph6(g)) == g
+
+
+def test_are_automorphisms_matches_set_reference():
+    """The packed-row test agrees with neighbour-set comparison on the
+    regular seeds, on the automorphisms a search finds, and on maps that
+    are not automorphisms: random permutations, automorphisms composed with
+    a transposition, and non-permutations."""
+    rng = random.Random(13)
+    for spec in iter_specs(63):
+        g = build_cayley(standard_connection_set(1, spec), spec)
+        adjacency = [list(r) for r in g.adjacency]
+        seeds = [tuple(p) for p in regular_representation(spec)]
+        found = analyze(g, seeds=seeds).found
+        candidates = seeds + found
+        for p in seeds + found:
+            q = list(p)
+            i, j = rng.sample(range(g.n), 2)
+            q[i], q[j] = q[j], q[i]
+            candidates.append(tuple(q))
+            shuffled = list(range(g.n))
+            rng.shuffle(shuffled)
+            candidates.append(tuple(shuffled))
+            candidates.append(tuple(p[:-1]) + (p[0],))  # not a permutation
+            candidates.append(tuple(p[:-1]))  # wrong degree
+        assert all(is_automorphism_by_sets(adjacency, p) for p in seeds + found)
+        assert are_automorphisms(g, seeds + found)
+        for p in candidates:
+            expected = is_automorphism_by_sets(adjacency, p)
+            assert are_automorphisms(g, [p]) == expected
+            assert are_automorphisms(g, seeds + [p] + found) == expected
+    assert are_automorphisms(Graph(0, ()), [()])
+    assert are_automorphisms(K5, [])
 
 
 def test_graph6_decoder_ignores_padding_bits():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from operator import getitem
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from metacirc.permgroup import (
     edge_orbit_count,
     identity_perm,
     normalizer_of_regular,
+    orbit,
     orbits_at_zero,
     s_arcs_at_zero,
 )
@@ -165,10 +168,18 @@ def test_elements_bound(monkeypatch):
 
 # ------------------------------------------------------- orbits/stabilizers
 
+def point_orbit(group, point):
+    return orbit(point, group.generators, getitem)
+
+
 def test_orbit_examples():
-    assert C5.orbit(0) == set(range(5))
-    assert S5.orbit(3) == set(range(5))
-    assert PermGroup(5, [cycle(5, 0, 1)]).orbit(4) == {4}
+    assert point_orbit(C5, 0) == set(range(5))
+    assert point_orbit(S5, 3) == set(range(5))
+    assert point_orbit(PermGroup(5, [cycle(5, 0, 1)]), 4) == {4}
+    # sets, as the Aut(G)-orbits of connection sets are walked
+    assert orbit((0, 1), C5.generators, lambda p, t: tuple(sorted(p[x] for x in t))) == {
+        (0, 1), (1, 2), (2, 3), (3, 4), (0, 4)
+    }
 
 
 def test_point_stabilizer_s5():
@@ -187,14 +198,21 @@ def test_point_stabilizer_regular_group_is_trivial():
 def test_orbit_stabilizer_identity():
     groups = [S5, C5, PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)])]
     for grp in groups:
-        assert len(grp.orbit(0)) * grp.stabilizer_order == grp.order
+        assert len(point_orbit(grp, 0)) * grp.stabilizer_order == grp.order
 
 
-def test_point_out_of_range():
-    with pytest.raises(ValueError):
-        S5.orbit(9)
-    with pytest.raises(ValueError):
-        S5.orbit(-1)
+def test_is_transitive_reads_the_orbit_of_zero_off_the_chain():
+    assert PermGroup(0, []).is_transitive()
+    assert PermGroup(1, []).is_transitive()
+    assert not PermGroup(2, []).is_transitive()
+    assert S5.is_transitive() and C5.is_transitive()
+    # intransitive: orbits {0, 1} and {2, 3, 4}
+    assert not PermGroup(5, [cycle(5, 0, 1), cycle(5, 2, 3, 4)]).is_transitive()
+    # fixing 0: the chain's first level is the single point 0
+    assert not S4.is_transitive()
+    assert not PermGroup(5, [cycle(5, 1, 2, 3, 4)]).is_transitive()
+    for grp in (S5, S4, C5, PermGroup(6, [cycle(6, 1, 5), cycle(6, 0, 2, 4)])):
+        assert grp.is_transitive() == (point_orbit(grp, 0) == set(range(grp.degree)))
 
 
 # ----------------------------------------------------------- graph orbits
