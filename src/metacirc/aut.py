@@ -1,8 +1,12 @@
 """The automorphism group of G = <c> x (<a> : <b>), odd order.
 
 An automorphism is fixed by its images of a, b and c, and is held as that
-triple of elements throughout.  For Sylow-cyclic specs every automorphism
-acts as
+triple of elements throughout.  So (a, b, c) is a base of Aut(G) acting on
+G, and :func:`aut_generators` finds a generating set and |Aut(G)| by a
+search along that known base, one automorphism per new point of each basic
+orbit, without listing Aut(G).
+
+For Sylow-cyclic specs every automorphism acts as
 
     a -> a^s,   b -> a^t b^(1+l*n0),   c -> c^sc,
 
@@ -10,18 +14,21 @@ with gcd(s, m) = 1, gcd(1+l*n0, n) = 1, gcd(sc, ell) = 1 and
 t * rsum(r, n) = 0 (mod m).  The t-constraint is vacuous when <a> meets the
 centre trivially (then rsum(r, n) = 0 mod m and the count is
 phi(m) * m * (n/n0) * phi(ell)); on decomposable presentations it restricts t
-to multiples of m / gcd(r-1, m).
+to multiples of m / gcd(r-1, m).  The census takes its candidate images
+from this shape there.
 
 Outside the Sylow-cyclic case <a> need not be characteristic and this shape
-misses automorphisms, so :func:`enumerate_aut` refuses there and
-:func:`aut_generators` chooses :func:`brute_force_automorphisms` instead.
+misses automorphisms, so the candidates are the elements of the right
+orders, tested against the defining relations.  :func:`enumerate_aut` and
+:func:`brute_force_automorphisms` list all of Aut(G) in the two cases; the
+census never calls them, and they serve as references for the search.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc import permgroup
 from metacirc.errors import BoundExceeded
@@ -37,8 +44,13 @@ from metacirc.groups import (
     rsum,
 )
 
+# most elements of a non-Sylow-cyclic group whose automorphisms are searched
+SEARCH_BOUND = 4000
 
-def _verify(f: tuple[Element, Element, Element], spec: GroupSpec) -> None:
+Triple = tuple[Element, Element, Element]
+
+
+def _verify(f: Triple, spec: GroupSpec) -> None:
     img_a, img_b, img_c = f
     assert element_order(img_a, spec) == spec.m
     assert element_order(img_b, spec) == spec.n
@@ -47,9 +59,7 @@ def _verify(f: tuple[Element, Element, Element], spec: GroupSpec) -> None:
     assert conj == power(img_a, spec.r, spec) if spec.m > 1 else True
 
 
-def enumerate_aut(
-    spec: GroupSpec, *, verify: bool = False
-) -> list[tuple[Element, Element, Element]]:
+def enumerate_aut(spec: GroupSpec, *, verify: bool = False) -> list[Triple]:
     """All automorphisms of a Sylow-cyclic spec, as their images of (a, b, c).
 
     The parameters (s, t, l, s_c) run over their values reduced mod
@@ -62,6 +72,16 @@ def enumerate_aut(
             f"Aut parametrization needs a Sylow-cyclic spec; {spec} is not "
             "(use brute_force_automorphisms)"
         )
+    out = list(product(*_parametrized_images(spec)))
+    if verify:
+        for f in out:
+            _verify(f, spec)
+    return out
+
+
+def _parametrized_images(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:
+    """The images a^s, a^t b^(1+l*n0) and c^sc of a Sylow-cyclic spec's
+    automorphisms, each in ascending parameter order."""
     m, n, ell, n0 = spec.m, spec.n, spec.ell, spec.n0
     t_step = m // gcd(rsum(spec.r, n, spec), m)
     a_images = [Element(s, 0, 0) for s in range(m) if gcd(s, m) == 1]
@@ -72,11 +92,7 @@ def enumerate_aut(
         if gcd(1 + l * n0, n) == 1
     ]
     c_images = [Element(0, 0, s_c) for s_c in range(ell) if gcd(s_c, ell) == 1]
-    out = list(product(a_images, b_images, c_images))
-    if verify:
-        for f in out:
-            _verify(f, spec)
-    return out
+    return a_images, b_images, c_images
 
 
 def parametrized_count(spec: GroupSpec) -> int:
@@ -89,43 +105,61 @@ def parametrized_count(spec: GroupSpec) -> int:
     return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
 
 
-def brute_force_automorphisms(
-    spec: GroupSpec, max_order: int = 4000
-) -> list[tuple[Element, Element, Element]]:
-    """Exhaustive automorphism search over candidate generator images.
+def brute_force_automorphisms(spec: GroupSpec, max_order: int = SEARCH_BOUND) -> list[Triple]:
+    """Every automorphism, by exhaustive search over candidate generator
+    images: the elements of the right orders (:func:`_image_candidates`),
+    kept when they satisfy the defining relations and generate
+    (:func:`_completions`).  Independent of the parametrized route."""
+    a_cands, b_cands, c_powers = _image_candidates(spec, max_order)
+    return [f for img_a in a_cands for f in _completions(img_a, b_cands, c_powers, c_powers, spec)]
 
-    Independent of the parametrized route: searches all elements of the right
-    orders, checks the defining relations, and confirms the images generate.
-    Images (a', b', c') that satisfy the relations give an endomorphism whose
-    image is <a'><b'><c'>, with <a'> normal and c' central; it is all of G iff
-    |<b'><c'>| = n * ell and <a'> meets <b'><c'> trivially.
-    """
+
+def _image_candidates(
+    spec: GroupSpec, max_order: int
+) -> tuple[list[Element], list[Element], dict[Element, list[Element]]]:
+    """The elements of orders m and of order n, and the central elements of
+    order ell with their power tables, each in element order."""
     if spec.order > max_order:
         raise BoundExceeded(f"group order {spec.order} exceeds brute-force bound {max_order}")
+    a, b = spec.generator_a(), spec.generator_b()
     elements = list(spec.elements())
     orders = {g: element_order(g, spec) for g in elements}
     a_cands = [g for g in elements if orders[g] == spec.m]
     b_cands = [g for g in elements if orders[g] == spec.n]
-    c_cands = [
-        g
+    c_powers = {
+        g: _power_table(g, spec.ell, spec)
         for g in elements
         if orders[g] == spec.ell
-        and mul(g, spec.generator_a(), spec) == mul(spec.generator_a(), g, spec)
-        and mul(g, spec.generator_b(), spec) == mul(spec.generator_b(), g, spec)
-    ]
-    c_powers = [_power_table(g, spec.ell, spec) for g in c_cands]
-    out = []
-    for img_a in a_cands:
-        target = power(img_a, spec.r, spec)
-        a_powers = set(_power_table(img_a, spec.m, spec)[1:])
-        for img_b in b_cands:
-            if mul(mul(inv(img_b, spec), img_a, spec), img_b, spec) != target:
-                continue
-            b_powers = _power_table(img_b, spec.n, spec)
-            for img_c, powers in zip(c_cands, c_powers):
-                if _complements(a_powers, b_powers, powers, spec):
-                    out.append((img_a, img_b, img_c))
-    return out
+        and mul(g, a, spec) == mul(a, g, spec)
+        and mul(g, b, spec) == mul(b, g, spec)
+    }
+    return a_cands, b_cands, c_powers
+
+
+def _completions(
+    img_a: Element,
+    b_images: Iterable[Element],
+    c_images: Iterable[Element],
+    c_powers: Mapping[Element, list[Element]],
+    spec: GroupSpec,
+) -> Iterator[Triple]:
+    """The automorphisms a -> img_a with b and c sent among the given
+    candidates, in candidate order.
+
+    Images (a', b', c') of orders m, n and ell, with c' central, that satisfy
+    b'^-1 a' b' = a'^r give an endomorphism whose image is <a'><b'><c'>, with
+    <a'> normal; it is all of G iff |<b'><c'>| = n * ell and <a'> meets
+    <b'><c'> trivially (:func:`_complements`).
+    """
+    target = power(img_a, spec.r, spec)
+    a_powers = set(_power_table(img_a, spec.m, spec)[1:])
+    for img_b in b_images:
+        if mul(mul(inv(img_b, spec), img_a, spec), img_b, spec) != target:
+            continue
+        b_powers = _power_table(img_b, spec.n, spec)
+        for img_c in c_images:
+            if _complements(a_powers, b_powers, c_powers[img_c], spec):
+                yield img_a, img_b, img_c
 
 
 def _complements(
@@ -143,33 +177,95 @@ def _complements(
     return True
 
 
+# a level of the search: base point, candidate images, and the completion of
+# a candidate to an automorphism fixing the base points above the level
+Level = tuple[Element, list[Element], Callable[[Element], Triple | None]]
+
+
 def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     """A generating set of Aut(G) as vertex permutations, and |Aut(G)|.
 
-    Aut(G) is listed by :func:`enumerate_aut` for Sylow-cyclic specs and by
-    :func:`brute_force_automorphisms` otherwise.  An automorphism is fixed by
-    its images of (a, b, c), so Aut(G) acts regularly on the orbit of that
-    triple: a map lies in the group generated so far iff its triple lies in
-    the generators' orbit of (a, b, c), and the orbit's size is that group's
-    order.  Maps are taken greedily in list order until the orbit holds all
-    of them.
+    (a, b, c) is a base of Aut(G), so its chain of stabilizers
+    Aut(G) >= Aut(G)_a >= Aut(G)_(a,b) >= 1 ends in the identity.  The
+    levels are taken bottom up: the images of c with a and b fixed, then the
+    images of b with a fixed, then the images of a.  At each level, a
+    candidate image already in the orbit of the base point under the
+    generators found so far is skipped; for any other, the first completion
+    to an automorphism fixing the base points above, if there is one,
+    becomes a generator and the orbit is extended.  A candidate with no
+    completion lies off the basic orbit, and so does its whole orbit under
+    the generators so far, which is skipped too.
+
+    The candidates hold every image of the base point, so each level's orbit
+    ends as its whole basic orbit, and the generators found at a level and
+    below generate that level's group, whose stabilizer is the next level's
+    group (Schreier-Sims with a known base: Holt, Eick & O'Brien, *Handbook
+    of Computational Group Theory*, 2005, 4.4).  The bottom level acts regularly, so
+    |Aut(G)| is the product of the three orbit lengths, with no sifting.
+
+    Sylow-cyclic specs take their candidates from the (s, t, l, s_c)
+    parametrization, completed by the other two base points, so no
+    completion fails and no element order is computed.  Other specs search
+    the elements of the right orders, and refuse groups of more than
+    ``SEARCH_BOUND`` elements.
     """
-    maps = enumerate_aut(spec) if spec.sylow_cyclic else brute_force_automorphisms(spec)
-    abc = (spec.generator_a(), spec.generator_b(), spec.generator_c())
-    base = tuple(map(spec.index, abc))
+    levels = _parametrized_levels(spec) if spec.sylow_cyclic else _searched_levels(spec)
     gens: list[list[int]] = []
-    orbit = {base}
-    for f in maps:
-        if len(orbit) == len(maps):
-            break
-        if tuple(map(spec.index, f)) in orbit:
-            continue
-        gens.append(_permutation(f, spec))
-        orbit = permgroup.orbit(base, gens, lambda p, t: tuple(p[x] for x in t))
-    return gens, len(orbit)
+    order = 1
+    for base, candidates, complete in levels:
+        point = spec.index(base)
+        orbit = _point_orbit(point, gens)
+        failed: set[int] = set()
+        for x in candidates:
+            i = spec.index(x)
+            if i in orbit or i in failed:
+                continue
+            f = complete(x)
+            if f is None:
+                # the generators so far lie in this level's group, which
+                # keeps the points off its basic orbit off it
+                failed |= _point_orbit(i, gens)
+                continue
+            gens.append(_permutation(f, spec))
+            orbit = _point_orbit(point, gens)
+        order *= len(orbit)
+    return gens, order
 
 
-def _permutation(f: tuple[Element, Element, Element], spec: GroupSpec) -> list[int]:
+def _parametrized_levels(spec: GroupSpec) -> list[Level]:
+    """The levels of a Sylow-cyclic spec: candidates {c^sc},
+    {a^t b^(1+l*n0)} and {a^s}, each completed by the other base points."""
+    a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
+    a_images, b_images, c_images = _parametrized_images(spec)
+    return [
+        (c, c_images, lambda x: (a, b, x)),
+        (b, b_images, lambda x: (a, x, c)),
+        (a, a_images, lambda x: (x, b, c)),
+    ]
+
+
+def _searched_levels(spec: GroupSpec) -> list[Level]:
+    """The levels of any spec with at most ``SEARCH_BOUND`` elements: the
+    candidates of :func:`_image_candidates`, each completed by the first
+    automorphism :func:`_completions` finds with the base points above."""
+    a_cands, b_cands, c_powers = _image_candidates(spec, SEARCH_BOUND)
+    a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
+
+    def first(img_a, b_images, c_images):
+        return next(_completions(img_a, b_images, c_images, c_powers, spec), None)
+
+    return [
+        (c, list(c_powers), lambda x: first(a, (b,), (x,))),
+        (b, b_cands, lambda x: first(a, (x,), c_powers)),
+        (a, a_cands, lambda x: first(x, b_cands, c_powers)),
+    ]
+
+
+def _point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    return permgroup.orbit(point, gens, lambda p, x: p[x])
+
+
+def _permutation(f: Triple, spec: GroupSpec) -> list[int]:
     """Action on vertex indices of the automorphism with images f of
     (a, b, c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w."""
     img_a, img_b, img_c = f

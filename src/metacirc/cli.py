@@ -21,10 +21,10 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
-from metacirc.aut import brute_force_automorphisms, parametrized_count
+from metacirc.aut import aut_generators, parametrized_count
 from metacirc.autosearch import analyze, are_isomorphic, canonical_form
 from metacirc.classify import (
     classify_spec,
@@ -114,12 +114,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# one parser per process, built by the first main call rather than at import;
+# parsing leaves it unchanged, so every call sees the same parser
+_shared_parser = cache(build_parser)
+
+
 def _cmd_info(args) -> int:
     spec = _spec_from_args(args)
-    if spec.sylow_cyclic:
-        aut_order = parametrized_count(spec)
-    else:
-        aut_order = len(brute_force_automorphisms(spec))
+    # the closed form needs no vertex permutation, whatever the group's size
+    aut_order = parametrized_count(spec) if spec.sylow_cyclic else aut_generators(spec)[1]
     print(f"m={spec.m} n={spec.n} r={spec.r} ell={spec.ell}")
     print(f"n0={spec.n0}")
     print(f"order={spec.order}")
@@ -274,9 +277,8 @@ def _sweep_reports(args, out, reports) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command == "info":
             return _cmd_info(args)
         if args.command == "classify":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacirc import aut
+from metacirc import aut, permgroup
 from metacirc.aut import (
     aut_generators,
     brute_force_automorphisms,
@@ -15,6 +15,7 @@ from metacirc.aut import (
     parametrized_count,
     set_orbit,
 )
+from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
     Element,
@@ -22,6 +23,7 @@ from metacirc.groups import (
     element_order,
     euler_phi,
     inv,
+    iter_specs,
     mul,
     power,
 )
@@ -267,8 +269,8 @@ GENERATOR_SPECS = [
 
 @pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
 def test_aut_generators_generate_aut(spec):
+    # the order itself is checked against the oracle with ORACLE_SPECS
     gens, order = aut_generators(spec)
-    assert order == len(aut_triples(spec))
     assert PermGroup(spec.order, gens).order == order
     assert len(gens) < order
 
@@ -294,18 +296,63 @@ def test_aut_generators_consistent_with_apply():
             assert p == perms[f]
 
 
-def test_aut_generators_brute_force_exactly_off_sylow_cyclic(monkeypatch):
-    calls = {"enumerate": [], "brute": []}
+def test_aut_generators_lists_no_automorphism_group(monkeypatch):
+    """The known-base search replaces both enumerations of Aut(G), and the
+    Sylow-cyclic levels need no element order."""
+    def listed(*args, **kwargs):
+        raise AssertionError("Aut(G) was listed")
 
-    def counted(key, fn):
-        def wrapper(spec, *args, **kwargs):
-            calls[key].append(spec)
-            return fn(spec, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(aut, "enumerate_aut", counted("enumerate", enumerate_aut))
-    monkeypatch.setattr(aut, "brute_force_automorphisms", counted("brute", brute_force_automorphisms))
+    monkeypatch.setattr(aut, "enumerate_aut", listed)
+    monkeypatch.setattr(aut, "brute_force_automorphisms", listed)
     for spec in GENERATOR_SPECS:
         aut_generators(spec)
-    assert calls["brute"] == [s for s in GENERATOR_SPECS if not s.sylow_cyclic] != []
-    assert calls["enumerate"] == [s for s in GENERATOR_SPECS if s.sylow_cyclic] != []
+    monkeypatch.setattr(aut, "element_order", listed)
+    for spec in PARAMETRIZED_SPECS + [GroupSpec(29, 7, 7, ell=3)]:
+        aut_generators(spec)
+
+
+# ------------------------------------------------------- known-base search
+
+ORACLE_SPECS = list(iter_specs(231)) + [
+    GroupSpec(11, 5, 3, ell=3),
+    GroupSpec(9, 9, 4),
+    GroupSpec(25, 5, 6, ell=3),
+]
+
+
+def abc_orbit(spec, gens):
+    base = tuple(spec.index(x) for x in identity_map(spec))
+    return permgroup.orbit(base, gens, lambda p, t: tuple(p[x] for x in t))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_aut_generators_generate_the_oracle_aut(spec):
+    """The generators reach exactly the automorphisms the oracle finds, as
+    images of (a, b, c), and the order is the product of the basic orbits."""
+    gens, order = aut_generators(spec)
+    triples = {tuple(map(spec.index, f)) for f in aut_triples(spec)}
+    assert abc_orbit(spec, gens) == triples
+    assert order == len(triples)
+
+
+def test_aut_generators_order_is_parametrized_count():
+    specs = [s for s in iter_specs(231) if s.sylow_cyclic] + PARAMETRIZED_SPECS + [GroupSpec(29, 7, 7, ell=3)]
+    for spec in specs:
+        assert aut_generators(spec)[1] == parametrized_count(spec), spec
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [(GroupSpec(9, 27, 4, ell=3), 236196), (GroupSpec(9, 9, 4, ell=9), 708588)],
+    ids=["Z3xZ9:Z27", "Z9xZ9:Z9"],
+)
+def test_aut_generators_on_large_non_sylow_cyclic_groups(spec, order):
+    """Groups whose Aut(G) was too large to list in tier-1 time."""
+    gens, got = aut_generators(spec)
+    assert got == order
+    assert all(sorted(p) == list(range(spec.order)) for p in gens)
+
+
+def test_aut_generators_keeps_the_search_bound():
+    with pytest.raises(BoundExceeded, match="^group order 4185 exceeds brute-force bound 4000$"):
+        aut_generators(GroupSpec(3, 3, 1, ell=465))

@@ -388,3 +388,24 @@ def test_console_script_subprocess():
     )
     assert out.returncode == 0
     assert "order=5" in out.stdout
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys, monkeypatch):
+    """main reuses one parser per process: a usage error from argparse, or
+    from the arguments it parsed, leaves no trace in the calls after it."""
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["info", "--m", "9", "--n", "3", "--r", "4"],
+        ["info", "--m", "7", "--n", "3"],
+        ["export", "--m", "7", "--n", "3", "--r", "2", "--j", "1"],
+        ["bogus"],
+        ["info", "--m", "6", "--n", "3", "--r", "1"],
+        ["info", "--m", "7", "--n", "3", "--r", "2", "--ell", "5"],
+    ]
+    for argv in calls:
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "metacirc.cli", *argv], capture_output=True,
+                               text=True, env={**_child_env(), "COLUMNS": "80"}, timeout=60)
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 1, 0, 1, 1, 0]
