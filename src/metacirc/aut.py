@@ -267,27 +267,29 @@ def _point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
 
 def _permutation(f: Triple, spec: GroupSpec) -> list[int]:
     """Action on vertex indices of the automorphism with images f of
-    (a, b, c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w."""
-    img_a, img_b, img_c = f
-    a_pow = _power_table(img_a, spec.m, spec)
-    b_pow = _power_table(img_b, spec.n, spec)
-    c_pow = _power_table(img_c, spec.ell, spec)
-    perm = [0] * spec.order
-    for g in spec.elements():
-        image = mul(mul(a_pow[g.u], b_pow[g.v], spec), c_pow[g.w], spec)
-        perm[spec.index(g)] = spec.index(image)
-    return perm
+    (a, b, c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w.
 
-
-def set_orbit(S: Iterable[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Orbit of the vertex-index set S under the group the permutations
-    ``gens`` generate, each set as a sorted tuple.
-
-    With ``gens`` from :func:`aut_generators`, the orbit has
-    |Aut(G)| / |Aut(G, S)| sets and its least member is the same for every
-    set in it, so it serves as an Aut(G)-canonical key.
+    Only the n * ell products y = f(b)^v f(c)^w are multiplied out.  Each
+    block of m indices (one v and w) is then f(a)^u y for u < m, whose normal
+    form follows from the product rule with no Element built:
+    (x_u + y_u r^-x_v, x_v + y_v, x_w + y_w) for f(a)^u = (x_u, x_v, x_w).
     """
-    return permgroup.orbit(tuple(sorted(S)), gens, lambda p, t: tuple(sorted(map(p.__getitem__, t))))
+    img_a, img_b, img_c = f
+    m, n, ell = spec.m, spec.n, spec.ell
+    a_pow = [(x.u, spec.rpow_inv(x.v), x.v, x.w) for x in _power_table(img_a, m, spec)]
+    b_pow = _power_table(img_b, n, spec)
+    c_pow = _power_table(img_c, ell, spec)
+    perm: list[int] = []
+    for cw in c_pow:
+        for bv in b_pow:
+            y = mul(bv, cw, spec)
+            perm.extend(
+                [
+                    (xu + y.u * rinv) % m + m * ((xv + y.v) % n + n * ((xw + y.w) % ell))
+                    for xu, rinv, xv, xw in a_pow
+                ]
+            )
+    return perm
 
 
 def _power_table(g: Element, count: int, spec: GroupSpec) -> list[Element]:

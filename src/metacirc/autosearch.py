@@ -46,21 +46,19 @@ class SearchResult:
         return self.generators[self.n_seeds:]
 
 
-def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[list[int]]:
+def _initial_partition(g: Graph, seeded: _Orbits | None = None) -> list[list[int]]:
     """Cells by (degree, neighbor degrees, distance-2 degrees), an
     isomorphism-invariant starting colouring.
 
-    Automorphisms preserve the signature, so it is computed once per orbit of
-    the automorphisms ``seeds`` and given to the whole orbit: a graph whose
-    seeds are transitive, as a Cayley graph's translations are, gets one.
+    Automorphisms preserve the signature, so it is computed once per orbit
+    of ``seeded``, the orbits of the seeds, and given to the whole orbit: a
+    graph whose seeds are transitive, as a Cayley graph's translations are,
+    gets one.
     """
     deg = g.degrees()
     root = list(range(g.n))
-    if seeds:
-        orbits = _Orbits(g.n)
-        for p in seeds:
-            orbits.add(p)
-        root = [orbits.find(v) for v in root]
+    if seeded is not None:
+        root = [seeded.find(v) for v in root]
     sig_of = {}
     for v, r in enumerate(root):
         if r == v:
@@ -259,13 +257,24 @@ def _target_cell(cells: list[list[int]]) -> int:
 
 class _Orbits:
     """Union-find of the orbits of a growing set of permutations, with a
-    flag per orbit: does it hold a processed vertex."""
+    flag per orbit: does it hold a processed vertex.  ``fed`` counts the
+    generators already fed in by :meth:`feed`."""
 
-    __slots__ = ("parent", "hit")
+    __slots__ = ("parent", "hit", "fed")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, gens: Sequence[Sequence[int]] = ()):
         self.parent = list(range(n))
         self.hit = [False] * n
+        self.fed = 0
+        self.feed(gens, ())
+
+    def feed(self, gens: Sequence[Sequence[int]], fixed: Sequence[int]) -> None:
+        """Merge the orbits of the generators past the first ``fed`` that fix
+        ``fixed`` pointwise."""
+        for p in gens[self.fed:]:
+            if all(p[x] == x for x in fixed):
+                self.add(p)
+        self.fed = len(gens)
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -347,20 +356,17 @@ def analyze(
         if key < best[0]:
             best = (key, order)
 
-    def rec(cells: list[list[int]], fixed: list[int]) -> None:
+    def rec(cells: list[list[int]], fixed: list[int], orbits: _Orbits | None = None) -> None:
         t = _target_cell(cells)
         if t < 0:
             handle_leaf(cells)
             return
         # orbits of the generators that fix `fixed` pointwise; a branch is
         # equivalent to a processed one iff its vertex shares their orbit
-        orbits = _Orbits(g.n)
-        fed = 0
+        if orbits is None:
+            orbits = _Orbits(g.n)
         for v in cells[t]:
-            for p in gens[fed:]:
-                if all(p[x] == x for x in fixed):
-                    orbits.add(p)
-            fed = len(gens)
+            orbits.feed(gens, fixed)
             if orbits.processed(v):
                 continue
             child, splitters = _individualize(cells, t, v)
@@ -369,8 +375,10 @@ def analyze(
             rec(_refine(adj, child, splitters, True, watch), fixed + [v])
             orbits.mark(v)
 
+    # the seeds' orbits: the starting signature's, and the root's to start from
+    seeded = _Orbits(g.n, gens) if gens else None
     try:
-        rec(_refine(adj, _initial_partition(g, gens), None), [])
+        rec(_refine(adj, _initial_partition(g, seeded), None), [], seeded)
     except RecursionError:
         # each level of the tree is one frame of rec
         raise BoundExceeded(

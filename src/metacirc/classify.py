@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, gcd
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from metacirc.aut import aut_generators, set_orbit
+from metacirc.aut import aut_generators
 from metacirc.autosearch import NotEdgeTransitive, PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set, to_dot, to_graph6
@@ -140,6 +140,87 @@ class GroupReport:
 
 # ------------------------------------------------------------- candidates
 
+class _PairAction:
+    """Aut(G) acting on the (|G|-1)/2 inverse pairs {x, x^-1}.
+
+    Automorphisms commute with inversion, so they permute the pairs, and a
+    raw set {x, x^-1, y, y^-1} is the unordered pair {i, j} of its pairs'
+    indices.  ``pairs`` lists each pair as (x, x^-1) with x < x^-1, in order
+    of x; ``pair_of`` gives each vertex's pair index (-1 for the identity);
+    ``gens`` holds each generator of Aut(G) as a permutation of pair
+    indices.  Raw set {i, j} with i < j has the slot ``base[i] + j`` in a
+    ``marks`` array, in walk order: by i, then by j.
+    """
+
+    __slots__ = ("pairs", "pair_of", "gens", "base")
+
+    def __init__(self, spec: GroupSpec, gens: Sequence[Sequence[int]]):
+        inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
+        pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+        pair_of = [-1] * spec.order
+        for i, (x, y) in enumerate(pairs):
+            pair_of[x] = pair_of[y] = i
+        count = len(pairs)
+        self.pairs, self.pair_of = pairs, pair_of
+        self.gens = [[pair_of[g[x]] for x, _ in pairs] for g in gens]
+        self.base = [i * (2 * count - i - 3) // 2 - 1 for i in range(count)]
+
+    def marks(self) -> bytearray:
+        """One zero byte per raw set."""
+        return bytearray(comb(len(self.pairs), 2))
+
+    def key(self, S: Sequence[int]) -> tuple[int, int]:
+        """The pair indices (i, j), i < j, of the raw set S of vertex indices."""
+        i, j = sorted({self.pair_of[x] for x in S})
+        return i, j
+
+    def orbit(self, i: int, j: int, marks: bytearray) -> list[tuple[int, int]]:
+        """The orbit of the raw set {i, j} (i < j) as pair-index keys, (i, j)
+        first, breadth first; every member is marked in ``marks``, which
+        must not mark any member yet."""
+        gens, base = self.gens, self.base
+        marks[base[i] + j] = 1
+        members = [(i, j)]
+        for a, b in members:
+            for p in gens:
+                x, y = p[a], p[b]
+                if x > y:
+                    x, y = y, x
+                k = base[x] + y
+                if not marks[k]:
+                    marks[k] = 1
+                    members.append((x, y))
+        return members
+
+    def orbits(self) -> Iterator[list[tuple[int, int]]]:
+        """Every orbit on raw sets once, each from :meth:`orbit` on its
+        first member in walk order, in that order; one byte per raw set
+        marks the sets met, and the next one not met is found by scanning
+        the bytes."""
+        marks = self.marks()
+        base, count = self.base, len(self.pairs)
+        i = 0
+        k = marks.find(0)
+        while k >= 0:
+            j = k - base[i]
+            while j >= count:
+                i += 1
+                j = k - base[i]
+            yield self.orbit(i, j, marks)
+            k = marks.find(0, k + 1)
+
+
+# one generating set of Aut(G) per spec, and its action on inverse pairs,
+# shared by the orbit reduction and the census of the spec; never needed by
+# the per-class work
+_aut_generators = lru_cache(maxsize=64)(aut_generators)
+
+
+@lru_cache(maxsize=64)
+def _pair_action(spec: GroupSpec) -> _PairAction:
+    return _PairAction(spec, _aut_generators(spec)[0])
+
+
 def orbit_representatives(
     spec: GroupSpec, bound: int = 1000
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -147,32 +228,28 @@ def orbit_representatives(
 
     The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
     C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so no
-    element but the identity is its own inverse).  They are walked as
-    sorted vertex-index tuples, inverse pairs in the order of their smaller
-    index; a set met for the first time has its Aut(G)-orbit taken, and
-    the later members of that orbit are skipped.  Automorphisms preserve
-    generation, so one generation test decides the whole orbit (orderly
-    generation in the sense of Read, 1978).
+    element but the identity is its own inverse).  They are walked as pairs
+    {i, j} of pair indices (see ``_PairAction``), inverse pairs in the order
+    of their smaller vertex index; a set met for the first time has its
+    Aut(G)-orbit taken, and the later members of that orbit are skipped.
+    Automorphisms preserve generation, so one generation test decides the
+    whole orbit (orderly generation in the sense of Read, 1978).
 
     Returns [(least member, orbit size)] of the generating orbits, in order
-    of their first member.
+    of their first member.  The least member is the least sorted 4-tuple of
+    vertex indices; its least vertex is the first of pair i, so it is a
+    member with the least i, the i of the first member met.
     """
     if spec.order > bound:
         raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
-    gens, _ = _aut_generators(spec)
-    inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
-    pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+    action = _pair_action(spec)
+    pairs = action.pairs
     orbits = []
-    covered: set[tuple[int, ...]] = set()
-    for i, p in enumerate(pairs):
-        for q in pairs[i + 1:]:
-            s = tuple(sorted(p + q))
-            if s in covered:
-                continue
-            orbit = set_orbit(s, gens)
-            covered |= orbit
-            if _generates(spec, p[0], q[0]):
-                orbits.append((min(orbit), len(orbit)))
+    for members in action.orbits():
+        i, j = members[0]
+        if _generates(spec, pairs[i][0], pairs[j][0]):
+            least = min(tuple(sorted(pairs[i] + pairs[b])) for a, b in members if a == i)
+            orbits.append((least, len(members)))
     return orbits
 
 
@@ -198,11 +275,6 @@ def _generates(spec: GroupSpec, x: int, y: int) -> bool:
 
 
 # ------------------------------------------------------------ per-rep work
-
-# one generating set of Aut(G) per spec, shared by the orbit reduction and
-# the census of the spec; never needed by the per-class work
-_aut_generators = lru_cache(maxsize=64)(aut_generators)
-
 
 @lru_cache(maxsize=64)
 def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
@@ -268,11 +340,12 @@ def theorem_js(spec: GroupSpec) -> list[int]:
     return [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1 and 2 * j < spec.n0]
 
 
-def _standard_sets(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
-    """Each standard set S_j with gcd(j, n) = 1, as a sorted vertex-index
-    tuple, by j."""
+def _standard_keys(spec: GroupSpec) -> dict[int, tuple[int, int]]:
+    """Each standard set S_j with gcd(j, n) = 1, as its pair-index key (see
+    ``_PairAction``), by j."""
+    key = _pair_action(spec).key
     return {
-        j: tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+        j: key([spec.index(x) for x in standard_connection_set(j, spec)])
         for j in range(1, spec.n0)
         if gcd(j, spec.n) == 1
     }
@@ -301,19 +374,19 @@ def classify_spec(
                 "the no-central-Sylow condition; use oracle mode"
             )
         raw = connected = 0
-        gens, aut_order = _aut_generators(spec)
+        aut_order = _aut_generators(spec)[1]
         js = theorem_js(spec)
         reps = [tuple(spec.index(x) for x in standard_connection_set(j, spec)) for j in js]
         sizes = [None] * len(reps)
     else:
         orbits = orbit_representatives(spec, bound=bound)
-        gens, aut_order = _aut_generators(spec)
+        aut_order = _aut_generators(spec)[1]
         raw = comb((spec.order - 1) // 2, 2)
         connected = sum(size for _, size in orbits)
         reps = [rep for rep, _ in orbits]
         sizes = [size for _, size in orbits]
 
-    standard = _standard_sets(spec) if thm2_applicable else {}
+    standard = _standard_keys(spec) if thm2_applicable else {}
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
     merged: dict[str, ClassReport] = {}
@@ -324,9 +397,10 @@ def classify_spec(
         if thm2_applicable:
             # one walk per surviving class: its size in theorem mode, and
             # the least j whose standard set lies in the class's orbit
-            orbit = set_orbit(rep, gens)
+            action = _pair_action(spec)
+            orbit = set(action.orbit(*action.key(rep), action.marks()))
             size = len(orbit)
-            standard_j = min((j for j, S in standard.items() if S in orbit), default=None)
+            standard_j = min((j for j, key in standard.items() if key in orbit), default=None)
         set_stab = aut_order // size
         c = replace(
             c,

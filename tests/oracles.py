@@ -292,16 +292,30 @@ def enumerate_candidates(m: int, n: int, r: int, ell: int = 1) -> list[tuple[int
     :func:`inverse_closed_four_subsets`: every set is tested for generation
     by a breadth-first search of the subgroup it generates."""
     right = _right_multiplications(m, n, r, ell)
-    out = []
-    for S in inverse_closed_four_subsets(m, n, r, ell):
-        perms = [right[s] for s in S]
-        seen, frontier = {0}, {0}
-        while frontier:
-            frontier = {p[x] for x in frontier for p in perms} - seen
-            seen |= frontier
-        if len(seen) == len(right):
-            out.append(S)
-    return out
+    return [S for S in inverse_closed_four_subsets(m, n, r, ell) if _generates(S, right)]
+
+
+def _generates(S, right) -> bool:
+    """Whether the vertex indices S generate the group of the right
+    multiplications ``right``."""
+    perms = [right[s] for s in S]
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = {p[x] for x in frontier for p in perms} - seen
+        seen |= frontier
+    return len(seen) == len(right)
+
+
+def set_orbit(S, gens) -> set[tuple[int, ...]]:
+    """Orbit of the vertex-index set S under the group the permutations
+    ``gens`` generate, each set as a sorted tuple."""
+    orbit = {tuple(sorted(S))}
+    frontier = list(orbit)
+    while frontier:
+        images = {tuple(sorted(p[x] for x in t)) for t in frontier for p in gens}
+        frontier = list(images - orbit)
+        orbit.update(frontier)
+    return orbit
 
 
 def candidate_orbits(candidates, gens) -> list[tuple[tuple[int, ...], int]]:
@@ -313,14 +327,28 @@ def candidate_orbits(candidates, gens) -> list[tuple[tuple[int, ...], int]]:
     for S in candidates:
         if S in seen:
             continue
-        orbit = {S}
-        frontier = [S]
-        while frontier:
-            images = {tuple(sorted(p[x] for x in t)) for t in frontier for p in gens}
-            frontier = list(images - orbit)
-            orbit.update(frontier)
+        orbit = set_orbit(S, gens)
         seen |= orbit
         out.append((min(orbit), len(orbit)))
+    return out
+
+
+def orbit_walk(spec, gens) -> list[tuple[tuple[int, ...], int]]:
+    """The candidate walk over sorted 4-tuples: every raw set in the order of
+    :func:`inverse_closed_four_subsets`; a set not yet covered has its
+    :func:`set_orbit` under ``gens`` taken, and that orbit is tested for
+    generation once, on the set met first.  Returns (least member, orbit
+    size) of the generating orbits, in order of their first member."""
+    right = _right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    covered: set[tuple[int, ...]] = set()
+    out = []
+    for S in inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell):
+        if S in covered:
+            continue
+        orbit = set_orbit(S, gens)
+        covered |= orbit
+        if _generates(S, right):
+            out.append((min(orbit), len(orbit)))
     return out
 
 
@@ -417,11 +445,16 @@ def aut_triples(spec) -> list:
     return out
 
 
+def aut_permutation(f, spec) -> list[int]:
+    """Action on vertex indices of the automorphism with images f of
+    (a, b, c), by :func:`apply_aut`: a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w."""
+    return [spec.index(apply_aut(f, spec.at_index(i), spec)) for i in range(spec.order)]
+
+
 def aut_permutations(spec) -> list[list[int]]:
     """Action of each automorphism of :func:`aut_triples` on vertex
-    indices, by :func:`apply_aut`."""
-    elements = [spec.at_index(i) for i in range(spec.order)]
-    return [[spec.index(apply_aut(f, g, spec)) for g in elements] for f in aut_triples(spec)]
+    indices."""
+    return [aut_permutation(f, spec) for f in aut_triples(spec)]
 
 
 def aut_stabilizer(S, spec, maps) -> list:

@@ -13,8 +13,8 @@ from metacirc.aut import (
     brute_force_automorphisms,
     enumerate_aut,
     parametrized_count,
-    set_orbit,
 )
+from metacirc.classify import _pair_action
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
@@ -28,7 +28,15 @@ from metacirc.groups import (
     power,
 )
 from metacirc.permgroup import PermGroup
-from oracles import apply_aut, aut_permutations, aut_stabilizer, aut_triples, closure_size
+from oracles import (
+    apply_aut,
+    aut_permutation,
+    aut_permutations,
+    aut_stabilizer,
+    aut_triples,
+    closure_size,
+    set_orbit,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -227,10 +235,17 @@ def test_aut_stabilizer_brute_force_backend():
 
 # ------------------------------------------------------- orbit canonical
 
+def pair_orbit(S, spec):
+    """The Aut(G)-orbit of the set S of elements, each member as a sorted
+    vertex-index tuple, from the census's walk on inverse pairs."""
+    action = _pair_action(spec)
+    members = action.orbit(*action.key([spec.index(x) for x in S]), action.marks())
+    return [tuple(sorted(action.pairs[i] + action.pairs[j])) for i, j in members]
+
+
 def orbit_min(S, spec):
     """Aut(G)-canonical key of S: the least set in its orbit."""
-    gens, _ = aut_generators(spec)
-    return min(set_orbit((spec.index(x) for x in S), gens))
+    return min(pair_orbit(S, spec))
 
 
 def test_set_orbit_canonical_idempotent_and_orbit_invariant():
@@ -279,7 +294,9 @@ def test_set_orbit_size_is_index_of_stabilizer():
     for spec in (F21, GroupSpec(9, 3, 4)):
         gens, order = aut_generators(spec)
         S = S1(spec)
-        orbit = set_orbit((spec.index(x) for x in S), gens)
+        orbit = pair_orbit(S, spec)
+        assert len(set(orbit)) == len(orbit)
+        assert set(orbit) == set_orbit((spec.index(x) for x in S), gens)
         assert len(orbit) * len(aut_stabilizer(S, spec, aut_triples(spec))) == order
         assert all(t == tuple(sorted(t)) and len(t) == 4 for t in orbit)
 
@@ -356,3 +373,25 @@ def test_aut_generators_on_large_non_sylow_cyclic_groups(spec, order):
 def test_aut_generators_keeps_the_search_bound():
     with pytest.raises(BoundExceeded, match="^group order 4185 exceeds brute-force bound 4000$"):
         aut_generators(GroupSpec(3, 3, 1, ell=465))
+
+
+@pytest.mark.parametrize(
+    "spec", ORACLE_SPECS + [GroupSpec(23, 11, 2), GroupSpec(47, 23, 2)], ids=str
+)
+def test_permutation_matches_products(spec, monkeypatch):
+    """Each generator's vertex permutation, built from index arithmetic on
+    power tables, is the permutation a^u b^v c^w -> f(a)^u f(b)^v f(c)^w
+    of its images f, built element by element from products."""
+    built = []
+
+    def recorded(f, spec):
+        p = permutation(f, spec)
+        built.append((f, p))
+        return p
+
+    permutation = aut._permutation
+    monkeypatch.setattr(aut, "_permutation", recorded)
+    gens, _ = aut_generators(spec)
+    assert [p for _, p in built] == gens
+    for f, p in built:
+        assert p == aut_permutation(f, spec)

@@ -11,6 +11,7 @@ from metacirc.aut import enumerate_aut
 from metacirc.classify import orbit_representatives
 from metacirc.autosearch import (
     _individualize,
+    _Orbits,
     _initial_partition,
     _refine,
     analyze,
@@ -137,7 +138,7 @@ def test_seeded_initial_partition_on_census_graphs(spec):
     orbits = orbit_representatives(spec, bound=spec.order)
     for rep, _ in orbits:
         g = build_cayley([spec.at_index(x) for x in rep], spec)
-        assert _initial_partition(g, regular) == _initial_partition(g)
+        assert _initial_partition(g, _Orbits(g.n, regular)) == _initial_partition(g)
 
 
 @given(
@@ -153,7 +154,7 @@ def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
     g = refine_fixture(n, kind, rng)
     gens = analyze(g).generators
     seeds = rng.sample(gens, rng.randint(0, len(gens)))
-    assert _initial_partition(g, seeds) == _initial_partition(g)
+    assert _initial_partition(g, _Orbits(g.n, seeds)) == _initial_partition(g)
 
 
 def two_splitter_individualize(cells, target_idx, v):
@@ -248,6 +249,27 @@ def test_seed_validation():
         analyze(K5, seeds=[(1, 2, 3, 4, 0, 5)])  # wrong degree
     with pytest.raises(ValueError):
         analyze(graph_from_edges(5, [(0, 1), (1, 2)]), seeds=[(4, 3, 2, 1, 0)])
+
+
+def test_seeds_feed_one_union_find(monkeypatch):
+    """Each seed is merged into one union-find, which serves both the
+    starting signature and the root of the tree; deeper levels keep only
+    generators that fix their path, which no translation does."""
+    added = []
+    add = autosearch._Orbits.add
+
+    def counted(self, p):
+        added.append(tuple(p))
+        return add(self, p)
+
+    monkeypatch.setattr(autosearch._Orbits, "add", counted)
+    for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
+        regular = [tuple(p) for p in regular_representation(spec)]
+        seeds = {p for p in regular if p != tuple(range(spec.order))}
+        g = build_cayley(standard_connection_set(1, spec), spec)
+        added.clear()
+        analyze(g, seeds=regular)
+        assert sorted(p for p in added if p in seeds) == sorted(seeds)
 
 
 # -------------------------------------------------------------- canonical

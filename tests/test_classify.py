@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from metacirc import classify
-from metacirc.aut import set_orbit
 from metacirc.classify import (
     _aut_generators,
-    _standard_sets,
+    _pair_action,
+    _standard_keys,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -34,6 +34,8 @@ from oracles import (
     enumerate_candidates,
     inverse_closed_four_subsets,
     max_s_arc_transitive,
+    orbit_walk,
+    set_orbit,
 )
 
 F21 = GroupSpec(7, 3, 2)
@@ -48,6 +50,10 @@ def orbit_members(rep, spec):
     """The Aut(G)-orbit of rep, from every element of Aut(G)."""
     perms = aut_permutations(spec)
     return {tuple(sorted(p[x] for x in rep)) for p in perms}
+
+
+def sorted_standard_set(j, spec):
+    return tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
 
 
 # ------------------------------------------------------------- candidates
@@ -212,42 +218,85 @@ def test_set_stabilizer_order_matches_reference():
 
 @pytest.mark.parametrize(
     "spec",
+    list(iter_specs(231))
+    + [GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 9, 4), GroupSpec(25, 5, 6, ell=3), GroupSpec(23, 11, 2)],
+    ids=spec_id,
+)
+def test_orbit_representatives_match_reference_walk(spec):
+    """The walk on inverse-pair indices, one byte per raw set, gives the
+    output of the walk over sorted 4-tuples, each orbit taken by set_orbit."""
+    gens, _ = _aut_generators(spec)
+    assert orbit_representatives(spec, bound=spec.order) == orbit_walk(spec, gens)
+
+
+@pytest.mark.parametrize(
+    "spec",
     [F21, GroupSpec(13, 3, 3), GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4)],
     ids=spec_id,
 )
 def test_orbit_cache_holds_least_member_and_size(spec):
     """The walk gives (min(o), len(o)) of the set_orbit o of each generating
-    orbit it meets; the standard table holds every sorted S_j with
-    gcd(j, n) = 1; and each class's standard_j is the least j whose S_j lies
-    in the class's orbit under every element of Aut(G)."""
+    orbit it meets; the standard table holds the pair-index key of every
+    S_j with gcd(j, n) = 1; and each class's standard_j is the least j whose
+    S_j lies in the class's orbit under every element of Aut(G)."""
     gens, _ = _aut_generators(spec)
     orbits = orbit_representatives(spec)
     for rep, size in orbits:
         o = set_orbit(rep, gens)
         assert (min(o), len(o)) == (rep, size)
-    standard = _standard_sets(spec)
+    action = _pair_action(spec)
+    standard = _standard_keys(spec)
     assert sorted(standard) == [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
-    for j, S in standard.items():
-        assert S == tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+    for j, (a, b) in standard.items():
+        S = tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
+        assert a < b and tuple(sorted(action.pairs[a] + action.pairs[b])) == S
     report = classify_spec(spec)
     thm2_applicable = report.thm2_claim is not None
     for c in report.classes:
         members = orbit_members(sorted(map(spec.index, c.connection_set)), spec)
-        expected = min((j for j, S in standard.items() if S in members), default=None)
+        expected = min(
+            (j for j in standard if sorted_standard_set(j, spec) in members), default=None
+        )
         assert c.standard_j == (expected if thm2_applicable else None)
+
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(23, 11, 2)],
+    ids=spec_id,
+)
+def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
+    """In each mode that applies, every class's orbit size and standard_j
+    are those of the set_orbit of its connection set: the size of that
+    orbit, and the least j with gcd(j, n) = 1 whose sorted S_j lies in it
+    (None where the count formula does not apply)."""
+    gens, _ = _aut_generators(spec)
+    reports = [classify_spec(spec)]
+    thm2_applicable = reports[0].thm2_claim is not None
+    if thm2_applicable:
+        reports.append(classify_spec(spec, mode="theorem"))
+    js = [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
+    for report in reports:
+        assert not any("isomorphic" in f for f in report.findings)
+        for c in report.classes:
+            o = set_orbit(map(spec.index, c.connection_set), gens)
+            assert c.orbit_size == len(o)
+            expected = min((j for j in js if sorted_standard_set(j, spec) in o), default=None)
+            assert c.standard_j == (expected if thm2_applicable else None)
 
 
 def test_theorem_mode_walks_each_orbit_once(monkeypatch):
     """One walk per class: it gives the class's orbit size and standard_j."""
     spec = GroupSpec(29, 7, 7)
     walked = []
+    orbit = classify._PairAction.orbit
 
-    def counted(S, gens):
-        S = tuple(S)
-        walked.append(S)
-        return set_orbit(S, gens)
+    def counted(self, i, j, marks):
+        walked.append((i, j))
+        return orbit(self, i, j, marks)
 
-    monkeypatch.setattr(classify, "set_orbit", counted)
+    monkeypatch.setattr(classify._PairAction, "orbit", counted)
     report = classify_spec(spec, mode="theorem")
     assert report.classes
     assert len(walked) == len(set(walked)) == len(theorem_js(spec))
@@ -488,6 +537,7 @@ def test_census_of_z3_times_f55_finds_arc_transitive_cover():
     [
         (GroupSpec(33, 5, 4), GroupSpec(11, 5, 3, ell=3)),
         (GroupSpec(35, 3, 11), GroupSpec(7, 3, 2, ell=5)),
+        (GroupSpec(69, 11, 4), GroupSpec(23, 11, 2, ell=3)),
     ],
     ids=spec_id,
 )
@@ -500,7 +550,7 @@ def test_reduced_and_unreduced_presentations_agree(unreduced, reduced):
     def fields(spec):
         return [
             {k: v for k, v in vars(c).items() if k not in ("connection_set", "standard_j")}
-            for c in classify_spec(spec, bound=231).classes
+            for c in classify_spec(spec, bound=spec.order).classes
         ]
 
     assert fields(unreduced) == fields(reduced)
