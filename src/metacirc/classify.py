@@ -236,9 +236,10 @@ def orbit_representatives(
     whole orbit (orderly generation in the sense of Read, 1978).
 
     Returns [(least member, orbit size)] of the generating orbits, in order
-    of their first member.  The least member is the least sorted 4-tuple of
-    vertex indices; its least vertex is the first of pair i, so it is a
-    member with the least i, the i of the first member met.
+    of their first member.  The least member, the least sorted 4-tuple of
+    vertex indices, is the first member met, the least (i, j): its least
+    vertex is pairs[i][0], and for one i, j < j' gives a smaller rest, since
+    pairs[j][0] < pairs[j'][0] and pairs[j][0] < pairs[j][1].
     """
     if spec.order > bound:
         raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
@@ -248,8 +249,7 @@ def orbit_representatives(
     for members in action.orbits():
         i, j = members[0]
         if _generates(spec, pairs[i][0], pairs[j][0]):
-            least = min(tuple(sorted(pairs[i] + pairs[b])) for a, b in members if a == i)
-            orbits.append((least, len(members)))
+            orbits.append((tuple(sorted(pairs[i] + pairs[j])), len(members)))
     return orbits
 
 
