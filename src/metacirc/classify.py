@@ -19,6 +19,14 @@ reads |Aut(G, S)|, the normalizer identity and the standard form S_j off
 those orbits.  ``analyze_connection_set`` reads the rest off the graph of
 one set and never needs Aut(G), so neither does a worker process.
 
+A set whose graph is not edge-transitive leaves the census at the first
+of three exits that sees two edge orbits at vertex 0, in this order:
+distance-pair counts from three breadth-first searches, before the graph
+is built (``_distance_split``); the search's first refinement
+(``NotEdgeTransitive``); and the orbits of the vertex stabilizer on the
+neighbours of 0 (``orbits_at_zero``).  Each exit only drops sets with more
+than one edge orbit, so the order changes no report.
+
 Counts are compared against the count formula, its stated exceptions, and
 the reference table of the four exceptional arc-transitive graphs; every
 mismatch is recorded in the report, never silently dropped.
@@ -27,16 +35,23 @@ mismatch is recorded in the report, never silently dropped.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, gcd
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from metacirc.aut import aut_generators
 from metacirc.autosearch import NotEdgeTransitive, PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import build_cayley, standard_connection_set, to_dot, to_graph6
+from metacirc.graphs import (
+    build_cayley,
+    standard_connection_set,
+    to_dot,
+    to_graph6,
+    validate_connection_set,
+)
 from metacirc.groups import (
     Element,
     GroupSpec,
@@ -257,21 +272,26 @@ def _generates(spec: GroupSpec, x: int, y: int) -> bool:
     """Whether the elements of vertex indices x and y generate G: the orbit
     of the identity under left multiplication by x and y is <x, y>."""
     perms = (left_translation(x, spec), left_translation(y, spec))
-    seen = bytearray(spec.order)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
+    return -1 not in _distances(0, perms, spec.order)
+
+
+def _distances(source: int, perms: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Breadth-first distances from ``source`` on the points 0..n-1, one
+    step being v -> p[v] for p in ``perms``; -1 where unreachable."""
+    dist = [-1] * n
+    dist[source] = 0
+    frontier = [source]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
-        for g in frontier:
-            for perm in perms:
-                h = perm[g]
-                if not seen[h]:
-                    seen[h] = 1
-                    count += 1
-                    nxt.append(h)
+        for p in perms:
+            for w in map(p.__getitem__, frontier):
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
         frontier = nxt
-    return count == spec.order
+    return dist
 
 
 # ------------------------------------------------------------ per-rep work
@@ -283,29 +303,66 @@ def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for p in regular_representation(spec))
 
 
+def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
+    """Whether distance-pair counts at vertex 0 prove that the Cayley graph
+    of S = {x, x^-1, y, y^-1} has two edge orbits; ``inverse`` maps each
+    vertex index in S to its inverse's.
+
+    M_z counts the pairs (d(0, v), d(z, v)) over the vertices v, with the
+    distances from breadth-first searches over the left translations by S,
+    so no graph is built.  An automorphism fixing 0 and sending z to z'
+    preserves distances, so M_z = M_z'; right translation by x, also an
+    automorphism, sends x^-1 to 0 and 0 to x, so M_(x^-1) is M_x
+    transposed.  The unordered pair {M_z, M_z transposed} is therefore the
+    same for every z in one edge orbit, merged along z ~ z^-1 as
+    ``orbits_at_zero`` merges them; if M_y is neither M_x nor its
+    transpose, the edges at 0 fall into two orbits.  This is the two-point
+    distance invariant of McKay & Piperno ("Practical graph isomorphism,
+    II", 2014): it only drops sets that have more than one edge orbit.
+    """
+    x = min(inverse)
+    y = min(z for z in inverse if z != x and z != inverse[x])
+    perms = [left_translation(s, spec) for s in inverse]
+    n = spec.order
+    d0, dx, dy = (_distances(z, perms, n) for z in (0, x, y))
+    my = Counter(zip(d0, dy))
+    return my != Counter(zip(d0, dx)) and my != Counter(zip(dx, d0))
+
+
 def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport | None:
     """Full classification data for one connection set.
 
     Returns None when the graph is not edge-transitive (such sets leave the
     census).  Every fact is read at vertex 0, since Aut = R * A_0 with R the
-    regular copy of G and A_0 the stabilizer of vertex 0:
+    regular copy of G and A_0 the stabilizer of vertex 0.  The exits for a
+    set that is not edge-transitive run in this order, each for the sets
+    the one before it misses:
+
+    1. distance-pair counts at vertex 0, before the graph is built, see
+       two edge orbits (``_distance_split``);
+    2. the search's first refinement at vertex 0 sees two edge orbits
+       there (NotEdgeTransitive, given x ~ x^-1 as ``reverse``);
+    3. the orbits of A_0 on the neighbours of vertex 0, merged along
+       x ~ x^-1, are more than one (``orbits_at_zero``).
+
+    The rest is read off the search:
 
     * the automorphism search is seeded with R, so every automorphism it
       finds fixes vertex 0, and those found generate A_0 (first-path
       property, see ``autosearch``); only A_0 gets a stabilizer chain, and
       |Aut| = |G| * |A_0|;
-    * most sets that are not edge-transitive leave during the search's
-      first refinement at vertex 0, which sees two edge orbits there
-      (NotEdgeTransitive, given x ~ x^-1 as ``reverse``);
-    * edge-, arc- and s-arc-transitivity come from the orbits of A_0 on the
-      neighbours and the s-arcs of vertex 0 (``orbits_at_zero``);
+    * arc- and s-arc-transitivity come from the orbits of A_0 on the
+      s-arcs of vertex 0 (``orbits_at_zero``);
     * the normalizer of R is found by enumerating A_0, and R is normal
       exactly when its normalizer is all of Aut.
     """
     S = tuple(S)
+    validate_connection_set(S, spec)
+    inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
+    if _distance_split(spec, inverse):
+        return None
     graph = build_cayley(S, spec)
     regular = _regular_representation(spec)
-    inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
     try:
         result = analyze(graph, seeds=regular, reverse=inverse)
     except NotEdgeTransitive:

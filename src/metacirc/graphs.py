@@ -104,7 +104,20 @@ def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
     """
     S = validate_connection_set(S, spec)
     rows = zip(*[left_translation(spec.index(s), spec) for s in S])
-    return Graph(spec.order, tuple(tuple(sorted(row)) for row in rows))
+    return _trusted_graph(spec.order, tuple(tuple(sorted(row)) for row in rows))
+
+
+def _trusted_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+    """A Graph of rows valid by construction, skipping ``__post_init__``.
+
+    A Cayley graph's rows need no check: the four left translations by
+    distinct s map x to distinct s*x, none is x since 1 is not in S, and
+    y = s*x gives x = s^-1*y with s^-1 in S, so the rows are symmetric.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adjacency", adjacency)
+    return g
 
 
 # ------------------------------------------------------------ packed rows

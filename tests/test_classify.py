@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import comb, gcd
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from oracles import (
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
+DATA = Path(__file__).parent / "data"
 
 
 def spec_id(spec):
@@ -154,11 +156,12 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
         )
 
 
+@lru_cache(maxsize=None)
 def edge_split_exits(spec):
     """Per generating orbit: the edge orbits that ``orbits_at_zero`` counts
     from the search without ``reverse``, and whether the search given
     x ~ x^-1 as ``reverse`` raised.  A search that did not raise returned
-    the result of the one without."""
+    the result of the one without.  Cached, as two tests walk each spec."""
     regular = regular_representation(spec)
     orbits = orbit_representatives(spec)
     out = []
@@ -174,7 +177,7 @@ def edge_split_exits(spec):
         else:
             assert result == full
             out.append((edge_orbits, False))
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize(
@@ -197,6 +200,62 @@ def test_edge_split_exit_catches_census_ref_orbits():
     assert len(exits) == 43
     assert sum(edge_orbits > 1 for edge_orbits, _ in exits) == 28
     assert sum(caught for _, caught in exits) == 28
+
+
+def distance_split(spec, rep):
+    """Whether the distance-pair test drops the set of vertex indices rep."""
+    return classify._distance_split(spec, {x: spec.index(inv(spec.at_index(x), spec)) for x in rep})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231))
+    + [
+        GroupSpec(11, 5, 3, ell=3),
+        GroupSpec(7, 3, 2, ell=3),
+        GroupSpec(7, 3, 2, ell=5),
+        GroupSpec(23, 11, 2, ell=3),
+        GroupSpec(29, 7, 7, ell=3),
+    ],
+    ids=spec_id,
+)
+def test_distance_split_is_sound(spec):
+    """On every generating orbit: the distance-pair test drops a set only
+    when A_0, from the seeded search without ``reverse``, has more than one
+    edge orbit."""
+    orbits = orbit_representatives(spec)
+    for (rep, _), (edge_orbits, _) in zip(orbits, edge_split_exits(spec), strict=True):
+        assert edge_orbits > 1 or not distance_split(spec, rep)
+
+
+def test_distance_split_catches_census_ref_orbits():
+    """On the four census_ref specs, the distance-pair test drops 27 of the
+    28 generating orbits that are not edge-transitive, and the refinement
+    exit drops the remaining one."""
+    specs = (F21, GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2))
+    exits = [
+        (edge_orbits, caught, distance_split(spec, rep))
+        for spec in specs
+        for (rep, _), (edge_orbits, caught) in zip(
+            orbit_representatives(spec), edge_split_exits(spec), strict=True
+        )
+    ]
+    assert len(exits) == 43
+    assert sum(edge_orbits > 1 for edge_orbits, _, _ in exits) == 28
+    assert sum(split for _, _, split in exits) == 27
+    assert sum(caught and not split for _, caught, split in exits) == 1
+
+
+def test_distance_split_catches_all_at_1081_vertices():
+    """On Z47:Z23 the distance-pair test alone drops 66 of the 77 generating
+    orbits.  The frozen report has 11 classes, so the 11 survivors are the
+    edge-transitive ones, and the test dropped every orbit that is not."""
+    spec = GroupSpec(47, 23, 2)
+    orbits = orbit_representatives(spec, bound=spec.order)
+    dropped = sum(distance_split(spec, rep) for rep, _ in orbits)
+    assert (len(orbits), dropped) == (77, 66)
+    golden = json.loads((DATA / "classify_47_23_2_1_oracle.json").read_text())
+    assert len(golden["classes"]) == len(orbits) - dropped
 
 
 def test_analyze_rejects_bad_reverse():
@@ -562,7 +621,7 @@ def test_census_231_findings():
     (33,5,4) = Z3 x (Z11:Z5), whose fifth class is a non-normal 2-arc-
     transitive cover.  Apart from it, only the reference graphs on 21 and 55
     vertices are non-normal Cayley graphs."""
-    path = Path(__file__).parent / "data" / "census_231.jsonl"
+    path = DATA / "census_231.jsonl"
     reports = [json.loads(line) for line in path.read_text().splitlines()]
 
     def key(report):

@@ -5,6 +5,9 @@ splitter-local refinement and are compared byte for byte:
 
 * ``classify_*.json``: the stdout of ``metacirc classify`` for oracle mode
   above 231 vertices and with a central factor, and for theorem mode;
+  ``classify_47_23_2_1_oracle.json`` (1081 vertices, 66 of its 77
+  generating orbits not edge-transitive) was frozen later, from 3ca9761,
+  the commit before the distance-pair test;
 * ``aut_queries.json``: the stdout of ``metacirc aut --graph6 G`` for census
   classes and two disconnected graphs, each under a fixed random relabeling
   (stored as the input G).  The search is unseeded here, so the generator
@@ -24,6 +27,7 @@ DATA = Path(__file__).parent / "data"
 
 REPORTS = {
     "classify_23_11_2_1_oracle.json": ["--m", "23", "--n", "11", "--r", "2"],
+    "classify_47_23_2_1_oracle.json": ["--m", "47", "--n", "23", "--r", "2", "--bound", "1100"],
     "classify_11_5_3_3_oracle.json": ["--m", "11", "--n", "5", "--r", "3", "--ell", "3"],
     "classify_43_7_4_1_theorem.json": ["--m", "43", "--n", "7", "--r", "4", "--mode", "theorem"],
     "classify_29_7_7_3_theorem.json": [

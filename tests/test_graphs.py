@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc.autosearch import analyze
+from metacirc.classify import orbit_representatives
 from metacirc.graphs import (
     Graph,
     are_automorphisms,
@@ -109,6 +110,26 @@ def test_build_cayley_disconnected():
     g = build_cayley(S, F21)
     comps = connected_components(g.adjacency)
     assert len(comps) == 3 and all(len(c) == 7 for c in comps)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231))
+    + [
+        GroupSpec(11, 5, 3, ell=3),
+        GroupSpec(7, 3, 2, ell=3),
+        GroupSpec(7, 3, 2, ell=5),
+        GroupSpec(23, 11, 2, ell=3),
+        GroupSpec(29, 7, 7, ell=3),
+    ],
+    ids=lambda spec: f"{spec.m}-{spec.n}-{spec.r}-{spec.ell}",
+)
+def test_build_cayley_rows_pass_graph_validation(spec):
+    """build_cayley skips Graph's checks; on every generating orbit its rows
+    pass them."""
+    for rep, _ in orbit_representatives(spec, bound=spec.order):
+        g = build_cayley([spec.at_index(x) for x in rep], spec)
+        assert Graph(g.n, g.adjacency) == g
 
 
 def test_cayley_connected_iff_generating():
