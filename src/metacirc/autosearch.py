@@ -21,7 +21,7 @@ isomorphism, II", 2014) those found generate the stabilizer of vertex 0.
 from __future__ import annotations
 
 import sys
-from collections import Counter, deque
+from collections import _count_elements, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -56,22 +56,24 @@ def _initial_partition(g: Graph, seeded: _Orbits | None = None) -> list[list[int
     gets one.
     """
     deg = g.degrees()
+    # in a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
+    # k the number of distance-2 vertices, so k alone orders them
+    regular = min(deg, default=0) == max(deg, default=0)
     root = list(range(g.n))
     if seeded is not None:
         root = [seeded.find(v) for v in root]
+    adj = g.adjacency
     sig_of = {}
     for v, r in enumerate(root):
         if r == v:
-            nbrs = g.adjacency[v]
-            two = set()
-            for u in nbrs:
-                two.update(g.adjacency[u])
+            nbrs = adj[v]
+            two = set().union(*map(adj.__getitem__, nbrs))
             two.discard(v)
             two.difference_update(nbrs)
-            sig_of[v] = (
+            sig_of[v] = len(two) if regular else (
                 deg[v],
-                tuple(sorted(deg[u] for u in nbrs)),
-                tuple(sorted(deg[u] for u in two)),
+                tuple(sorted(map(deg.__getitem__, nbrs))),
+                tuple(sorted(map(deg.__getitem__, two))),
             )
     if len(sig_of) == 1:
         return [list(range(g.n))]
@@ -130,14 +132,31 @@ def _refine(
     the work of a splitter is proportional to its edges and to the cells it
     touches, not to the size of the graph.  Splitters that cannot split
     anything are skipped: every splitter once all cells are singletons, and
-    a one-vertex splitter with no neighbour in a non-singleton cell.  A cell
-    every vertex of which has one count is left whole without bucketing.
+    a one-vertex splitter with no neighbour in a non-singleton cell.
 
-    When the partition is already equitable to a cell C that splits (C was
-    a splitter of this call, or ``equitable`` says the input came from
-    ``_individualize`` on an equitable partition), the last fragment is
-    queued but skipped: at its turn the partition is equitable to C and to
-    every other fragment of C, popped before it, so it splits nothing.
+    Most splits take one count.  A one-vertex splitter gives every neighbour
+    count 1, so its neighbours are grouped by cell with no count at all (the
+    rows of ``adj`` are ascending, as a Graph's are, so each group is too).
+    A touched cell whose counted vertices share one count is left whole if
+    they are all of it, and otherwise split in two, the rest of the cell
+    being what still names its start once the counted vertices are
+    unnamed.  Only a cell with several counts is bucketed.
+
+    The last fragment of a split cell C is queued but skipped, unless C is
+    open (below): at its turn the partition is equitable to C and to every
+    other fragment of C, popped before it, so it splits nothing.  It is
+    equitable to C because C was a splitter before it (C was queued before
+    it was split, and is popped, processed or itself skipped, before its
+    fragments) or because ``equitable`` says the input came from
+    ``_individualize`` on an equitable partition, which the individualized
+    vertex, the first splitter, restores.  The open cells are the given
+    ones when neither holds: given splitters and no ``equitable``.  For the
+    same reason the first of two fragments F, G of such a C may be counted
+    by G when G is smaller: a vertex's count in F is then its cell's count
+    in C less its count in G, so the same cells split into the same
+    fragments, in the reverse order of G-counts.  Skipping and counting the
+    other fragment change no split, so the result is that of counting every
+    splitter.
 
     ``reverse``, given only for the unit partition with vertex 0
     individualized, maps each neighbour x of 0 to its reverse as in
@@ -152,70 +171,106 @@ def _refine(
     cell_at: list[list[int] | None] = [None] * n  # start position -> cell
     # vertex -> start of its cell; -1 in a singleton cell, which cannot split
     cell_of = [-1] * n
-    done: set[int] = set()  # starts of cells the partition is equitable to
     start = 0
     for cell in cells:
         cell_at[start] = cell
         if len(cell) > 1:
             for v in cell:
                 cell_of[v] = start
-            if equitable:
-                done.add(start)
         start += len(cell)
+    # starts of the open cells, which queue every fragment when they split
+    opened = set() if splitters is None or equitable else set(cell_of) - {-1}
     ncells = len(cells)
-    # (splitter, skip): a skipped splitter is the last fragment of a cell in `done`
-    queue = deque((c, False) for c in (cells if splitters is None else splitters))
+    # (splitter, skip, other): a skipped splitter is the last fragment of a
+    # cell not open; `other`, if not None, is counted in the splitter's place
+    queue = deque((c, False, None) for c in (cells if splitters is None else splitters))
+    push = queue.append
     # starts of the cells holding a neighbour of 0, if watched
     watched = set() if reverse is None else {cell_of[x] for x in reverse}
     while queue and ncells < n:
-        splitter, skip = queue.popleft()
-        if len(splitter) > 1:
-            s = cell_of[splitter[0]]
-            if s >= 0 and cell_at[s] is splitter:
-                done.add(s)
+        splitter, skip, other = queue.popleft()
         if skip:
             continue
-        # vertex -> its number of neighbours in the splitter, if nonzero
-        if len(splitter) == 1:
-            hits = [u for u in adj[splitter[0]] if cell_of[u] >= 0]
-            if not hits:
-                continue
-            counts = dict.fromkeys(hits, 1)
-        else:
-            counts = Counter(chain.from_iterable([adj[w] for w in splitter]))
+        if other is not None:
+            splitter = other
         touched: dict[int, list[int]] = {}  # cell start -> its counted vertices
-        for u in counts:
+        if len(splitter) == 1:
+            # every count is 1
+            counts = None
+            counted: Sequence[int] = adj[splitter[0]]
+        else:
+            # vertex -> its number of neighbours in the splitter, if nonzero
+            counts = {}
+            _count_elements(counts, chain.from_iterable(map(adj.__getitem__, splitter)))
+            counted = counts
+        for u in counted:
             s = cell_of[u]
             if s >= 0:
-                touched.setdefault(s, []).append(u)
+                if s in touched:
+                    touched[s].append(u)
+                else:
+                    touched[s] = [u]
+        if not touched:
+            continue
         moved = False
-        for s in sorted(touched):
+        for s in sorted(touched) if len(touched) > 1 else touched:
             cell = cell_at[s]
             hit = touched[s]
-            if len(hit) < len(cell):
-                buckets = {0: [v for v in cell if v not in counts]}
-            elif len(set(map(counts.__getitem__, hit))) == 1:
-                continue
-            else:
-                buckets = {}
-            hit.sort()
-            for v in hit:
-                buckets.setdefault(counts[v], []).append(v)
-            ncells += len(buckets) - 1
-            moved = moved or s in watched
-            last = max(buckets) if s in done else None
-            done.discard(s)
-            pos = s
-            for k in sorted(buckets):
-                frag = buckets[k]
-                cell_at[pos] = frag
-                if len(frag) == 1:
-                    cell_of[frag[0]] = -1
-                elif pos != s:
-                    for v in frag:
+            mixed = False
+            if counts is not None:
+                k = counts[hit[0]]
+                for v in hit:
+                    if counts[v] != k:
+                        mixed = True
+                        break
+            last = s not in opened
+            if not mixed:
+                if len(hit) == len(cell):
+                    continue
+                if counts is not None:
+                    hit.sort()
+                # the rest is what still names s once hit is unnamed
+                for v in hit:
+                    cell_of[v] = -1
+                rest = [v for v in cell if cell_of[v] == s]
+                # hit goes last, or first when its complement was counted
+                first, second = (rest, hit) if other is None else (hit, rest)
+                pos = s + len(first)
+                cell_at[s] = first
+                cell_at[pos] = second
+                if len(rest) == 1:
+                    cell_of[rest[0]] = -1
+                elif other is not None:
+                    for v in rest:
                         cell_of[v] = pos
-                queue.append((frag, k == last))
-                pos += len(frag)
+                if len(hit) > 1:
+                    at = pos if other is None else s
+                    for v in hit:
+                        cell_of[v] = at
+                # the last fragment splits nothing, and the first is counted
+                # by it if it is smaller (see above)
+                push((first, False, second if last and len(second) < len(first) else None))
+                push((second, last, None))
+                ncells += 1
+            else:
+                buckets = {0: [v for v in cell if v not in counts]} if len(hit) < len(cell) else {}
+                hit.sort()
+                for v in hit:
+                    buckets.setdefault(counts[v], []).append(v)
+                ncells += len(buckets) - 1
+                pos = s
+                for k in sorted(buckets, reverse=other is not None):
+                    frag = buckets[k]
+                    cell_at[pos] = frag
+                    if len(frag) == 1:
+                        cell_of[frag[0]] = -1
+                    elif pos != s:
+                        for v in frag:
+                            cell_of[v] = pos
+                    pos += len(frag)
+                    push((frag, last and pos == s + len(cell), None))
+            opened.discard(s)
+            moved = moved or s in watched
         if moved:
             if _edge_classes(cell_of, reverse) > 1:
                 raise NotEdgeTransitive
@@ -256,15 +311,17 @@ def _target_cell(cells: list[list[int]]) -> int:
 
 
 class _Orbits:
-    """Union-find of the orbits of a growing set of permutations, with a
-    flag per orbit: does it hold a processed vertex.  ``fed`` counts the
-    generators already fed in by :meth:`feed`."""
+    """Union-find of the orbits of the generators that fix a path pointwise,
+    with a flag per orbit: does it hold a processed vertex.  ``kept`` lists
+    those generators and ``fed`` counts the generators already looked at by
+    :meth:`feed`."""
 
-    __slots__ = ("parent", "hit", "fed")
+    __slots__ = ("parent", "hit", "kept", "fed")
 
     def __init__(self, n: int, gens: Sequence[Sequence[int]] = ()):
         self.parent = list(range(n))
         self.hit = [False] * n
+        self.kept: list[Sequence[int]] = []
         self.fed = 0
         self.feed(gens, ())
 
@@ -276,6 +333,18 @@ class _Orbits:
                 self.add(p)
         self.fed = len(gens)
 
+    def child(self, v: int) -> _Orbits:
+        """The orbits one level down, where the path also fixes v: those of
+        the kept generators that fix v.  The path's generators are passed
+        down the tree, as in nauty, so a node filters its parent's list, not
+        every generator found, and has looked at as many as its parent."""
+        orbits = _Orbits(len(self.parent))
+        for p in self.kept:
+            if p[v] == v:
+                orbits.add(p)
+        orbits.fed = self.fed
+        return orbits
+
     def find(self, x: int) -> int:
         parent = self.parent
         while parent[x] != x:
@@ -284,19 +353,80 @@ class _Orbits:
 
     def add(self, p: Sequence[int]) -> None:
         """Merge the orbits that the permutation p joins."""
-        find, parent, hit = self.find, self.parent, self.hit
+        self.kept.append(p)
+        parent, hit = self.parent, self.hit
         for x, y in enumerate(p):
             if x != y:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-                    hit[rx] = hit[rx] or hit[ry]
+                # find(x) and find(y), inline: this loop runs once per point
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[y] = x
+                    hit[x] = hit[x] or hit[y]
 
     def mark(self, v: int) -> None:
         self.hit[self.find(v)] = True
 
     def processed(self, v: int) -> bool:
         return self.hit[self.find(v)]
+
+
+class _Search:
+    """One run of the search: the generators found so far and the first and
+    best leaves.  Its methods recurse through ``self``, so a finished search
+    holds no reference cycle and is freed as soon as it is dropped."""
+
+    __slots__ = ("g", "reverse", "gens", "gen_set", "first", "best")
+
+    def __init__(self, g: Graph, gens: list[tuple[int, ...]], reverse: Mapping[int, int] | None):
+        self.g = g
+        self.reverse = reverse
+        self.gens = gens
+        self.gen_set = set(gens)
+        # (key, order) of the first leaf and of the least key so far
+        self.first: tuple[tuple[int, ...], list[int]] | None = None
+        self.best: tuple[tuple[int, ...], list[int]] | None = None
+
+    def leaf(self, cells: list[list[int]]) -> None:
+        order = [c[0] for c in cells]
+        key = packed_rows(self.g, order)
+        if self.first is None:
+            self.first = self.best = (key, order)
+            return
+        for ref in (self.first, self.best):
+            if ref[0] == key and ref[1] != order:
+                p = [0] * self.g.n
+                for v, w in zip(order, ref[1]):
+                    p[v] = w
+                p = tuple(p)
+                if p not in self.gen_set:
+                    self.gens.append(p)
+                    self.gen_set.add(p)
+                break
+        if key < self.best[0]:
+            self.best = (key, order)
+
+    def node(self, cells: list[list[int]], fixed: list[int], orbits: _Orbits) -> None:
+        """Search below the equitable partition ``cells``, reached by
+        individualizing ``fixed``; ``orbits`` are those of the generators
+        that fix ``fixed`` pointwise.  A branch is equivalent to a processed
+        one iff its vertex shares their orbit."""
+        t = _target_cell(cells)
+        if t < 0:
+            self.leaf(cells)
+            return
+        for v in cells[t]:
+            orbits.feed(self.gens, fixed)
+            if orbits.processed(v):
+                continue
+            child, splitters = _individualize(cells, t, v)
+            # A_0 preserves the unit partition with 0 individualized
+            watch = self.reverse if v == 0 and len(cells) == 1 else None
+            refined = _refine(self.g.adjacency, child, splitters, True, watch)
+            self.node(refined, fixed + [v], orbits.child(v))
+            orbits.mark(v)
 
 
 def analyze(
@@ -316,15 +446,11 @@ def analyze(
     if g.n == 0:
         return SearchResult([], [], ())
 
-    gens: list[tuple[int, ...]] = []
-    gen_set: set[tuple[int, ...]] = set()
     seeds = [tuple(p) for p in seeds]
     if not are_automorphisms(g, seeds):
         raise ValueError("seed is not an automorphism")
-    for p in seeds:
-        if any(i != x for i, x in enumerate(p)) and p not in gen_set:
-            gens.append(p)
-            gen_set.add(p)
+    identity = tuple(range(g.n))
+    gens = list(dict.fromkeys(p for p in seeds if p != identity))
 
     n_seeds = len(gens)
     adj = g.adjacency
@@ -332,60 +458,18 @@ def analyze(
         if sorted(reverse.get(x, -1) for x in adj[0]) != list(adj[0]):
             raise ValueError("reverse does not permute the neighbours of 0")
         reverse = {x: reverse[x] for x in adj[0]}
-    first: tuple[tuple[int, ...], list[int]] | None = None
-    best: tuple[tuple[int, ...], list[int]] | None = None
-
-    def handle_leaf(cells: list[list[int]]) -> None:
-        nonlocal first, best
-        order = [c[0] for c in cells]
-        key = packed_rows(g, order)
-        if first is None:
-            first = (key, order)
-            best = (key, order)
-            return
-        for ref in (first, best):
-            if ref is not None and ref[0] == key and ref[1] != order:
-                p = [0] * g.n
-                for k, v in enumerate(order):
-                    p[v] = ref[1][k]
-                p = tuple(p)
-                if p not in gen_set:
-                    gens.append(p)
-                    gen_set.add(p)
-                break
-        if key < best[0]:
-            best = (key, order)
-
-    def rec(cells: list[list[int]], fixed: list[int], orbits: _Orbits | None = None) -> None:
-        t = _target_cell(cells)
-        if t < 0:
-            handle_leaf(cells)
-            return
-        # orbits of the generators that fix `fixed` pointwise; a branch is
-        # equivalent to a processed one iff its vertex shares their orbit
-        if orbits is None:
-            orbits = _Orbits(g.n)
-        for v in cells[t]:
-            orbits.feed(gens, fixed)
-            if orbits.processed(v):
-                continue
-            child, splitters = _individualize(cells, t, v)
-            # A_0 preserves the unit partition with 0 individualized
-            watch = reverse if v == 0 and len(cells) == 1 else None
-            rec(_refine(adj, child, splitters, True, watch), fixed + [v])
-            orbits.mark(v)
-
+    search = _Search(g, gens, reverse)
     # the seeds' orbits: the starting signature's, and the root's to start from
-    seeded = _Orbits(g.n, gens) if gens else None
+    orbits = _Orbits(g.n, gens)
     try:
-        rec(_refine(adj, _initial_partition(g, seeded), None), [], seeded)
+        search.node(_refine(adj, _initial_partition(g, orbits if gens else None), None), [], orbits)
     except RecursionError:
-        # each level of the tree is one frame of rec
+        # each level of the tree is one frame of node
         raise BoundExceeded(
             f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
         ) from None
-    assert best is not None
-    return SearchResult(gens, best[1], best[0], n_seeds)
+    key, order = search.best
+    return SearchResult(gens, order, key, n_seeds)
 
 
 def automorphism_group(g: Graph) -> PermGroup:

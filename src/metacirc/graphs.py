@@ -113,6 +113,10 @@ def _trusted_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
     A Cayley graph's rows need no check: the four left translations by
     distinct s map x to distinct s*x, none is x since 1 is not in S, and
     y = s*x gives x = s^-1*y with s^-1 in S, so the rows are symmetric.
+    Nor do ``from_graph6``'s: the bit of each pair i < j < n adds j to row
+    i and i to row j, and the bits are read by ascending j, each column by
+    ascending i, so every row gets its lower neighbours, then its upper
+    ones, each in ascending order.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
@@ -132,15 +136,16 @@ def packed_rows(g: Graph, order: Sequence[int] | None = None) -> tuple[int, ...]
     n = g.n
     if order is None:
         order = range(n)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    top = n - 1
+    # vertex -> the bit of its position
+    shift = [0] * n
+    for i, v in enumerate(order, 1):
+        shift[v] = n - i
+    adj = g.adjacency
     key = []
     for v in order:
         row = 0
-        for u in g.adjacency[v]:
-            row |= 1 << (top - pos[u])
+        for u in adj[v]:
+            row |= 1 << shift[u]
         key.append(row)
     return tuple(key)
 
@@ -235,8 +240,9 @@ def from_graph6(data: bytes | str) -> Graph:
             adj[i].append(j)
             i = column.find("1", i + 1)
         pos += j
-    # each row holds its lower neighbours in order, then its upper ones
-    return Graph(n, tuple(map(tuple, adj)))
+    # each row holds its lower neighbours in order, then its upper ones, so
+    # the rows are valid by construction (see _trusted_graph)
+    return _trusted_graph(n, tuple(map(tuple, adj)))
 
 
 def to_dot(g: Graph) -> str:

@@ -228,6 +228,30 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def signature_cells(adjacency) -> list[list[int]]:
+    """The vertices grouped by (degree, sorted neighbour degrees, sorted
+    degrees of the vertices at distance 2), groups in ascending signature
+    order, each in ascending vertex order; distances by breadth-first
+    search."""
+    n = len(adjacency)
+    deg = [len(row) for row in adjacency]
+    groups: dict[tuple, list[int]] = {}
+    for v in range(n):
+        dist = {v: 0}
+        frontier = [v]
+        for d in (1, 2):
+            frontier = [u for w in frontier for u in adjacency[w] if u not in dist]
+            for u in frontier:
+                dist.setdefault(u, d)
+        sig = (
+            deg[v],
+            tuple(sorted(deg[u] for u in adjacency[v])),
+            tuple(sorted(deg[u] for u, d in dist.items() if d == 2)),
+        )
+        groups.setdefault(sig, []).append(v)
+    return [groups[sig] for sig in sorted(groups)]
+
+
 def vertex_mask(vertices) -> int:
     """The vertex set as a bitmask: bit v set iff v is in it."""
     m = 0
@@ -508,6 +532,26 @@ def orbit_count(items, gens) -> int:
             frontier = list(images - seen)
             seen.update(frontier)
     return count
+
+
+def point_orbits(gens, degree: int) -> list[list[int]]:
+    """The orbits of the group the permutations ``gens`` generate on
+    0..degree-1, each sorted, ordered by their least point; by a
+    breadth-first search from each point not yet reached."""
+    seen = [False] * degree
+    out = []
+    for x in range(degree):
+        if seen[x]:
+            continue
+        seen[x] = True
+        orbit = [x]
+        for y in orbit:
+            for g in gens:
+                if not seen[g[y]]:
+                    seen[g[y]] = True
+                    orbit.append(g[y])
+        out.append(sorted(orbit))
+    return out
 
 
 def max_s_arc_transitive(gens, adjacency: list[list[int]], cap: int = 3) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from metacirc import autosearch
 from metacirc.aut import enumerate_aut
-from metacirc.classify import orbit_representatives
+from metacirc.classify import classify_spec, orbit_representatives
 from metacirc.autosearch import (
+    NotEdgeTransitive,
     _individualize,
     _Orbits,
     _initial_partition,
@@ -26,7 +29,7 @@ from metacirc.graphs import (
     standard_connection_set,
     to_graph6,
 )
-from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
+from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import (
     apply_aut,
@@ -34,6 +37,8 @@ from oracles import (
     bitmask_refine,
     brute_force_graph_automorphisms,
     brute_force_isomorphic,
+    point_orbits,
+    signature_cells,
     vertex_mask,
     vertex_masks,
 )
@@ -130,6 +135,35 @@ def test_refine_matches_reference_from_any_partition(n, p, rnd):
     )
 
 
+def two_circulants(n, jumps1, jumps2):
+    """Two circulants on n vertices each, side by side: a regular graph
+    when both have as many jumps, and not vertex-transitive in general."""
+    edges = [(i, (i + d) % n) for i in range(n) for d in jumps1]
+    edges += [(n + i, n + (i + d) % n) for i in range(n) for d in jumps2]
+    return graph_from_edges(2 * n, edges)
+
+
+@given(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant", "regular"]),
+    rnd=st.random_module(),
+)
+@settings(max_examples=100, deadline=None)
+def test_initial_partition_matches_signature_reference(n, kind, rnd):
+    """The starting partition groups the vertices by their signature, in
+    signature order, also on regular graphs, whose signatures it orders by
+    the number of vertices at distance 2 alone."""
+    rng = random.Random(rnd.seed)
+    if kind == "regular":
+        k = rng.randint(1, 3)
+        g = random_relabel(two_circulants(
+            max(n, 2 * k + 1), rng.sample(range(1, k + 4), k), rng.sample(range(1, k + 4), k)
+        ), rng)
+    else:
+        g = refine_fixture(n, kind, rng)
+    assert _initial_partition(g) == signature_cells(g.adjacency)
+
+
 @pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
 def test_seeded_initial_partition_on_census_graphs(spec):
     """With the regular translations as seeds, one signature per Cayley
@@ -181,6 +215,155 @@ def test_search_result_unchanged_without_rest_splitter(n, kind, rnd):
         mp.setattr(autosearch, "_individualize", two_splitter_individualize)
         reference = analyze(g)
     assert result == reference
+
+
+def recorded_search(g, seeds=(), reverse=None):
+    """Run ``analyze(g, seeds, reverse)`` and record every ``_refine`` call
+    as (cells, splitters, reverse, result), result None if the call raised
+    NotEdgeTransitive, and the orbits after every feed of the generators as
+    (orbits, the generators that fix the path).  Returns the search result,
+    None if it raised, the refine calls and the orbits."""
+    refines, orbits = [], []
+    refine, feed = autosearch._refine, autosearch._Orbits.feed
+
+    def recording_refine(adj, cells, splitters, equitable=False, reverse=None):
+        call = [
+            [list(c) for c in cells],
+            None if splitters is None else [list(s) for s in splitters],
+            reverse,
+            None,
+        ]
+        refines.append(call)
+        call[3] = refine(adj, cells, splitters, equitable, reverse)
+        return call[3]
+
+    def recording_feed(self, gens, fixed):
+        feed(self, gens, fixed)
+        cells = {}
+        for x in range(g.n):
+            cells.setdefault(self.find(x), []).append(x)
+        orbits.append((list(cells.values()), [p for p in gens if all(p[x] == x for x in fixed)]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch, "_refine", recording_refine)
+        mp.setattr(autosearch._Orbits, "feed", recording_feed)
+        try:
+            result = analyze(g, seeds, reverse)
+        except NotEdgeTransitive:
+            result = None
+    return result, refines, orbits
+
+
+def matches_bitmask_reference(g, refines) -> bool:
+    adj_bits = vertex_masks(g.adjacency)
+    return all(
+        result == bitmask_refine(
+            adj_bits, cells, None if splitters is None else [vertex_mask(s) for s in splitters]
+        )
+        for cells, splitters, _, result in refines
+        if result is not None
+    )
+
+
+# the census_ref specs; by index in orbit_representatives, the generating
+# orbits on which the seeded search given x ~ x^-1 raised NotEdgeTransitive
+# with the refinement kernel before the current one
+CENSUS_REF_EXITS = {
+    GroupSpec(7, 3, 2): [0],
+    GroupSpec(11, 5, 3): [0, 3],
+    GroupSpec(11, 5, 3, ell=3): [0, 1, 2, 3, 4, 6, 7, 8, 9, 11, 12],
+    GroupSpec(23, 11, 2): [0, 1, 2, 3, 4, 6, 7, 9, 11, 12, 13, 15, 16, 18],
+}
+
+
+@lru_cache(maxsize=None)
+def census_class_searches(order):
+    """The unseeded search on each census class of 55, 125 or 165 vertices,
+    relabeled at random, as ``recorded_search`` records it, with its graph."""
+    spec = {55: GroupSpec(11, 5, 3), 125: GroupSpec(25, 5, 6), 165: GroupSpec(11, 5, 3, ell=3)}[order]
+    rng = random.Random(order)
+    out = []
+    for cls in classify_spec(spec).classes:
+        g = random_relabel(build_cayley(cls.connection_set, spec), rng)
+        out.append((g, *recorded_search(g)[1:]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def census_ref_searches(spec):
+    """The census's seeded search given x ~ x^-1 on each generating orbit
+    of a census_ref spec, as ``recorded_search`` records it, with its graph
+    and whether it raised."""
+    regular = regular_representation(spec)
+    out = []
+    for rep, _ in orbit_representatives(spec):
+        g = build_cayley([spec.at_index(x) for x in rep], spec)
+        inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
+        result, refines, orbits = recorded_search(g, regular, inverse)
+        out.append((g, refines, orbits, result is None))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("order", [55, 125, 165])
+def test_refine_matches_bitmask_reference_on_census_classes(order):
+    """Every refinement the unseeded search makes on a relabeled census
+    class past the random fixtures' 40 vertices gives the reference's cells."""
+    searches = census_class_searches(order)
+    assert len(searches) == {55: 3, 125: 2, 165: 5}[order]
+    for g, refines, _ in searches:
+        assert refines and matches_bitmask_reference(g, refines)
+
+
+@pytest.mark.parametrize("spec", list(CENSUS_REF_EXITS), ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
+def test_edge_split_exit_on_census_ref_orbits(spec):
+    """The seeded search watching x ~ x^-1 raises NotEdgeTransitive on the
+    frozen generating orbits and on no other, and every refinement it
+    completes gives the reference's cells."""
+    searches = census_ref_searches(spec)
+    assert [i for i, (*_, raised) in enumerate(searches) if raised] == CENSUS_REF_EXITS[spec]
+    for g, refines, _, _ in searches:
+        assert matches_bitmask_reference(g, refines)
+    assert any(reverse is not None for _, refines, _, _ in searches for _, _, reverse, _ in refines)
+
+
+def test_incremental_orbits_match_fresh_union_find():
+    """At every node of the searches above, each time the generators are
+    fed, the orbits that prune the node's branches are those of the
+    generators that fix its path pointwise, found from scratch."""
+    searches = [(g, orbits) for order in (55, 125, 165) for g, _, orbits in census_class_searches(order)]
+    searches += [(g, orbits) for spec in CENSUS_REF_EXITS for g, _, orbits, _ in census_ref_searches(spec)]
+    nodes = 0
+    for g, orbits in searches:
+        for cells, stabilizer in orbits:
+            assert cells == point_orbits(stabilizer, g.n)
+            nodes += 1
+    assert nodes > 100
+
+
+def test_search_leaves_no_reference_cycle():
+    """A finished search, returned or raised, leaves nothing for the cyclic
+    garbage collector: its state is freed as soon as it is dropped."""
+    spec = GroupSpec(11, 5, 3, ell=3)
+    g = build_cayley(standard_connection_set(1, spec), spec)
+    regular = regular_representation(spec)
+    rep = orbit_representatives(spec)[0][0]
+    split = build_cayley([spec.at_index(x) for x in rep], spec)
+    inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            analyze(g)
+        analyze(g, seeds=regular)
+        try:
+            analyze(split, seeds=regular, reverse=inverse)
+            raised = False
+        except NotEdgeTransitive:
+            raised = True
+        assert raised
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------- group orders

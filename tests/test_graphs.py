@@ -216,6 +216,21 @@ def test_graph6_large_graphs_match_bit_by_bit_reference():
         assert from_graph6(data) == g
 
 
+@given(
+    st.integers(0, 8) | st.integers(55, 70),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.random_module(),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_graph6_rows_pass_graph_validation(n, p, rnd):
+    """from_graph6 skips Graph's checks; its rows pass them, on either side
+    of the switch from the one-byte to the four-byte size header at 63."""
+    rng = random.Random(rnd.seed)
+    g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    h = from_graph6(to_graph6(g))
+    assert Graph(h.n, h.adjacency) == h == g
+
+
 def random_graph(n, p, rng):
     return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
