@@ -24,7 +24,7 @@ import sys
 from collections import _count_elements, deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_rows
@@ -89,36 +89,8 @@ def _initial_partition(g: Graph, seeded: _Orbits | None = None) -> list[list[int
     return cells
 
 
-class NotEdgeTransitive(Exception):
-    """The refinement after individualizing vertex 0 split the edges at 0
-    into classes that no automorphism joins."""
-
-
-def _edge_classes(cell_of: Sequence[int], reverse: Mapping[int, int]) -> int:
-    """Classes of the neighbours x of 0 under "same cell" and x ~ reverse[x];
-    ``cell_of`` is ``_refine``'s map, -1 for a singleton cell."""
-
-    def cell(x: int) -> int:
-        return cell_of[x] if cell_of[x] >= 0 else ~x  # ~x names x's singleton
-
-    parent = {cell(x): cell(x) for x in reverse}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    for x, y in reverse.items():
-        parent[find(cell(x))] = find(cell(y))
-    return sum(c == p for c, p in parent.items())
-
-
 def _refine(
-    adj: Sequence[Sequence[int]],
-    cells: list[list[int]],
-    splitters: list[list[int]] | None,
-    equitable: bool = False,
-    reverse: Mapping[int, int] | None = None,
+    adj: Sequence[Sequence[int]], cells: list[list[int]], splitters: list[list[int]] | None
 ) -> list[list[int]]:
     """Equitable refinement; fragments are ordered by ascending neighbor count.
 
@@ -142,30 +114,21 @@ def _refine(
     being what still names its start once the counted vertices are
     unnamed.  Only a cell with several counts is bucketed.
 
-    The last fragment of a split cell C is queued but skipped, unless C is
-    open (below): at its turn the partition is equitable to C and to every
+    One precondition: ``splitters`` is None, which queues every cell, or
+    ``cells`` and ``splitters`` are what ``_individualize`` returned for an
+    equitable partition.  The last fragment of a split cell C is then queued
+    but skipped: at its turn the partition is equitable to C and to every
     other fragment of C, popped before it, so it splits nothing.  It is
     equitable to C because C was a splitter before it (C was queued before
     it was split, and is popped, processed or itself skipped, before its
-    fragments) or because ``equitable`` says the input came from
-    ``_individualize`` on an equitable partition, which the individualized
-    vertex, the first splitter, restores.  The open cells are the given
-    ones when neither holds: given splitters and no ``equitable``.  For the
-    same reason the first of two fragments F, G of such a C may be counted
-    by G when G is smaller: a vertex's count in F is then its cell's count
-    in C less its count in G, so the same cells split into the same
-    fragments, in the reverse order of G-counts.  Skipping and counting the
-    other fragment change no split, so the result is that of counting every
-    splitter.
-
-    ``reverse``, given only for the unit partition with vertex 0
-    individualized, maps each neighbour x of 0 to its reverse as in
-    ``permgroup.orbits_at_zero``.  Every partition this call passes through
-    is then preserved by the stabilizer A_0 of 0 (refinement commutes with
-    relabeling), so A_0's orbits on N(0) lie in cells; if the cells of N(0),
-    merged along x ~ reverse[x], form two classes, so do the edge orbits,
-    and NotEdgeTransitive is raised.  The test runs after each splitter
-    that split a cell holding a neighbour of 0.
+    fragments) or because the input came from ``_individualize`` on an
+    equitable partition, which the individualized vertex, the first
+    splitter, restores.  For the same reason the first of two fragments F,
+    G of C may be counted by G when G is smaller: a vertex's count in F is
+    then its cell's count in C less its count in G, so the same cells split
+    into the same fragments, in the reverse order of G-counts.  Skipping and
+    counting the other fragment change no split, so the result is that of
+    counting every splitter.
     """
     n = len(adj)
     cell_at: list[list[int] | None] = [None] * n  # start position -> cell
@@ -178,15 +141,11 @@ def _refine(
             for v in cell:
                 cell_of[v] = start
         start += len(cell)
-    # starts of the open cells, which queue every fragment when they split
-    opened = set() if splitters is None or equitable else set(cell_of) - {-1}
     ncells = len(cells)
     # (splitter, skip, other): a skipped splitter is the last fragment of a
-    # cell not open; `other`, if not None, is counted in the splitter's place
+    # cell; `other`, if not None, is counted in the splitter's place
     queue = deque((c, False, None) for c in (cells if splitters is None else splitters))
     push = queue.append
-    # starts of the cells holding a neighbour of 0, if watched
-    watched = set() if reverse is None else {cell_of[x] for x in reverse}
     while queue and ncells < n:
         splitter, skip, other = queue.popleft()
         if skip:
@@ -212,7 +171,6 @@ def _refine(
                     touched[s] = [u]
         if not touched:
             continue
-        moved = False
         for s in sorted(touched) if len(touched) > 1 else touched:
             cell = cell_at[s]
             hit = touched[s]
@@ -223,7 +181,6 @@ def _refine(
                     if counts[v] != k:
                         mixed = True
                         break
-            last = s not in opened
             if not mixed:
                 if len(hit) == len(cell):
                     continue
@@ -249,8 +206,8 @@ def _refine(
                         cell_of[v] = at
                 # the last fragment splits nothing, and the first is counted
                 # by it if it is smaller (see above)
-                push((first, False, second if last and len(second) < len(first) else None))
-                push((second, last, None))
+                push((first, False, second if len(second) < len(first) else None))
+                push((second, True, None))
                 ncells += 1
             else:
                 buckets = {0: [v for v in cell if v not in counts]} if len(hit) < len(cell) else {}
@@ -268,13 +225,7 @@ def _refine(
                         for v in frag:
                             cell_of[v] = pos
                     pos += len(frag)
-                    push((frag, last and pos == s + len(cell), None))
-            opened.discard(s)
-            moved = moved or s in watched
-        if moved:
-            if _edge_classes(cell_of, reverse) > 1:
-                raise NotEdgeTransitive
-            watched = {cell_of[x] for x in reverse}
+                    push((frag, pos == s + len(cell), None))
     out = []
     start = 0
     while start < n:
@@ -378,11 +329,10 @@ class _Search:
     best leaves.  Its methods recurse through ``self``, so a finished search
     holds no reference cycle and is freed as soon as it is dropped."""
 
-    __slots__ = ("g", "reverse", "gens", "gen_set", "first", "best")
+    __slots__ = ("g", "gens", "gen_set", "first", "best")
 
-    def __init__(self, g: Graph, gens: list[tuple[int, ...]], reverse: Mapping[int, int] | None):
+    def __init__(self, g: Graph, gens: list[tuple[int, ...]]):
         self.g = g
-        self.reverse = reverse
         self.gens = gens
         self.gen_set = set(gens)
         # (key, order) of the first leaf and of the least key so far
@@ -422,25 +372,13 @@ class _Search:
             if orbits.processed(v):
                 continue
             child, splitters = _individualize(cells, t, v)
-            # A_0 preserves the unit partition with 0 individualized
-            watch = self.reverse if v == 0 and len(cells) == 1 else None
-            refined = _refine(self.g.adjacency, child, splitters, True, watch)
+            refined = _refine(self.g.adjacency, child, splitters)
             self.node(refined, fixed + [v], orbits.child(v))
             orbits.mark(v)
 
 
-def analyze(
-    g: Graph, seeds: Sequence[Sequence[int]] = (), reverse: Mapping[int, int] | None = None
-) -> SearchResult:
-    """Run the search once, returning generators and the canonical labeling.
-
-    ``reverse``, for a vertex-transitive graph, maps each neighbour x of 0
-    to the neighbour y such that some automorphism maps the arc (x, 0) to
-    (0, y), as in ``permgroup.orbits_at_zero``.  Given it, the search raises
-    NotEdgeTransitive as soon as the refinement of its root branch at vertex
-    0 shows two edge orbits (see ``_refine``); a graph that passes may still
-    have several, which ``orbits_at_zero`` counts.
-    """
+def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
+    """Run the search once, returning generators and the canonical labeling."""
     if g.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
     if g.n == 0:
@@ -454,11 +392,7 @@ def analyze(
 
     n_seeds = len(gens)
     adj = g.adjacency
-    if reverse is not None:
-        if sorted(reverse.get(x, -1) for x in adj[0]) != list(adj[0]):
-            raise ValueError("reverse does not permute the neighbours of 0")
-        reverse = {x: reverse[x] for x in adj[0]}
-    search = _Search(g, gens, reverse)
+    search = _Search(g, gens)
     # the seeds' orbits: the starting signature's, and the root's to start from
     orbits = _Orbits(g.n, gens)
     try:

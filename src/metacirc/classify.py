@@ -20,12 +20,11 @@ those orbits.  ``analyze_connection_set`` reads the rest off the graph of
 one set and never needs Aut(G), so neither does a worker process.
 
 A set whose graph is not edge-transitive leaves the census at the first
-of three exits that sees two edge orbits at vertex 0, in this order:
-distance-pair counts from three breadth-first searches, before the graph
-is built (``_distance_split``); the search's first refinement
-(``NotEdgeTransitive``); and the orbits of the vertex stabilizer on the
-neighbours of 0 (``orbits_at_zero``).  Each exit only drops sets with more
-than one edge orbit, so the order changes no report.
+of two exits that sees two edge orbits at vertex 0: distance-pair counts
+from three breadth-first searches, before the graph is built
+(``_distance_split``), and the orbits of the vertex stabilizer on the
+neighbours of 0, after the search (``orbits_at_zero``).  Each exit only
+drops sets with more than one edge orbit, so the order changes no report.
 
 Counts are compared against the count formula, its stated exceptions, and
 the reference table of the four exceptional arc-transitive graphs; every
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from metacirc.aut import aut_generators
-from metacirc.autosearch import NotEdgeTransitive, PermGroup, analyze, canonical_form
+from metacirc.autosearch import PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import (
     build_cayley,
@@ -335,15 +334,13 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     Returns None when the graph is not edge-transitive (such sets leave the
     census).  Every fact is read at vertex 0, since Aut = R * A_0 with R the
     regular copy of G and A_0 the stabilizer of vertex 0.  The exits for a
-    set that is not edge-transitive run in this order, each for the sets
-    the one before it misses:
+    set that is not edge-transitive run in this order, the second for the
+    sets the first misses:
 
     1. distance-pair counts at vertex 0, before the graph is built, see
        two edge orbits (``_distance_split``);
-    2. the search's first refinement at vertex 0 sees two edge orbits
-       there (NotEdgeTransitive, given x ~ x^-1 as ``reverse``);
-    3. the orbits of A_0 on the neighbours of vertex 0, merged along
-       x ~ x^-1, are more than one (``orbits_at_zero``).
+    2. the orbits of A_0 on the neighbours of vertex 0, merged along
+       x ~ x^-1, are more than one (``orbits_at_zero``), after the search.
 
     The rest is read off the search:
 
@@ -363,10 +360,7 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
         return None
     graph = build_cayley(S, spec)
     regular = _regular_representation(spec)
-    try:
-        result = analyze(graph, seeds=regular, reverse=inverse)
-    except NotEdgeTransitive:
-        return None
+    result = analyze(graph, seeds=regular)
     a0 = PermGroup(graph.n, result.found)
     edge_orbits, s = orbits_at_zero(a0, graph, inverse)
     if edge_orbits != 1:

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from metacirc import autosearch
 from metacirc.aut import enumerate_aut
-from metacirc.classify import classify_spec, orbit_representatives
+from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
-    NotEdgeTransitive,
     _individualize,
     _Orbits,
     _initial_partition,
@@ -29,7 +28,7 @@ from metacirc.graphs import (
     standard_connection_set,
     to_graph6,
 )
-from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
+from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
 from oracles import (
     apply_aut,
@@ -97,8 +96,7 @@ def refine_fixture(n, kind, rng):
 def test_refine_matches_bitmask_reference(n, kind, rnd):
     """Splitter-local refinement gives the reference's cells, in the same
     order and each in ascending vertex order, after the initial refinement
-    and after every step of a random sequence of individualizations, also
-    when told that the partition before individualizing was equitable."""
+    and after every step of a random sequence of individualizations."""
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     adj_bits = vertex_masks(g.adjacency)
@@ -114,25 +112,6 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
         child, splitters = _individualize(refined, t, rng.choice(refined[t]))
         refined = _refine(g.adjacency, child, splitters)
         assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
-        # the search's call: the input came from an equitable partition
-        assert _refine(g.adjacency, child, splitters, equitable=True) == refined
-
-
-@given(n=st.integers(1, 30), p=st.floats(0.05, 0.9), rnd=st.random_module())
-@settings(max_examples=100, deadline=None)
-def test_refine_matches_reference_from_any_partition(n, p, rnd):
-    """The same from an arbitrary ordered partition and arbitrary splitters,
-    neither of them equitable."""
-    rng = random.Random(rnd.seed)
-    g = random_graph(n, p, rng)
-    order = list(range(n))
-    rng.shuffle(order)
-    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
-    cells = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    splitters = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))]
-    assert _refine(g.adjacency, cells, splitters) == bitmask_refine(
-        vertex_masks(g.adjacency), cells, [vertex_mask(s) for s in splitters]
-    )
 
 
 def two_circulants(n, jumps1, jumps2):
@@ -217,25 +196,19 @@ def test_search_result_unchanged_without_rest_splitter(n, kind, rnd):
     assert result == reference
 
 
-def recorded_search(g, seeds=(), reverse=None):
-    """Run ``analyze(g, seeds, reverse)`` and record every ``_refine`` call
-    as (cells, splitters, reverse, result), result None if the call raised
-    NotEdgeTransitive, and the orbits after every feed of the generators as
-    (orbits, the generators that fix the path).  Returns the search result,
-    None if it raised, the refine calls and the orbits."""
+def recorded_search(g, seeds=()):
+    """Run ``analyze(g, seeds)`` and record every ``_refine`` call as
+    (cells, splitters, result), and the orbits after every feed of the
+    generators as (orbits, the generators that fix the path).  Returns the
+    refine calls and the orbits."""
     refines, orbits = [], []
     refine, feed = autosearch._refine, autosearch._Orbits.feed
 
-    def recording_refine(adj, cells, splitters, equitable=False, reverse=None):
-        call = [
-            [list(c) for c in cells],
-            None if splitters is None else [list(s) for s in splitters],
-            reverse,
-            None,
-        ]
-        refines.append(call)
-        call[3] = refine(adj, cells, splitters, equitable, reverse)
-        return call[3]
+    def recording_refine(adj, cells, splitters):
+        given = [list(c) for c in cells], None if splitters is None else [list(s) for s in splitters]
+        result = refine(adj, cells, splitters)
+        refines.append((*given, result))
+        return result
 
     def recording_feed(self, gens, fixed):
         feed(self, gens, fixed)
@@ -247,11 +220,8 @@ def recorded_search(g, seeds=(), reverse=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(autosearch, "_refine", recording_refine)
         mp.setattr(autosearch._Orbits, "feed", recording_feed)
-        try:
-            result = analyze(g, seeds, reverse)
-        except NotEdgeTransitive:
-            result = None
-    return result, refines, orbits
+        analyze(g, seeds)
+    return refines, orbits
 
 
 def matches_bitmask_reference(g, refines) -> bool:
@@ -260,14 +230,12 @@ def matches_bitmask_reference(g, refines) -> bool:
         result == bitmask_refine(
             adj_bits, cells, None if splitters is None else [vertex_mask(s) for s in splitters]
         )
-        for cells, splitters, _, result in refines
-        if result is not None
+        for cells, splitters, result in refines
     )
 
 
 # the census_ref specs; by index in orbit_representatives, the generating
-# orbits on which the seeded search given x ~ x^-1 raised NotEdgeTransitive
-# with the refinement kernel before the current one
+# orbits whose graph is not edge-transitive
 CENSUS_REF_EXITS = {
     GroupSpec(7, 3, 2): [0],
     GroupSpec(11, 5, 3): [0, 3],
@@ -285,22 +253,19 @@ def census_class_searches(order):
     out = []
     for cls in classify_spec(spec).classes:
         g = random_relabel(build_cayley(cls.connection_set, spec), rng)
-        out.append((g, *recorded_search(g)[1:]))
+        out.append((g, *recorded_search(g)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def census_ref_searches(spec):
-    """The census's seeded search given x ~ x^-1 on each generating orbit
-    of a census_ref spec, as ``recorded_search`` records it, with its graph
-    and whether it raised."""
+    """The census's seeded search on each generating orbit of a census_ref
+    spec, as ``recorded_search`` records it, with its graph."""
     regular = regular_representation(spec)
     out = []
     for rep, _ in orbit_representatives(spec):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
-        inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
-        result, refines, orbits = recorded_search(g, regular, inverse)
-        out.append((g, refines, orbits, result is None))
+        out.append((g, *recorded_search(g, regular)))
     return tuple(out)
 
 
@@ -316,14 +281,20 @@ def test_refine_matches_bitmask_reference_on_census_classes(order):
 
 @pytest.mark.parametrize("spec", list(CENSUS_REF_EXITS), ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
 def test_edge_split_exit_on_census_ref_orbits(spec):
-    """The seeded search watching x ~ x^-1 raises NotEdgeTransitive on the
-    frozen generating orbits and on no other, and every refinement it
-    completes gives the reference's cells."""
+    """``analyze_connection_set`` drops the frozen generating orbits, the
+    ones that are not edge-transitive, and no other, and every refinement
+    of the census's seeded search on each orbit gives the reference's
+    cells."""
+    orbits = orbit_representatives(spec)
+    dropped = [
+        i for i, (rep, _) in enumerate(orbits)
+        if analyze_connection_set(spec, [spec.at_index(x) for x in rep]) is None
+    ]
+    assert dropped == CENSUS_REF_EXITS[spec]
     searches = census_ref_searches(spec)
-    assert [i for i, (*_, raised) in enumerate(searches) if raised] == CENSUS_REF_EXITS[spec]
-    for g, refines, _, _ in searches:
-        assert matches_bitmask_reference(g, refines)
-    assert any(reverse is not None for _, refines, _, _ in searches for _, _, reverse, _ in refines)
+    assert len(searches) == len(orbits)
+    for g, refines, _ in searches:
+        assert refines and matches_bitmask_reference(g, refines)
 
 
 def test_incremental_orbits_match_fresh_union_find():
@@ -331,7 +302,7 @@ def test_incremental_orbits_match_fresh_union_find():
     fed, the orbits that prune the node's branches are those of the
     generators that fix its path pointwise, found from scratch."""
     searches = [(g, orbits) for order in (55, 125, 165) for g, _, orbits in census_class_searches(order)]
-    searches += [(g, orbits) for spec in CENSUS_REF_EXITS for g, _, orbits, _ in census_ref_searches(spec)]
+    searches += [(g, orbits) for spec in CENSUS_REF_EXITS for g, _, orbits in census_ref_searches(spec)]
     nodes = 0
     for g, orbits in searches:
         for cells, stabilizer in orbits:
@@ -341,26 +312,20 @@ def test_incremental_orbits_match_fresh_union_find():
 
 
 def test_search_leaves_no_reference_cycle():
-    """A finished search, returned or raised, leaves nothing for the cyclic
-    garbage collector: its state is freed as soon as it is dropped."""
+    """A finished search leaves nothing for the cyclic garbage collector:
+    its state is freed as soon as it is dropped."""
     spec = GroupSpec(11, 5, 3, ell=3)
     g = build_cayley(standard_connection_set(1, spec), spec)
     regular = regular_representation(spec)
     rep = orbit_representatives(spec)[0][0]
     split = build_cayley([spec.at_index(x) for x in rep], spec)
-    inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
             analyze(g)
         analyze(g, seeds=regular)
-        try:
-            analyze(split, seeds=regular, reverse=inverse)
-            raised = False
-        except NotEdgeTransitive:
-            raised = True
-        assert raised
+        analyze(split, seeds=regular)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -21,7 +21,7 @@ from metacirc.classify import (
     theorem_js,
     verify_table1,
 )
-from metacirc.autosearch import NotEdgeTransitive, analyze
+from metacirc.autosearch import analyze
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
 from metacirc.groups import Element, GroupSpec, euler_phi, inv, iter_specs, regular_representation
@@ -92,12 +92,6 @@ def test_candidate_orbits_cover_everything():
     assert len(orbits) == 2
 
 
-def test_candidate_orbits_uses_brute_force_backend():
-    spec = GroupSpec(9, 3, 4)
-    orbits = orbit_representatives(spec)
-    assert sum(size for _, size in orbits) == len(enumerate_candidates(9, 3, 4))
-
-
 @pytest.mark.parametrize(
     "spec",
     [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(25, 5, 6)],
@@ -159,47 +153,16 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
 @lru_cache(maxsize=None)
 def edge_split_exits(spec):
     """Per generating orbit: the edge orbits that ``orbits_at_zero`` counts
-    from the search without ``reverse``, and whether the search given
-    x ~ x^-1 as ``reverse`` raised.  A search that did not raise returned
-    the result of the one without.  Cached, as two tests walk each spec."""
+    from the seeded search.  Cached, as several tests walk each spec."""
     regular = regular_representation(spec)
     orbits = orbit_representatives(spec)
     out = []
     for rep, _ in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
         inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
-        full = analyze(graph, seeds=regular)
-        edge_orbits, _ = orbits_at_zero(PermGroup(graph.n, full.found), graph, inverse)
-        try:
-            result = analyze(graph, seeds=regular, reverse=inverse)
-        except NotEdgeTransitive:
-            out.append((edge_orbits, True))
-        else:
-            assert result == full
-            out.append((edge_orbits, False))
+        result = analyze(graph, seeds=regular)
+        out.append(orbits_at_zero(PermGroup(graph.n, result.found), graph, inverse)[0])
     return tuple(out)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(7, 3, 2, ell=3), GroupSpec(7, 3, 2, ell=5)],
-    ids=spec_id,
-)
-def test_edge_split_exit_is_sound(spec):
-    """On every generating orbit: the seeded search given x ~ x^-1 raises
-    NotEdgeTransitive only when A_0 has more than one edge orbit, and
-    otherwise returns the result of the search without it."""
-    assert all(edge_orbits > 1 for edge_orbits, caught in edge_split_exits(spec) if caught)
-
-
-def test_edge_split_exit_catches_census_ref_orbits():
-    """On the four census_ref specs, 28 of the 43 generating orbits are not
-    edge-transitive, and the refinement at vertex 0 catches all 28."""
-    specs = (F21, GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2))
-    exits = [e for spec in specs for e in edge_split_exits(spec)]
-    assert len(exits) == 43
-    assert sum(edge_orbits > 1 for edge_orbits, _ in exits) == 28
-    assert sum(caught for _, caught in exits) == 28
 
 
 def distance_split(spec, rep):
@@ -221,29 +184,60 @@ def distance_split(spec, rep):
 )
 def test_distance_split_is_sound(spec):
     """On every generating orbit: the distance-pair test drops a set only
-    when A_0, from the seeded search without ``reverse``, has more than one
-    edge orbit."""
+    when A_0, from the seeded search, has more than one edge orbit."""
     orbits = orbit_representatives(spec)
-    for (rep, _), (edge_orbits, _) in zip(orbits, edge_split_exits(spec), strict=True):
+    for (rep, _), edge_orbits in zip(orbits, edge_split_exits(spec), strict=True):
         assert edge_orbits > 1 or not distance_split(spec, rep)
+
+
+@lru_cache(maxsize=None)
+def late_exits(spec):
+    """The generating orbits that the distance-pair test keeps, each with
+    its edge orbits and whether ``analyze_connection_set`` drops it."""
+    return tuple(
+        (edge_orbits, analyze_connection_set(spec, [spec.at_index(x) for x in rep]) is None)
+        for (rep, _), edge_orbits in zip(orbit_representatives(spec), edge_split_exits(spec), strict=True)
+        if not distance_split(spec, rep)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(7, 3, 2, ell=3), GroupSpec(7, 3, 2, ell=5)],
+    ids=spec_id,
+)
+def test_edge_split_exit_is_sound(spec):
+    """On every generating orbit the distance-pair test keeps, the census
+    drops the set, at ``orbits_at_zero``, exactly when A_0 has more than
+    one edge orbit."""
+    assert all(dropped == (edge_orbits > 1) for edge_orbits, dropped in late_exits(spec))
+
+
+def test_orbits_at_zero_exit_counts():
+    """``orbits_at_zero`` drops 5 generating orbits over the 17 specs up to
+    order 135 and 8 over those up to 231."""
+    def count(specs):
+        return sum(dropped for spec in specs for _, dropped in late_exits(spec))
+
+    assert len(list(iter_specs(135))) == 17
+    assert count(iter_specs(135)) == 5
+    assert count(iter_specs(231)) == 8
 
 
 def test_distance_split_catches_census_ref_orbits():
     """On the four census_ref specs, the distance-pair test drops 27 of the
-    28 generating orbits that are not edge-transitive, and the refinement
-    exit drops the remaining one."""
+    28 generating orbits that are not edge-transitive, and
+    ``orbits_at_zero`` drops the remaining one."""
     specs = (F21, GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2))
     exits = [
-        (edge_orbits, caught, distance_split(spec, rep))
+        (edge_orbits, distance_split(spec, rep))
         for spec in specs
-        for (rep, _), (edge_orbits, caught) in zip(
-            orbit_representatives(spec), edge_split_exits(spec), strict=True
-        )
+        for (rep, _), edge_orbits in zip(orbit_representatives(spec), edge_split_exits(spec), strict=True)
     ]
     assert len(exits) == 43
-    assert sum(edge_orbits > 1 for edge_orbits, _, _ in exits) == 28
-    assert sum(split for _, _, split in exits) == 27
-    assert sum(caught and not split for _, caught, split in exits) == 1
+    assert sum(edge_orbits > 1 for edge_orbits, _ in exits) == 28
+    assert sum(split for _, split in exits) == 27
+    assert sum(dropped for spec in specs for _, dropped in late_exits(spec)) == 1
 
 
 def test_distance_split_catches_all_at_1081_vertices():
@@ -256,15 +250,6 @@ def test_distance_split_catches_all_at_1081_vertices():
     assert (len(orbits), dropped) == (77, 66)
     golden = json.loads((DATA / "classify_47_23_2_1_oracle.json").read_text())
     assert len(golden["classes"]) == len(orbits) - dropped
-
-
-def test_analyze_rejects_bad_reverse():
-    graph = build_cayley(standard_connection_set(1, F21), F21)
-    nbrs = graph.adjacency[0]
-    with pytest.raises(ValueError):
-        analyze(graph, reverse={x: x for x in nbrs[1:]})
-    with pytest.raises(ValueError):
-        analyze(graph, reverse={x: nbrs[0] for x in nbrs})
 
 
 def test_set_stabilizer_order_matches_reference():

@@ -85,9 +85,10 @@ def test_classify_jobs_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_classify_jobs_byte_identical_with_edge_split_exit(capsys):
-    """Most orbits of Z23:Z11 leave the census by NotEdgeTransitive, raised
-    and caught inside the worker processes under --jobs."""
+def test_classify_jobs_byte_identical_with_dropped_orbits(capsys):
+    """Most orbits of Z23:Z11 are not edge-transitive, and under --jobs they
+    leave the census inside the worker processes, at the distance-pair test
+    or at ``orbits_at_zero``."""
     argv = ("classify", "--m", "23", "--n", "11", "--r", "2")
     _, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
     _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
