@@ -14,21 +14,23 @@ with gcd(s, m) = 1, gcd(1+l*n0, n) = 1, gcd(sc, ell) = 1 and
 t * rsum(r, n) = 0 (mod m).  The t-constraint is vacuous when <a> meets the
 centre trivially (then rsum(r, n) = 0 mod m and the count is
 phi(m) * m * (n/n0) * phi(ell)); on decomposable presentations it restricts t
-to multiples of m / gcd(r-1, m).  The census takes its candidate images
+to multiples of m / gcd(r-1, m).  The search takes its candidate images
 from this shape there.
 
 Outside the Sylow-cyclic case <a> need not be characteristic and this shape
 misses automorphisms, so the candidates are the elements of the right
-orders, tested against the defining relations.  :func:`enumerate_aut` and
-:func:`brute_force_automorphisms` list all of Aut(G) in the two cases; the
-census never calls them, and they serve as references for the search.
+orders.  Either way a candidate triple is kept only when it satisfies the
+defining relations and generates G (:func:`_completions`).
+:func:`enumerate_aut` and :func:`brute_force_automorphisms` list all of
+Aut(G) in the two cases; the census never calls them, and they serve as
+references for the search.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from metacirc import permgroup
 from metacirc.errors import BoundExceeded
@@ -105,35 +107,35 @@ def parametrized_count(spec: GroupSpec) -> int:
     return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
 
 
-def brute_force_automorphisms(spec: GroupSpec, max_order: int = SEARCH_BOUND) -> list[Triple]:
+def brute_force_automorphisms(spec: GroupSpec) -> list[Triple]:
     """Every automorphism, by exhaustive search over candidate generator
     images: the elements of the right orders (:func:`_image_candidates`),
     kept when they satisfy the defining relations and generate
     (:func:`_completions`).  Independent of the parametrized route."""
-    a_cands, b_cands, c_powers = _image_candidates(spec, max_order)
-    return [f for img_a in a_cands for f in _completions(img_a, b_cands, c_powers, c_powers, spec)]
+    a_cands, b_cands, c_cands = _image_candidates(spec)
+    c_powers = {x: _power_table(x, spec.ell, spec) for x in c_cands}
+    return [f for img_a in a_cands for f in _completions(img_a, b_cands, c_cands, c_powers, spec)]
 
 
-def _image_candidates(
-    spec: GroupSpec, max_order: int
-) -> tuple[list[Element], list[Element], dict[Element, list[Element]]]:
-    """The elements of orders m and of order n, and the central elements of
-    order ell with their power tables, each in element order."""
-    if spec.order > max_order:
-        raise BoundExceeded(f"group order {spec.order} exceeds brute-force bound {max_order}")
+def _image_candidates(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:
+    """The elements of order m, of order n, and the central elements of
+    order ell, each in element order.  Refuses groups of more than
+    ``SEARCH_BOUND`` elements."""
+    if spec.order > SEARCH_BOUND:
+        raise BoundExceeded(f"group order {spec.order} exceeds brute-force bound {SEARCH_BOUND}")
     a, b = spec.generator_a(), spec.generator_b()
     elements = list(spec.elements())
     orders = {g: element_order(g, spec) for g in elements}
     a_cands = [g for g in elements if orders[g] == spec.m]
     b_cands = [g for g in elements if orders[g] == spec.n]
-    c_powers = {
-        g: _power_table(g, spec.ell, spec)
+    c_cands = [
+        g
         for g in elements
         if orders[g] == spec.ell
         and mul(g, a, spec) == mul(a, g, spec)
         and mul(g, b, spec) == mul(b, g, spec)
-    }
-    return a_cands, b_cands, c_powers
+    ]
+    return a_cands, b_cands, c_cands
 
 
 def _completions(
@@ -177,11 +179,6 @@ def _complements(
     return True
 
 
-# a level of the search: base point, candidate images, and the completion of
-# a candidate to an automorphism fixing the base points above the level
-Level = tuple[Element, list[Element], Callable[[Element], Triple | None]]
-
-
 def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     """A generating set of Aut(G) as vertex permutations, and |Aut(G)|.
 
@@ -191,10 +188,10 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     images of b with a fixed, then the images of a.  At each level, a
     candidate image already in the orbit of the base point under the
     generators found so far is skipped; for any other, the first completion
-    to an automorphism fixing the base points above, if there is one,
-    becomes a generator and the orbit is extended.  A candidate with no
-    completion lies off the basic orbit, and so does its whole orbit under
-    the generators so far, which is skipped too.
+    (:func:`_completions`) to an automorphism fixing the base points above,
+    if there is one, becomes a generator and the orbit is extended.  A
+    candidate with no completion lies off the basic orbit, and so does its
+    whole orbit under the generators so far, which is skipped too.
 
     The candidates hold every image of the base point, so each level's orbit
     ends as its whole basic orbit, and the generators found at a level and
@@ -203,16 +200,28 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     of Computational Group Theory*, 2005, 4.4).  The bottom level acts regularly, so
     |Aut(G)| is the product of the three orbit lengths, with no sifting.
 
-    Sylow-cyclic specs take their candidates from the (s, t, l, s_c)
-    parametrization, completed by the other two base points, so no
-    completion fails and no element order is computed.  Other specs search
-    the elements of the right orders, and refuse groups of more than
+    Every group takes the same levels and the same completion rule; only
+    the candidates differ.  Sylow-cyclic specs take them from the
+    (s, t, l, s_c) parametrization (:func:`_parametrized_images`), so no
+    element order is computed.  Other specs take the elements of the right
+    orders (:func:`_image_candidates`), and refuse groups of more than
     ``SEARCH_BOUND`` elements.
     """
-    levels = _parametrized_levels(spec) if spec.sylow_cyclic else _searched_levels(spec)
+    a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
+    a_cands, b_cands, c_cands = (
+        _parametrized_images(spec) if spec.sylow_cyclic else _image_candidates(spec)
+    )
+    c_powers = {x: _power_table(x, spec.ell, spec) for x in c_cands}
+    # each level: base point, candidate images, and the completions of a
+    # candidate by the base points above it
+    levels = [
+        (c, c_cands, lambda x: _completions(a, (b,), (x,), c_powers, spec)),
+        (b, b_cands, lambda x: _completions(a, (x,), c_cands, c_powers, spec)),
+        (a, a_cands, lambda x: _completions(x, b_cands, c_cands, c_powers, spec)),
+    ]
     gens: list[list[int]] = []
     order = 1
-    for base, candidates, complete in levels:
+    for base, candidates, completions in levels:
         point = spec.index(base)
         orbit = _point_orbit(point, gens)
         failed: set[int] = set()
@@ -220,7 +229,7 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
             i = spec.index(x)
             if i in orbit or i in failed:
                 continue
-            f = complete(x)
+            f = next(completions(x), None)
             if f is None:
                 # the generators so far lie in this level's group, which
                 # keeps the points off its basic orbit off it
@@ -230,35 +239,6 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
             orbit = _point_orbit(point, gens)
         order *= len(orbit)
     return gens, order
-
-
-def _parametrized_levels(spec: GroupSpec) -> list[Level]:
-    """The levels of a Sylow-cyclic spec: candidates {c^sc},
-    {a^t b^(1+l*n0)} and {a^s}, each completed by the other base points."""
-    a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
-    a_images, b_images, c_images = _parametrized_images(spec)
-    return [
-        (c, c_images, lambda x: (a, b, x)),
-        (b, b_images, lambda x: (a, x, c)),
-        (a, a_images, lambda x: (x, b, c)),
-    ]
-
-
-def _searched_levels(spec: GroupSpec) -> list[Level]:
-    """The levels of any spec with at most ``SEARCH_BOUND`` elements: the
-    candidates of :func:`_image_candidates`, each completed by the first
-    automorphism :func:`_completions` finds with the base points above."""
-    a_cands, b_cands, c_powers = _image_candidates(spec, SEARCH_BOUND)
-    a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
-
-    def first(img_a, b_images, c_images):
-        return next(_completions(img_a, b_images, c_images, c_powers, spec), None)
-
-    return [
-        (c, list(c_powers), lambda x: first(a, (b,), (x,))),
-        (b, b_cands, lambda x: first(a, (x,), c_powers)),
-        (a, a_cands, lambda x: first(x, b_cands, c_powers)),
-    ]
 
 
 def _point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:

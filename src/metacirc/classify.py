@@ -36,10 +36,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from metacirc.aut import aut_generators
 from metacirc.autosearch import PermGroup, analyze, canonical_form
@@ -150,6 +150,18 @@ class GroupReport:
     @property
     def oracle_count(self) -> int:
         return len(self.classes)
+
+    @property
+    def disagrees(self) -> bool:
+        """Whether the census disagrees with the bundled predictions: the
+        count formula or the reference row fails, the class count differs
+        from the row's n, or there is any finding."""
+        return (
+            self.agreement_theorem2 is False
+            or self.agreement_table1 is False
+            or (self.table1 is not None and self.oracle_count != self.table1.n)
+            or bool(self.findings)
+        )
 
 
 # ------------------------------------------------------------- candidates
@@ -441,7 +453,10 @@ def classify_spec(
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are flagged
     merged: dict[str, ClassReport] = {}
-    for rep, size, c in zip(reps, sizes, _run_reps(spec, reps, jobs)):
+    sets = [tuple(map(spec.at_index, rep)) for rep in reps]
+    results = parallel_map(partial(analyze_connection_set, spec), sets, jobs)
+    # strict=True draws the results to their end, which shuts any pool down
+    for rep, size, c in zip(reps, sizes, results, strict=True):
         if c is None:
             continue
         standard_j = None
@@ -523,17 +538,24 @@ def classify_spec(
     )
 
 
-def _run_reps(
-    spec: GroupSpec, reps: Sequence[tuple[int, ...]], jobs: int
-) -> list[ClassReport | None]:
-    sets = [tuple(map(spec.at_index, rep)) for rep in reps]
-    specs = [spec] * len(sets)
-    if jobs <= 1 or len(sets) <= 1:
-        return list(map(analyze_connection_set, specs, sets))
-    from concurrent.futures import ProcessPoolExecutor
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """fn applied to each item, yielded in item order.
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(analyze_connection_set, specs, sets))
+    With ``jobs <= 1`` or at most one item, fn runs in this process.
+    Otherwise each item is one task of one pool of min(jobs, len(items))
+    worker processes, so fn and the items must pickle; a task that raises
+    ends the map with its exception, and the pending tasks are cancelled.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent import futures
+
+    with futures.ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        try:
+            yield from pool.map(fn, items)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 # ------------------------------------------------------------- table check
@@ -635,7 +657,7 @@ def emit_report(report: GroupReport, path: str | Path, graphs: bool = False) -> 
 
 # ----------------------------------------------- CI property cross-check
 
-def isomorphism_orbit_comparison(spec: GroupSpec, bound: int = 1000) -> list[dict]:
+def isomorphism_orbit_comparison(spec: GroupSpec) -> list[dict]:
     """Per-orbit data for the Cayley-isomorphism check.
 
     For every Aut(G)-orbit of connected candidates: the orbit key, the graph
@@ -643,7 +665,7 @@ def isomorphism_orbit_comparison(spec: GroupSpec, bound: int = 1000) -> list[dic
     group.  Canonical forms coincide exactly on equal orbit keys iff
     isomorphism is decided by Aut(G)-conjugacy.
     """
-    orbits = orbit_representatives(spec, bound=bound)
+    orbits = orbit_representatives(spec)
     out = []
     for rep, size in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)

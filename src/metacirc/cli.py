@@ -12,7 +12,8 @@ Subcommands:
   optionally writing one JSON report per spec (JSONL) with ``--out``
 
 Exit codes: 0 success, 1 usage error, 2 computation bound exceeded,
-3 disagreement with the bundled predictions under --strict.
+3 disagreement with the bundled predictions under --strict (the same test
+for ``classify``, ``enumerate`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from metacirc.autosearch import analyze, are_isomorphic, canonical_form
 from metacirc.classify import (
     classify_spec,
     emit_report,
+    parallel_map,
     report_to_json_dict,
 )
 from metacirc.errors import BoundExceeded
@@ -87,7 +89,9 @@ def build_parser() -> _Parser:
         _add_group_args(p)
         if name == "classify":
             p.add_argument("--mode", choices=("oracle", "theorem"), default="oracle")
-        p.add_argument("--bound", type=int, default=1000, help="max group order (default 1000)")
+        p.add_argument("--bound", type=int, default=1000,
+                       help="oracle mode: max group order whose candidate sets are walked "
+                       "(default 1000); theorem mode is capped by the 2000-vertex search")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--strict", action="store_true", help="exit 3 on any prediction disagreement")
         p.add_argument("--out", type=str, default=None, help="also write the report to a file")
@@ -107,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("graph6", "dot", "json"), default="graph6")
 
     p = sub.add_parser("sweep", help="census over hypothesis-(*) specs")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", dest="bound", metavar="MAX_ORDER", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers, one spec per task")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", type=str, default=None, help="also write one JSON report per spec (JSONL)")
@@ -147,22 +151,11 @@ def _cmd_classify(args, mode: str) -> int:
             emit_report(report, args.out, graphs=args.graphs)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
-    payload = report_to_json_dict(report)
-    print(json.dumps(payload, indent=2))
-    if args.strict and _disagrees(payload):
+    print(json.dumps(report_to_json_dict(report), indent=2))
+    if args.strict and report.disagrees:
         print("strict: disagreement with bundled predictions", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
-
-
-def _disagrees(payload: dict) -> bool:
-    agree = payload["agreement"]
-    if agree["theorem2"] is False or agree["table1"] is False:
-        return True
-    table = payload["theory"]["table1"]
-    if table is not None and not table["count_matches_n"]:
-        return True
-    return bool(payload["findings"])
 
 
 def _parse_graph6(data: bytes | str) -> Graph:
@@ -241,35 +234,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _sweep(args, out) -> int:
-    """Classify every spec, each as one task of one worker pool under
+    """Classify every spec, each as one task of ``parallel_map`` under
     ``--jobs``, and report them in spec order."""
-    specs = list(iter_specs(args.max_order))
-    run = partial(classify_spec, mode="oracle", bound=args.max_order, jobs=1)
-    if args.jobs <= 1 or len(specs) <= 1:
-        return _sweep_reports(args, out, map(run, specs))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
-        try:
-            return _sweep_reports(args, out, pool.map(run, specs))
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _sweep_reports(args, out, reports) -> int:
+    specs = list(iter_specs(args.bound))
+    run = partial(classify_spec, mode="oracle", bound=args.bound, jobs=1)
     disagreement = False
     print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
-    for report in reports:
+    for report in parallel_map(run, specs, args.jobs):
         spec = report.spec
         if out is not None:
             out.write(json.dumps(report_to_json_dict(report)) + "\n")
         orders = ",".join(str(c.aut_order) for c in report.classes) or "-"
-        agree = report.agreement_theorem2
-        disagreement |= agree is False or bool(report.findings)
+        disagreement |= report.disagrees
         print(
             f"{spec.m} {spec.n} {spec.r} {spec.n0} {spec.order} "
             f"{report.oracle_count} {report.phi_n0_half} {report.thm2_claim} "
-            f"{orders} {agree} {len(report.findings)}"
+            f"{orders} {report.agreement_theorem2} {len(report.findings)}"
         )
     if args.strict and disagreement:
         return EXIT_DISAGREEMENT

@@ -310,13 +310,13 @@ def canonical_r(m: int, n: int, r: int) -> int:
     return best
 
 
-def iter_specs(max_order: int) -> Iterable[GroupSpec]:
-    """All nonabelian (m, n, r) specs with ell = 1, m*n <= max_order, hypothesis (*).
+def iter_specs(bound: int) -> Iterable[GroupSpec]:
+    """All nonabelian (m, n, r) specs with ell = 1, m*n <= bound, hypothesis (*).
 
     One spec per isomorphism class: r is canonicalized over unit powers, and
     n runs over odd multiples of n0 all of whose prime factors divide n0.
     """
-    for m in range(3, max_order // 3 + 1, 2):
+    for m in range(3, bound // 3 + 1, 2):
         seen_r: set[int] = set()
         for r in range(2, m):
             if gcd(r, m) != 1:
@@ -329,7 +329,7 @@ def iter_specs(max_order: int) -> Iterable[GroupSpec]:
             seen_r.add(r)
             for k in itertools.count(1, 2):
                 n = n0 * k
-                if m * n > max_order:
+                if m * n > bound:
                     break
                 spec = GroupSpec(m, n, r)
                 if spec.hypothesis_star:

@@ -114,13 +114,13 @@ class PermGroup:
         a, b, _ = _sift(self.chain(), _check_perm(p, self.degree), identity_perm(self.degree), 0)
         return a == b
 
-    def elements(self, bound: int = ELEMENT_BOUND) -> Iterator[Perm]:
+    def elements(self) -> Iterator[Perm]:
         """All group elements from the chain transversals."""
-        return _transversal_products(self.chain(), self.degree, bound)
+        return _transversal_products(self.chain(), self.degree)
 
     def stabilizer_elements(self) -> Iterator[Perm]:
         """All elements of the stabilizer of point 0."""
-        return _transversal_products(self.chain()[1:], self.degree, ELEMENT_BOUND)
+        return _transversal_products(self.chain()[1:], self.degree)
 
     def is_transitive(self) -> bool:
         """Whether the orbit of point 0, the transversal of the chain's first
@@ -145,12 +145,12 @@ def orbit(start: Hashable, gens: Sequence, image: Callable) -> set:
     return seen
 
 
-def _transversal_products(levels: Sequence[_Level], degree: int, bound: int) -> Iterator[Perm]:
+def _transversal_products(levels: Sequence[_Level], degree: int) -> Iterator[Perm]:
     """Each element of the group the levels generate, once: the products of
-    one transversal element per level."""
+    one transversal element per level.  Refuses more than ``ELEMENT_BOUND``."""
     size = prod(len(lvl.transversal) for lvl in levels)
-    if size > bound:
-        raise BoundExceeded(f"{size} elements exceed the enumeration bound {bound}")
+    if size > ELEMENT_BOUND:
+        raise BoundExceeded(f"{size} elements exceed the enumeration bound {ELEMENT_BOUND}")
     if not levels:
         yield identity_perm(degree)
         return

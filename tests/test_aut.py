@@ -359,6 +359,30 @@ def test_aut_generators_order_is_parametrized_count():
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [s for s in iter_specs(231) if s.sylow_cyclic]
+    + [GroupSpec(11, 5, 3, ell=3), GroupSpec(29, 7, 7, ell=3), GroupSpec(7, 3, 2, ell=5)],
+    ids=str,
+)
+def test_sylow_cyclic_candidates_always_complete(spec, monkeypatch):
+    """The parametrized candidates are images of automorphisms, so each one
+    the search tries has a completion that passes the relation and the
+    complement test."""
+    calls = []  # per call, how many completions the search took
+    completions = aut._completions
+
+    def recorded(*args):
+        calls.append(0)
+        for f in completions(*args):
+            calls[-1] += 1
+            yield f
+
+    monkeypatch.setattr(aut, "_completions", recorded)
+    aut_generators(spec)
+    assert calls and all(calls)
+
+
+@pytest.mark.parametrize(
     "spec, order",
     [(GroupSpec(9, 27, 4, ell=3), 236196), (GroupSpec(9, 9, 4, ell=9), 708588)],
     ids=["Z3xZ9:Z27", "Z9xZ9:Z9"],

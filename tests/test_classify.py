@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, sqrt
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from metacirc.classify import (
     emit_report,
     isomorphism_orbit_comparison,
     orbit_representatives,
+    parallel_map,
     report_to_json_dict,
     theorem_js,
     verify_table1,
@@ -494,6 +496,51 @@ def test_jobs_give_identical_reports():
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
 
+def test_parallel_map_keeps_item_order():
+    items = list(range(-20, 20))
+    assert list(parallel_map(abs, items, 2)) == [abs(x) for x in items]
+
+
+def test_parallel_map_runs_in_process_for_one_job_or_one_item():
+    # a lambda does not pickle, so no worker could run it
+    assert list(parallel_map(lambda x: x + 1, [1, 2, 3], 1)) == [2, 3, 4]
+    assert list(parallel_map(lambda x: x + 1, [1], 4)) == [2]
+    assert list(parallel_map(lambda x: x + 1, [], 4)) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parallel_map_propagates_a_task_exception(jobs):
+    with pytest.raises(ValueError, match="math domain error"):
+        list(parallel_map(sqrt, [4.0, -1.0, 9.0], jobs))
+
+
+def test_parallel_map_pool_has_at_most_one_worker_per_item(monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class Recorded:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    assert list(parallel_map(abs, [-1, -2], 8)) == [1, 2]
+    assert list(parallel_map(abs, [-1, -2, -3, -4, -5], 3)) == [1, 2, 3, 4, 5]
+    assert workers == [2, 3]
+
+
 # -------------------------------------------------------------- reporting
 
 def test_report_json_schema():
@@ -537,6 +584,17 @@ def test_verify_table1_f21():
 def test_verify_table1_wrong_spec():
     with pytest.raises(ValueError):
         verify_table1(classify_spec(GroupSpec(13, 3, 3)))
+
+
+def test_report_disagrees_on_each_prediction():
+    agreeing = classify_spec(GroupSpec(13, 3, 3))
+    assert not agreeing.disagrees
+    for change in ({"agreement_theorem2": False}, {"agreement_table1": False}, {"findings": ["x"]}):
+        assert replace(agreeing, **change).disagrees
+    # F21 agrees with its reference row but has one class, not the row's n = 3
+    f21 = classify_spec(F21)
+    assert f21.agreement_table1 and not f21.findings
+    assert f21.oracle_count != f21.table1.n and f21.disagrees
 
 
 # ------------------------------------------------- isomorphism vs orbits

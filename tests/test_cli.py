@@ -6,12 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import metacirc
 from metacirc.cli import main
 from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set, to_graph6
-from metacirc.groups import Element, GroupSpec
+from metacirc.groups import GroupSpec
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +142,18 @@ def test_strict_disagreement_exit_3(capsys):
     assert code == 3
     # without --strict the same run exits 0
     assert run_cli(capsys, "classify", "--m", "11", "--n", "5", "--r", "3")[0] == 0
+
+
+def test_strict_is_one_test_for_classify_and_sweep(capsys):
+    """F21 has one class where the reference row counts 3: classify and a
+    sweep that holds the same report both exit 3 under --strict."""
+    assert run_cli(capsys, "classify", "--m", "7", "--n", "3", "--r", "2", "--strict")[0] == 3
+    code, out, _ = run_cli(capsys, "sweep", "--max-order", "21", "--strict")
+    assert code == 3 and out.splitlines()[1].split()[:3] == ["7", "3", "2"]
+    assert run_cli(capsys, "classify", "--m", "13", "--n", "3", "--r", "3", "--strict")[0] == 0
+    # no spec has at most 20 elements
+    code, out, _ = run_cli(capsys, "sweep", "--max-order", "20", "--strict")
+    assert code == 0 and len(out.splitlines()) == 1
 
 
 # ------------------------------------------------------------- aut / iso

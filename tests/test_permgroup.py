@@ -158,9 +158,11 @@ def test_contains():
 
 
 def test_elements_bound(monkeypatch):
+    # S5 has 120 elements, and the stabilizer of point 0 in S5 has 24
+    monkeypatch.setattr(permgroup, "ELEMENT_BOUND", 100)
     with pytest.raises(BoundExceeded):
-        list(S5.elements(bound=100))
-    # the stabilizer of point 0 in S5 has 24 elements
+        list(S5.elements())
+    assert len(list(S5.stabilizer_elements())) == 24
     monkeypatch.setattr(permgroup, "ELEMENT_BOUND", 10)
     with pytest.raises(BoundExceeded):
         list(S5.stabilizer_elements())
