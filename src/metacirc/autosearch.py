@@ -8,6 +8,17 @@ are compared by the packed rows of the relabeled adjacency matrix
 lexicographically least key over the surviving leaves is the canonical form,
 emitted as its graph6.
 
+After a leaf whose key equals the first leaf's, the search jumps back to the
+node where the two paths part (first-path backjumping, McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  The automorphism the two leaves
+give fixes the shared part of the paths and maps the first path's child at
+the parting node onto the current one, so it maps the subtree already
+searched below that child onto the current subtree.  Every leaf key there
+has been seen, and every automorphism a leaf there would give is the new one
+times one the searched subtree accounts for.  So the least key, and the
+group the generators found generate, are those of the whole tree; only
+fewer generators are found.
+
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
 Cayley graphs (with their regular translations supplied) search a single
@@ -325,11 +336,12 @@ class _Orbits:
 
 
 class _Search:
-    """One run of the search: the generators found so far and the first and
-    best leaves.  Its methods recurse through ``self``, so a finished search
-    holds no reference cycle and is freed as soon as it is dropped."""
+    """One run of the search: the generators found so far, the first and
+    best leaves, the first leaf's path, and the depth the search is jumping
+    back to, if any.  Its methods recurse through ``self``, so a finished
+    search holds no reference cycle and is freed as soon as it is dropped."""
 
-    __slots__ = ("g", "gens", "gen_set", "first", "best")
+    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump")
 
     def __init__(self, g: Graph, gens: list[tuple[int, ...]]):
         self.g = g
@@ -338,12 +350,15 @@ class _Search:
         # (key, order) of the first leaf and of the least key so far
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.best: tuple[tuple[int, ...], list[int]] | None = None
+        self.first_path: list[int] = []
+        self.jump: int | None = None
 
-    def leaf(self, cells: list[list[int]]) -> None:
+    def leaf(self, cells: list[list[int]], fixed: list[int]) -> None:
         order = [c[0] for c in cells]
         key = packed_rows(self.g, order)
         if self.first is None:
             self.first = self.best = (key, order)
+            self.first_path = fixed
             return
         for ref in (self.first, self.best):
             if ref[0] == key and ref[1] != order:
@@ -354,6 +369,12 @@ class _Search:
                 if p not in self.gen_set:
                     self.gens.append(p)
                     self.gen_set.add(p)
+                if ref is self.first:
+                    # back to the node where this path left the first one
+                    d = 0
+                    while fixed[d] == self.first_path[d]:
+                        d += 1
+                    self.jump = d
                 break
         if key < self.best[0]:
             self.best = (key, order)
@@ -362,10 +383,11 @@ class _Search:
         """Search below the equitable partition ``cells``, reached by
         individualizing ``fixed``; ``orbits`` are those of the generators
         that fix ``fixed`` pointwise.  A branch is equivalent to a processed
-        one iff its vertex shares their orbit."""
+        one iff its vertex shares their orbit.  While a jump is pending,
+        every node deeper than its depth returns as soon as its child does."""
         t = _target_cell(cells)
         if t < 0:
-            self.leaf(cells)
+            self.leaf(cells, fixed)
             return
         for v in cells[t]:
             orbits.feed(self.gens, fixed)
@@ -374,6 +396,10 @@ class _Search:
             child, splitters = _individualize(cells, t, v)
             refined = _refine(self.g.adjacency, child, splitters)
             self.node(refined, fixed + [v], orbits.child(v))
+            if self.jump is not None:
+                if self.jump < len(fixed):
+                    return
+                self.jump = None
             orbits.mark(v)
 
 

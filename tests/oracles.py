@@ -297,6 +297,42 @@ def bitmask_refine(adj_bits: list[int], cells: list[list[int]], active: list[int
     return cells
 
 
+def rows_in_order(adjacency, order) -> tuple[int, ...]:
+    """The adjacency rows of the vertices in ``order`` as integers: row i
+    has bit n-1-k set iff the i-th and k-th vertices of ``order`` are
+    adjacent."""
+    n = len(adjacency)
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(sum(1 << (n - 1 - pos[u]) for u in adjacency[v]) for v in order)
+
+
+def least_leaf_key(adjacency) -> tuple[int, ...]:
+    """The least ``rows_in_order`` key over every leaf of the whole
+    individualization-refinement tree, no branch pruned or skipped.
+
+    The root is ``signature_cells`` refined by every cell; a node
+    individualizes each vertex v of its first smallest non-singleton cell
+    in turn, as the cell [v] before the rest, and refines by [v] alone; a
+    discrete partition is a leaf, read as its order of vertices.
+    Exponential: for graphs of a few vertices only.
+    """
+    adj_bits = vertex_masks(adjacency)
+    best = None
+    stack = [bitmask_refine(adj_bits, signature_cells(adjacency), None)]
+    while stack:
+        cells = stack.pop()
+        sizes = [len(c) for c in cells if len(c) > 1]
+        if not sizes:
+            key = rows_in_order(adjacency, [c[0] for c in cells])
+            best = key if best is None else min(best, key)
+            continue
+        t = next(i for i, c in enumerate(cells) if len(c) == min(sizes))
+        for v in cells[t]:
+            child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
+            stack.append(bitmask_refine(adj_bits, child, [1 << v]))
+    return best
+
+
 def inverse_closed_four_subsets(m: int, n: int, r: int, ell: int = 1) -> list[tuple[int, ...]]:
     """All identity-free inverse-closed 4-subsets, as sorted vertex-index
     tuples: inverse pairs are listed by their first-met index and every two

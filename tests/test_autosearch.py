@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ from metacirc.autosearch import (
     canonical_form,
 )
 from metacirc.graphs import (
+    are_automorphisms,
     build_cayley,
     from_graph6,
     graph_from_edges,
@@ -36,7 +38,9 @@ from oracles import (
     bitmask_refine,
     brute_force_graph_automorphisms,
     brute_force_isomorphic,
+    least_leaf_key,
     point_orbits,
+    rows_in_order,
     signature_cells,
     vertex_mask,
     vertex_masks,
@@ -244,11 +248,14 @@ CENSUS_REF_EXITS = {
 }
 
 
+CENSUS_CLASS_SPECS = {55: GroupSpec(11, 5, 3), 125: GroupSpec(25, 5, 6), 165: GroupSpec(11, 5, 3, ell=3)}
+
+
 @lru_cache(maxsize=None)
 def census_class_searches(order):
     """The unseeded search on each census class of 55, 125 or 165 vertices,
     relabeled at random, as ``recorded_search`` records it, with its graph."""
-    spec = {55: GroupSpec(11, 5, 3), 125: GroupSpec(25, 5, 6), 165: GroupSpec(11, 5, 3, ell=3)}[order]
+    spec = CENSUS_CLASS_SPECS[order]
     rng = random.Random(order)
     out = []
     for cls in classify_spec(spec).classes:
@@ -311,6 +318,69 @@ def test_incremental_orbits_match_fresh_union_find():
     assert nodes > 100
 
 
+def recorded_leaves(g):
+    """Run the unseeded search on g; return its result and every leaf it
+    reached, in search order, as (path, key): the vertices individualized
+    on the way down and the leaf's rows in its order of vertices."""
+    leaves = []
+    leaf = autosearch._Search.leaf
+    rows = [list(r) for r in g.adjacency]
+
+    def recording_leaf(self, cells, fixed):
+        leaves.append((list(fixed), rows_in_order(rows, [c[0] for c in cells])))
+        return leaf(self, cells, fixed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch._Search, "leaf", recording_leaf)
+        result = analyze(g)
+    return result, leaves
+
+
+def jumps_skip_their_subtrees(leaves) -> int:
+    """Check that the search left the subtree of every leaf whose key is
+    the first leaf's: if such a leaf's path leaves the first leaf's path at
+    depth d, no later leaf shares its first d + 1 path vertices.  Returns
+    the number of such leaves."""
+    (first_path, first_key), *rest = leaves
+    jumps = 0
+    for i, (path, key) in enumerate(rest):
+        if key == first_key:
+            d = next(d for d, (v, w) in enumerate(zip(path, first_path)) if v != w)
+            assert all(later[:d + 1] != path[:d + 1] for later, _ in rest[i + 1:])
+            jumps += 1
+    return jumps
+
+
+@pytest.mark.parametrize("order", [55, 125, 165])
+def test_search_jumps_back_to_the_first_path_on_census_classes(order):
+    """On each relabeled census class the search jumps back after a leaf
+    that matches the first, and still finds the census's group order and
+    canonical form."""
+    classes = classify_spec(CENSUS_CLASS_SPECS[order]).classes
+    jumps = 0
+    for (g, _, _), cls in zip(census_class_searches(order), classes, strict=True):
+        result, leaves = recorded_leaves(g)
+        jumps += jumps_skip_their_subtrees(leaves)
+        assert PermGroup(g.n, result.generators).order == cls.aut_order
+        assert canonical_form(g, result).decode() == cls.canonical
+    assert jumps > 0
+
+
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
+    rnd=st.random_module(),
+)
+@settings(max_examples=100, deadline=None)
+def test_search_jumps_back_to_the_first_path(n, kind, rnd):
+    """The same on the random refinement fixtures, and every generator
+    found is an automorphism."""
+    g = refine_fixture(n, kind, random.Random(rnd.seed))
+    result, leaves = recorded_leaves(g)
+    jumps_skip_their_subtrees(leaves)
+    assert are_automorphisms(g, result.generators)
+
+
 def test_search_leaves_no_reference_cycle():
     """A finished search leaves nothing for the cyclic garbage collector:
     its state is freed as soon as it is dropped."""
@@ -332,6 +402,17 @@ def test_search_leaves_no_reference_cycle():
 
 
 # ----------------------------------------------------------- group orders
+
+@pytest.mark.parametrize("complete", [False, True], ids=["empty", "complete"])
+def test_empty_and_complete_graphs_keep_few_generators(complete):
+    """Every leaf of these trees matches the first, so each jumps back at
+    once: at most n - 1 generators (not C(n, 2)) for all of S_60."""
+    n = 60
+    g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)] if complete else [])
+    result = analyze(g)
+    assert len(result.found) <= n - 1
+    assert PermGroup(n, result.generators).order == math.factorial(n)
+
 
 def test_known_orders():
     assert automorphism_group(K5).order == 120
@@ -363,10 +444,13 @@ def test_order_matches_backtracking_oracle_at_ten_vertices():
 @given(n=st.integers(4, 8), p=st.floats(0.15, 0.8), rnd=st.random_module())
 @settings(max_examples=40, deadline=None)
 def test_order_matches_brute_force_random(n, p, rnd):
+    """The group order and the canonical key equal those of exhaustive
+    references: every permutation, and every leaf of the unpruned tree."""
     g = random_graph(n, p, random.Random(rnd.seed))
-    assert automorphism_group(g).order == len(
-        brute_force_graph_automorphisms([list(r) for r in g.adjacency])
-    )
+    rows = [list(r) for r in g.adjacency]
+    result = analyze(g)
+    assert PermGroup(g.n, result.generators).order == len(brute_force_graph_automorphisms(rows))
+    assert result.canonical_key == least_leaf_key(rows)
 
 
 def test_generators_preserve_adjacency():
@@ -511,6 +595,11 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
     assert are_isomorphic(g1, g2) == expected
     relabeled = random_relabel(g1, rng)
     assert are_isomorphic(g1, relabeled)
+    for g in (g1, g2, relabeled):
+        rows = [list(r) for r in g.adjacency]
+        result = analyze(g)
+        assert result.canonical_key == least_leaf_key(rows)
+        assert PermGroup(g.n, result.generators).order == len(brute_force_graph_automorphisms(rows))
 
 
 # ----------------------------------------------- cross-module: orbit counts

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -290,6 +291,17 @@ def test_iso_deep_search_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "iso", "--a", str(path), "--b", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: search tree deeper") and err.count("\n") == 1
+
+
+def test_aut_empty_graph_prints_few_generators(capsys):
+    """The search jumps back to its first path after each automorphism it
+    finds, so the empty 40-vertex graph ends at once, with no more than
+    n - 1 generators of its symmetric group (not C(40, 2))."""
+    code, out, err = run_cli(capsys, "aut", "--graph6", to_graph6(graph_from_edges(40, [])).decode())
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert f"aut_order={math.factorial(40)}" in lines
+    assert 0 < sum(line.startswith("generator=") for line in lines) <= 39
 
 
 def test_classify_theorem_too_large_exit_2(capsys):

@@ -11,7 +11,12 @@ splitter-local refinement and are compared byte for byte:
 * ``aut_queries.json``: the stdout of ``metacirc aut --graph6 G`` for census
   classes and two disconnected graphs, each under a fixed random relabeling
   (stored as the input G).  The search is unseeded here, so the generator
-  lines depend on the order in which branches are pruned.
+  lines depend on the order in which branches are pruned and on where the
+  search jumps back to its first path; they were re-frozen when that jump
+  was added, with every other line unchanged.  Being a generating set, not
+  a fixed one, they are also checked against the independent oracles: each
+  is an automorphism, and together they generate a group of the frozen
+  order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from metacirc.cli import main
+from oracles import group_elements, is_automorphism_by_sets, parse_graph6
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,3 +52,17 @@ def test_golden_aut_queries(capsysbinary):
     for row in json.loads((DATA / "aut_queries.json").read_text()):
         assert main(["aut", "--graph6", row["graph6"]]) == 0
         assert capsysbinary.readouterr().out == row["stdout"].encode(), row["graph"]
+
+
+@pytest.mark.parametrize(
+    "row", json.loads((DATA / "aut_queries.json").read_text()), ids=lambda row: row["graph"]
+)
+def test_golden_aut_generators_generate_the_frozen_group(row):
+    """The frozen generator lines are automorphisms of the input graph, by
+    neighbour sets, and their closure has the frozen ``aut_order``."""
+    adjacency = parse_graph6(row["graph6"].encode())
+    fields = [line.split("=", 1) for line in row["stdout"].splitlines()]
+    gens = [tuple(map(int, value.split())) for name, value in fields if name == "generator"]
+    order = int(dict(fields)["aut_order"])
+    assert all(is_automorphism_by_sets(adjacency, p) for p in gens)
+    assert len(group_elements(gens, len(adjacency))) == order
