@@ -21,14 +21,10 @@ Outside the Sylow-cyclic case <a> need not be characteristic and this shape
 misses automorphisms, so the candidates are the elements of the right
 orders.  Either way a candidate triple is kept only when it satisfies the
 defining relations and generates G (:func:`_completions`).
-:func:`enumerate_aut` and :func:`brute_force_automorphisms` list all of
-Aut(G) in the two cases; the census never calls them, and they serve as
-references for the search.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,35 +46,6 @@ from metacirc.groups import (
 SEARCH_BOUND = 4000
 
 Triple = tuple[Element, Element, Element]
-
-
-def _verify(f: Triple, spec: GroupSpec) -> None:
-    img_a, img_b, img_c = f
-    assert element_order(img_a, spec) == spec.m
-    assert element_order(img_b, spec) == spec.n
-    assert element_order(img_c, spec) == spec.ell
-    conj = mul(mul(inv(img_b, spec), img_a, spec), img_b, spec)
-    assert conj == power(img_a, spec.r, spec) if spec.m > 1 else True
-
-
-def enumerate_aut(spec: GroupSpec, *, verify: bool = False) -> list[Triple]:
-    """All automorphisms of a Sylow-cyclic spec, as their images of (a, b, c).
-
-    The parameters (s, t, l, s_c) run over their values reduced mod
-    (m, m, n/n0, ell), s outermost, so distinct parameters give distinct
-    triples.  Raises ValueError for non-Sylow-cyclic specs, where the shape
-    is incomplete; use brute_force_automorphisms there.
-    """
-    if not spec.sylow_cyclic:
-        raise ValueError(
-            f"Aut parametrization needs a Sylow-cyclic spec; {spec} is not "
-            "(use brute_force_automorphisms)"
-        )
-    out = list(product(*_parametrized_images(spec)))
-    if verify:
-        for f in out:
-            _verify(f, spec)
-    return out
 
 
 def _parametrized_images(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:
@@ -105,16 +72,6 @@ def parametrized_count(spec: GroupSpec) -> int:
     t_count = gcd(rsum(spec.r, n, spec), m)
     l_count = sum(1 for l in range(n // n0) if gcd(1 + l * n0, n) == 1)
     return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
-
-
-def brute_force_automorphisms(spec: GroupSpec) -> list[Triple]:
-    """Every automorphism, by exhaustive search over candidate generator
-    images: the elements of the right orders (:func:`_image_candidates`),
-    kept when they satisfy the defining relations and generate
-    (:func:`_completions`).  Independent of the parametrized route."""
-    a_cands, b_cands, c_cands = _image_candidates(spec)
-    c_powers = {x: _power_table(x, spec.ell, spec) for x in c_cands}
-    return [f for img_a in a_cands for f in _completions(img_a, b_cands, c_cands, c_powers, spec)]
 
 
 def _image_candidates(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:

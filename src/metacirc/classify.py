@@ -653,29 +653,3 @@ def emit_report(report: GroupReport, path: str | Path, graphs: bool = False) -> 
             g = build_cayley(c.connection_set, report.spec)
             path.with_suffix(f".class{i}.g6").write_bytes(to_graph6(g) + b"\n")
             path.with_suffix(f".class{i}.dot").write_text(to_dot(g))
-
-
-# ----------------------------------------------- CI property cross-check
-
-def isomorphism_orbit_comparison(spec: GroupSpec) -> list[dict]:
-    """Per-orbit data for the Cayley-isomorphism check.
-
-    For every Aut(G)-orbit of connected candidates: the orbit key, the graph
-    canonical form, and the vertex-stabilizer order of the full automorphism
-    group.  Canonical forms coincide exactly on equal orbit keys iff
-    isomorphism is decided by Aut(G)-conjugacy.
-    """
-    orbits = orbit_representatives(spec)
-    out = []
-    for rep, size in orbits:
-        graph = build_cayley([spec.at_index(x) for x in rep], spec)
-        result = analyze(graph, seeds=_regular_representation(spec))
-        out.append(
-            {
-                "orbit_key": rep,
-                "canonical": canonical_form(graph, result).decode("ascii"),
-                "stab_order": PermGroup(graph.n, result.found).order,
-                "orbit_size": size,
-            }
-        )
-    return out

@@ -138,6 +138,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_classify(args, mode: str) -> int:
+    if args.graphs and not args.out:
+        raise _UsageError("--graphs needs --out")
     spec = _spec_from_args(args)
     try:
         report = classify_spec(spec, mode=mode, bound=args.bound, jobs=args.jobs)

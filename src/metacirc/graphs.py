@@ -40,9 +40,6 @@ class Graph:
         """Edge list, each as (u, v) with u < v."""
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u]]
-
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adjacency]
 

@@ -12,13 +12,11 @@ starts at point 0, so the chain below its first level is the stabilizer of
 point 0; later base points are picked greedily from the largest orbit at each
 level.
 
-The graph orbit counts come in two forms.  ``edge_orbit_count`` and
-``arc_orbit_count`` act on the whole edge or arc set of any graph.  For a
-vertex-transitive graph, ``orbits_at_zero`` needs only the stabilizer A_0 of
-vertex 0: it counts edge orbits and decides s-arc-transitivity on the
-neighbours and the deg*(deg-1)^(s-1) s-arcs at vertex 0, and
-``normalizer_of_regular`` enumerates A_0 alone.  All orbits off the chain
-come from one breadth-first routine, ``orbit``.
+The graph orbits are counted on a vertex-transitive graph, from the
+stabilizer A_0 of vertex 0 alone: ``orbits_at_zero`` counts edge orbits and
+decides s-arc-transitivity on the neighbours and the deg*(deg-1)^(s-1)
+s-arcs at vertex 0, and ``normalizer_of_regular`` enumerates A_0 alone.  All
+orbits off the chain come from one breadth-first routine, ``orbit``.
 """
 
 from __future__ import annotations
@@ -38,6 +36,9 @@ Perm = tuple[int, ...]
 
 # most elements an enumeration of a group or of a point stabilizer may yield
 ELEMENT_BOUND = 10_000_000
+
+# the largest s for which orbits_at_zero decides s-arc-transitivity
+MAX_S = 3
 
 
 # shared, so that the ints of every inverse come from one tuple
@@ -105,22 +106,9 @@ class PermGroup:
     def order(self) -> int:
         return prod(len(lvl.transversal) for lvl in self.chain())
 
-    @property
-    def stabilizer_order(self) -> int:
-        """Order of the stabilizer of point 0: the chain below its first level."""
-        return prod(len(lvl.transversal) for lvl in self.chain()[1:])
-
-    def contains(self, p: Sequence[int]) -> bool:
-        a, b, _ = _sift(self.chain(), _check_perm(p, self.degree), identity_perm(self.degree), 0)
-        return a == b
-
     def elements(self) -> Iterator[Perm]:
         """All group elements from the chain transversals."""
         return _transversal_products(self.chain(), self.degree)
-
-    def stabilizer_elements(self) -> Iterator[Perm]:
-        """All elements of the stabilizer of point 0."""
-        return _transversal_products(self.chain()[1:], self.degree)
 
     def is_transitive(self) -> bool:
         """Whether the orbit of point 0, the transversal of the chain's first
@@ -270,19 +258,11 @@ def _sift(levels: list[_Level], a: Perm, b: Perm, start: int) -> tuple[Perm, Per
 
 # ---------------------------------------------------------- graph orbits
 
-def _check_automorphisms(group: PermGroup, graph: Graph) -> None:
-    if not are_automorphisms(graph, group.generators):
-        raise ValueError("generator does not preserve adjacency")
-
-
-def _orbit_count(
-    items: list[tuple[int, ...]], gens: Sequence[Perm | Mapping[int, int]], sort_images: bool = False
-) -> int:
+def _orbit_count(items: list[tuple[int, ...]], gens: Sequence[Perm | Mapping[int, int]]) -> int:
     """Orbits of the group the maps ``gens`` generate on the tuples ``items``;
     each map needs to be defined on the points of the items only."""
     def image(g, it):
-        im = [g[x] for x in it]
-        return tuple(sorted(im) if sort_images else im)
+        return tuple([g[x] for x in it])
 
     left = set(items)
     count = 0
@@ -291,18 +271,6 @@ def _orbit_count(
             count += 1
             left -= orbit(it, gens, image)
     return count
-
-
-def edge_orbit_count(group: PermGroup, graph: Graph) -> int:
-    """Number of orbits of the group on the edge set."""
-    _check_automorphisms(group, graph)
-    return _orbit_count(graph.edges(), group.generators, sort_images=True)
-
-
-def arc_orbit_count(group: PermGroup, graph: Graph) -> int:
-    """Number of orbits of the group on the arc set (ordered adjacent pairs)."""
-    _check_automorphisms(group, graph)
-    return _orbit_count(graph.arcs(), group.generators)
 
 
 def s_arcs_at_zero(graph: Graph, s: int) -> list[tuple[int, ...]]:
@@ -315,9 +283,7 @@ def s_arcs_at_zero(graph: Graph, s: int) -> list[tuple[int, ...]]:
     return walks
 
 
-def orbits_at_zero(
-    stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, int], cap: int = 3
-) -> tuple[int, int]:
+def orbits_at_zero(stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, int]) -> tuple[int, int]:
     """Edge orbits and s-arc-transitivity of a vertex-transitive graph,
     counted at vertex 0.
 
@@ -330,13 +296,14 @@ def orbits_at_zero(
     A-orbits on edges are the A_0-orbits on N(0) merged along x ~ reverse[x],
     and A is s-arc-transitive iff A_0 is transitive on the s-arcs from 0.
 
-    Returns (edge orbit count, largest s <= cap with one orbit on s-arcs,
-    0 if not arc-transitive).  Raises ValueError when a generator of A_0 is
-    not an automorphism or moves vertex 0, or when ``reverse`` does not
-    permute N(0).
+    Returns (edge orbit count, largest s <= ``MAX_S`` with one orbit on
+    s-arcs, 0 if not arc-transitive).  Raises ValueError when a generator of
+    A_0 is not an automorphism or moves vertex 0, or when ``reverse`` does
+    not permute N(0).
     """
-    _check_automorphisms(stabilizer, graph)
     gens = stabilizer.generators
+    if not are_automorphisms(graph, gens):
+        raise ValueError("generator does not preserve adjacency")
     if any(g[0] != 0 for g in gens):
         raise ValueError("generator moves vertex 0")
     nbrs = graph.adjacency[0]
@@ -344,7 +311,7 @@ def orbits_at_zero(
         raise ValueError("reverse does not permute the neighbours of 0")
     edge_orbits = _orbit_count([(x,) for x in nbrs], [*gens, reverse])
     s = 0
-    while s < cap:
+    while s < MAX_S:
         walks = s_arcs_at_zero(graph, s + 1)
         if not walks or _orbit_count(walks, gens) != 1:
             break

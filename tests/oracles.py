@@ -570,6 +570,22 @@ def orbit_count(items, gens) -> int:
     return count
 
 
+def edge_orbit_count(adjacency: list[list[int]], gens) -> int:
+    """Orbits of the group the automorphisms ``gens`` generate on the edges,
+    each edge the set of its two ends, by a breadth-first search from each
+    edge not yet reached."""
+    left = {frozenset((u, v)) for u, row in enumerate(adjacency) for v in row}
+    count = 0
+    while left:
+        count += 1
+        frontier = [left.pop()]
+        while frontier:
+            images = {frozenset(g[x] for x in e) for e in frontier for g in gens}
+            frontier = list(images & left)
+            left -= images
+    return count
+
+
 def point_orbits(gens, degree: int) -> list[list[int]]:
     """The orbits of the group the permutations ``gens`` generate on
     0..degree-1, each sorted, ordered by their least point; by a

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from metacirc.aut import brute_force_automorphisms, enumerate_aut
-from metacirc.autosearch import analyze
-from metacirc.classify import classify_spec, isomorphism_orbit_comparison, report_to_json_dict
+from metacirc.aut import aut_generators, parametrized_count
+from metacirc.autosearch import analyze, canonical_form
+from metacirc.classify import classify_spec, orbit_representatives, report_to_json_dict
 from metacirc.cli import main
 from metacirc.graphs import build_cayley
 from metacirc.groups import (
@@ -27,8 +27,15 @@ from metacirc.groups import (
     mul,
     regular_representation,
 )
-from metacirc.permgroup import PermGroup, arc_orbit_count, edge_orbit_count
-from oracles import regular_generator_perms, sample_hypothesis_star_specs
+from metacirc.permgroup import PermGroup
+from oracles import (
+    aut_triples,
+    edge_orbit_count,
+    orbit_count,
+    regular_generator_perms,
+    s_arcs,
+    sample_hypothesis_star_specs,
+)
 
 TABLE_KEYS = {(5, 1), (7, 3), (11, 5), (23, 11)}
 
@@ -182,8 +189,8 @@ def test_criterion_5_generic_half_transitivity(sweep_reports, capsys):
                 aut = PermGroup(g.n, analyze(g, seeds=regular_representation(spec)).generators)
                 if not (
                     aut.order == 2 * spec.m * spec.n
-                    and edge_orbit_count(aut, g) == 1
-                    and arc_orbit_count(aut, g) == 2
+                    and edge_orbit_count(g.adjacency, aut.generators) == 1
+                    and orbit_count(s_arcs(g.adjacency, 1), aut.generators) == 2
                     and c.half
                 ):
                     failures.append((spec.m, spec.n, spec.r, aut.order))
@@ -227,21 +234,22 @@ def test_criterion_7_aut_parametrization(capsys):
         for spec in iter_specs(231):
             if not spec.sylow_cyclic:
                 continue  # the parametrized form needs <a> characteristic
-            enumerated = len(enumerate_aut(spec, verify=True))
-            brute = len(brute_force_automorphisms(spec))
+            searched = aut_generators(spec)[1]
+            counted = parametrized_count(spec)
+            brute = len(aut_triples(spec))
             checked += 1
-            if enumerated != brute:
-                bad.append((spec.m, spec.n, spec.r, enumerated, brute))
+            if not searched == counted == brute:
+                bad.append((spec.m, spec.n, spec.r, searched, counted, brute))
             if spec.central_a_order == 1:
                 formula_checked += 1
                 formula = euler_phi(spec.m) * spec.m * (spec.n // spec.n0)
-                if enumerated != formula:
-                    bad.append((spec.m, spec.n, spec.r, enumerated, formula))
+                if brute != formula:
+                    bad.append((spec.m, spec.n, spec.r, brute, formula))
         ok = not bad and checked > 10
         check(
             7,
             ok,
-            f"Aut parametrization vs brute force on {checked} Sylow-cyclic specs "
+            f"Aut parametrization (search order, count) vs brute force on {checked} Sylow-cyclic specs "
             f"(formula phi(m)*m*(n/n0) on the {formula_checked} with trivial <a>-centre)"
             + (f"; failures: {bad}" if bad else ""),
         )
@@ -307,12 +315,17 @@ def test_criterion_10_ci_property(capsys):
         ok = True
         details = []
         for spec in (GroupSpec(7, 3, 2), GroupSpec(11, 5, 3)):
-            rows = isomorphism_orbit_comparison(spec)
-            applicable = [r for r in rows if gcd(spec.order, r["stab_order"]) == 1]
-            canons = [r["canonical"] for r in applicable]
+            # per Aut(G)-orbit of connected candidates: the canonical form
+            # and the vertex-stabilizer order of the graph
+            rows = []
+            for rep, _ in orbit_representatives(spec):
+                graph = build_cayley([spec.at_index(x) for x in rep], spec)
+                result = analyze(graph, seeds=regular_representation(spec))
+                rows.append((canonical_form(graph, result), PermGroup(graph.n, result.found).order))
+            canons = [canon for canon, stab_order in rows if gcd(spec.order, stab_order) == 1]
             distinct = len(set(canons)) == len(canons)
             ok = ok and distinct
-            details.append(f"|G|={spec.order}: {len(applicable)}/{len(rows)} orbits, distinct={distinct}")
+            details.append(f"|G|={spec.order}: {len(canons)}/{len(rows)} orbits, distinct={distinct}")
         check(
             10,
             ok,

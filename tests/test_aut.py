@@ -1,19 +1,16 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+from functools import lru_cache
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc import aut, permgroup
-from metacirc.aut import (
-    aut_generators,
-    brute_force_automorphisms,
-    enumerate_aut,
-    parametrized_count,
-)
+from metacirc.aut import aut_generators, parametrized_count
 from metacirc.classify import _pair_action
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
@@ -58,6 +55,10 @@ def identity_map(spec):
     return (spec.generator_a(), spec.generator_b(), spec.generator_c())
 
 
+# the oracle's list of Aut(G), shared by the hypothesis examples
+cached_aut_triples = lru_cache(maxsize=None)(aut_triples)
+
+
 # ------------------------------------------------------------------- apply
 
 def test_apply_identity_map():
@@ -75,7 +76,7 @@ def test_apply_frozen_example():
 @settings(max_examples=120, deadline=None)
 def test_apply_is_a_homomorphism(data):
     spec = data.draw(st.sampled_from(PARAMETRIZED_SPECS))
-    maps = enumerate_aut(spec)
+    maps = cached_aut_triples(spec)
     f = data.draw(st.sampled_from(maps))
     g = spec.at_index(data.draw(st.integers(0, spec.order - 1)))
     h = spec.at_index(data.draw(st.integers(0, spec.order - 1)))
@@ -87,65 +88,67 @@ def test_apply_is_a_homomorphism(data):
 # --------------------------------------------------------------- enumerate
 
 def test_enumerate_counts_frozen():
-    assert len(enumerate_aut(F21, verify=True)) == 42
-    assert len(enumerate_aut(GroupSpec(23, 11, 2))) == 506
-    assert len(enumerate_aut(Z5, verify=True)) == 4
-    assert len(enumerate_aut(GroupSpec(1, 9, 0))) == 6
+    for spec, count in ((F21, 42), (GroupSpec(23, 11, 2), 506), (Z5, 4), (GroupSpec(1, 9, 0), 6)):
+        assert len(aut_triples(spec)) == aut_generators(spec)[1] == count
 
 
 def test_enumerate_formula_on_specs_with_trivial_a_centre():
     for spec in [F21, GroupSpec(13, 3, 3), GroupSpec(11, 5, 3), GroupSpec(7, 9, 2), GroupSpec(23, 11, 2)]:
         assert spec.central_a_order == 1
         expected = euler_phi(spec.m) * spec.m * (spec.n // spec.n0) * euler_phi(spec.ell)
-        assert len(enumerate_aut(spec)) == expected == parametrized_count(spec)
+        assert len(aut_triples(spec)) == expected == parametrized_count(spec)
 
 
 def test_enumerate_on_decomposable_presentation():
     # Z5 x (Z7:Z3) written on m = 35: t is forced into multiples of 5, so the
     # naive phi(m)*m*(n/n0) = 840 overcounts; the true order is 168
     spec = GroupSpec(35, 3, 16)
-    maps = enumerate_aut(spec, verify=True)
+    maps = aut_triples(spec)
     assert len(maps) == 168 == parametrized_count(spec)
     assert all(img_b.u % 5 == 0 for _, img_b, _ in maps)
 
 
 def test_enumerate_rejects_non_sylow_cyclic():
     with pytest.raises(ValueError):
-        enumerate_aut(GroupSpec(9, 3, 4))
+        parametrized_count(GroupSpec(9, 3, 4))
     with pytest.raises(ValueError):
-        enumerate_aut(GroupSpec(3, 3, 1))
+        parametrized_count(GroupSpec(3, 3, 1))
 
 
 def test_enumerate_has_no_duplicates():
+    """Distinct parameters give distinct images, so the count formula
+    counts the parametrized triples."""
     for spec in PARAMETRIZED_SPECS:
-        maps = enumerate_aut(spec)
-        assert len(set(maps)) == len(maps)
-        assert all(len(f) == 3 and all(type(x) is Element for x in f) for f in maps)
+        images = aut._parametrized_images(spec)
+        assert all(len(set(xs)) == len(xs) for xs in images)
+        assert all(type(x) is Element for xs in images for x in xs)
+        assert prod(map(len, images)) == parametrized_count(spec)
 
 
 @pytest.mark.parametrize("spec", PARAMETRIZED_SPECS, ids=str)
 def test_enumerate_matches_brute_force(spec):
-    got = set(enumerate_aut(spec))
-    expected = set(brute_force_automorphisms(spec))
-    assert got == expected == set(aut_triples(spec))
+    """The parametrization, the candidate images of the Sylow-cyclic
+    search, gives exactly the automorphisms the oracle finds."""
+    assert set(product(*aut._parametrized_images(spec))) == set(aut_triples(spec))
 
 
 def test_brute_force_on_non_sylow_cyclic_specs():
     # modular group of order 27: 54 automorphisms, of which only 18 keep <a>
     # setwise invariant, so the parametrized shape would be incomplete here
     m27 = GroupSpec(9, 3, 4)
-    maps = brute_force_automorphisms(m27)
+    maps = aut_triples(m27)
     assert len(maps) == 54
     assert all(len(f) == 3 and all(type(x) is Element for x in f) for f in maps)
     shaped = [f for f in maps if f[0].v == 0]
     assert len(shaped) == 18
-    assert len(brute_force_automorphisms(GroupSpec(45, 3, 16))) == 216
+    assert len(aut_triples(GroupSpec(45, 3, 16))) == 216
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(9, 3, 4), GroupSpec(9, 9, 4), GroupSpec(25, 5, 6)], ids=str)
 def test_brute_force_matches_closure_reference(spec):
     # reference: the image triples that satisfy the relations and whose
-    # closure is all of G, in the search's loop order
+    # closure is all of G; the search's completion rule takes a complement
+    # test in place of the closure
     a, b = spec.generator_a(), spec.generator_b()
     order = {g: element_order(g, spec) for g in spec.elements()}
     central = [g for g in spec.elements() if mul(g, a, spec) == mul(a, g, spec) and mul(g, b, spec) == mul(b, g, spec)]
@@ -158,13 +161,15 @@ def test_brute_force_matches_closure_reference(spec):
         for z in central
         if order[z] == spec.ell and closure_size([x, y, z], spec) == spec.order
     ]
-    assert brute_force_automorphisms(spec) == expected
+    gens, order = aut_generators(spec)
+    assert abc_orbit(spec, gens) == {tuple(map(spec.index, f)) for f in expected}
+    assert order == len(expected)
 
 
 def test_bijectivity_via_image_closure():
     for spec in (F21, GroupSpec(7, 9, 2)):
-        for f in enumerate_aut(spec):
-            assert closure_size(f, spec) == spec.order
+        for f in abc_orbit(spec, aut_generators(spec)[0]):
+            assert closure_size(map(spec.at_index, f), spec) == spec.order
 
 
 # ------------------------------------------------------------- conjugacy
@@ -172,7 +177,7 @@ def test_bijectivity_via_image_closure():
 def test_powers_of_b_conjugate_to_shifted_forms():
     # b^j lies in one orbit with a^t b^(j + l*n0) for gcd(j, n) = 1
     for spec in (F21, GroupSpec(7, 9, 2)):
-        maps = enumerate_aut(spec)
+        maps = aut_triples(spec)
         for j in range(1, spec.n):
             if gcd(j, spec.n) != 1:
                 continue
@@ -188,7 +193,7 @@ def test_powers_of_b_conjugate_to_shifted_forms():
 
 def test_b_never_conjugate_to_its_inverse():
     for spec in (F21, GroupSpec(7, 9, 2), GroupSpec(11, 5, 3)):
-        maps = enumerate_aut(spec)
+        maps = aut_triples(spec)
         for j in range(1, spec.n):
             if gcd(j, spec.n) != 1 or j % spec.n0 == 0:
                 continue
@@ -224,10 +229,10 @@ def test_aut_stabilizer_trivial_case():
 
 
 def test_aut_stabilizer_brute_force_backend():
-    # non-Sylow-cyclic spec, with the maps of the generator-image search
+    # non-Sylow-cyclic spec
     spec = GroupSpec(9, 3, 4)
     S = S1(spec)
-    stab = aut_stabilizer(S, spec, brute_force_automorphisms(spec))
+    stab = aut_stabilizer(S, spec, aut_triples(spec))
     assert len(stab) >= 1
     for f in stab:
         assert frozenset(apply_aut(f, x, spec) for x in S) == frozenset(S)
@@ -250,7 +255,7 @@ def orbit_min(S, spec):
 
 def test_set_orbit_canonical_idempotent_and_orbit_invariant():
     spec = F21
-    maps = enumerate_aut(spec)
+    maps = aut_triples(spec)
     S = S1(spec)
     canon = orbit_min(S, spec)
     assert orbit_min([spec.at_index(i) for i in canon], spec) == canon
@@ -273,7 +278,7 @@ def test_set_orbit_canonical_frozen_example():
 
 # ------------------------------------------------------- generating set
 
-# Sylow-cyclic (parametrized maps) and brute-force specs
+# Sylow-cyclic specs (parametrized candidates) and others (elements of the right orders)
 GENERATOR_SPECS = [
     GroupSpec(7, 3, 2),
     GroupSpec(11, 5, 3, ell=3),
@@ -314,16 +319,12 @@ def test_aut_generators_consistent_with_apply():
 
 
 def test_aut_generators_lists_no_automorphism_group(monkeypatch):
-    """The known-base search replaces both enumerations of Aut(G), and the
-    Sylow-cyclic levels need no element order."""
-    def listed(*args, **kwargs):
-        raise AssertionError("Aut(G) was listed")
+    """The Sylow-cyclic levels of the known-base search need no element
+    order."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an element order was computed")
 
-    monkeypatch.setattr(aut, "enumerate_aut", listed)
-    monkeypatch.setattr(aut, "brute_force_automorphisms", listed)
-    for spec in GENERATOR_SPECS:
-        aut_generators(spec)
-    monkeypatch.setattr(aut, "element_order", listed)
+    monkeypatch.setattr(aut, "element_order", refused)
     for spec in PARAMETRIZED_SPECS + [GroupSpec(29, 7, 7, ell=3)]:
         aut_generators(spec)
 

@@ -78,6 +78,17 @@ def test_classify_writes_report(capsys, tmp_path):
     assert (tmp_path / "r.class0.g6").read_bytes().strip() == b"D~{"
 
 
+def test_graphs_without_out_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    """--graphs writes next to the --out report, so alone it is refused
+    rather than silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    for command in ("classify", "enumerate"):
+        code, out, err = run_cli(capsys, command, "--m", "7", "--n", "3", "--r", "2", "--graphs")
+        assert code == 1
+        assert out == "" and "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_jobs_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "classify", "--m", "11", "--n", "5", "--r", "3")
     _, out2, _ = run_cli(capsys, "classify", "--m", "11", "--n", "5", "--r", "3", "--jobs", "3")

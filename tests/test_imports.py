@@ -1,15 +1,21 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no package code is there
+only for its tests.
 
 The package and its tests are parsed with ``ast``: every name an import
-binds must appear as a name elsewhere in the module, or in its ``__all__``.
+binds must appear as a name elsewhere in the module, or in its ``__all__``;
+and every function, class and method of the package must be named by code
+outside the tests.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import metacirc
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "metacirc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -44,3 +50,85 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ------------------------------------------------------ test-only definitions
+
+CALLER_FILES = sorted((ROOT / "scripts").glob("**/*.py")) + sorted((ROOT / "perfbench").glob("**/*.py"))
+
+# definitions no code outside the tests names, each with why it stays
+UNCALLED_ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "graphs.graph_from_edges": "builds a Graph from an edge list, the form small graphs are written in",
+    "groups.GroupSpec.central_a_order": "the paper's hypothesis <a> ∩ Z(G) = 1, which the README's findings use",
+}
+
+
+def definitions(module: str, tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions and classes and the non-dunder methods of those
+    classes, by ``module.name`` or ``module.Class.method``."""
+    defs: dict[str, ast.AST] = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            defs[f"{module}.{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("__"):
+                    defs[f"{module}.{node.name}.{item.name}"] = item
+    return defs
+
+
+def identifiers(tree: ast.AST) -> Counter[str]:
+    """How often each name, attribute name and imported name occurs in the
+    tree; strings do not count."""
+    out: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out.update({node.name.rsplit(".", 1)[-1], (node.asname or node.name).split(".")[0]})
+    return out
+
+
+def uncalled_definitions(package: dict[str, str], callers: list[str], exported: set[str]) -> list[str]:
+    """The definitions of the package modules (module name -> source) that
+    no package code outside their own definition, no caller source and no
+    exported name names."""
+    trees = [(module, ast.parse(source)) for module, source in package.items()]
+    in_package = sum((identifiers(tree) for _, tree in trees), Counter())
+    named = set(exported).union(*(identifiers(ast.parse(source)) for source in callers))
+    return sorted(
+        name
+        for module, tree in trees
+        for name, node in definitions(module, tree).items()
+        if node.name not in named and in_package[node.name] == identifiers(node)[node.name]
+    )
+
+
+def test_finds_a_test_only_definition():
+    package = {
+        "m": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
+        "def recursive(k):\n    return recursive(k - 1)\n\n"
+        "class C:\n    def __init__(self):\n        pass\n\n    def method(self):\n        return 'unused'\n",
+    }
+    assert uncalled_definitions(package, ["from m import used\nC()\n"], set()) == [
+        "m.C.method",
+        "m.recursive",
+    ]
+    assert uncalled_definitions(package, [], {"used", "recursive", "C", "unused"}) == ["m.C.method"]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Code that only its own unit tests call must justify itself or go:
+    each package definition is named by the package, ``scripts/``,
+    ``perfbench/`` or ``metacirc.__all__``, or is allowed with a reason."""
+    package = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "metacirc").glob("*.py"))}
+    callers = [path.read_text() for path in CALLER_FILES]
+    uncalled = uncalled_definitions(package, callers, set(metacirc.__all__))
+    test_only = [name for name in uncalled if name not in UNCALLED_ALLOWED]
+    assert not test_only, f"named only by tests: {', '.join(test_only)}"
+    # an allowance outlives its need once the name gains a caller
+    assert sorted(UNCALLED_ALLOWED) == [name for name in uncalled if name in UNCALLED_ALLOWED]
