@@ -24,9 +24,18 @@ branches that are provably equivalent, so the result is unchanged but e.g.
 Cayley graphs (with their regular translations supplied) search a single
 root branch instead of one per vertex.  That branch individualizes vertex 0:
 the initial partition of a vertex-transitive graph is one cell, whose first
-vertex is 0.  Every automorphism found then fixes vertex 0, and by the
-first-path property of the search (McKay & Piperno, "Practical graph
-isomorphism, II", 2014) those found generate the stabilizer of vertex 0.
+vertex is 0.  Every automorphism found then fixes vertex 0.
+
+The first leaf's path, individualized vertex by vertex, is a base of the
+automorphism group, and the generators are a strong generating set for it:
+by the first-path property (McKay, "Practical graph isomorphism", 1981;
+McKay & Piperno, "Practical graph isomorphism, II", 2014) those that fix
+the first i vertices of the path generate the pointwise stabilizer of
+those vertices.  The result carries the path as ``base``, and
+``permgroup.PermGroup`` reads the stabilizer chain off it.  In a seeded
+Cayley graph search the path starts at vertex 0, and the automorphisms
+found, without the seeds, are a strong generating set of the stabilizer
+of vertex 0 for the same base.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ class SearchResult:
     generators: list[tuple[int, ...]]  # the seeds first, then those found
     canonical_order: list[int]         # position -> vertex
     canonical_key: tuple[int, ...]     # packed rows, in canonical_order
+    base: list[int]                    # the first leaf's path
     n_seeds: int = 0                   # how many generators are seeds
 
     @property
@@ -408,7 +418,7 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     if g.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
     if g.n == 0:
-        return SearchResult([], [], ())
+        return SearchResult([], [], (), [])
 
     seeds = [tuple(p) for p in seeds]
     if not are_automorphisms(g, seeds):
@@ -429,12 +439,14 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
             f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
         ) from None
     key, order = search.best
-    return SearchResult(gens, order, key, n_seeds)
+    return SearchResult(gens, order, key, search.first_path, n_seeds)
 
 
 def automorphism_group(g: Graph) -> PermGroup:
-    """Generators of the full automorphism group of a simple graph."""
-    return PermGroup(g.n, analyze(g).generators)
+    """The full automorphism group of a simple graph, its chain based on the
+    search's first path."""
+    result = analyze(g)
+    return PermGroup(g.n, result.generators, result.base)
 
 
 def canonical_form(g: Graph, result: SearchResult | None = None) -> bytes:

@@ -358,8 +358,9 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
 
     * the automorphism search is seeded with R, so every automorphism it
       finds fixes vertex 0, and those found generate A_0 (first-path
-      property, see ``autosearch``); only A_0 gets a stabilizer chain, and
-      |Aut| = |G| * |A_0|;
+      property, see ``autosearch``), a strong generating set for the
+      search's first path; only A_0 gets a stabilizer chain, read off that
+      path, and |Aut| = |G| * |A_0|;
     * arc- and s-arc-transitivity come from the orbits of A_0 on the
       s-arcs of vertex 0 (``orbits_at_zero``);
     * the normalizer of R is found by enumerating A_0, and R is normal
@@ -373,7 +374,9 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     graph = build_cayley(S, spec)
     regular = _regular_representation(spec)
     result = analyze(graph, seeds=regular)
-    a0 = PermGroup(graph.n, result.found)
+    # the translations fix no vertex, so the found automorphisms are the
+    # generators that fix base[0] = 0
+    a0 = PermGroup(graph.n, result.found, result.base)
     edge_orbits, s = orbits_at_zero(a0, graph, inverse)
     if edge_orbits != 1:
         return None

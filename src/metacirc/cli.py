@@ -11,15 +11,17 @@ Subcommands:
 * ``sweep``     census over all hypothesis-(*) specs up to an order bound,
   optionally writing one JSON report per spec (JSONL) with ``--out``
 
-Exit codes: 0 success, 1 usage error, 2 computation bound exceeded,
-3 disagreement with the bundled predictions under --strict (the same test
-for ``classify``, ``enumerate`` and ``sweep``).
+Exit codes: 0 success, 1 usage error or a stdout closed by its reader (as
+``| head`` closes it), 2 computation bound exceeded, 3 disagreement with the
+bundled predictions under --strict (the same test for ``classify``,
+``enumerate`` and ``sweep``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache, partial
@@ -192,7 +194,7 @@ def _cmd_aut(args) -> int:
     g = _read_graph(args)
     # one search gives both the generators and the canonical labeling
     result = analyze(g)
-    group = PermGroup(g.n, result.generators)
+    group = PermGroup(g.n, result.generators, result.base)
     print(f"n={g.n}")
     print(f"aut_order={group.order}")
     print(f"transitive={group.is_transitive()}")
@@ -259,6 +261,21 @@ def _sweep(args, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # a reader that has closed stdout shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python documentation: the rest of the
+        # output goes to devnull, so the exit flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         if args.command == "info":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -47,19 +47,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def euler_phi(n: int) -> int:
@@ -242,11 +229,15 @@ def power(g: Element, k: int, spec: GroupSpec) -> Element:
 
 
 def element_order(g: Element, spec: GroupSpec) -> int:
-    """Least k >= 1 with g^k = identity."""
-    for d in divisors(spec.order):
-        if power(g, d, spec) == IDENTITY:
-            return d
-    raise AssertionError("unreachable: order divides |G|")
+    """Least k >= 1 with g^k = identity.
+
+    The b- and c-exponents of g^k are k*v and k*w, so k is a multiple of
+    the order K = lcm(n / gcd(v, n), ell / gcd(w, ell)) of g modulo <a>, and
+    g^K = a^u_K is a power of a, of order m / gcd(u_K, m).  One power is
+    taken.
+    """
+    modulo_a = lcm(spec.n // gcd(g.v, spec.n), spec.ell // gcd(g.w, spec.ell))
+    return modulo_a * (spec.m // gcd(power(g, modulo_a, spec).u, spec.m))
 
 
 def regular_representation(spec: GroupSpec) -> list[list[int]]:
@@ -255,11 +246,27 @@ def regular_representation(spec: GroupSpec) -> list[list[int]]:
     Returns three permutations of the vertex indices; x -> x*a, x -> x*b,
     x -> x*c under the fixed indexing.  Together they generate the regular
     copy of G inside the symmetric group on the vertices.
+
+    Built by blocks of m consecutive indices (one b- and c-exponent (v, w)),
+    as ``left_translation`` is, with no group multiplication: by the product
+    rule x*a adds r^-v to the a-exponent within the block, while x*b and x*c
+    move the whole block to (v + 1, w) and (v, w + 1).
     """
-    perms = []
-    for gen in (spec.generator_a(), spec.generator_b(), spec.generator_c()):
-        perms.append([spec.index(mul(x, gen, spec)) for x in spec.elements()])
-    return perms
+    m, n, ell = spec.m, spec.n, spec.ell
+    right_a: list[int] = []
+    right_b: list[int] = []
+    right_c: list[int] = []
+    for w in range(ell):
+        for v in range(n):
+            start = m * (v + n * w)
+            shift = spec.rpow_inv(v)
+            right_a.extend(range(start + shift, start + m))
+            right_a.extend(range(start, start + shift))
+            b_start = m * ((v + 1) % n + n * w)
+            right_b.extend(range(b_start, b_start + m))
+            c_start = m * (v + n * ((w + 1) % ell))
+            right_c.extend(range(c_start, c_start + m))
+    return [right_a, right_b, right_c]
 
 
 def left_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:

@@ -1,31 +1,30 @@
 """Permutation groups via stabilizer chains, plus orbit counting on graphs.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)``
-applies p first, then q.  The chain is built with the deterministic
-incremental Schreier-Sims algorithm (Holt, Eick & O'Brien, *Handbook of
-Computational Group Theory*, 4.4.2): levels are completed bottom-up, and each
-Schreier generator -- a triple of level, orbit point and strong generator --
-is tested exactly once.  Transversals are only ever extended, so a Schreier
-generator that sifted to the identity stays sifted; a new strong generator
-reopens only the levels it joins.  The resulting order is exact.  The base
-starts at point 0, so the chain below its first level is the stabilizer of
-point 0; later base points are picked greedily from the largest orbit at each
-level.
+applies p first, then q.  A group comes with a base and a strong generating
+set for it, as the automorphism search returns them: the base is the
+search's first path, and the generators that fix its first i points
+generate their pointwise stabilizer.  So no Schreier generator is ever
+sifted: level i of the chain holds the generators that fix the first i base
+points and the basic orbit of the i-th base point under them, the order is
+the product of the basic orbit lengths, and transversals are built only to
+enumerate the elements.
 
 The graph orbits are counted on a vertex-transitive graph, from the
 stabilizer A_0 of vertex 0 alone: ``orbits_at_zero`` counts edge orbits and
 decides s-arc-transitivity on the neighbours and the deg*(deg-1)^(s-1)
-s-arcs at vertex 0, and ``normalizer_of_regular`` enumerates A_0 alone.  All
-orbits off the chain come from one breadth-first routine, ``orbit``.
+s-arcs at vertex 0, and ``normalizer_of_regular`` enumerates A_0 alone.  Every
+orbit, the chain's basic orbits included, comes from one breadth-first
+routine, ``orbit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
@@ -76,15 +75,29 @@ def _check_perm(p: Sequence[int], degree: int) -> Perm:
 @dataclass
 class _Level:
     point: int
-    gens: list[Perm] = field(default_factory=list)
-    transversal: dict[int, Perm] = field(default_factory=dict)
+    gens: list[Perm]  # the generators that fix the earlier base points
+    orbit: set[int]   # the basic orbit of point under gens
 
 
 class PermGroup:
-    """Permutation group with a lazily built stabilizer chain."""
+    """Permutation group with a strong generating set relative to a known base.
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
+    Precondition: ``generators`` are a strong generating set for ``base``,
+    that is, for each i the generators that fix base[:i] pointwise generate
+    the pointwise stabilizer of base[:i], and the stabilizer of the whole
+    base is trivial.  The automorphisms an individualization-refinement
+    search finds are such a set for the search's first path (first-path
+    property, McKay, "Practical graph isomorphism", 1981; McKay & Piperno,
+    "Practical graph isomorphism, II", 2014), so ``autosearch.analyze``
+    returns that path as ``base``.  The precondition is not checked, save
+    that no generator may fix the whole base.
+    """
+
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]], base: Sequence[int]):
         self.degree = degree
+        base = list(base)
+        if len(set(base)) != len(base) or not all(0 <= b < degree for b in base):
+            raise ValueError("the base must be distinct points of the domain")
         gens = []
         seen = set()
         for g in generators:
@@ -93,27 +106,52 @@ class PermGroup:
                 seen.add(g)
                 gens.append(g)
         self.generators: list[Perm] = gens
+        self.base = base
         self._chain: list[_Level] | None = None
 
     # ------------------------------------------------------------- chain
 
     def chain(self) -> list[_Level]:
+        """One level per base point: its point, the generators that fix the
+        earlier base points and its basic orbit under them."""
         if self._chain is None:
-            self._chain = _schreier_sims(self.degree, self.generators)
+            base = self.base
+            # the level of a generator: how many leading base points it fixes
+            by_level: list[list[Perm]] = [[] for _ in base]
+            for g in self.generators:
+                i = 0
+                while i < len(base) and g[base[i]] == base[i]:
+                    i += 1
+                if i == len(base):
+                    raise ValueError("a generator fixes the whole base")
+                by_level[i].append(g)
+            levels = []
+            gens: list[Perm] = []
+            for point, own in zip(reversed(base), reversed(by_level)):
+                gens = own + gens
+                levels.append(_Level(point, gens, orbit(point, gens, getitem)))
+            self._chain = levels[::-1]
         return self._chain
 
     @property
     def order(self) -> int:
-        return prod(len(lvl.transversal) for lvl in self.chain())
+        return prod(len(lvl.orbit) for lvl in self.chain())
 
     def elements(self) -> Iterator[Perm]:
-        """All group elements from the chain transversals."""
-        return _transversal_products(self.chain(), self.degree)
+        """All group elements: the products of one transversal element per
+        level.  Refuses more than ``ELEMENT_BOUND``."""
+        levels = self.chain()
+        size = self.order
+        if size > ELEMENT_BOUND:
+            raise BoundExceeded(f"{size} elements exceed the enumeration bound {ELEMENT_BOUND}")
+        transversals = [list(_transversal(lvl, self.degree).values()) for lvl in levels]
+        if not transversals:
+            return iter([identity_perm(self.degree)])
+        return (reduce(compose, reversed(reps)) for reps in product(*transversals))
 
     def is_transitive(self) -> bool:
-        """Whether the orbit of point 0, the transversal of the chain's first
-        level, holds every point."""
-        return self.degree == 0 or len(self.chain()[0].transversal) == self.degree
+        """Whether the orbit of point 0 under the generators holds every point."""
+        return self.degree == 0 or len(orbit(0, self.generators, getitem)) == self.degree
 
 
 def orbit(start: Hashable, gens: Sequence, image: Callable) -> set:
@@ -133,127 +171,22 @@ def orbit(start: Hashable, gens: Sequence, image: Callable) -> set:
     return seen
 
 
-def _transversal_products(levels: Sequence[_Level], degree: int) -> Iterator[Perm]:
-    """Each element of the group the levels generate, once: the products of
-    one transversal element per level.  Refuses more than ``ELEMENT_BOUND``."""
-    size = prod(len(lvl.transversal) for lvl in levels)
-    if size > ELEMENT_BOUND:
-        raise BoundExceeded(f"{size} elements exceed the enumeration bound {ELEMENT_BOUND}")
-    if not levels:
-        yield identity_perm(degree)
-        return
-    for reps in product(*[list(lvl.transversal.values()) for lvl in levels]):
-        yield reduce(compose, reversed(reps))
-
-
-def _schreier_sims(degree: int, generators: Sequence[Perm]) -> list[_Level]:
-    """Base and strong generating set of the group the generators generate.
-
-    Level l holds the strong generators S_l that generate the l-th group on
-    the chain and a transversal of that group's orbit of the l-th base point,
-    built as the Schreier generators of the level are tested.  A residue that
-    drops out at level j while level i is tested joins S_{i+1}, ..., S_j, and
-    testing resumes at level j; the levels above j keep the triples they
-    tested.  The chain is complete once level 0 has no untested triple.
-    """
-    if not degree:
-        return []
-    ident = identity_perm(degree)
-    # point 0 is always the first base point, even when every generator fixes it
-    levels = [_Level(0, [], {0: ident})]
-    # orbit points of each level in the order they joined its transversal, and
-    # for each of them how many of the level's generators have been applied
-    orbits: list[list[int]] = [[0]]
-    tested: list[list[int]] = [[0]]
-
-    def add_generator(y: Perm, top: int, j: int) -> int:
-        if j == len(levels):
-            point = _pick_base_point(y)
-            levels.append(_Level(point, [], {point: ident}))
-            orbits.append([point])
-            tested.append([0])
-        for lvl in levels[top : j + 1]:
-            lvl.gens.append(y)
-        return j
-
-    def test_level(i: int) -> int:
-        """Test the untested triples of level i; the level to go on with."""
-        lvl = levels[i]
-        gens, transversal = lvl.gens, lvl.transversal
-        orbit, done = orbits[i], tested[i]
-        k = 0
-        while k < len(orbit):
-            beta = orbit[k]
-            u = transversal[beta]
-            for q in range(done[k], len(gens)):
-                done[k] = q + 1
-                g = gens[q]
-                ug = compose(u, g)
-                gamma = g[beta]
-                v = transversal.get(gamma)
-                if v is None:
-                    transversal[gamma] = ug
-                    orbit.append(gamma)
-                    done.append(0)
-                    continue
-                if ug == v:
-                    continue
-                # the Schreier generator ug * v^-1
-                a, b, j = _sift(levels, ug, v, i + 1)
-                if a != b:
-                    return add_generator(compose(a, inverse_perm(b)), i + 1, j)
-            k += 1
-        return i - 1
-
-    for p in generators:
-        a, b, j = _sift(levels, p, ident, 0)
-        if a == b:
-            continue
-        i = add_generator(compose(a, inverse_perm(b)), 0, j)
-        while i >= 0:
-            i = test_level(i)
-    return levels
-
-
-def _pick_base_point(p: Perm) -> int:
-    """A moved point on the longest cycle of p (greedy largest-orbit choice)."""
-    seen = set()
-    best_point, best_len = -1, 0
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            continue
-        cycle = [i]
-        j = p[i]
-        while j != i:
-            cycle.append(j)
-            j = p[j]
-        seen.update(cycle)
-        if len(cycle) > best_len:
-            best_point, best_len = min(cycle), len(cycle)
-    if best_point < 0:
-        raise ValueError("identity permutation has no base point")
-    return best_point
-
-
-def _sift(levels: list[_Level], a: Perm, b: Perm, start: int) -> tuple[Perm, Perm, int]:
-    """Sift a * b^-1 (a first, as in compose) through levels[start:] without
-    inverting anything.
-
-    Returns (a, b', j): the residue is a * b'^-1, the identity iff a == b',
-    and j is the level it dropped out at (len(levels) if it went through).
-    Dividing the residue by a transversal element u is b' -> compose(u, b').
-    """
-    for i in range(start, len(levels)):
-        lvl = levels[i]
-        beta = b.index(a[lvl.point])
-        if beta == lvl.point:
-            # the transversal element of the base point is the identity
-            continue
-        u = lvl.transversal.get(beta)
-        if u is None:
-            return a, b, i
-        b = compose(u, b)
-    return a, b, len(levels)
+def _transversal(level: _Level, degree: int) -> dict[int, Perm]:
+    """For each point of the level's basic orbit, an element of the level's
+    group that maps the base point to it, by breadth-first search."""
+    out = {level.point: identity_perm(degree)}
+    frontier = [level.point]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            u = out[t]
+            for g in level.gens:
+                im = g[t]
+                if im not in out:
+                    out[im] = compose(u, g)
+                    nxt.append(im)
+        frontier = nxt
+    return out
 
 
 # ---------------------------------------------------------- graph orbits

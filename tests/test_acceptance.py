@@ -186,7 +186,8 @@ def test_criterion_5_generic_half_transitivity(sweep_reports, capsys):
             for c in rep.classes:
                 n_classes += 1
                 g = build_cayley(c.connection_set, spec)
-                aut = PermGroup(g.n, analyze(g, seeds=regular_representation(spec)).generators)
+                result = analyze(g, seeds=regular_representation(spec))
+                aut = PermGroup(g.n, result.generators, result.base)
                 if not (
                     aut.order == 2 * spec.m * spec.n
                     and edge_orbit_count(g.adjacency, aut.generators) == 1
@@ -321,7 +322,7 @@ def test_criterion_10_ci_property(capsys):
             for rep, _ in orbit_representatives(spec):
                 graph = build_cayley([spec.at_index(x) for x in rep], spec)
                 result = analyze(graph, seeds=regular_representation(spec))
-                rows.append((canonical_form(graph, result), PermGroup(graph.n, result.found).order))
+                rows.append((canonical_form(graph, result), PermGroup(graph.n, result.found, result.base).order))
             canons = [canon for canon, stab_order in rows if gcd(spec.order, stab_order) == 1]
             distinct = len(set(canons)) == len(canons)
             ok = ok and distinct

@@ -364,7 +364,7 @@ def test_search_jumps_back_to_the_first_path_on_census_classes(order):
     for (g, _, _), cls in zip(census_class_searches(order), classes, strict=True):
         result, leaves = recorded_leaves(g)
         jumps += jumps_skip_their_subtrees(leaves)
-        assert PermGroup(g.n, result.generators).order == cls.aut_order
+        assert PermGroup(g.n, result.generators, result.base).order == cls.aut_order
         assert canonical_form(g, result).decode() == cls.canonical
     assert jumps > 0
 
@@ -414,7 +414,7 @@ def test_empty_and_complete_graphs_keep_few_generators(complete):
     g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)] if complete else [])
     result = analyze(g)
     assert len(result.found) <= n - 1
-    assert PermGroup(n, result.generators).order == math.factorial(n)
+    assert PermGroup(n, result.generators, result.base).order == math.factorial(n)
 
 
 def test_known_orders():
@@ -452,7 +452,7 @@ def test_order_matches_brute_force_random(n, p, rnd):
     g = random_graph(n, p, random.Random(rnd.seed))
     rows = [list(r) for r in g.adjacency]
     result = analyze(g)
-    assert PermGroup(g.n, result.generators).order == len(brute_force_graph_automorphisms(rows))
+    assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
     assert result.canonical_key == least_leaf_key(rows)
 
 
@@ -475,7 +475,8 @@ def test_seeding_changes_nothing():
         g = build_cayley(standard_connection_set(1, spec), spec)
         plain = analyze(g)
         seeded = analyze(g, seeds=regular_representation(spec))
-        assert PermGroup(g.n, plain.generators).order == PermGroup(g.n, seeded.generators).order
+        orders = [PermGroup(g.n, r.generators, r.base).order for r in (plain, seeded)]
+        assert orders[0] == orders[1]
         assert plain.canonical_key == seeded.canonical_key
 
 
@@ -602,7 +603,7 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
         rows = [list(r) for r in g.adjacency]
         result = analyze(g)
         assert result.canonical_key == least_leaf_key(rows)
-        assert PermGroup(g.n, result.generators).order == len(brute_force_graph_automorphisms(rows))
+        assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
 
 
 # ----------------------------------------------- cross-module: orbit counts
@@ -610,7 +611,8 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
 def test_half_transitive_witness_13_3_3():
     spec = GroupSpec(13, 3, 3)
     g = build_cayley(standard_connection_set(1, spec), spec)
-    aut = PermGroup(g.n, analyze(g, seeds=regular_representation(spec)).generators)
+    result = analyze(g, seeds=regular_representation(spec))
+    aut = PermGroup(g.n, result.generators, result.base)
     assert aut.order == 78
     assert edge_orbit_count(g.adjacency, aut.generators) == 1
     assert orbit_count(s_arcs(g.adjacency, 1), aut.generators) == 2

@@ -142,8 +142,8 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
         result = analyze(graph, seeds=regular)
         assert all(g[0] == 0 for g in result.found)
-        aut = PermGroup(graph.n, result.generators)
-        a0 = PermGroup(graph.n, result.found)
+        aut = PermGroup(graph.n, result.generators, result.base)
+        a0 = PermGroup(graph.n, result.found, result.base)
         # the group is transitive, so its order is n times the stabilizer's
         assert graph.n * a0.order == aut.order
         inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
@@ -164,7 +164,7 @@ def edge_split_exits(spec):
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
         inverse = {x: spec.index(inv(spec.at_index(x), spec)) for x in rep}
         result = analyze(graph, seeds=regular)
-        out.append(orbits_at_zero(PermGroup(graph.n, result.found), graph, inverse)[0])
+        out.append(orbits_at_zero(PermGroup(graph.n, result.found, result.base), graph, inverse)[0])
     return tuple(out)
 
 

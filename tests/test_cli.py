@@ -315,6 +315,30 @@ def test_aut_empty_graph_prints_few_generators(capsys):
     assert 0 < sum(line.startswith("generator=") for line in lines) <= 39
 
 
+def test_aut_empty_100_vertex_graph(capsys):
+    """S_100 from the search's first path: one level per path vertex, no
+    Schreier generator sifted."""
+    code, out, err = run_cli(capsys, "aut", "--graph6", to_graph6(graph_from_edges(100, [])).decode())
+    assert code == 0 and err == ""
+    assert f"aut_order={math.factorial(100)}" in out.splitlines()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that closes the pipe after one line, as ``| head -1`` does.
+    The child writes unbuffered, so every later table line meets the closed
+    pipe."""
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "metacirc.cli", "sweep", "--max-order", "135"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert child.stdout.readline().startswith(b"m n r ")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""
+
+
 def test_classify_theorem_too_large_exit_2(capsys):
     # Z67:Z33 has 2211 elements: a bound, not a usage error
     code, out, err = run_cli(

@@ -209,6 +209,26 @@ def test_element_order_examples():
     assert element_order(Element(1, 0, 0), F21) == 7
 
 
+# specs with central factors, non-Sylow-cyclic and larger ones, past SMALL_SPECS
+EXTRA_SPECS = [
+    GroupSpec(11, 5, 3, ell=3),
+    GroupSpec(9, 9, 4),
+    GroupSpec(25, 5, 6, ell=3),
+    GroupSpec(3, 3, 1, ell=9),
+    GroupSpec(27, 27, 4),
+    GroupSpec(9, 3, 4, ell=3),
+]
+TABLE_SPECS = SMALL_SPECS + list(iter_specs(135)) + EXTRA_SPECS
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")
+def test_element_order_matches_cyclic_closure(spec):
+    """The closed form against the size of <g>, closed by repeated right
+    multiplication."""
+    for g in spec.elements():
+        assert element_order(g, spec) == closure_size([g], spec)
+
+
 def test_order_law_for_nondegenerate_specs():
     # o(a^i b^j) = n for all i and gcd(j, n) = 1, whenever no Sylow subgroup
     # of <b> is central and <a> meets the centre trivially
@@ -256,7 +276,7 @@ def test_regular_representation_z5():
 
 
 def test_regular_representation_matches_independent_construction():
-    for spec in SMALL_SPECS:
+    for spec in TABLE_SPECS:
         got = regular_representation(spec)
         expected = regular_generator_perms(spec.m, spec.n, spec.r, spec.ell)
         assert got == [list(p) for p in expected]

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import math
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metacirc import permgroup
@@ -14,7 +15,6 @@ from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_
 from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
 from metacirc.permgroup import (
     PermGroup,
-    compose,
     identity_perm,
     normalizer_of_regular,
     orbit,
@@ -29,16 +29,13 @@ from oracles import (
     normalizer_order,
     oracle_mul_index,
     orbit_count,
+    point_orbits,
     s_arcs,
 )
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
 K5 = build_cayley([Element(u, 0, 0) for u in range(1, 5)], Z5)
-
-S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
-S4 = PermGroup(5, [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)])  # the stabilizer of 0 in S5
-C5 = PermGroup(5, [(1, 2, 3, 4, 0)])
 
 
 def cycle(n, *points):
@@ -49,9 +46,46 @@ def cycle(n, *points):
     return tuple(p)
 
 
-def contains(grp, p):
-    """Membership by the order: adding p as a generator keeps the group."""
-    return PermGroup(grp.degree, [*grp.generators, p]).order == grp.order
+def aut_group(g, seeds=()):
+    """Aut(g), its chain read off the search's first path."""
+    result = analyze(g, seeds=seeds)
+    return PermGroup(g.n, result.generators, result.base)
+
+
+def stabilizer_group(g, spec):
+    """The stabilizer of vertex 0 in Aut of a Cayley graph of spec, as the
+    census builds it: the automorphisms found by a search seeded with the
+    regular copy, on the search's first path."""
+    result = analyze(g, seeds=regular_representation(spec))
+    return PermGroup(g.n, result.found, result.base)
+
+
+def regular_group(spec):
+    """The regular copy of G.  Its stabilizer of point 0 is trivial and every
+    generator moves 0, so any generating set is strong for the base [0]."""
+    return PermGroup(spec.order, regular_representation(spec), [0])
+
+
+def cycle_graph(n):
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def matching(k):
+    return graph_from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+PETERSEN = graph_from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+S5 = aut_group(K5)
+S4 = stabilizer_group(K5, Z5)  # the stabilizer of 0 in S5
+# a cyclic group of prime order: each non-identity element moves every point
+C5 = PermGroup(5, [(1, 2, 3, 4, 0)], [0])
+D6 = aut_group(cycle_graph(6))
 
 
 def stabilizer_of_zero(grp):
@@ -63,79 +97,100 @@ def stabilizer_of_zero(grp):
 
 def test_group_order_examples():
     assert S5.order == 120
+    assert S4.order == 24
     assert C5.order == 5
-    assert PermGroup(4, []).order == 1
+    assert D6.order == 12
+    assert PermGroup(4, [], []).order == 1
 
 
 def test_chain_order_matches_exhaustive_closure():
     cases = [
         S5,
+        S4,
         C5,
-        PermGroup(4, []),
-        PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)]),  # D6
-        PermGroup(4, [cycle(4, 0, 1, 2), cycle(4, 1, 2, 3)]),        # A4
-        PermGroup(4, [cycle(4, 0, 2, 1), cycle(4, 0, 3)]),           # S4
-        PermGroup(21, regular_representation(F21)),
-        PermGroup(7, [cycle(7, 0, 1, 2, 3, 4, 5, 6), cycle(7, 1, 2, 4)]),  # F21 on 7 pts
-        PermGroup(8, [cycle(8, 0, 1, 2, 3, 4, 5, 6, 7), cycle(8, 1, 3)]),
+        D6,
+        PermGroup(4, [], []),
+        aut_group(PETERSEN),
+        aut_group(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])),  # K4 less an edge
+        aut_group(matching(3)),
+        aut_group(graph_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])),  # K3,3
+        aut_group(build_cayley(standard_connection_set(1, F21), F21)),
+        stabilizer_group(build_cayley(standard_connection_set(1, F21), F21), F21),
+        regular_group(F21),
     ]
     for grp in cases:
         assert grp.order == len(group_elements(grp.generators, grp.degree))
 
 
 @st.composite
-def random_groups(draw):
-    """A degree of 0 to 9 and 0 to 3 generators, each either arbitrary or a
-    product of up to three transpositions (so that groups other than the
-    alternating and symmetric ones come up), plus a sample of permutations
-    of that degree to test membership with."""
-    n = draw(st.integers(0, 9))
-    perms = st.permutations(range(n)).map(tuple)
-
-    def from_swaps(swaps):
-        p = list(range(n))
-        for a, b in swaps:
-            p[a], p[b] = p[b], p[a]
-        return tuple(p)
-
-    gen = perms
-    if n:
-        points = st.integers(0, n - 1)
-        gen = st.one_of(st.lists(st.tuples(points, points), min_size=1, max_size=3).map(from_swaps), perms)
-    return n, draw(st.lists(gen, max_size=3)), draw(st.lists(perms, max_size=5))
+def small_graphs(draw):
+    """A graph of 0 to 9 vertices with each edge drawn, or an empty or
+    complete graph of 0 to 8 vertices (the closure oracle lists S_9 in
+    seconds)."""
+    kind = draw(st.sampled_from(["random", "empty", "complete"]))
+    n = draw(st.integers(0, 9 if kind == "random" else 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "random":
+        pairs = [e for e in pairs if draw(st.booleans())]
+    elif kind == "empty":
+        pairs = []
+    return graph_from_edges(n, pairs)
 
 
-@given(random_groups())
-@settings(max_examples=100, deadline=None)
-def test_chain_matches_closure_on_random_groups(case):
-    n, gens, sample = case
-    grp = PermGroup(n, gens)
-    els = group_elements(gens, n)
+# a triangle 1-2-5 with a leaf 0 on 1 and a path 3-4 on 2: no automorphism
+# but the identity
+ASYMMETRIC = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
+
+
+@given(small_graphs())
+@example(graph_from_edges(0, []))
+@example(graph_from_edges(1, []))
+@example(graph_from_edges(2, []))
+@example(graph_from_edges(2, [(0, 1)]))
+@example(ASYMMETRIC)
+@example(graph_from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]))  # disconnected
+@settings(max_examples=60, deadline=None)
+def test_first_path_chain_matches_closure_on_random_graphs(g):
+    result = analyze(g)
+    grp = PermGroup(g.n, result.generators, result.base)
+    els = group_elements(result.generators, g.n)
     assert grp.order == len(els)
-    # the chain's first level is the orbit of point 0, and the levels below
-    # it are the stabilizer of 0
-    assert n == 0 or len(grp.chain()[0].transversal) * sum(x[0] == 0 for x in els) == grp.order
-    for p in sample + gens:
-        assert contains(grp, p) == (p in els)
+    assert set(grp.elements()) == els
+    assert grp.is_transitive() == (len(point_orbits(result.generators, g.n)) <= 1)
 
 
 def test_long_base():
-    # 80 disjoint transpositions: an elementary abelian group of order 2^80
-    # whose chain needs one level per transposition
-    gens = []
-    for k in range(80):
-        p = list(range(160))
-        p[2 * k], p[2 * k + 1] = p[2 * k + 1], p[2 * k]
-        gens.append(tuple(p))
-    grp = PermGroup(160, gens)
-    assert grp.order == 2**80
-    assert len(grp.chain()) == 80
-    assert contains(grp, compose(gens[3], gens[70]))
-    assert not contains(grp, cycle(160, 0, 2))
+    # a perfect matching on 80 vertices: each of the 40 edges may be
+    # flipped and the edges permuted, so |Aut| = 2^40 * 40!, and the first
+    # path individualizes one vertex of each edge, a base of length 40
+    grp = aut_group(matching(40))
+    assert grp.order == 2**40 * math.factorial(40)
+    assert len(grp.chain()) == 40
+
+
+def test_chain_levels_hold_the_generators_that_fix_the_earlier_base_points():
+    for grp in (S5, S4, D6, aut_group(PETERSEN), aut_group(matching(4))):
+        levels = grp.chain()
+        assert [lvl.point for lvl in levels] == grp.base
+        for i, lvl in enumerate(levels):
+            fixing = [g for g in grp.generators if all(g[b] == b for b in grp.base[:i])]
+            assert sorted(lvl.gens) == sorted(fixing)
+            assert lvl.orbit == orbit(lvl.point, fixing, getitem)
+
+
+def test_generators_must_not_fix_the_whole_base():
+    with pytest.raises(ValueError):
+        PermGroup(3, [(1, 0, 2)], []).order
+    with pytest.raises(ValueError):
+        PermGroup(3, [(1, 0, 2)], [2]).order
+    with pytest.raises(ValueError):
+        PermGroup(3, [], [0, 0])
+    with pytest.raises(ValueError):
+        PermGroup(3, [], [3])
 
 
 def test_elements_enumeration_is_exact():
-    for grp in (S5, C5, PermGroup(21, regular_representation(F21))):
+    for grp in (S5, S4, C5, D6, regular_group(F21)):
         els = list(grp.elements())
         assert len(els) == grp.order == len(set(els))
         assert set(els) == group_elements(grp.generators, grp.degree)
@@ -146,8 +201,9 @@ def test_contains():
         (S5, (4, 3, 2, 1, 0), True),
         (C5, (2, 3, 4, 0, 1), True),
         (C5, (1, 0, 2, 3, 4), False),
+        (S4, (1, 0, 2, 3, 4), False),
     ):
-        assert contains(grp, p) == (p in group_elements(grp.generators, 5)) == member
+        assert (p in set(grp.elements())) == (p in group_elements(grp.generators, 5)) == member
 
 
 def test_elements_bound(monkeypatch):
@@ -170,7 +226,7 @@ def point_orbit(group, point):
 def test_orbit_examples():
     assert point_orbit(C5, 0) == set(range(5))
     assert point_orbit(S5, 3) == set(range(5))
-    assert point_orbit(PermGroup(5, [cycle(5, 0, 1)]), 4) == {4}
+    assert orbit(4, [cycle(5, 0, 1)], getitem) == {4}
     # sets, as the Aut(G)-orbits of connection sets are walked
     assert orbit((0, 1), C5.generators, lambda p, t: tuple(sorted(p[x] for x in t))) == {
         (0, 1), (1, 2), (2, 3), (3, 4), (0, 4)
@@ -184,29 +240,28 @@ def test_point_stabilizer_s5():
 
 
 def test_point_stabilizer_regular_group_is_trivial():
-    ghat = PermGroup(21, regular_representation(F21))
+    ghat = regular_group(F21)
     assert ghat.is_transitive()
     assert ghat.order == ghat.degree
     assert stabilizer_of_zero(ghat) == {identity_perm(21)}
 
 
 def test_orbit_stabilizer_identity():
-    groups = [S5, C5, PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), cycle(6, 1, 5)])]
-    for grp in groups:
+    for grp in (S5, C5, D6, aut_group(PETERSEN)):
         assert len(point_orbit(grp, 0)) * len(stabilizer_of_zero(grp)) == grp.order
 
 
-def test_is_transitive_reads_the_orbit_of_zero_off_the_chain():
-    assert PermGroup(0, []).is_transitive()
-    assert PermGroup(1, []).is_transitive()
-    assert not PermGroup(2, []).is_transitive()
-    assert S5.is_transitive() and C5.is_transitive()
+def test_is_transitive_is_the_orbit_of_zero():
+    assert PermGroup(0, [], []).is_transitive()
+    assert PermGroup(1, [], []).is_transitive()
+    assert not PermGroup(2, [], []).is_transitive()
+    assert S5.is_transitive() and C5.is_transitive() and D6.is_transitive()
     # intransitive: orbits {0, 1} and {2, 3, 4}
-    assert not PermGroup(5, [cycle(5, 0, 1), cycle(5, 2, 3, 4)]).is_transitive()
-    # fixing 0: the chain's first level is the single point 0
+    assert not aut_group(graph_from_edges(5, [(0, 1), (2, 3), (3, 4), (4, 2)])).is_transitive()
+    # fixing 0
     assert not S4.is_transitive()
-    assert not PermGroup(5, [cycle(5, 1, 2, 3, 4)]).is_transitive()
-    for grp in (S5, S4, C5, PermGroup(6, [cycle(6, 1, 5), cycle(6, 0, 2, 4)])):
+    assert not aut_group(graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)])).is_transitive()
+    for grp in (S5, S4, C5, D6, aut_group(matching(3))):
         assert grp.is_transitive() == (point_orbit(grp, 0) == set(range(grp.degree)))
 
 
@@ -219,7 +274,7 @@ def test_edge_and_arc_orbits_k5():
 
 def test_edge_orbits_of_regular_group_alone():
     g = build_cayley(standard_connection_set(1, F21), F21)
-    ghat = PermGroup(21, regular_representation(F21))
+    ghat = regular_group(F21)
     # the two inverse pairs of S give two edge orbits under right translation
     assert edge_orbit_count(g.adjacency, ghat.generators) == 2
     assert orbit_count(s_arcs(g.adjacency, 1), ghat.generators) == 4
@@ -232,10 +287,6 @@ def negation(n):
 
 def inverses(spec):
     return {spec.index(x): spec.index(inv(x, spec)) for x in spec.elements()}
-
-
-def cycle_graph(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_s_arcs_counts():
@@ -264,41 +315,42 @@ def test_max_s_arc_circulant_orbit_set():
     z13 = GroupSpec(13, 1, 1)
     g = build_cayley([Element(u, 0, 0) for u in (1, 5, 8, 12)], z13)
     result = analyze(g, seeds=regular_representation(z13))
-    edges, s = orbits_at_zero(PermGroup(13, result.found), g, negation(13))
+    edges, s = orbits_at_zero(PermGroup(13, result.found, result.base), g, negation(13))
     assert edges == 1 and s >= 1
     assert s == max_s_arc_transitive(result.generators, g.adjacency)
 
 
 def test_max_s_arc_zero_when_not_arc_transitive():
     g = build_cayley(standard_connection_set(1, F21), F21)
-    ghat = PermGroup(21, regular_representation(F21))
+    ghat = regular_group(F21)
     # A_0 of the regular copy alone is trivial: two edge orbits, no arc-transitivity
-    assert orbits_at_zero(PermGroup(21, []), g, inverses(F21)) == (2, 0)
+    assert orbits_at_zero(PermGroup(21, [], []), g, inverses(F21)) == (2, 0)
     assert max_s_arc_transitive(ghat.generators, g.adjacency) == 0
     assert edge_orbit_count(g.adjacency, ghat.generators) == 2
 
 
 def test_max_s_arc_cycle_is_capped():
     c6 = cycle_graph(6)
-    reflection = tuple((-i) % 6 for i in range(6))
-    d6 = PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5), reflection])
-    stab = PermGroup(6, [reflection])
+    # seeded with the rotation, the search finds the stabilizer of vertex 0
+    result = analyze(c6, seeds=[cycle(6, 0, 1, 2, 3, 4, 5)])
+    stab = PermGroup(6, result.found, result.base)
+    assert stab.order == 2
     assert orbits_at_zero(stab, c6, negation(6)) == (1, 3)
-    assert max_s_arc_transitive(d6.generators, c6.adjacency, cap=3) == 3
+    assert max_s_arc_transitive(D6.generators, c6.adjacency, cap=3) == 3
 
 
 def test_orbits_at_zero_rejects_non_automorphism():
     path = graph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        orbits_at_zero(PermGroup(3, [(0, 2, 1)]), path, {1: 1})
+        orbits_at_zero(PermGroup(3, [(0, 2, 1)], [1]), path, {1: 1})
     # an automorphism that moves vertex 0 belongs to no stabilizer of it
     c6 = cycle_graph(6)
     with pytest.raises(ValueError):
-        orbits_at_zero(PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5)]), c6, negation(6))
+        orbits_at_zero(PermGroup(6, [cycle(6, 0, 1, 2, 3, 4, 5)], [0]), c6, negation(6))
     # the reverse map must permute the neighbours of 0
     for reverse in ({1: 1, 5: 1}, {1: 5}):
         with pytest.raises(ValueError):
-            orbits_at_zero(PermGroup(6, []), c6, reverse)
+            orbits_at_zero(PermGroup(6, [], []), c6, reverse)
 
 
 # ------------------------------------------------------------- normalizer
@@ -310,8 +362,8 @@ def test_normalizer_k5():
 
 
 def test_normalizer_of_regular_in_itself():
-    ghat = PermGroup(21, regular_representation(F21))
-    assert normalizer_of_regular(PermGroup(21, []), F21, regular_representation(F21)) == 21
+    ghat = regular_group(F21)
+    assert normalizer_of_regular(PermGroup(21, [], []), F21, regular_representation(F21)) == 21
     assert normalizer_order(ghat.generators, 7, 3, 2) == 21
 
 
@@ -326,7 +378,7 @@ def test_normalizer_needs_the_regular_copy():
     # R * A_0 is a group only for the stabilizer A_0 of vertex 0, which R
     # complements; a group moving 0 is none
     with pytest.raises(ValueError):
-        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)]), Z5, regular_representation(Z5))
+        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)], [0]), Z5, regular_representation(Z5))
 
 
 @pytest.mark.parametrize("mnrl", [(5, 1, 1, 1), (7, 3, 2, 1), (11, 5, 3, 1), (11, 5, 3, 3)])
@@ -339,9 +391,9 @@ def test_normalizer_matches_reference_on_census_classes(mnrl):
         graph = build_cayley(c.connection_set, spec)
         result = analyze(graph, seeds=regular)
         ref = normalizer_order(result.generators, *mnrl)
-        a0 = PermGroup(graph.n, result.found)
+        a0 = PermGroup(graph.n, result.found, result.base)
         assert normalizer_of_regular(a0, spec, regular) == ref == c.normalizer_order
-        assert c.normal_cayley == (ref == PermGroup(graph.n, result.generators).order)
+        assert c.normal_cayley == (ref == PermGroup(graph.n, result.generators, result.base).order)
 
 
 @pytest.mark.parametrize(
@@ -356,7 +408,7 @@ def test_normalizer_matches_right_translation_membership(spec):
     regular = regular_representation(spec)
     for c in classify_spec(spec, bound=spec.order).classes:
         graph = build_cayley(c.connection_set, spec)
-        a0 = PermGroup(graph.n, analyze(graph, seeds=regular).found)
+        a0 = stabilizer_group(graph, spec)
         expected = normalizer_by_right_translations(
             a0.elements(), spec.m, spec.n, spec.r, spec.ell
         )
@@ -378,7 +430,8 @@ def test_normalizer_needs_every_left_translation(spec):
         h = next(x for x in range(spec.order) if 0 not in _cycle(left, x))
         moved = set(_cycle(left, h))
         x = tuple(left[y] if y in moved else y for y in range(spec.order))
-        a0 = PermGroup(spec.order, [x])
+        # <x> is cyclic and moves h around one cycle, so [h] is a base
+        a0 = PermGroup(spec.order, [x], [h])
         expected = normalizer_by_right_translations(a0.elements(), *params)
         assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
 
