@@ -8,6 +8,14 @@ are compared by the packed rows of the relabeled adjacency matrix
 lexicographically least key over the surviving leaves is the canonical form,
 emitted as its graph6.
 
+A branch is pruned when its vertex lies in the orbit of a processed
+branch's vertex under the automorphisms found that fix the node's path
+(McKay & Piperno, "Practical graph isomorphism, II", 2014).  Each node
+keeps the vertices of those orbits as a set, grown by ``permgroup.orbit``
+after a branch returns and when new generators arrive, and the node's path
+generators are handed down to its children, which keep those that fix one
+more vertex.
+
 After a leaf whose key equals the first leaf's, the search jumps back to the
 node where the two paths part (first-path backjumping, McKay & Piperno,
 "Practical graph isomorphism, II", 2014).  The automorphism the two leaves
@@ -44,11 +52,12 @@ import sys
 from collections import _count_elements, deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import getitem
 from typing import Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_rows
-from metacirc.permgroup import PermGroup
+from metacirc.permgroup import PermGroup, orbit
 
 MAX_DEGREE = 2000
 
@@ -67,22 +76,25 @@ class SearchResult:
         return self.generators[self.n_seeds:]
 
 
-def _initial_partition(g: Graph, seeded: _Orbits | None = None) -> list[list[int]]:
+def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[list[int]]:
     """Cells by (degree, neighbor degrees, distance-2 degrees), an
     isomorphism-invariant starting colouring.
 
     Automorphisms preserve the signature, so it is computed once per orbit
-    of ``seeded``, the orbits of the seeds, and given to the whole orbit: a
-    graph whose seeds are transitive, as a Cayley graph's translations are,
-    gets one.
+    of the automorphisms ``seeds``, at the orbit's least vertex, and given
+    to the whole orbit: a graph whose seeds are transitive, as a Cayley
+    graph's translations are, gets one.
     """
     deg = g.degrees()
     # in a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
     # k the number of distance-2 vertices, so k alone orders them
     regular = min(deg, default=0) == max(deg, default=0)
     root = list(range(g.n))
-    if seeded is not None:
-        root = [seeded.find(v) for v in root]
+    if seeds:
+        for v in range(g.n):
+            if root[v] == v:
+                for u in orbit(v, seeds, getitem):
+                    root[u] = v
     adj = g.adjacency
     sig_of = {}
     for v, r in enumerate(root):
@@ -282,69 +294,6 @@ def _target_cell(cells: list[list[int]]) -> int:
     return best
 
 
-class _Orbits:
-    """Union-find of the orbits of the generators that fix a path pointwise,
-    with a flag per orbit: does it hold a processed vertex.  ``kept`` lists
-    those generators and ``fed`` counts the generators already looked at by
-    :meth:`feed`."""
-
-    __slots__ = ("parent", "hit", "kept", "fed")
-
-    def __init__(self, n: int, gens: Sequence[Sequence[int]] = ()):
-        self.parent = list(range(n))
-        self.hit = [False] * n
-        self.kept: list[Sequence[int]] = []
-        self.fed = 0
-        self.feed(gens, ())
-
-    def feed(self, gens: Sequence[Sequence[int]], fixed: Sequence[int]) -> None:
-        """Merge the orbits of the generators past the first ``fed`` that fix
-        ``fixed`` pointwise."""
-        for p in gens[self.fed:]:
-            if all(p[x] == x for x in fixed):
-                self.add(p)
-        self.fed = len(gens)
-
-    def child(self, v: int) -> _Orbits:
-        """The orbits one level down, where the path also fixes v: those of
-        the kept generators that fix v.  The path's generators are passed
-        down the tree, as in nauty, so a node filters its parent's list, not
-        every generator found, and has looked at as many as its parent."""
-        orbits = _Orbits(len(self.parent))
-        for p in self.kept:
-            if p[v] == v:
-                orbits.add(p)
-        orbits.fed = self.fed
-        return orbits
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def add(self, p: Sequence[int]) -> None:
-        """Merge the orbits that the permutation p joins."""
-        self.kept.append(p)
-        parent, hit = self.parent, self.hit
-        for x, y in enumerate(p):
-            if x != y:
-                # find(x) and find(y), inline: this loop runs once per point
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x != y:
-                    parent[y] = x
-                    hit[x] = hit[x] or hit[y]
-
-    def mark(self, v: int) -> None:
-        self.hit[self.find(v)] = True
-
-    def processed(self, v: int) -> bool:
-        return self.hit[self.find(v)]
-
-
 class _Search:
     """One run of the search: the generators found so far, the first and
     best leaves, the first leaf's path, and the depth the search is jumping
@@ -389,28 +338,48 @@ class _Search:
         if key < self.best[0]:
             self.best = (key, order)
 
-    def node(self, cells: list[list[int]], fixed: list[int], orbits: _Orbits) -> None:
+    def node(
+        self, cells: list[list[int]], fixed: list[int], kept: list[tuple[int, ...]], fed: int
+    ) -> None:
         """Search below the equitable partition ``cells``, reached by
-        individualizing ``fixed``; ``orbits`` are those of the generators
-        that fix ``fixed`` pointwise.  A branch is equivalent to a processed
-        one iff its vertex shares their orbit.  While a jump is pending,
-        every node deeper than its depth returns as soon as its child does."""
+        individualizing ``fixed``.  ``kept`` holds the generators among the
+        first ``fed`` found that fix ``fixed`` pointwise; the later ones are
+        looked at before each branch.  A branch is equivalent to a processed
+        one iff its vertex lies in the orbit of a processed vertex under
+        those generators, that is, in ``done``.  They fix every cell, so done
+        stays in the target cell; once it is all of the cell the node is
+        finished, and a node that takes one branch builds none of it.  While
+        a jump is pending, every node deeper than its depth returns as soon
+        as its child does."""
         t = _target_cell(cells)
         if t < 0:
             self.leaf(cells, fixed)
             return
-        for v in cells[t]:
-            orbits.feed(self.gens, fixed)
-            if orbits.processed(v):
+        gens = self.gens
+        cell = cells[t]
+        done: set[int] = set()
+        for v in cell:
+            if fed < len(gens):
+                new = [p for p in gens[fed:] if all(p[x] == x for x in fixed)]
+                fed = len(gens)
+                kept += new
+                # every image of done under a new generator is in done or
+                # is expanded here, so done ends closed under all of kept
+                for x in [p[x] for p in new for x in done]:
+                    if x not in done:
+                        orbit(x, kept, getitem, done)
+            if v in done:
                 continue
             child, splitters = _individualize(cells, t, v)
             refined = _refine(self.g.adjacency, child, splitters)
-            self.node(refined, fixed + [v], orbits.child(v))
+            self.node(refined, fixed + [v], [p for p in kept if p[v] == v], fed)
             if self.jump is not None:
                 if self.jump < len(fixed):
                     return
                 self.jump = None
-            orbits.mark(v)
+            if len(orbit(v, kept, getitem, done)) == len(cell):
+                # every other branch is equivalent to a processed one
+                return
 
 
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
@@ -429,10 +398,8 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     n_seeds = len(gens)
     adj = g.adjacency
     search = _Search(g, gens)
-    # the seeds' orbits: the starting signature's, and the root's to start from
-    orbits = _Orbits(g.n, gens)
     try:
-        search.node(_refine(adj, _initial_partition(g, orbits if gens else None), None), [], orbits)
+        search.node(_refine(adj, _initial_partition(g, gens), None), [], gens[:], n_seeds)
     except RecursionError:
         # each level of the tree is one frame of node
         raise BoundExceeded(

@@ -21,7 +21,7 @@ one set and never needs Aut(G), so neither does a worker process.
 
 A set whose graph is not edge-transitive leaves the census at the first
 of two exits that sees two edge orbits at vertex 0: distance-pair counts
-from three breadth-first searches, before the graph is built
+from one breadth-first search, before the graph is built
 (``_distance_split``), and the orbits of the vertex stabilizer on the
 neighbours of 0, after the search (``orbits_at_zero``).  Each exit only
 drops sets with more than one edge orbit, so the order changes no report.
@@ -58,6 +58,7 @@ from metacirc.groups import (
     inv,
     left_translation,
     regular_representation,
+    right_translation,
 )
 from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 
@@ -283,15 +284,15 @@ def _generates(spec: GroupSpec, x: int, y: int) -> bool:
     """Whether the elements of vertex indices x and y generate G: the orbit
     of the identity under left multiplication by x and y is <x, y>."""
     perms = (left_translation(x, spec), left_translation(y, spec))
-    return -1 not in _distances(0, perms, spec.order)
+    return -1 not in _distances(perms, spec.order)
 
 
-def _distances(source: int, perms: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Breadth-first distances from ``source`` on the points 0..n-1, one
-    step being v -> p[v] for p in ``perms``; -1 where unreachable."""
+def _distances(perms: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Breadth-first distances from 0 on the points 0..n-1, one step being
+    v -> p[v] for p in ``perms``; -1 where unreachable."""
     dist = [-1] * n
-    dist[source] = 0
-    frontier = [source]
+    dist[0] = 0
+    frontier = [0]
     d = 0
     while frontier:
         d += 1
@@ -311,7 +312,7 @@ def _distances(source: int, perms: Sequence[Sequence[int]], n: int) -> list[int]
 def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """The right translations by a, b and c: the seeds of every class's
     search and the generators of R for its normalizer."""
-    return tuple(tuple(p) for p in regular_representation(spec))
+    return tuple(regular_representation(spec))
 
 
 def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
@@ -319,23 +320,24 @@ def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
     of S = {x, x^-1, y, y^-1} has two edge orbits; ``inverse`` maps each
     vertex index in S to its inverse's.
 
-    M_z counts the pairs (d(0, v), d(z, v)) over the vertices v, with the
-    distances from breadth-first searches over the left translations by S,
-    so no graph is built.  An automorphism fixing 0 and sending z to z'
-    preserves distances, so M_z = M_z'; right translation by x, also an
-    automorphism, sends x^-1 to 0 and 0 to x, so M_(x^-1) is M_x
-    transposed.  The unordered pair {M_z, M_z transposed} is therefore the
-    same for every z in one edge orbit, merged along z ~ z^-1 as
-    ``orbits_at_zero`` merges them; if M_y is neither M_x nor its
-    transpose, the edges at 0 fall into two orbits.  This is the two-point
-    distance invariant of McKay & Piperno ("Practical graph isomorphism,
-    II", 2014): it only drops sets that have more than one edge orbit.
+    M_z counts the pairs (d(0, v), d(z, v)) over the vertices v.  One
+    breadth-first search from 0 over the left translations by S gives the
+    distances from 0, so no graph is built.  Right translations are
+    automorphisms, and the one by z^-1 sends z to 0, so d(z, v) =
+    d(0, v z^-1).  An automorphism fixing 0 and sending z to z' preserves
+    distances, so M_z = M_z'; right translation by x sends x^-1 to 0 and 0
+    to x, so M_(x^-1) is M_x transposed.  The unordered pair {M_z, M_z
+    transposed} is therefore the same for every z in one edge orbit, merged
+    along z ~ z^-1 as ``orbits_at_zero`` merges them; if M_y is neither M_x
+    nor its transpose, the edges at 0 fall into two orbits.  This is the
+    two-point distance invariant of McKay & Piperno ("Practical graph
+    isomorphism, II", 2014): it only drops sets that have more than one
+    edge orbit.
     """
     x = min(inverse)
     y = min(z for z in inverse if z != x and z != inverse[x])
-    perms = [left_translation(s, spec) for s in inverse]
-    n = spec.order
-    d0, dx, dy = (_distances(z, perms, n) for z in (0, x, y))
+    d0 = _distances([left_translation(s, spec) for s in inverse], spec.order)
+    dx, dy = ([d0[v] for v in right_translation(inverse[z], spec)] for z in (x, y))
     my = Counter(zip(d0, dy))
     return my != Counter(zip(d0, dx)) and my != Counter(zip(dx, d0))
 

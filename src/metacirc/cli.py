@@ -180,9 +180,9 @@ def _read_graph6_file(path: str) -> Graph:
 
 
 def _read_graph(args) -> Graph:
-    if getattr(args, "graph6", None):
+    if args.graph6 is not None:
         return _parse_graph6(args.graph6)
-    if getattr(args, "file", None):
+    if args.file is not None:
         return _read_graph6_file(args.file)
     data = sys.stdin.buffer.read().split()
     if not data:

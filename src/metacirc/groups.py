@@ -240,33 +240,32 @@ def element_order(g: Element, spec: GroupSpec) -> int:
     return modulo_a * (spec.m // gcd(power(g, modulo_a, spec).u, spec.m))
 
 
-def regular_representation(spec: GroupSpec) -> list[list[int]]:
-    """Right-multiplication permutations of the generators a, b, c.
+def regular_representation(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """The right translations x -> x*a, x -> x*b and x -> x*c of the vertex
+    indices: together they generate the regular copy of G inside the
+    symmetric group on the vertices."""
+    return [right_translation(spec.index(g), spec)
+            for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())]
 
-    Returns three permutations of the vertex indices; x -> x*a, x -> x*b,
-    x -> x*c under the fixed indexing.  Together they generate the regular
-    copy of G inside the symmetric group on the vertices.
+
+def right_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:
+    """Permutation x -> x*s on vertex indices, for the element of index s.
 
     Built by blocks of m consecutive indices (one b- and c-exponent (v, w)),
     as ``left_translation`` is, with no group multiplication: by the product
-    rule x*a adds r^-v to the a-exponent within the block, while x*b and x*c
-    move the whole block to (v + 1, w) and (v, w + 1).
+    rule the a-exponent of x*s is x.u + s.u * r^-v, so within the block it
+    gains s.u * r^-v, and the block moves to (v + s.v, w + s.w).
     """
+    g = spec.at_index(s)
     m, n, ell = spec.m, spec.n, spec.ell
-    right_a: list[int] = []
-    right_b: list[int] = []
-    right_c: list[int] = []
+    p: list[int] = []
     for w in range(ell):
         for v in range(n):
-            start = m * (v + n * w)
-            shift = spec.rpow_inv(v)
-            right_a.extend(range(start + shift, start + m))
-            right_a.extend(range(start, start + shift))
-            b_start = m * ((v + 1) % n + n * w)
-            right_b.extend(range(b_start, b_start + m))
-            c_start = m * (v + n * ((w + 1) % ell))
-            right_c.extend(range(c_start, c_start + m))
-    return [right_a, right_b, right_c]
+            start = m * ((v + g.v) % n + n * ((w + g.w) % ell))
+            shift = g.u * spec.rpow_inv(v) % m
+            p.extend(range(start + shift, start + m))
+            p.extend(range(start, start + shift))
+    return tuple(p)
 
 
 def left_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:

@@ -14,8 +14,9 @@ The graph orbits are counted on a vertex-transitive graph, from the
 stabilizer A_0 of vertex 0 alone: ``orbits_at_zero`` counts edge orbits and
 decides s-arc-transitivity on the neighbours and the deg*(deg-1)^(s-1)
 s-arcs at vertex 0, and ``normalizer_of_regular`` enumerates A_0 alone.  Every
-orbit, the chain's basic orbits included, comes from one breadth-first
-routine, ``orbit``.
+orbit, the chain's basic orbits and the orbits that prune the automorphism
+search included, comes from one breadth-first routine, ``orbit``, which can
+also grow a set of points in place.
 """
 
 from __future__ import annotations
@@ -154,10 +155,18 @@ class PermGroup:
         return self.degree == 0 or len(orbit(0, self.generators, getitem)) == self.degree
 
 
-def orbit(start: Hashable, gens: Sequence, image: Callable) -> set:
+def orbit(start: Hashable, gens: Sequence, image: Callable, seen: set | None = None) -> set:
     """Breadth-first orbit of ``start`` under the group the maps ``gens``
-    generate; ``image(p, t)`` applies the map p to t."""
-    seen = {start}
+    generate; ``image(p, t)`` applies the map p to t.
+
+    Given ``seen``, the search adds to that set in place and returns it: it
+    expands start and each point it adds, and no other point seen holds.
+    So a set closed under ``gens`` except at start grows to the union of
+    itself and the orbit.
+    """
+    if seen is None:
+        seen = set()
+    seen.add(start)
     frontier = [start]
     while frontier:
         nxt = []

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import math
 import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -13,7 +15,6 @@ from metacirc import autosearch
 from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
     _individualize,
-    _Orbits,
     _initial_partition,
     _refine,
     analyze,
@@ -30,7 +31,7 @@ from metacirc.graphs import (
     to_graph6,
 )
 from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
-from metacirc.permgroup import PermGroup
+from metacirc.permgroup import PermGroup, orbit
 from oracles import (
     apply_aut,
     aut_triples,
@@ -158,7 +159,7 @@ def test_seeded_initial_partition_on_census_graphs(spec):
     orbits = orbit_representatives(spec, bound=spec.order)
     for rep, _ in orbits:
         g = build_cayley([spec.at_index(x) for x in rep], spec)
-        assert _initial_partition(g, _Orbits(g.n, regular)) == _initial_partition(g)
+        assert _initial_partition(g, regular) == _initial_partition(g)
 
 
 @given(
@@ -174,7 +175,7 @@ def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
     g = refine_fixture(n, kind, rng)
     gens = analyze(g).generators
     seeds = rng.sample(gens, rng.randint(0, len(gens)))
-    assert _initial_partition(g, _Orbits(g.n, seeds)) == _initial_partition(g)
+    assert _initial_partition(g, seeds) == _initial_partition(g)
 
 
 def two_splitter_individualize(cells, target_idx, v):
@@ -205,11 +206,20 @@ def test_search_result_unchanged_without_rest_splitter(n, kind, rnd):
 
 def recorded_search(g, seeds=()):
     """Run ``analyze(g, seeds)`` and record every ``_refine`` call as
-    (cells, splitters, result), and the orbits after every feed of the
-    generators as (orbits, the generators that fix the path).  Returns the
-    refine calls and the orbits."""
-    refines, orbits = [], []
-    refine, feed = autosearch._refine, autosearch._Orbits.feed
+    (cells, splitters, result), and every pruning test of ``_Search.node``
+    as (path, processed, done, generators): the node's path, the vertices
+    of its target cell processed so far, its set ``done`` and the
+    generators found so far.  Returns the refine calls and the pruning
+    tests.
+
+    The pruning test is the line ``if v in done:``; a tracer reads the
+    node's locals there.  A vertex its test let through has been processed
+    by the node's next test: a node that a jump leaves tests no more."""
+    refines, prunes = [], []
+    refine = autosearch._refine
+    code = autosearch._Search.node.__code__
+    lines, first = inspect.getsourcelines(autosearch._Search.node)
+    prune_line = first + [line.strip() for line in lines].index("if v in done:")
 
     def recording_refine(adj, cells, splitters):
         given = [list(c) for c in cells], None if splitters is None else [list(s) for s in splitters]
@@ -217,18 +227,32 @@ def recorded_search(g, seeds=()):
         refines.append((*given, result))
         return result
 
-    def recording_feed(self, gens, fixed):
-        feed(self, gens, fixed)
-        cells = {}
-        for x in range(g.n):
-            cells.setdefault(self.find(x), []).append(x)
-        orbits.append((list(cells.values()), [p for p in gens if all(p[x] == x for x in fixed)]))
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        processed = []
 
+        def at_line(frame, event, arg):
+            if event == "line" and frame.f_lineno == prune_line:
+                local = frame.f_locals
+                v, done = local["v"], local["done"]
+                gens = local["self"].gens
+                prunes.append((list(local["fixed"]), list(processed), set(done), gens[:]))
+                if v not in done:
+                    processed.append(v)
+            return at_line
+
+        return at_line
+
+    previous = sys.gettrace()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(autosearch, "_refine", recording_refine)
-        mp.setattr(autosearch._Orbits, "feed", recording_feed)
-        analyze(g, seeds)
-    return refines, orbits
+        sys.settrace(tracer)
+        try:
+            analyze(g, seeds)
+        finally:
+            sys.settrace(previous)
+    return refines, prunes
 
 
 def matches_bitmask_reference(g, refines) -> bool:
@@ -307,18 +331,21 @@ def test_edge_split_exit_on_census_ref_orbits(spec):
         assert refines and matches_bitmask_reference(g, refines)
 
 
-def test_incremental_orbits_match_fresh_union_find():
-    """At every node of the searches above, each time the generators are
-    fed, the orbits that prune the node's branches are those of the
-    generators that fix its path pointwise, found from scratch."""
-    searches = [(g, orbits) for order in (55, 125, 165) for g, _, orbits in census_class_searches(order)]
-    searches += [(g, orbits) for spec in CENSUS_REF_EXITS for g, _, orbits in census_ref_searches(spec)]
-    nodes = 0
-    for g, orbits in searches:
-        for cells, stabilizer in orbits:
-            assert cells == point_orbits(stabilizer, g.n)
-            nodes += 1
-    assert nodes > 100
+def test_pruning_orbits_match_fresh_orbits():
+    """At every pruning test of the searches above, ``done`` is the union
+    of the orbits of the processed vertices under the generators found so
+    far that fix the node's path pointwise, found from scratch."""
+    searches = [(g, prunes) for order in (55, 125, 165) for g, _, prunes in census_class_searches(order)]
+    searches += [(g, prunes) for spec in CENSUS_REF_EXITS for g, _, prunes in census_ref_searches(spec)]
+    tests = grown = 0
+    for g, prunes in searches:
+        for path, processed, done, gens in prunes:
+            stabilizer = [p for p in gens if all(p[x] == x for x in path)]
+            expected = {x for o in point_orbits(stabilizer, g.n) if set(o) & set(processed) for x in o}
+            assert done == expected
+            tests += 1
+            grown += len(done) > len(processed)
+    assert tests > 1000 and grown > 500
 
 
 def recorded_leaves(g):
@@ -417,6 +444,32 @@ def test_empty_and_complete_graphs_keep_few_generators(complete):
     assert PermGroup(n, result.generators, result.base).order == math.factorial(n)
 
 
+@pytest.mark.parametrize("n, matching", [(150, False), (160, True)], ids=["empty-150", "matching-160"])
+def test_symmetric_graphs_prune_in_few_orbit_images(monkeypatch, n, matching):
+    """The empty graph and a perfect matching keep their whole groups, S_150
+    and the wreath product of order 2^80 * 80!, and the pruning computes at
+    most one orbit of c points under c generators per cell size c <= n, the
+    sum of c^2 images, not the orbits of every kept generator at every node
+    of the tree."""
+    images = 0
+
+    def counted_orbit(start, gens, image, seen=None):
+        def counted_image(p, t):
+            nonlocal images
+            images += 1
+            return image(p, t)
+
+        return orbit(start, gens, counted_image, seen)
+
+    monkeypatch.setattr(autosearch, "orbit", counted_orbit)
+    g = graph_from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)] if matching else [])
+    result = analyze(g)
+    assert are_automorphisms(g, result.generators)
+    order = 2 ** (n // 2) * math.factorial(n // 2) if matching else math.factorial(n)
+    assert PermGroup(n, result.generators, result.base).order == order
+    assert 0 < images <= n * (n + 1) * (2 * n + 1) // 6
+
+
 def test_known_orders():
     assert automorphism_group(K5).order == 120
     assert automorphism_group(cycle_graph(6)).order == 12
@@ -487,25 +540,28 @@ def test_seed_validation():
         analyze(graph_from_edges(5, [(0, 1), (1, 2)]), seeds=[(4, 3, 2, 1, 0)])
 
 
-def test_seeds_feed_one_union_find(monkeypatch):
-    """Each seed is merged into one union-find, which serves both the
-    starting signature and the root of the tree; deeper levels keep only
-    generators that fix their path, which no translation does."""
-    added = []
-    add = autosearch._Orbits.add
+def test_seeds_prune_the_root_only(monkeypatch):
+    """The seeds prune every branch of the root but vertex 0's, since the
+    translations are transitive; deeper nodes keep only generators that fix
+    their path, which no translation does."""
+    calls = []
+    node = autosearch._Search.node
 
-    def counted(self, p):
-        added.append(tuple(p))
-        return add(self, p)
+    def recording_node(self, cells, fixed, kept, fed):
+        calls.append((list(fixed), list(kept)))
+        return node(self, cells, fixed, kept, fed)
 
-    monkeypatch.setattr(autosearch._Orbits, "add", counted)
+    monkeypatch.setattr(autosearch._Search, "node", recording_node)
     for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
         regular = [tuple(p) for p in regular_representation(spec)]
         seeds = {p for p in regular if p != tuple(range(spec.order))}
         g = build_cayley(standard_connection_set(1, spec), spec)
-        added.clear()
+        calls.clear()
         analyze(g, seeds=regular)
-        assert sorted(p for p in added if p in seeds) == sorted(seeds)
+        (root_path, root_kept), *deeper = calls
+        assert root_path == [] and set(root_kept) == seeds
+        assert [path for path, _ in deeper if len(path) == 1] == [[0]]
+        assert deeper and not any(p in seeds for _, kept in deeper for p in kept)
 
 
 # -------------------------------------------------------------- canonical

@@ -244,6 +244,22 @@ def test_aut_missing_file_exit_1(capsys, tmp_path):
     assert code == 1 and err.startswith("error: no graph6 line")
 
 
+def test_aut_empty_graph6_or_file_argument_exit_1(capsys, monkeypatch):
+    """An empty --graph6 or --file is that argument, not a request to read
+    stdin: malformed graph6 and an unreadable path, each exit 1, even with
+    a good graph waiting on stdin."""
+    class FakeStdin:
+        buffer = type("B", (), {"read": staticmethod(lambda: b"D~{\n")})()
+
+    monkeypatch.setattr(sys, "stdin", FakeStdin())
+    code, out, err = run_cli(capsys, "aut", "--graph6", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed graph6") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "aut", "--file", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_iso_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "iso", "--a", str(tmp_path / "missing.g6"), "--b", "x")
     assert code == 1 and err.startswith("error: cannot read") and err.count("\n") == 1

@@ -20,6 +20,7 @@ from metacirc.groups import (
     mul,
     power,
     regular_representation,
+    right_translation,
     rsum,
 )
 from oracles import closure, closure_size, oracle_mul_index, perm_compose, perm_power, regular_generator_perms
@@ -271,15 +272,15 @@ def test_closure_is_a_subgroup():
 
 def test_regular_representation_z5():
     pa, pb, pc = regular_representation(Z5)
-    assert pa == [1, 2, 3, 4, 0]
-    assert pb == list(range(5)) and pc == list(range(5))
+    assert pa == (1, 2, 3, 4, 0)
+    assert pb == tuple(range(5)) and pc == tuple(range(5))
 
 
 def test_regular_representation_matches_independent_construction():
     for spec in TABLE_SPECS:
         got = regular_representation(spec)
         expected = regular_generator_perms(spec.m, spec.n, spec.r, spec.ell)
-        assert got == [list(p) for p in expected]
+        assert got == [tuple(p) for p in expected]
 
 
 def test_regular_representation_satisfies_presentation():
@@ -301,7 +302,7 @@ def test_regular_representation_satisfies_presentation():
 def test_regular_representation_is_fixed_point_free():
     for spec in SMALL_SPECS:
         for p in regular_representation(spec):
-            if p == list(range(spec.order)):
+            if p == tuple(range(spec.order)):
                 continue
             assert all(p[i] != i for i in range(spec.order))
 
@@ -326,6 +327,25 @@ def test_left_translation_matches_mul(spec):
     for s in elements:
         expected = tuple(spec.index(mul(s, x, spec)) for x in elements)
         assert left_translation(spec.index(s), spec) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(63))
+    + [Z5, GroupSpec(7, 3, 2, ell=3), GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 9, 4), GroupSpec(23, 11, 2)]
+    + [GroupSpec(1, 9, 0), GroupSpec(1, 1, 0, ell=7)],
+    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+)
+def test_right_translation_matches_oracle_product(spec):
+    """The block-built right translation by s is x -> x*s, the product the
+    oracle takes by composing the right multiplications by a, b and c, for
+    every element s of groups up to 63 elements and for a, b, c and a
+    spread of other elements of the larger ones."""
+    order = spec.order
+    abc = {spec.index(g) for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())}
+    for s in abc | set(range(0, order, 1 if order <= 63 else order // 8)) | {order - 1}:
+        expected = tuple(oracle_mul_index(x, s, spec.m, spec.n, spec.r, spec.ell) for x in range(order))
+        assert right_translation(s, spec) == expected
 
 
 # ----------------------------------------------------------------- sweeps
