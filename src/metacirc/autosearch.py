@@ -23,9 +23,13 @@ give fixes the shared part of the paths and maps the first path's child at
 the parting node onto the current one, so it maps the subtree already
 searched below that child onto the current subtree.  Every leaf key there
 has been seen, and every automorphism a leaf there would give is the new one
-times one the searched subtree accounts for.  So the least key, and the
-group the generators found generate, are those of the whole tree; only
-fewer generators are found.
+times one the searched subtree accounts for.  So the leaf keys reached, the
+least of them, and the group the generators found generate, are those of
+the whole tree; only fewer generators are found.
+
+Refinement does not look at vertex labels, so an isomorphism maps one
+graph's tree onto the other's, keys included: g2 is isomorphic to g1 iff the
+search of g1 reaches the key of g2's first leaf, where it stops.
 
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
@@ -300,12 +304,14 @@ class _Search:
     back to, if any.  Its methods recurse through ``self``, so a finished
     search holds no reference cycle and is freed as soon as it is dropped."""
 
-    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump")
+    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump", "target")
 
-    def __init__(self, g: Graph, gens: list[tuple[int, ...]]):
+    def __init__(self, g: Graph, gens: list[tuple[int, ...]], target: tuple[int, ...] | None = None):
         self.g = g
         self.gens = gens
         self.gen_set = set(gens)
+        # a leaf with this key ends the search with jump -1, above the root
+        self.target = target
         # (key, order) of the first leaf and of the least key so far
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.best: tuple[tuple[int, ...], list[int]] | None = None
@@ -315,6 +321,9 @@ class _Search:
     def leaf(self, cells: list[list[int]], fixed: list[int]) -> None:
         order = [c[0] for c in cells]
         key = packed_rows(self.g, order)
+        if key == self.target:
+            self.jump = -1
+            return
         if self.first is None:
             self.first = self.best = (key, order)
             self.first_path = fixed
@@ -382,13 +391,35 @@ class _Search:
                 return
 
 
+def _first_leaf(g: Graph) -> tuple[int, ...]:
+    """The key of the first leaf of g's unseeded search, the one below the
+    first vertex of every target cell, reached without recursion."""
+    adj = g.adjacency
+    cells = _refine(adj, _initial_partition(g), None)
+    t = _target_cell(cells)
+    while t >= 0:
+        cells = _refine(adj, *_individualize(cells, t, cells[t][0]))
+        t = _target_cell(cells)
+    return packed_rows(g, [c[0] for c in cells])
+
+
+def _run(g: Graph, gens: list[tuple[int, ...]], target: tuple[int, ...] | None = None) -> _Search:
+    """Search g from the root, pruned there by the automorphisms ``gens``."""
+    search = _Search(g, gens, target)
+    try:
+        search.node(_refine(g.adjacency, _initial_partition(g, gens), None), [], gens[:], len(gens))
+    except RecursionError:
+        # each level of the tree is one frame of node
+        raise BoundExceeded(
+            f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None
+    return search
+
+
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     """Run the search once, returning generators and the canonical labeling."""
     if g.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
-    if g.n == 0:
-        return SearchResult([], [], (), [])
-
     seeds = [tuple(p) for p in seeds]
     if not are_automorphisms(g, seeds):
         raise ValueError("seed is not an automorphism")
@@ -396,15 +427,7 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     gens = list(dict.fromkeys(p for p in seeds if p != identity))
 
     n_seeds = len(gens)
-    adj = g.adjacency
-    search = _Search(g, gens)
-    try:
-        search.node(_refine(adj, _initial_partition(g, gens), None), [], gens[:], n_seeds)
-    except RecursionError:
-        # each level of the tree is one frame of node
-        raise BoundExceeded(
-            f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
-        ) from None
+    search = _run(g, gens)
     key, order = search.best
     return SearchResult(gens, order, key, search.first_path, n_seeds)
 
@@ -423,8 +446,12 @@ def canonical_form(g: Graph, result: SearchResult | None = None) -> bytes:
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Whether the search of g1 reaches the key of g2's first leaf (see the
+    module docstring); equal keys are equal adjacency matrices."""
     if g1.n != g2.n or g1.n_edges != g2.n_edges:
         return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
-    return canonical_form(g1) == canonical_form(g2)
+    if g1.n > MAX_DEGREE:
+        raise BoundExceeded(f"graph too large (n = {g1.n} > {MAX_DEGREE})")
+    return _run(g1, [], _first_leaf(g2)).jump == -1

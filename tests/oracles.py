@@ -306,8 +306,8 @@ def rows_in_order(adjacency, order) -> tuple[int, ...]:
     return tuple(sum(1 << (n - 1 - pos[u]) for u in adjacency[v]) for v in order)
 
 
-def least_leaf_key(adjacency) -> tuple[int, ...]:
-    """The least ``rows_in_order`` key over every leaf of the whole
+def leaf_keys(adjacency) -> set[tuple[int, ...]]:
+    """The ``rows_in_order`` keys of every leaf of the whole
     individualization-refinement tree, no branch pruned or skipped.
 
     The root is ``signature_cells`` refined by every cell; a node
@@ -317,20 +317,24 @@ def least_leaf_key(adjacency) -> tuple[int, ...]:
     Exponential: for graphs of a few vertices only.
     """
     adj_bits = vertex_masks(adjacency)
-    best = None
+    keys = set()
     stack = [bitmask_refine(adj_bits, signature_cells(adjacency), None)]
     while stack:
         cells = stack.pop()
         sizes = [len(c) for c in cells if len(c) > 1]
         if not sizes:
-            key = rows_in_order(adjacency, [c[0] for c in cells])
-            best = key if best is None else min(best, key)
+            keys.add(rows_in_order(adjacency, [c[0] for c in cells]))
             continue
         t = next(i for i, c in enumerate(cells) if len(c) == min(sizes))
         for v in cells[t]:
             child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
             stack.append(bitmask_refine(adj_bits, child, [1 << v]))
-    return best
+    return keys
+
+
+def least_leaf_key(adjacency) -> tuple[int, ...]:
+    """The least key of ``leaf_keys``."""
+    return min(leaf_keys(adjacency))
 
 
 def inverse_closed_four_subsets(m: int, n: int, r: int, ell: int = 1) -> list[tuple[int, ...]]:

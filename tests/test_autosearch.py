@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import gc
 import inspect
+import json
 import math
 import random
 import sys
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from metacirc import autosearch
 from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
+    _first_leaf,
     _individualize,
     _initial_partition,
     _refine,
@@ -40,6 +44,7 @@ from oracles import (
     brute_force_graph_automorphisms,
     brute_force_isomorphic,
     edge_orbit_count,
+    leaf_keys,
     least_leaf_key,
     orbit_count,
     point_orbits,
@@ -61,6 +66,21 @@ PETERSEN = graph_from_edges(
 )
 
 
+def z4_squared_graph(steps):
+    """The Cayley graph of Z4 x Z4 whose connection set is ``steps`` and
+    their negatives; (a, b) is vertex 4a + b."""
+    edges = {
+        tuple(sorted((4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)))
+        for a in range(4) for b in range(4) for x, y in steps
+    }
+    return graph_from_edges(16, sorted(edges))
+
+
+# strongly regular graphs with the same parameters (16, 6, 2, 2), not isomorphic
+SHRIKHANDE = z4_squared_graph([(0, 1), (1, 0), (1, 1)])
+ROOK_4X4 = z4_squared_graph([(0, 1), (0, 2), (1, 0), (2, 0)])
+
+
 def cycle_graph(n):
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -75,6 +95,17 @@ def random_relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def random_regular_graph(n, d, rng):
+    """A simple d-regular graph on n vertices: d points per vertex, paired
+    at random until no pair is a loop or a double edge."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(e)) for e in zip(points[::2], points[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return graph_from_edges(n, sorted(edges))
 
 
 def refine_fixture(n, kind, rng):
@@ -207,10 +238,10 @@ def test_search_result_unchanged_without_rest_splitter(n, kind, rnd):
 def recorded_search(g, seeds=()):
     """Run ``analyze(g, seeds)`` and record every ``_refine`` call as
     (cells, splitters, result), and every pruning test of ``_Search.node``
-    as (path, processed, done, generators): the node's path, the vertices
-    of its target cell processed so far, its set ``done`` and the
-    generators found so far.  Returns the refine calls and the pruning
-    tests.
+    as (path, processed, done, generators, kept): the node's path, the
+    vertices of its target cell processed so far, its set ``done``, the
+    generators found so far and those the node keeps.  Returns the refine
+    calls and the pruning tests.
 
     The pruning test is the line ``if v in done:``; a tracer reads the
     node's locals there.  A vertex its test let through has been processed
@@ -237,7 +268,9 @@ def recorded_search(g, seeds=()):
                 local = frame.f_locals
                 v, done = local["v"], local["done"]
                 gens = local["self"].gens
-                prunes.append((list(local["fixed"]), list(processed), set(done), gens[:]))
+                prunes.append(
+                    (list(local["fixed"]), list(processed), set(done), gens[:], list(local["kept"]))
+                )
                 if v not in done:
                     processed.append(v)
             return at_line
@@ -339,13 +372,33 @@ def test_pruning_orbits_match_fresh_orbits():
     searches += [(g, prunes) for spec in CENSUS_REF_EXITS for g, _, prunes in census_ref_searches(spec)]
     tests = grown = 0
     for g, prunes in searches:
-        for path, processed, done, gens in prunes:
+        for path, processed, done, gens, _ in prunes:
             stabilizer = [p for p in gens if all(p[x] == x for x in path)]
             expected = {x for o in point_orbits(stabilizer, g.n) if set(o) & set(processed) for x in o}
             assert done == expected
             tests += 1
             grown += len(done) > len(processed)
     assert tests > 1000 and grown > 500
+
+
+def test_kept_generators_fix_the_node_path():
+    """A node keeps a generator found below it only if it fixes the node's
+    path.  On the disjoint union of the Shrikhande and 4 x 4 rook's
+    graphs, automorphisms found against the least leaf, not the first,
+    reach nodes whose path they move under some of 30 relabelings, and the
+    filter drops them there."""
+    union = graph_from_edges(
+        32, SHRIKHANDE.edges() + [(u + 16, v + 16) for u, v in ROOK_4X4.edges()]
+    )
+    dropped = 0
+    for seed in range(30):
+        _, prunes = recorded_search(random_relabel(union, random.Random(seed)))
+        gens_at_first_test = {}
+        for path, _, _, gens, kept in prunes:
+            assert all(p[x] == x for p in kept for x in path)
+            since = gens_at_first_test.setdefault(tuple(path), len(gens))
+            dropped += sum(any(p[x] != x for x in path) for p in gens[since:])
+    assert dropped > 0
 
 
 def recorded_leaves(g):
@@ -409,6 +462,33 @@ def test_search_jumps_back_to_the_first_path(n, kind, rnd):
     result, leaves = recorded_leaves(g)
     jumps_skip_their_subtrees(leaves)
     assert are_automorphisms(g, result.generators)
+
+
+def reaches_every_leaf_key(g) -> bool:
+    """Check that the search reaches a leaf of every key of the unpruned
+    tree, and that ``_first_leaf`` is its first leaf's key.  Returns
+    whether the tree has more than one key."""
+    _, leaves = recorded_leaves(g)
+    keys = leaf_keys([list(r) for r in g.adjacency])
+    assert {key for _, key in leaves} == keys
+    assert _first_leaf(g) == leaves[0][1]
+    return len(keys) > 1
+
+
+@given(n=st.integers(0, 8), p=st.floats(0.1, 0.9), rnd=st.random_module())
+@settings(max_examples=100, deadline=None)
+def test_search_reaches_every_leaf_key(n, p, rnd):
+    reaches_every_leaf_key(random_graph(n, p, random.Random(rnd.seed)))
+
+
+def test_search_reaches_every_leaf_key_of_regular_graphs():
+    """The same on 440 graphs, 3- and 4-regular of 8 to 14 vertices, whose
+    root cell is often the whole graph; 115 of their trees have several
+    keys."""
+    rng = random.Random(2514)
+    sizes = [(n, d) for d in (3, 4) for n in range(8, 15) if n * d % 2 == 0]
+    several = sum(reaches_every_leaf_key(random_regular_graph(n, d, rng)) for n, d in sizes * 40)
+    assert several == 115
 
 
 def test_search_leaves_no_reference_cycle():
@@ -653,6 +733,7 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
         [list(r) for r in g1.adjacency], [list(r) for r in g2.adjacency]
     )
     assert are_isomorphic(g1, g2) == expected
+    assert expected == (_first_leaf(g2) in leaf_keys([list(r) for r in g1.adjacency]))
     relabeled = random_relabel(g1, rng)
     assert are_isomorphic(g1, relabeled)
     for g in (g1, g2, relabeled):
@@ -660,6 +741,74 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
         result = analyze(g)
         assert result.canonical_key == least_leaf_key(rows)
         assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
+
+
+def test_are_isomorphic_on_strongly_regular_graphs():
+    """The Shrikhande and 4 x 4 rook's graphs share n, degrees and
+    strongly regular parameters; each is isomorphic only to itself."""
+    assert sorted(SHRIKHANDE.degrees()) == sorted(ROOK_4X4.degrees()) == [6] * 16
+    assert SHRIKHANDE.n_edges == ROOK_4X4.n_edges == 48
+    assert canonical_form(SHRIKHANDE) != canonical_form(ROOK_4X4)
+    assert not are_isomorphic(SHRIKHANDE, ROOK_4X4)
+    assert not are_isomorphic(ROOK_4X4, SHRIKHANDE)
+    rng = random.Random(16)
+    for g in (SHRIKHANDE, ROOK_4X4):
+        for _ in range(5):
+            assert are_isomorphic(g, random_relabel(g, rng))
+            assert are_isomorphic(random_relabel(g, rng), g)
+
+
+CENSUS_231 = Path(__file__).parent / "data" / "census_231.jsonl"
+
+
+def census_231_classes():
+    """(graph, canonical form) of every class of the frozen census."""
+    out = []
+    for line in CENSUS_231.read_text().splitlines():
+        report = json.loads(line)
+        spec = GroupSpec(*(report["group"][k] for k in ("m", "n", "r", "ell")))
+        for cls in report["classes"]:
+            g = build_cayley([Element(*x) for x in cls["set"]], spec)
+            out.append((g, cls["canonical"]))
+    return out
+
+
+def test_are_isomorphic_on_census_classes(monkeypatch):
+    """Each relabeled class of the frozen census against each relabeled
+    class of its order, itself included: the verdict is the comparison of
+    the frozen canonical forms.  ``packed_rows`` runs once per leaf, so it
+    counts the work: two leaves when the classes are the same (g2's first
+    and the first of g1), and otherwise g2's first and every leaf of g1's
+    whole search."""
+    leaves = 0
+    packed_rows = autosearch.packed_rows
+
+    def counted(g, order=None):
+        nonlocal leaves
+        leaves += 1
+        return packed_rows(g, order)
+
+    monkeypatch.setattr(autosearch, "packed_rows", counted)
+    rng = random.Random(231)
+    classes = census_231_classes()
+    assert len(classes) == 54
+    pairs = same = 0
+    for (g1, c1), (g2, c2) in combinations_with_replacement(classes, 2):
+        if g1.n != g2.n:
+            continue
+        g1, g2 = random_relabel(g1, rng), random_relabel(g2, rng)
+        leaves = 0
+        assert are_isomorphic(g1, g2) == (c1 == c2)
+        if c1 == c2:
+            assert leaves == 2
+            same += 1
+        else:
+            reached = leaves
+            leaves = 0
+            analyze(g1)
+            assert reached == 1 + leaves
+        pairs += 1
+    assert (pairs, same) == (54 + 57, 54)
 
 
 # ----------------------------------------------- cross-module: orbit counts

@@ -228,6 +228,16 @@ def test_iso(capsys, tmp_path):
     assert code == 0 and out.strip() == "not isomorphic"
 
 
+def test_iso_on_zero_and_one_vertex_graphs(capsys, tmp_path):
+    empty, single = tmp_path / "0.g6", tmp_path / "1.g6"
+    empty.write_bytes(b"?\n")
+    single.write_bytes(b"@\n")
+    for a, b, verdict in [(empty, empty, "isomorphic"), (single, single, "isomorphic"),
+                          (empty, single, "not isomorphic")]:
+        code, out, err = run_cli(capsys, "iso", "--a", str(a), "--b", str(b))
+        assert (code, out, err) == (0, verdict + "\n", "")
+
+
 def test_aut_malformed_graph6_exit_1(capsys):
     for bad in ("zzz", "~", "~~??", "\x7f"):
         code, out, err = run_cli(capsys, "aut", "--graph6", bad)
