@@ -29,7 +29,8 @@ the whole tree; only fewer generators are found.
 
 Refinement does not look at vertex labels, so an isomorphism maps one
 graph's tree onto the other's, keys included: g2 is isomorphic to g1 iff the
-search of g1 reaches the key of g2's first leaf, where it stops.
+search of g1 reaches the first key that the search of g2 yields, and the
+search of g1 stops there (see ``_Search.leaves``).
 
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
@@ -52,12 +53,11 @@ of vertex 0 for the same base.
 
 from __future__ import annotations
 
-import sys
 from collections import _count_elements, deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_rows
@@ -301,33 +301,48 @@ def _target_cell(cells: list[list[int]]) -> int:
 class _Search:
     """One run of the search: the generators found so far, the first and
     best leaves, the first leaf's path, and the depth the search is jumping
-    back to, if any.  Its methods recurse through ``self``, so a finished
-    search holds no reference cycle and is freed as soon as it is dropped."""
+    back to, if any.  Nothing it holds refers back to it, so a search, even
+    one left before its last leaf, is freed as soon as it is dropped."""
 
-    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump", "target")
+    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump")
 
-    def __init__(self, g: Graph, gens: list[tuple[int, ...]], target: tuple[int, ...] | None = None):
+    def __init__(self, g: Graph, gens: list[tuple[int, ...]]):
         self.g = g
         self.gens = gens
         self.gen_set = set(gens)
-        # a leaf with this key ends the search with jump -1, above the root
-        self.target = target
         # (key, order) of the first leaf and of the least key so far
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.best: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
         self.jump: int | None = None
 
-    def leaf(self, cells: list[list[int]], fixed: list[int]) -> None:
+    def leaves(self) -> Iterator[tuple[int, ...]]:
+        """Search g, pruned at the root by ``gens``, and yield the key of
+        each leaf in search order, once ``leaf`` has taken it in.  The
+        search is one loop over a stack of ``node`` generators, one for each
+        node of the current path: each step resumes the deepest for its next
+        child, a discrete child is a leaf, and an exhausted node is popped.
+        So the tree may be as deep as g has vertices, whatever Python's
+        recursion limit."""
+        g, gens = self.g, self.gens
+        root = _refine(g.adjacency, _initial_partition(g, gens), None)
+        stack = [iter([(root, [], gens[:], len(gens))])]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif len(child[0]) == g.n:
+                yield self.leaf(child[0], child[1])
+            else:
+                stack.append(self.node(*child))
+
+    def leaf(self, cells: list[list[int]], fixed: list[int]) -> tuple[int, ...]:
         order = [c[0] for c in cells]
         key = packed_rows(self.g, order)
-        if key == self.target:
-            self.jump = -1
-            return
         if self.first is None:
             self.first = self.best = (key, order)
             self.first_path = fixed
-            return
+            return key
         for ref in (self.first, self.best):
             if ref[0] == key and ref[1] != order:
                 p = [0] * self.g.n
@@ -346,24 +361,23 @@ class _Search:
                 break
         if key < self.best[0]:
             self.best = (key, order)
+        return key
 
     def node(
         self, cells: list[list[int]], fixed: list[int], kept: list[tuple[int, ...]], fed: int
-    ) -> None:
-        """Search below the equitable partition ``cells``, reached by
-        individualizing ``fixed``.  ``kept`` holds the generators among the
-        first ``fed`` found that fix ``fixed`` pointwise; the later ones are
-        looked at before each branch.  A branch is equivalent to a processed
-        one iff its vertex lies in the orbit of a processed vertex under
-        those generators, that is, in ``done``.  They fix every cell, so done
-        stays in the target cell; once it is all of the cell the node is
-        finished, and a node that takes one branch builds none of it.  While
-        a jump is pending, every node deeper than its depth returns as soon
-        as its child does."""
+    ) -> Iterator[tuple]:
+        """Yield each child of the equitable, non-discrete partition
+        ``cells``, reached by individualizing ``fixed``, as its ``node``
+        arguments; ``leaves`` searches its subtree before resuming here.
+        ``kept`` holds the generators among the first ``fed`` found that fix
+        ``fixed`` pointwise; the later ones are looked at before each
+        branch.  A branch is equivalent to a processed one iff its vertex
+        lies in the orbit of a processed vertex under those generators, that
+        is, in ``done``.  They fix every cell, so done stays in the target
+        cell; once it is all of the cell the node is finished, and a node
+        that takes one branch builds none of it.  While a jump is pending,
+        every node deeper than its depth stops once its child is searched."""
         t = _target_cell(cells)
-        if t < 0:
-            self.leaf(cells, fixed)
-            return
         gens = self.gens
         cell = cells[t]
         done: set[int] = set()
@@ -381,7 +395,7 @@ class _Search:
                 continue
             child, splitters = _individualize(cells, t, v)
             refined = _refine(self.g.adjacency, child, splitters)
-            self.node(refined, fixed + [v], [p for p in kept if p[v] == v], fed)
+            yield refined, fixed + [v], [p for p in kept if p[v] == v], fed
             if self.jump is not None:
                 if self.jump < len(fixed):
                     return
@@ -389,31 +403,6 @@ class _Search:
             if len(orbit(v, kept, getitem, done)) == len(cell):
                 # every other branch is equivalent to a processed one
                 return
-
-
-def _first_leaf(g: Graph) -> tuple[int, ...]:
-    """The key of the first leaf of g's unseeded search, the one below the
-    first vertex of every target cell, reached without recursion."""
-    adj = g.adjacency
-    cells = _refine(adj, _initial_partition(g), None)
-    t = _target_cell(cells)
-    while t >= 0:
-        cells = _refine(adj, *_individualize(cells, t, cells[t][0]))
-        t = _target_cell(cells)
-    return packed_rows(g, [c[0] for c in cells])
-
-
-def _run(g: Graph, gens: list[tuple[int, ...]], target: tuple[int, ...] | None = None) -> _Search:
-    """Search g from the root, pruned there by the automorphisms ``gens``."""
-    search = _Search(g, gens, target)
-    try:
-        search.node(_refine(g.adjacency, _initial_partition(g, gens), None), [], gens[:], len(gens))
-    except RecursionError:
-        # each level of the tree is one frame of node
-        raise BoundExceeded(
-            f"search tree deeper than the recursion limit ({sys.getrecursionlimit()})"
-        ) from None
-    return search
 
 
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
@@ -425,9 +414,10 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
         raise ValueError("seed is not an automorphism")
     identity = tuple(range(g.n))
     gens = list(dict.fromkeys(p for p in seeds if p != identity))
-
     n_seeds = len(gens)
-    search = _run(g, gens)
+    search = _Search(g, gens)
+    for _ in search.leaves():
+        pass
     key, order = search.best
     return SearchResult(gens, order, key, search.first_path, n_seeds)
 
@@ -454,4 +444,4 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if g1.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g1.n} > {MAX_DEGREE})")
-    return _run(g1, [], _first_leaf(g2)).jump == -1
+    return next(_Search(g2, []).leaves()) in _Search(g1, []).leaves()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from metacirc import autosearch
 from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
-    _first_leaf,
     _individualize,
     _initial_partition,
     _refine,
@@ -258,10 +258,13 @@ def recorded_search(g, seeds=()):
         refines.append((*given, result))
         return result
 
+    # each resume of a node's generator is a new call event of its frame
+    processed_at = {}
+
     def tracer(frame, event, arg):
         if frame.f_code is not code:
             return None
-        processed = []
+        processed = processed_at.setdefault(frame, [])
 
         def at_line(frame, event, arg):
             if event == "line" and frame.f_lineno == prune_line:
@@ -466,12 +469,10 @@ def test_search_jumps_back_to_the_first_path(n, kind, rnd):
 
 def reaches_every_leaf_key(g) -> bool:
     """Check that the search reaches a leaf of every key of the unpruned
-    tree, and that ``_first_leaf`` is its first leaf's key.  Returns
-    whether the tree has more than one key."""
+    tree.  Returns whether the tree has more than one key."""
     _, leaves = recorded_leaves(g)
     keys = leaf_keys([list(r) for r in g.adjacency])
     assert {key for _, key in leaves} == keys
-    assert _first_leaf(g) == leaves[0][1]
     return len(keys) > 1
 
 
@@ -492,13 +493,15 @@ def test_search_reaches_every_leaf_key_of_regular_graphs():
 
 
 def test_search_leaves_no_reference_cycle():
-    """A finished search leaves nothing for the cyclic garbage collector:
-    its state is freed as soon as it is dropped."""
+    """A search leaves nothing for the cyclic garbage collector: its state
+    is freed as soon as it is dropped, whether finished or, as ``iso``
+    leaves both of its searches, suspended at a leaf."""
     spec = GroupSpec(11, 5, 3, ell=3)
-    g = build_cayley(standard_connection_set(1, spec), spec)
+    g, other = (build_cayley(c.connection_set, spec) for c in classify_spec(spec).classes[:2])
     regular = regular_representation(spec)
     rep = orbit_representatives(spec)[0][0]
     split = build_cayley([spec.at_index(x) for x in rep], spec)
+    relabeled = random_relabel(g, random.Random(165))
     gc.collect()
     gc.disable()
     try:
@@ -506,6 +509,8 @@ def test_search_leaves_no_reference_cycle():
             analyze(g)
         analyze(g, seeds=regular)
         analyze(split, seeds=regular)
+        assert are_isomorphic(g, relabeled)
+        assert not are_isomorphic(g, other)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -548,6 +553,25 @@ def test_symmetric_graphs_prune_in_few_orbit_images(monkeypatch, n, matching):
     order = 2 ** (n // 2) * math.factorial(n // 2) if matching else math.factorial(n)
     assert PermGroup(n, result.generators, result.base).order == order
     assert 0 < images <= n * (n + 1) * (2 * n + 1) // 6
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """Each level of the search of the empty 150-vertex graph individualizes
+    one more vertex, 149 levels in all, and the search runs to the end with
+    only 40 frames of stack to spare."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    g = graph_from_edges(150, [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        result = analyze(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert PermGroup(g.n, result.generators, result.base).order == math.factorial(150)
 
 
 def test_known_orders():
@@ -733,7 +757,8 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
         [list(r) for r in g1.adjacency], [list(r) for r in g2.adjacency]
     )
     assert are_isomorphic(g1, g2) == expected
-    assert expected == (_first_leaf(g2) in leaf_keys([list(r) for r in g1.adjacency]))
+    first = next(autosearch._Search(g2, []).leaves())
+    assert expected == (first in leaf_keys([list(r) for r in g1.adjacency]))
     relabeled = random_relabel(g1, rng)
     assert are_isomorphic(g1, relabeled)
     for g in (g1, g2, relabeled):
@@ -829,3 +854,62 @@ def test_exceptional_21_vertex_graph():
     assert aut.order == 336
     assert edge_orbit_count(g.adjacency, aut.generators) == 1
     assert orbit_count(s_arcs(g.adjacency, 1), aut.generators) == 1
+
+
+# --------------------------------------------------------- frozen searches
+
+SEARCH_RESULTS = Path(__file__).parent / "data" / "search_results.json"
+
+# iter_specs(231) includes (9, 9, 4); the other two have a central factor
+CORPUS_SPECS = [*iter_specs(231), GroupSpec(11, 5, 3, ell=3), GroupSpec(25, 5, 6, ell=3)]
+
+
+def search_corpus():
+    """(name, graph, seeds) of every search in ``data/search_results.json``:
+    random and random 3- or 4-regular graphs of at most 30 vertices, the
+    empty, complete and cycle graphs of up to 60, and the Cayley graph of
+    every generating orbit of ``CORPUS_SPECS``, seeded with the translations
+    as the census is, and relabeled at random unseeded."""
+    rng = random.Random(0)
+    for i in range(300):
+        n = rng.randint(0, 30)
+        yield f"random-{i}", random_graph(n, rng.uniform(0.05, 0.95), rng), ()
+    for i in range(200):
+        n, d = rng.choice([(n, d) for d in (3, 4) for n in range(6, 31) if n * d % 2 == 0])
+        yield f"regular-{i}", random_regular_graph(n, d, rng), ()
+    for n in range(61):
+        yield f"empty-{n}", graph_from_edges(n, []), ()
+        yield f"complete-{n}", graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)]), ()
+        if n >= 3:
+            yield f"cycle-{n}", cycle_graph(n), ()
+    for spec in CORPUS_SPECS:
+        regular = regular_representation(spec)
+        for rep, _ in orbit_representatives(spec):
+            name = f"{spec.m}-{spec.n}-{spec.r}-{spec.ell}:{'.'.join(map(str, rep))}"
+            g = build_cayley([spec.at_index(x) for x in rep], spec)
+            yield f"{name}:seeded", g, regular
+            yield f"{name}:relabeled", random_relabel(g, rng), ()
+
+
+def search_digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+def test_searches_match_frozen_results():
+    """Every search of the corpus returns the frozen ``SearchResult``: the
+    same generators in the same order, canonical order and key, base and
+    seed count, compared by the SHA-256 of its repr.  The digests were
+    frozen from the recursive search, before it became one loop over node
+    generators; refreeze them (``PYTHONPATH=src python
+    tests/test_autosearch.py``) only for a change meant to alter a search."""
+    frozen = json.loads(SEARCH_RESULTS.read_text())
+    corpus = list(search_corpus())
+    assert [name for name, _, _ in corpus] == list(frozen)
+    assert len(frozen) > 1000
+    for name, g, seeds in corpus:
+        assert search_digest(analyze(g, seeds)) == frozen[name], name
+
+
+if __name__ == "__main__":
+    digests = {name: search_digest(analyze(g, seeds)) for name, g, seeds in search_corpus()}
+    SEARCH_RESULTS.write_text(json.dumps(digests, indent=0) + "\n")
