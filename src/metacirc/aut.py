@@ -20,13 +20,14 @@ from this shape there.
 Outside the Sylow-cyclic case <a> need not be characteristic and this shape
 misses automorphisms, so the candidates are the elements of the right
 orders.  Either way a candidate triple is kept only when it satisfies the
-defining relations and generates G (:func:`_completions`).
+defining relation b'^-1 a' b' = a'^r and generates G, which the exponent
+arithmetic of :func:`groups.generates` decides (:func:`_completions`).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from metacirc import permgroup
 from metacirc.errors import BoundExceeded
@@ -36,6 +37,7 @@ from metacirc.groups import (
     GroupSpec,
     element_order,
     euler_phi,
+    generates,
     inv,
     mul,
     power,
@@ -96,44 +98,23 @@ def _image_candidates(spec: GroupSpec) -> tuple[list[Element], list[Element], li
 
 
 def _completions(
-    img_a: Element,
-    b_images: Iterable[Element],
-    c_images: Iterable[Element],
-    c_powers: Mapping[Element, list[Element]],
-    spec: GroupSpec,
+    img_a: Element, b_images: Iterable[Element], c_images: Iterable[Element], spec: GroupSpec
 ) -> Iterator[Triple]:
     """The automorphisms a -> img_a with b and c sent among the given
     candidates, in candidate order.
 
     Images (a', b', c') of orders m, n and ell, with c' central, that satisfy
-    b'^-1 a' b' = a'^r give an endomorphism whose image is <a'><b'><c'>, with
-    <a'> normal; it is all of G iff |<b'><c'>| = n * ell and <a'> meets
-    <b'><c'> trivially (:func:`_complements`).
+    b'^-1 a' b' = a'^r give an endomorphism of G onto <a', b', c'>; it is an
+    automorphism iff they generate G, which :func:`groups.generates` decides
+    from their exponents.
     """
     target = power(img_a, spec.r, spec)
-    a_powers = set(_power_table(img_a, spec.m, spec)[1:])
     for img_b in b_images:
         if mul(mul(inv(img_b, spec), img_a, spec), img_b, spec) != target:
             continue
-        b_powers = _power_table(img_b, spec.n, spec)
         for img_c in c_images:
-            if _complements(a_powers, b_powers, c_powers[img_c], spec):
+            if generates((img_a, img_b, img_c), spec):
                 yield img_a, img_b, img_c
-
-
-def _complements(
-    a_powers: set[Element], b_powers: list[Element], c_powers: list[Element], spec: GroupSpec
-) -> bool:
-    """Whether the products of b_powers and c_powers are n * ell distinct
-    elements, none of them in a_powers (the non-identity elements of <a'>)."""
-    seen: set[Element] = set()
-    for x in b_powers:
-        for y in c_powers:
-            z = mul(x, y, spec)
-            if z in seen or z in a_powers:
-                return False
-            seen.add(z)
-    return True
 
 
 def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
@@ -157,24 +138,23 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     of Computational Group Theory*, 2005, 4.4).  The bottom level acts regularly, so
     |Aut(G)| is the product of the three orbit lengths, with no sifting.
 
-    Every group takes the same levels and the same completion rule; only
-    the candidates differ.  Sylow-cyclic specs take them from the
-    (s, t, l, s_c) parametrization (:func:`_parametrized_images`), so no
-    element order is computed.  Other specs take the elements of the right
-    orders (:func:`_image_candidates`), and refuse groups of more than
-    ``SEARCH_BOUND`` elements.
+    Every group takes the same levels and the same completion rule, the
+    relation and the generation test; only the candidates differ.
+    Sylow-cyclic specs take them from the (s, t, l, s_c) parametrization
+    (:func:`_parametrized_images`), so no element order is computed.  Other
+    specs take the elements of the right orders (:func:`_image_candidates`),
+    and refuse groups of more than ``SEARCH_BOUND`` elements.
     """
     a, b, c = spec.generator_a(), spec.generator_b(), spec.generator_c()
     a_cands, b_cands, c_cands = (
         _parametrized_images(spec) if spec.sylow_cyclic else _image_candidates(spec)
     )
-    c_powers = {x: _power_table(x, spec.ell, spec) for x in c_cands}
     # each level: base point, candidate images, and the completions of a
     # candidate by the base points above it
     levels = [
-        (c, c_cands, lambda x: _completions(a, (b,), (x,), c_powers, spec)),
-        (b, b_cands, lambda x: _completions(a, (x,), c_cands, c_powers, spec)),
-        (a, a_cands, lambda x: _completions(x, b_cands, c_cands, c_powers, spec)),
+        (c, c_cands, lambda x: _completions(a, (b,), (x,), spec)),
+        (b, b_cands, lambda x: _completions(a, (x,), c_cands, spec)),
+        (a, a_cands, lambda x: _completions(x, b_cands, c_cands, spec)),
     ]
     gens: list[list[int]] = []
     order = 1

@@ -80,25 +80,32 @@ class SearchResult:
         return self.generators[self.n_seeds:]
 
 
-def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[list[int]]:
+def _initial_partition(
+    g: Graph, seeds: Sequence[Sequence[int]] = ()
+) -> tuple[list[list[int]], list[set[int]] | None]:
     """Cells by (degree, neighbor degrees, distance-2 degrees), an
-    isomorphism-invariant starting colouring.
+    isomorphism-invariant starting colouring, and each vertex's orbit under
+    the automorphisms ``seeds`` (None without seeds).
 
     Automorphisms preserve the signature, so it is computed once per orbit
-    of the automorphisms ``seeds``, at the orbit's least vertex, and given
-    to the whole orbit: a graph whose seeds are transitive, as a Cayley
-    graph's translations are, gets one.
+    of the seeds, at the orbit's least vertex, and given to the whole
+    orbit: a graph whose seeds are transitive, as a Cayley graph's
+    translations are, gets one.
     """
     deg = g.degrees()
     # in a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
     # k the number of distance-2 vertices, so k alone orders them
     regular = min(deg, default=0) == max(deg, default=0)
     root = list(range(g.n))
+    orbits: list[set[int]] | None = None
     if seeds:
+        orbit_at: dict[int, set[int]] = {}
         for v in range(g.n):
             if root[v] == v:
-                for u in orbit(v, seeds, getitem):
+                orbit_at[v] = orbit(v, seeds, getitem)
+                for u in orbit_at[v]:
                     root[u] = v
+        orbits = [orbit_at[v] for v in root]
     adj = g.adjacency
     sig_of = {}
     for v, r in enumerate(root):
@@ -113,7 +120,7 @@ def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[li
                 tuple(sorted(map(deg.__getitem__, two))),
             )
     if len(sig_of) == 1:
-        return [list(range(g.n))]
+        return [list(range(g.n))], orbits
     sigs = [sig_of[r] for r in root]
     order = sorted(range(g.n), key=lambda v: (sigs[v], v))
     cells: list[list[int]] = []
@@ -123,7 +130,7 @@ def _initial_partition(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> list[li
         else:
             cells.append([v])
     # keep each cell in vertex-index order (sorted by construction)
-    return cells
+    return cells, orbits
 
 
 def _refine(
@@ -325,8 +332,9 @@ class _Search:
         So the tree may be as deep as g has vertices, whatever Python's
         recursion limit."""
         g, gens = self.g, self.gens
-        root = _refine(g.adjacency, _initial_partition(g, gens), None)
-        stack = [iter([(root, [], gens[:], len(gens))])]
+        cells, orbits = _initial_partition(g, gens)
+        root = _refine(g.adjacency, cells, None)
+        stack = [iter([(root, [], gens[:], len(gens), orbits)])]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -364,7 +372,12 @@ class _Search:
         return key
 
     def node(
-        self, cells: list[list[int]], fixed: list[int], kept: list[tuple[int, ...]], fed: int
+        self,
+        cells: list[list[int]],
+        fixed: list[int],
+        kept: list[tuple[int, ...]],
+        fed: int,
+        orbits: list[set[int]] | None = None,
     ) -> Iterator[tuple]:
         """Yield each child of the equitable, non-discrete partition
         ``cells``, reached by individualizing ``fixed``, as its ``node``
@@ -375,8 +388,11 @@ class _Search:
         lies in the orbit of a processed vertex under those generators, that
         is, in ``done``.  They fix every cell, so done stays in the target
         cell; once it is all of the cell the node is finished, and a node
-        that takes one branch builds none of it.  While a jump is pending,
-        every node deeper than its depth stops once its child is searched."""
+        that takes one branch builds none of it.  ``orbits``, if given,
+        holds each vertex's orbit under ``kept``, as the root is given the
+        seeds' orbits; it is used until a new generator is kept.  While a
+        jump is pending, every node deeper than its depth stops once its
+        child is searched."""
         t = _target_cell(cells)
         gens = self.gens
         cell = cells[t]
@@ -385,6 +401,8 @@ class _Search:
             if fed < len(gens):
                 new = [p for p in gens[fed:] if all(p[x] == x for x in fixed)]
                 fed = len(gens)
+                if new:
+                    orbits = None
                 kept += new
                 # every image of done under a new generator is in done or
                 # is expanded here, so done ends closed under all of kept
@@ -400,7 +418,11 @@ class _Search:
                 if self.jump < len(fixed):
                     return
                 self.jump = None
-            if len(orbit(v, kept, getitem, done)) == len(cell):
+            if orbits is None:
+                orbit(v, kept, getitem, done)
+            else:
+                done |= orbits[v]
+            if len(done) == len(cell):
                 # every other branch is equivalent to a processed one
                 return
 

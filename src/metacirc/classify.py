@@ -55,6 +55,7 @@ from metacirc.groups import (
     Element,
     GroupSpec,
     euler_phi,
+    generates,
     inv,
     left_translation,
     regular_representation,
@@ -182,7 +183,13 @@ class _PairAction:
     __slots__ = ("pairs", "pair_of", "gens", "base")
 
     def __init__(self, spec: GroupSpec, gens: Sequence[Sequence[int]]):
-        inverse = [spec.index(inv(spec.at_index(x), spec)) for x in range(spec.order)]
+        # a^u b^v c^w has inverse a^(-u r^v) b^-v c^-w: one block of m per (v, w)
+        m, n, ell = spec.m, spec.n, spec.ell
+        inverse: list[int] = []
+        for w in range(ell):
+            for v in range(n):
+                start, rv = m * (-v % n + n * (-w % ell)), spec.rpow(v)
+                inverse.extend([start + -u * rv % m for u in range(m)])
         pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
         pair_of = [-1] * spec.order
         for i, (x, y) in enumerate(pairs):
@@ -260,7 +267,9 @@ def orbit_representatives(
     of their smaller vertex index; a set met for the first time has its
     Aut(G)-orbit taken, and the later members of that orbit are skipped.
     Automorphisms preserve generation, so one generation test decides the
-    whole orbit (orderly generation in the sense of Read, 1978).
+    whole orbit (orderly generation in the sense of Read, 1978); it is
+    arithmetic on the exponents of x and y (``groups.generates``), with no
+    search over G.
 
     Returns [(least member, orbit size)] of the generating orbits, in order
     of their first member.  The least member, the least sorted 4-tuple of
@@ -275,16 +284,9 @@ def orbit_representatives(
     orbits = []
     for members in action.orbits():
         i, j = members[0]
-        if _generates(spec, pairs[i][0], pairs[j][0]):
+        if generates((spec.at_index(pairs[i][0]), spec.at_index(pairs[j][0])), spec):
             orbits.append((tuple(sorted(pairs[i] + pairs[j])), len(members)))
     return orbits
-
-
-def _generates(spec: GroupSpec, x: int, y: int) -> bool:
-    """Whether the elements of vertex indices x and y generate G: the orbit
-    of the identity under left multiplication by x and y is <x, y>."""
-    perms = (left_translation(x, spec), left_translation(y, spec))
-    return -1 not in _distances(perms, spec.order)
 
 
 def _distances(perms: Sequence[Sequence[int]], n: int) -> list[int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Element(NamedTuple):
@@ -238,6 +238,75 @@ def element_order(g: Element, spec: GroupSpec) -> int:
     """
     modulo_a = lcm(spec.n // gcd(g.v, spec.n), spec.ell // gcd(g.w, spec.ell))
     return modulo_a * (spec.m // gcd(power(g, modulo_a, spec).u, spec.m))
+
+
+def generates(elements: Sequence[Element], spec: GroupSpec) -> bool:
+    """Whether the elements generate G, decided from their exponents alone.
+
+    Let A = <a> and H the subgroup the elements generate.  Then H = G iff
+    HA = G and H<a^p> = G for every prime p | m: if HA = G and H != G,
+    then H meets A in <a^d> with d > 1, and for a prime p | d,
+    |H<a^p>| = |G|/p.  Each condition is read off a quotient by the
+    Burnside basis theorem (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005):
+
+    * G/A = Z_n x Z_ell, so HA = G iff the (v, w) span Z_n x Z_ell modulo
+      every prime q | n * ell;
+    * in Q = G/<a^p>, A becomes Z_p, and H<a^p> = G iff H maps onto Q.  If
+      r = 1 (mod p), Q = Z_p x Z_n x Z_ell by a^u b^v c^w -> (u mod p, v, w),
+      so the (u, v if p | n, w if p | ell) must span F_p^d (with d = 3 no
+      pair generates).  Otherwise Q is nonabelian, and H's image, Q or a
+      complement of Z_p (abelian, as G/A is), is Q iff two elements do not
+      commute modulo <a^p>: their commutator's a-exponent is prime to p.
+    """
+    spans, noncommuting = _generation_tests(spec)
+    for q, coords in spans:
+        if not _spans([[x[i] % q for i in coords] for x in elements], q, len(coords)):
+            return False
+    if not noncommuting:
+        return True
+    # [x, y] = (yx)^-1 xy = a^(k r^(x.v + y.v)), k the a-exponent of xy less yx's
+    m, rinv = spec.m, spec.rpow_inv
+    ks = [
+        (x.u * (1 - rinv(y.v)) - y.u * (1 - rinv(x.v))) % m
+        for x, y in itertools.combinations(elements, 2)
+    ]
+    return all(any(k % p for k in ks) for p in noncommuting)
+
+
+@lru_cache(maxsize=64)
+def _generation_tests(
+    spec: GroupSpec,
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """What :func:`generates` checks for ``spec``: the primes q with the
+    exponents (0 for u, 1 for v, 2 for w) whose vectors must span F_q^d,
+    and the primes p | m with r != 1 (mod p), which need a commutator."""
+    spans, noncommuting = [], []
+    orders = (spec.m, spec.n, spec.ell)
+    for q in prime_factors(spec.order):
+        central = spec.m % q == 0 and (spec.r - 1) % q == 0
+        if spec.m % q == 0 and not central:
+            noncommuting.append(q)
+        coords = tuple(i for i, k in enumerate(orders) if k % q == 0 and (i or central))
+        if coords:
+            spans.append((q, coords))
+    return tuple(spans), tuple(noncommuting)
+
+
+def _spans(rows: list[list[int]], q: int, d: int) -> bool:
+    """Whether the rows, vectors of length d over F_q, span F_q^d: Gaussian
+    elimination, one pivot per column."""
+    for col in range(d):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            return False
+        scale = pow(pivot[col], -1, q)
+        rows = [
+            [(x - row[col] * scale * y) % q for x, y in zip(row, pivot)]
+            for row in rows
+            if row is not pivot
+        ]
+    return True
 
 
 def regular_representation(spec: GroupSpec) -> list[tuple[int, ...]]:

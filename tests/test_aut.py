@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -368,7 +371,7 @@ def test_aut_generators_order_is_parametrized_count():
 def test_sylow_cyclic_candidates_always_complete(spec, monkeypatch):
     """The parametrized candidates are images of automorphisms, so each one
     the search tries has a completion that passes the relation and the
-    complement test."""
+    generation test."""
     calls = []  # per call, how many completions the search took
     completions = aut._completions
 
@@ -393,6 +396,36 @@ def test_aut_generators_on_large_non_sylow_cyclic_groups(spec, order):
     gens, got = aut_generators(spec)
     assert got == order
     assert all(sorted(p) == list(range(spec.order)) for p in gens)
+
+
+AUT_GENERATORS = Path(__file__).parent / "data" / "aut_generators.json"
+
+# iter_specs(231) and the generation test's extra specs: ell > 1, abelian,
+# not Sylow-cyclic
+FROZEN_SPECS = list(iter_specs(231)) + [
+    GroupSpec(5, 1, 1, ell=5),
+    GroupSpec(7, 3, 2, ell=9),
+    GroupSpec(9, 3, 4, ell=3),
+    GroupSpec(11, 5, 3, ell=3),
+    GroupSpec(23, 11, 2),
+    GroupSpec(25, 5, 6, ell=3),
+]
+
+
+def aut_digest(spec: GroupSpec) -> str:
+    return hashlib.sha256(repr(aut_generators(spec)).encode()).hexdigest()
+
+
+def test_aut_generators_match_frozen_digests():
+    """``aut_generators`` returns the frozen generators, in order, and the
+    frozen order, compared by the SHA-256 of their repr.  The digests were
+    frozen while completions were still tested by multiplying out
+    <b'><c'>; refreeze them (``PYTHONPATH=src:tests python
+    tests/test_aut.py``) only for a change meant to alter the generators."""
+    frozen = json.loads(AUT_GENERATORS.read_text())
+    assert list(frozen) == [repr(spec) for spec in FROZEN_SPECS]
+    for spec in FROZEN_SPECS:
+        assert aut_digest(spec) == frozen[repr(spec)], spec
 
 
 def test_aut_generators_keeps_the_search_bound():
@@ -420,3 +453,8 @@ def test_permutation_matches_products(spec, monkeypatch):
     assert [p for _, p in built] == gens
     for f, p in built:
         assert p == aut_permutation(f, spec)
+
+
+if __name__ == "__main__":
+    digests = {repr(spec): aut_digest(spec) for spec in FROZEN_SPECS}
+    AUT_GENERATORS.write_text(json.dumps(digests, indent=0) + "\n")

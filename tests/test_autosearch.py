@@ -139,7 +139,7 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     adj_bits = vertex_masks(g.adjacency)
-    cells = _initial_partition(g)
+    cells, _ = _initial_partition(g)
     refined = _refine(g.adjacency, cells, None)
     assert refined == bitmask_refine(adj_bits, cells, None)
     while True:
@@ -179,18 +179,21 @@ def test_initial_partition_matches_signature_reference(n, kind, rnd):
         ), rng)
     else:
         g = refine_fixture(n, kind, rng)
-    assert _initial_partition(g) == signature_cells(g.adjacency)
+    assert _initial_partition(g) == (signature_cells(g.adjacency), None)
 
 
 @pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
 def test_seeded_initial_partition_on_census_graphs(spec):
     """With the regular translations as seeds, one signature per Cayley
-    graph gives the partition of a signature per vertex."""
+    graph gives the partition of a signature per vertex, and every vertex's
+    seed orbit is the whole group."""
     regular = regular_representation(spec)
     orbits = orbit_representatives(spec, bound=spec.order)
     for rep, _ in orbits:
         g = build_cayley([spec.at_index(x) for x in rep], spec)
-        assert _initial_partition(g, regular) == _initial_partition(g)
+        cells, seed_orbits = _initial_partition(g, regular)
+        assert (cells, None) == _initial_partition(g)
+        assert all(o == set(range(g.n)) for o in seed_orbits)
 
 
 @given(
@@ -201,12 +204,20 @@ def test_seeded_initial_partition_on_census_graphs(spec):
 @settings(max_examples=60, deadline=None)
 def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
     """The same when the seeds have several orbits: any subset of the
-    automorphisms an unseeded search finds."""
+    automorphisms an unseeded search finds.  Each vertex's seed orbit is
+    the reference's."""
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     gens = analyze(g).generators
     seeds = rng.sample(gens, rng.randint(0, len(gens)))
-    assert _initial_partition(g, seeds) == _initial_partition(g)
+    cells, seed_orbits = _initial_partition(g, seeds)
+    assert (cells, None) == _initial_partition(g)
+    if seeds:
+        assert [sorted(seed_orbits[v]) for v in range(g.n)] == [
+            o for v in range(g.n) for o in point_orbits(seeds, g.n) if v in o
+        ]
+    else:
+        assert seed_orbits is None
 
 
 def two_splitter_individualize(cells, target_idx, v):
@@ -382,6 +393,25 @@ def test_pruning_orbits_match_fresh_orbits():
             tests += 1
             grown += len(done) > len(processed)
     assert tests > 1000 and grown > 500
+
+
+def test_pruning_orbits_with_intransitive_seeds():
+    """The same when the seeds move one component of a graph only: the
+    root takes the seeds' orbits from the initial partition until the
+    search finds generators of its own, which move the other component,
+    and from then on grows ``done`` under all of them."""
+    union = graph_from_edges(
+        32, SHRIKHANDE.edges() + [(u + 16, v + 16) for u, v in ROOK_4X4.edges()]
+    )
+    seeds = [p + tuple(range(16, 32)) for p in analyze(SHRIKHANDE).generators]
+    _, prunes = recorded_search(union, seeds)
+    for path, processed, done, gens, _ in prunes:
+        stabilizer = [p for p in gens if all(p[x] == x for x in path)]
+        expected = {x for o in point_orbits(stabilizer, union.n) if set(o) & set(processed) for x in o}
+        assert done == expected
+    # the root branches on 0, skips the rest of its seed orbit, branches on
+    # 16 and returns, done grown over the second component
+    assert [processed for path, processed, *_ in prunes if not path] == [[]] + [[0]] * 16
 
 
 def test_kept_generators_fix_the_node_path():
@@ -651,9 +681,9 @@ def test_seeds_prune_the_root_only(monkeypatch):
     calls = []
     node = autosearch._Search.node
 
-    def recording_node(self, cells, fixed, kept, fed):
+    def recording_node(self, cells, fixed, kept, fed, *orbits):
         calls.append((list(fixed), list(kept)))
-        return node(self, cells, fixed, kept, fed)
+        return node(self, cells, fixed, kept, fed, *orbits)
 
     monkeypatch.setattr(autosearch._Search, "node", recording_node)
     for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
@@ -666,6 +696,27 @@ def test_seeds_prune_the_root_only(monkeypatch):
         assert root_path == [] and set(root_kept) == seeds
         assert [path for path, _ in deeper if len(path) == 1] == [[0]]
         assert deeper and not any(p in seeds for _, kept in deeper for p in kept)
+
+
+def test_seeded_search_takes_the_seed_orbits_once(monkeypatch):
+    """The root reuses the seeds' orbits that the initial partition found:
+    a seeded Cayley graph search takes the orbit of a vertex under the
+    translations once, not again after the root's one branch."""
+    calls = []
+    orbit = autosearch.orbit
+
+    def recording_orbit(start, gens, image, seen=None):
+        calls.append(set(gens))
+        return orbit(start, gens, image, seen)
+
+    monkeypatch.setattr(autosearch, "orbit", recording_orbit)
+    for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
+        regular = [tuple(p) for p in regular_representation(spec)]
+        seeds = {p for p in regular if p != tuple(range(spec.order))}
+        g = build_cayley(standard_connection_set(1, spec), spec)
+        calls.clear()
+        result = analyze(g, seeds=regular)
+        assert result.found and calls.count(seeds) == 1
 
 
 # -------------------------------------------------------------- canonical

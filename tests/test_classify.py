@@ -10,6 +10,7 @@ import pytest
 
 from metacirc import classify
 from metacirc.classify import (
+    _PairAction,
     _aut_generators,
     _pair_action,
     _standard_keys,
@@ -27,6 +28,8 @@ from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
 from metacirc.groups import Element, GroupSpec, euler_phi, inv, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, orbits_at_zero
+from oracles import _inverses as inverses
+from oracles import _right_multiplications as right_multiplications
 from oracles import (
     aut_permutations,
     aut_stabilizer,
@@ -261,6 +264,19 @@ def test_set_stabilizer_order_matches_reference():
         assert report.classes
         for c in report.classes:
             assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, aut_triples(spec)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(231))
+    + [GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 9, 4, ell=3), GroupSpec(7, 3, 2, ell=9), GroupSpec(5, 1, 1, ell=5)],
+    ids=spec_id,
+)
+def test_pair_action_pairs_match_reference_inverses(spec):
+    """The inverse pairs, from an inverse table built block by block, are
+    (x, x^-1) for each x < x^-1 of the oracle's inverses, in order of x."""
+    inverse = inverses(right_multiplications(spec.m, spec.n, spec.r, spec.ell))
+    assert _PairAction(spec, []).pairs == [(x, y) for x, y in enumerate(inverse) if x < y]
 
 
 @pytest.mark.parametrize(

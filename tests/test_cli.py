@@ -382,7 +382,7 @@ def test_classify_above_brute_force_bound_exit_2(capsys, monkeypatch):
     def walked(*args):
         raise AssertionError("a candidate set was walked")
 
-    monkeypatch.setattr(classify, "_generates", walked)
+    monkeypatch.setattr(classify, "generates", walked)
     code, out, err = run_cli(capsys, "classify", "--m", "3", "--n", "3", "--r", "1",
                              "--ell", "465", "--bound", "5000")
     assert code == 2 and out == ""

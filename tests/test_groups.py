@@ -14,6 +14,7 @@ from metacirc.groups import (
     canonical_r,
     element_order,
     euler_phi,
+    generates,
     inv,
     iter_specs,
     left_translation,
@@ -23,6 +24,8 @@ from metacirc.groups import (
     right_translation,
     rsum,
 )
+from oracles import _generates as search_generates
+from oracles import _right_multiplications as right_multiplications
 from oracles import closure, closure_size, oracle_mul_index, perm_compose, perm_power, regular_generator_perms
 
 F21 = GroupSpec(7, 3, 2)
@@ -346,6 +349,45 @@ def test_right_translation_matches_oracle_product(spec):
     for s in abc | set(range(0, order, 1 if order <= 63 else order // 8)) | {order - 1}:
         expected = tuple(oracle_mul_index(x, s, spec.m, spec.n, spec.r, spec.ell) for x in range(order))
         assert right_translation(s, spec) == expected
+
+
+# ------------------------------------------------------------- generation
+
+# ell sharing a prime with m or n (three exponents to span), abelian, not
+# Sylow-cyclic
+GENERATION_EXTRAS = [GroupSpec(5, 1, 1, ell=5), GroupSpec(7, 3, 2, ell=9), GroupSpec(9, 3, 4, ell=3)]
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in iter_specs(231) if s.order <= 81] + GENERATION_EXTRAS, ids=str
+)
+def test_generates_matches_search_on_every_pair(spec):
+    """The arithmetic generation test equals a breadth-first search of the
+    subgroup on the oracle's right multiplication table, on every ordered
+    pair of elements."""
+    right = right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    elements = list(spec.elements())
+    for i, x in enumerate(elements):
+        for j in range(i, spec.order):
+            y = elements[j]
+            want = search_generates((i, j), right)
+            assert generates((x, y), spec) == want == generates((y, x), spec), (x, y)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in iter_specs(231) if s.order > 81]
+    + [GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2), GroupSpec(25, 5, 6, ell=3), GroupSpec(9, 9, 4, ell=3)],
+    ids=str,
+)
+def test_generates_matches_search_on_sampled_sets(spec):
+    """The same on a seeded sample of pairs, as the walk tests them, and of
+    triples, as Aut(G)'s completions test them, in the larger groups."""
+    rng = random.Random(spec.order)
+    right = right_multiplications(spec.m, spec.n, spec.r, spec.ell)
+    for size in [2] * 120 + [3] * 40:
+        S = [rng.randrange(spec.order) for _ in range(size)]
+        assert generates([spec.at_index(i) for i in S], spec) == search_generates(S, right), S
 
 
 # ----------------------------------------------------------------- sweeps
