@@ -53,9 +53,8 @@ of vertex 0 for the same base.
 
 from __future__ import annotations
 
-from collections import _count_elements, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from operator import getitem
 from typing import Iterator, Sequence
 
@@ -153,10 +152,14 @@ def _refine(
     Most splits take one count.  A one-vertex splitter gives every neighbour
     count 1, so its neighbours are grouped by cell with no count at all (the
     rows of ``adj`` are ascending, as a Graph's are, so each group is too).
-    A touched cell whose counted vertices share one count is left whole if
-    they are all of it, and otherwise split in two, the rest of the cell
-    being what still names its start once the counted vertices are
-    unnamed.  Only a cell with several counts is bucketed.
+    A larger splitter counts into one array of n for the whole call, and
+    the counted vertices are grouped in another, indexed by cell start;
+    each touched cell clears its entries of both once it is looked at, so a
+    splitter builds nothing but its groups.  A touched cell whose counted vertices
+    share one count is left whole if they are all of it, and otherwise split
+    in two, the rest of the cell being what still names its start once the
+    counted vertices are unnamed.  Only a cell with several counts is
+    bucketed.
 
     One precondition: ``splitters`` is None, which queues every cell, or
     ``cells`` and ``splitters`` are what ``_individualize`` returned for an
@@ -167,12 +170,14 @@ def _refine(
     it was split, and is popped, processed or itself skipped, before its
     fragments) or because the input came from ``_individualize`` on an
     equitable partition, which the individualized vertex, the first
-    splitter, restores.  For the same reason the first of two fragments F,
-    G of C may be counted by G when G is smaller: a vertex's count in F is
-    then its cell's count in C less its count in G, so the same cells split
-    into the same fragments, in the reverse order of G-counts.  Skipping and
-    counting the other fragment change no split, so the result is that of
-    counting every splitter.
+    splitter, restores.  For the same reason the first fragment F of C,
+    popped before its k - 1 siblings, may be counted by their union U when
+    U is smaller than F.  At F's turn every cell X has one count c_X in C,
+    so a vertex of X has c_X less its U-count neighbours in F: X splits by
+    F-counts where it splits by U-counts, into the same fragments, in the
+    reverse order of U-counts (the vertices with no neighbour in U, F-count
+    c_X, last).  Skipping and counting the siblings change no split, so the
+    result is that of counting every splitter.
     """
     n = len(adj)
     cell_at: list[list[int] | None] = [None] * n  # start position -> cell
@@ -186,6 +191,12 @@ def _refine(
                 cell_of[v] = start
         start += len(cell)
     ncells = len(cells)
+    # vertex -> its number of neighbours in a splitter of several vertices,
+    # and cell start -> its counted vertices; each touched cell clears its
+    # entries, so they are all 0 and None between splitters.  They are made
+    # when first needed: in a symmetric graph most splitters touch no cell.
+    count: list[int] = []
+    hits: list[list[int] | None] = []
     # (splitter, skip, other): a skipped splitter is the last fragment of a
     # cell; `other`, if not None, is counted in the splitter's place
     queue = deque((c, False, None) for c in (cells if splitters is None else splitters))
@@ -196,39 +207,59 @@ def _refine(
             continue
         if other is not None:
             splitter = other
-        touched: dict[int, list[int]] = {}  # cell start -> its counted vertices
-        if len(splitter) == 1:
+        touched = []  # starts of the cells holding a counted vertex
+        single = len(splitter) == 1
+        if single:
             # every count is 1
-            counts = None
-            counted: Sequence[int] = adj[splitter[0]]
+            for u in adj[splitter[0]]:
+                s = cell_of[u]
+                if s >= 0:
+                    if not hits:
+                        hits = [None] * n
+                    if hits[s] is None:
+                        hits[s] = [u]
+                        touched.append(s)
+                    else:
+                        hits[s].append(u)
         else:
-            # vertex -> its number of neighbours in the splitter, if nonzero
-            counts = {}
-            _count_elements(counts, chain.from_iterable(map(adj.__getitem__, splitter)))
-            counted = counts
-        for u in counted:
-            s = cell_of[u]
-            if s >= 0:
-                if s in touched:
-                    touched[s].append(u)
-                else:
-                    touched[s] = [u]
+            if not count:
+                count = [0] * n
+                hits = hits or [None] * n
+            for w in splitter:
+                for u in adj[w]:
+                    s = cell_of[u]
+                    if s >= 0:
+                        if count[u]:
+                            count[u] += 1
+                        else:
+                            count[u] = 1
+                            if hits[s] is None:
+                                hits[s] = [u]
+                                touched.append(s)
+                            else:
+                                hits[s].append(u)
         if not touched:
             continue
-        for s in sorted(touched) if len(touched) > 1 else touched:
+        if len(touched) > 1:
+            touched.sort()
+        for s in touched:
             cell = cell_at[s]
-            hit = touched[s]
+            hit = hits[s]
+            hits[s] = None
             mixed = False
-            if counts is not None:
-                k = counts[hit[0]]
+            if not single:
+                k = count[hit[0]]
                 for v in hit:
-                    if counts[v] != k:
+                    if count[v] != k:
                         mixed = True
                         break
+                if not mixed:
+                    for v in hit:
+                        count[v] = 0
             if not mixed:
                 if len(hit) == len(cell):
                     continue
-                if counts is not None:
+                if not single:
                     hit.sort()
                 # the rest is what still names s once hit is unnamed
                 for v in hit:
@@ -248,20 +279,20 @@ def _refine(
                     at = pos if other is None else s
                     for v in hit:
                         cell_of[v] = at
-                # the last fragment splits nothing, and the first is counted
-                # by it if it is smaller (see above)
-                push((first, False, second if len(second) < len(first) else None))
-                push((second, True, None))
-                ncells += 1
+                frags = [first, second]
             else:
-                buckets = {0: [v for v in cell if v not in counts]} if len(hit) < len(cell) else {}
+                buckets = {0: [v for v in cell if not count[v]]} if len(hit) < len(cell) else {}
                 hit.sort()
                 for v in hit:
-                    buckets.setdefault(counts[v], []).append(v)
-                ncells += len(buckets) - 1
+                    k = count[v]
+                    count[v] = 0
+                    if k in buckets:
+                        buckets[k].append(v)
+                    else:
+                        buckets[k] = [v]
+                frags = [buckets[k] for k in sorted(buckets, reverse=other is not None)]
                 pos = s
-                for k in sorted(buckets, reverse=other is not None):
-                    frag = buckets[k]
+                for frag in frags:
                     cell_at[pos] = frag
                     if len(frag) == 1:
                         cell_of[frag[0]] = -1
@@ -269,14 +300,19 @@ def _refine(
                         for v in frag:
                             cell_of[v] = pos
                     pos += len(frag)
-                    push((frag, pos == s + len(cell), None))
-    out = []
-    start = 0
-    while start < n:
-        cell = cell_at[start]
-        out.append(cell)
-        start += len(cell)
-    return out
+            ncells += len(frags) - 1
+            # the first fragment is counted by its siblings if they are
+            # fewer, and the last splits nothing (see above)
+            first = frags[0]
+            if 2 * len(first) > len(cell):
+                push((first, False, [v for frag in frags[1:] for v in frag]))
+            else:
+                push((first, False, None))
+            for frag in frags[1:-1]:
+                push((frag, False, None))
+            push((frags[-1], True, None))
+    # a split only adds starts, so the cells are the entries of cell_at
+    return list(filter(None, cell_at))
 
 
 def _individualize(
@@ -333,7 +369,8 @@ class _Search:
         recursion limit."""
         g, gens = self.g, self.gens
         cells, orbits = _initial_partition(g, gens)
-        root = _refine(g.adjacency, cells, None)
+        # one cell means one signature, so g is regular and the cell equitable
+        root = cells if len(cells) == 1 else _refine(g.adjacency, cells, None)
         stack = [iter([(root, [], gens[:], len(gens), orbits)])]
         while stack:
             child = next(stack[-1], None)

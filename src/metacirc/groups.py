@@ -57,16 +57,19 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(x: int, m: int) -> int:
-    """Least k >= 1 with x^k = 1 (mod m); requires gcd(x, m) = 1."""
+    """Least k >= 1 with x^k = 1 (mod m); requires gcd(x, m) = 1.
+
+    The order divides phi(m) (Euler), so it is phi(m) with each prime p
+    divided out for as long as x^(k/p) = 1 still holds.
+    """
     if m == 1:
         return 1
     if gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit mod {m}")
-    acc = x % m
-    k = 1
-    while acc != 1:
-        acc = acc * x % m
-        k += 1
+    k = euler_phi(m)
+    for p in prime_factors(k):
+        while k % p == 0 and pow(x, k // p, m) == 1:
+            k //= p
     return k
 
 

@@ -7,6 +7,8 @@ import json
 import math
 import random
 import sys
+from collections import deque
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -358,6 +360,127 @@ def test_refine_matches_bitmask_reference_on_census_classes(order):
     assert len(searches) == {55: 3, 125: 2, 165: 5}[order]
     for g, refines, _ in searches:
         assert refines and matches_bitmask_reference(g, refines)
+
+
+@contextmanager
+def recorded_queue():
+    """Record every splitter that ``_refine`` queues after its first ones,
+    as its (splitter, skip, other) entry, in the list this yields."""
+    pushed = []
+
+    class RecordingDeque(deque):
+        def append(self, item):
+            pushed.append(item)
+            super().append(item)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch, "deque", RecordingDeque)
+        yield pushed
+
+
+def sibling_counted_splits(pushed) -> int:
+    """Check that each split in ``pushed`` queues its first fragment to be
+    counted by the union of its siblings exactly when they are fewer, and
+    return how many splits into three or more fragments did so.  A split
+    queues its fragments in a row, the last one skipped."""
+    fired = 0
+    start = 0
+    for end, (_, skip, _) in enumerate(pushed):
+        if not skip:
+            continue
+        (first, _, other), *siblings = pushed[start:end + 1]
+        union = [v for frag, _, _ in siblings for v in frag]
+        assert other == (union if len(union) < len(first) else None)
+        fired += other is not None and len(siblings) > 1
+        start = end + 1
+    assert start == len(pushed)
+    return fired
+
+
+def test_refine_counts_first_fragments_by_their_siblings():
+    """On random 3- and 4-regular graphs some cell splits into three or
+    more fragments whose first is more than half of it; refinement counts
+    that fragment by its siblings and still gives the reference's cells
+    after every step of a random sequence of individualizations.  The rule
+    must fire at least once over the run, so the test cannot pass without
+    exercising it."""
+    fired = []
+
+    @given(n=st.integers(8, 40), d=st.sampled_from([3, 4]), rnd=st.random_module())
+    @settings(max_examples=100, deadline=None)
+    def check(n, d, rnd):
+        rng = random.Random(rnd.seed)
+        g = random_regular_graph(n - n * d % 2, d, rng)
+        adj_bits = vertex_masks(g.adjacency)
+        cells, _ = _initial_partition(g)
+        with recorded_queue() as pushed:
+            refined = _refine(g.adjacency, cells, None)
+            assert refined == bitmask_refine(adj_bits, cells, None)
+            while True:
+                open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
+                if not open_cells:
+                    break
+                t = rng.choice(open_cells)
+                child, splitters = _individualize(refined, t, rng.choice(refined[t]))
+                refined = _refine(g.adjacency, child, splitters)
+                assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
+        fired.append(sibling_counted_splits(pushed))
+
+    check()
+    assert sum(fired) > 0
+
+
+@pytest.mark.parametrize("order", [125, 165])
+def test_refine_counts_first_fragments_by_their_siblings_on_census_classes(order):
+    """The unseeded search on a relabeled census class of 125 or 165
+    vertices counts some first fragment of a split into three or more by
+    its siblings; its refinements give the reference's cells (see
+    ``test_refine_matches_bitmask_reference_on_census_classes``)."""
+    fired = 0
+    for g, refines, _ in census_class_searches(order):
+        for cells, splitters, result in refines:
+            with recorded_queue() as pushed:
+                assert _refine(g.adjacency, cells, splitters) == result
+            fired += sibling_counted_splits(pushed)
+    assert fired > 0
+
+
+def root_refinements(g, seeds=()) -> int:
+    """How many ``_refine(..., None)`` calls ``analyze(g, seeds)`` makes."""
+    roots = []
+    refine = autosearch._refine
+
+    def recording_refine(adj, cells, splitters):
+        roots.append(splitters is None)
+        return refine(adj, cells, splitters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch, "_refine", recording_refine)
+        analyze(g, seeds)
+    return sum(roots)
+
+
+def test_one_cell_partitions_skip_the_root_refinement():
+    """One signature means a regular graph, whose one-cell partition is
+    already equitable: regular graphs whose vertices share a signature,
+    unseeded, and seeded Cayley graphs make no root refinement.  A regular
+    graph with several signatures and graphs that are not regular still
+    make theirs.  That the results are unchanged is checked by
+    ``test_searches_match_frozen_results``."""
+    one_cell = [PETERSEN, SHRIKHANDE, cycle_graph(9), graph_from_edges(6, []), K5]
+    one_cell += [g for g, _, _ in census_class_searches(55)]
+    for g in one_cell:
+        assert len(_initial_partition(g)[0]) == 1
+        assert root_refinements(g) == 0
+    for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
+        g = build_cayley(standard_connection_set(1, spec), spec)
+        assert root_refinements(g, regular_representation(spec)) == 0
+    star = graph_from_edges(7, [(0, v) for v in range(1, 7)])
+    path = graph_from_edges(8, [(i, i + 1) for i in range(7)])
+    # a cycle of 8 beside two of 4: 2-regular, with 2 or 1 vertices at distance 2
+    for g in (star, path, two_circulants(8, [1], [2])):
+        assert len(_initial_partition(g)[0]) > 1
+        assert root_refinements(g) == 1
 
 
 @pytest.mark.parametrize("spec", list(CENSUS_REF_EXITS), ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}")

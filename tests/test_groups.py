@@ -18,6 +18,7 @@ from metacirc.groups import (
     inv,
     iter_specs,
     left_translation,
+    multiplicative_order,
     mul,
     power,
     regular_representation,
@@ -26,7 +27,15 @@ from metacirc.groups import (
 )
 from oracles import _generates as search_generates
 from oracles import _right_multiplications as right_multiplications
-from oracles import closure, closure_size, oracle_mul_index, perm_compose, perm_power, regular_generator_perms
+from oracles import (
+    closure,
+    closure_size,
+    oracle_mul_index,
+    order_mod,
+    perm_compose,
+    perm_power,
+    regular_generator_perms,
+)
 
 F21 = GroupSpec(7, 3, 2)
 Z5 = GroupSpec(5, 1, 1)
@@ -412,6 +421,18 @@ def test_iter_specs_small():
 
 def test_euler_phi():
     assert [euler_phi(k) for k in (1, 3, 5, 9, 11)] == [1, 2, 4, 6, 10]
+
+
+def test_multiplicative_order_matches_stepping():
+    """The order read off phi(m) is the least power that steps to 1, for
+    every unit of every odd modulus below 600."""
+    for m in range(3, 600, 2):
+        for x in range(1, m):
+            if gcd(x, m) == 1:
+                assert multiplicative_order(x, m) == order_mod(x, m), (x, m)
+    assert multiplicative_order(0, 1) == 1
+    with pytest.raises(ValueError):
+        multiplicative_order(3, 9)
 
 
 def test_power_table_has_n0_entries_for_large_n():
