@@ -142,41 +142,39 @@ def _refine(
     keep their vertices in ascending order.  A splitter is a vertex list.
     Splitting by it walks the adjacency lists of its vertices only: the cells
     holding a counted vertex are the only ones that can split, and the
-    uncounted rest of such a cell is its count-0 fragment.  Touched cells are
-    split in partition order and every fragment is queued as a splitter, so
-    the work of a splitter is proportional to its edges and to the cells it
-    touches, not to the size of the graph.  Splitters that cannot split
-    anything are skipped: every splitter once all cells are singletons, and
-    a one-vertex splitter with no neighbour in a non-singleton cell.
-
-    Most splits take one count.  A one-vertex splitter gives every neighbour
-    count 1, so its neighbours are grouped by cell with no count at all (the
-    rows of ``adj`` are ascending, as a Graph's are, so each group is too).
-    A larger splitter counts into one array of n for the whole call, and
-    the counted vertices are grouped in another, indexed by cell start;
+    uncounted rest of such a cell is its count-0 fragment.  Every splitter,
+    of one vertex or many, counts into one array of n made once per call,
+    and the counted vertices are grouped in another, indexed by cell start;
     each touched cell clears its entries of both once it is looked at, so a
-    splitter builds nothing but its groups.  A touched cell whose counted vertices
-    share one count is left whole if they are all of it, and otherwise split
-    in two, the rest of the cell being what still names its start once the
-    counted vertices are unnamed.  Only a cell with several counts is
-    bucketed.
+    splitter builds nothing but its groups.  Touched cells are split in
+    partition order, so the work of a splitter is proportional to its edges
+    and to the cells it touches, not to the size of the graph, and once all
+    cells are singletons no splitter is looked at.
+
+    A touched cell whose counted vertices share one count is left whole if
+    they are all of it, and otherwise split into the rest of the cell, read
+    off count 0, and the counted vertices; a cell with several counts is
+    split into the rest, if any, and one bucket per count, in ascending
+    order.
 
     One precondition: ``splitters`` is None, which queues every cell, or
     ``cells`` and ``splitters`` are what ``_individualize`` returned for an
-    equitable partition.  The last fragment of a split cell C is then queued
-    but skipped: at its turn the partition is equitable to C and to every
-    other fragment of C, popped before it, so it splits nothing.  It is
-    equitable to C because C was a splitter before it (C was queued before
-    it was split, and is popped, processed or itself skipped, before its
-    fragments) or because the input came from ``_individualize`` on an
-    equitable partition, which the individualized vertex, the first
-    splitter, restores.  For the same reason the first fragment F of C,
-    popped before its k - 1 siblings, may be counted by their union U when
-    U is smaller than F.  At F's turn every cell X has one count c_X in C,
-    so a vertex of X has c_X less its U-count neighbours in F: X splits by
-    F-counts where it splits by U-counts, into the same fragments, in the
-    reverse order of U-counts (the vertices with no neighbour in U, F-count
-    c_X, last).  Skipping and counting the siblings change no split, so the
+    equitable partition.  The last fragment of a split cell C is then not
+    queued: at its turn the partition would be equitable to C and to every
+    other fragment of C, popped before it, so it would split nothing.  It
+    is equitable to C because C was a splitter before it (C was queued
+    before it was split and is popped before its fragments, or C is itself
+    an unqueued last fragment, to which the partition is equitable from
+    what would have been its turn, before its fragments' turns) or because
+    the input came from ``_individualize`` on an equitable partition, which
+    the individualized vertex, the first splitter, restores.  For the same
+    reason the first fragment F of C, popped before its k - 1 siblings, may
+    be counted by their union U when U is smaller than F.  At F's turn
+    every cell X has one count c_X in C, so a vertex of X has c_X less its
+    U-count neighbours in F: X splits by F-counts where it splits by
+    U-counts, into the same fragments, in the reverse order of U-counts
+    (the vertices with no neighbour in U, F-count c_X, last).  Leaving out
+    the last fragments and counting the siblings change no split, so the
     result is that of counting every splitter.
     """
     n = len(adj)
@@ -191,126 +189,79 @@ def _refine(
                 cell_of[v] = start
         start += len(cell)
     ncells = len(cells)
-    # vertex -> its number of neighbours in a splitter of several vertices,
-    # and cell start -> its counted vertices; each touched cell clears its
-    # entries, so they are all 0 and None between splitters.  They are made
-    # when first needed: in a symmetric graph most splitters touch no cell.
-    count: list[int] = []
-    hits: list[list[int] | None] = []
-    # (splitter, skip, other): a skipped splitter is the last fragment of a
-    # cell; `other`, if not None, is counted in the splitter's place
-    queue = deque((c, False, None) for c in (cells if splitters is None else splitters))
+    # vertex -> its number of neighbours in the splitter, and cell start ->
+    # its counted vertices: all 0 and None between splitters
+    count = [0] * n
+    hits: list[list[int] | None] = [None] * n
+    # (splitter, other): `other`, if not None, is counted in the splitter's place
+    queue = deque((c, None) for c in (cells if splitters is None else splitters))
     push = queue.append
     while queue and ncells < n:
-        splitter, skip, other = queue.popleft()
-        if skip:
-            continue
-        if other is not None:
-            splitter = other
+        splitter, other = queue.popleft()
         touched = []  # starts of the cells holding a counted vertex
-        single = len(splitter) == 1
-        if single:
-            # every count is 1
-            for u in adj[splitter[0]]:
+        for w in splitter if other is None else other:
+            for u in adj[w]:
                 s = cell_of[u]
                 if s >= 0:
-                    if not hits:
-                        hits = [None] * n
-                    if hits[s] is None:
-                        hits[s] = [u]
-                        touched.append(s)
+                    if count[u]:
+                        count[u] += 1
                     else:
-                        hits[s].append(u)
-        else:
-            if not count:
-                count = [0] * n
-                hits = hits or [None] * n
-            for w in splitter:
-                for u in adj[w]:
-                    s = cell_of[u]
-                    if s >= 0:
-                        if count[u]:
-                            count[u] += 1
+                        count[u] = 1
+                        if hits[s] is None:
+                            hits[s] = [u]
+                            touched.append(s)
                         else:
-                            count[u] = 1
-                            if hits[s] is None:
-                                hits[s] = [u]
-                                touched.append(s)
-                            else:
-                                hits[s].append(u)
-        if not touched:
-            continue
+                            hits[s].append(u)
         if len(touched) > 1:
             touched.sort()
         for s in touched:
             cell = cell_at[s]
             hit = hits[s]
             hits[s] = None
-            mixed = False
-            if not single:
-                k = count[hit[0]]
+            k = count[hit[0]]
+            for v in hit:
+                if count[v] != k:
+                    k = 0  # the counts differ
+                    break
+            if k and len(hit) == len(cell):
                 for v in hit:
-                    if count[v] != k:
-                        mixed = True
-                        break
-                if not mixed:
-                    for v in hit:
-                        count[v] = 0
-            if not mixed:
-                if len(hit) == len(cell):
-                    continue
-                if not single:
-                    hit.sort()
-                # the rest is what still names s once hit is unnamed
-                for v in hit:
-                    cell_of[v] = -1
-                rest = [v for v in cell if cell_of[v] == s]
-                # hit goes last, or first when its complement was counted
-                first, second = (rest, hit) if other is None else (hit, rest)
-                pos = s + len(first)
-                cell_at[s] = first
-                cell_at[pos] = second
-                if len(rest) == 1:
-                    cell_of[rest[0]] = -1
-                elif other is not None:
-                    for v in rest:
-                        cell_of[v] = pos
-                if len(hit) > 1:
-                    at = pos if other is None else s
-                    for v in hit:
-                        cell_of[v] = at
-                frags = [first, second]
-            else:
-                buckets = {0: [v for v in cell if not count[v]]} if len(hit) < len(cell) else {}
-                hit.sort()
-                for v in hit:
-                    k = count[v]
                     count[v] = 0
-                    if k in buckets:
-                        buckets[k].append(v)
+                continue
+            frags = [[v for v in cell if not count[v]]] if len(hit) < len(cell) else []
+            hit.sort()
+            if k:
+                for v in hit:
+                    count[v] = 0
+                frags.append(hit)
+            else:
+                buckets: dict[int, list[int]] = {}
+                for v in hit:
+                    c = count[v]
+                    count[v] = 0
+                    if c in buckets:
+                        buckets[c].append(v)
                     else:
-                        buckets[k] = [v]
-                frags = [buckets[k] for k in sorted(buckets, reverse=other is not None)]
-                pos = s
-                for frag in frags:
-                    cell_at[pos] = frag
-                    if len(frag) == 1:
-                        cell_of[frag[0]] = -1
-                    elif pos != s:
-                        for v in frag:
-                            cell_of[v] = pos
-                    pos += len(frag)
+                        buckets[c] = [v]
+                frags += [buckets[c] for c in sorted(buckets)]
+            if other is not None:
+                frags.reverse()
+            pos = s
+            for frag in frags:
+                cell_at[pos] = frag
+                if len(frag) == 1:
+                    cell_of[frag[0]] = -1
+                elif pos != s:
+                    for v in frag:
+                        cell_of[v] = pos
+                pos += len(frag)
             ncells += len(frags) - 1
             # the first fragment is counted by its siblings if they are
-            # fewer, and the last splits nothing (see above)
+            # fewer, and the last is not queued (see above)
             first = frags[0]
-            if 2 * len(first) > len(cell):
-                push((first, False, [v for frag in frags[1:] for v in frag]))
-            else:
-                push((first, False, None))
+            fewer = 2 * len(first) > len(cell)
+            push((first, [v for frag in frags[1:] for v in frag] if fewer else None))
             for frag in frags[1:-1]:
-                push((frag, False, None))
-            push((frags[-1], True, None))
+                push((frag, None))
     # a split only adds starts, so the cells are the entries of cell_at
     return list(filter(None, cell_at))
 

@@ -374,37 +374,24 @@ def _left_translations(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
     return {0: tuple(range(spec.order))}
 
 
-def canonical_r(m: int, n: int, r: int) -> int:
-    """Least r' among {r^u mod m : gcd(u, n) = 1} presenting an isomorphic group.
-
-    Replacing b by b^u (u a unit mod n) turns the conjugation multiplier r
-    into r^u, so specs sharing this value present isomorphic groups.
-    """
-    r %= m
-    best = r
-    for u in range(1, n):
-        if gcd(u, n) == 1:
-            best = min(best, pow(r, u, m))
-    return best
-
-
 def iter_specs(bound: int) -> Iterable[GroupSpec]:
     """All nonabelian (m, n, r) specs with ell = 1, m*n <= bound, hypothesis (*).
 
-    One spec per isomorphism class: r is canonicalized over unit powers, and
-    n runs over odd multiples of n0 all of whose prime factors divide n0.
+    One spec per isomorphism class: replacing b by b^u (u a unit mod n)
+    turns the multiplier r into r^u, so one r is kept per cyclic subgroup
+    <r>, its least generator, and n runs over odd multiples of n0 all of
+    whose prime factors divide n0.
     """
     for m in range(3, bound // 3 + 1, 2):
-        seen_r: set[int] = set()
+        # the generators of every <r> kept so far
+        seen: set[int] = set()
         for r in range(2, m):
-            if gcd(r, m) != 1:
+            if r in seen or gcd(r, m) != 1:
                 continue
             n0 = multiplicative_order(r, m)
             if n0 % 2 == 0 or n0 < 3:
                 continue
-            if canonical_r(m, n0, r) in seen_r:
-                continue
-            seen_r.add(r)
+            seen.update(pow(r, u, m) for u in range(1, n0) if gcd(u, n0) == 1)
             for k in itertools.count(1, 2):
                 n = n0 * k
                 if m * n > bound:

@@ -30,7 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms
-from metacirc.groups import GroupSpec, left_translation
+from metacirc.groups import GroupSpec, right_translation
 
 Perm = tuple[int, ...]
 
@@ -53,13 +53,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
         # itemgetter of one index returns a scalar, of none it raises
         return tuple(q[x] for x in p)
     return itemgetter(*p)(q)
-
-
-def inverse_perm(p: Sequence[int]) -> Perm:
-    out = [0] * len(p)
-    for i, x in zip(identity_perm(len(p)), p):
-        out[x] = i
-    return tuple(out)
 
 
 def is_identity(p: Sequence[int]) -> bool:
@@ -266,28 +259,23 @@ def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Seque
 
     ``stabilizer`` is A_0, the stabilizer of vertex 0 in a group A of
     permutations of the vertex indices that contains R, and ``regular``
-    holds generators of R.  R is transitive, so N = R(N ∩ A_0), and
-    R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x normalizes R}.  Only A_0 is
-    enumerated, from its own chain.  R, the right translations, is the
-    centralizer of the left translations in the symmetric group (Dixon &
-    Mortimer, *Permutation Groups*, 4.2), so a conjugate lies in R iff it
-    commutes with the left translations by a, b and c.
+    holds right translations that generate R.  R is transitive, so
+    N = R(N ∩ A_0), and R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x
+    normalizes R}.  Only A_0 is enumerated, from its own chain.  The
+    normalizer of R in the symmetric group is the holomorph R Aut(G), so an
+    x that fixes the identity normalizes R iff it is an automorphism of G.
+    It is tested on the generators: with products read left to right, as
+    ``compose`` applies them, x^-1 ρ_g x takes 0 to x(g), so it lies in R iff
+    it is ρ_x(g), that is, iff ρ_g x = x ρ_x(g).  The right translation ρ_g
+    takes 0 to g, so g is read off it.
     """
     if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
         raise ValueError("degree mismatch")
     if any(g[0] != 0 for g in stabilizer.generators):
         raise ValueError("the stabilizer moves vertex 0, so it is no complement of R")
-    regular_gens = [tuple(p) for p in regular]
-    left = [left_translation(spec.index(g), spec)
-            for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())]
-    left = [p for p in left if not is_identity(p)]
-
-    def in_regular(q: Perm) -> bool:
-        return all(compose(p, q) == compose(q, p) for p in left)
-
+    regular_gens = [tuple(p) for p in regular if not is_identity(p)]
     count = 0
     for x in stabilizer.elements():
-        xinv = inverse_perm(x)
-        if all(in_regular(compose(compose(xinv, g), x)) for g in regular_gens):
+        if all(compose(p, x) == compose(x, right_translation(x[p[0]], spec)) for p in regular_gens):
             count += 1
     return spec.order * count

@@ -214,6 +214,20 @@ def order_mod(x: int, m: int) -> int:
     return k
 
 
+def canonical_r(m: int, n: int, r: int) -> int:
+    """Least r' among {r^u mod m : gcd(u, n) = 1} presenting an isomorphic group.
+
+    Replacing b by b^u (u a unit mod n) turns the conjugation multiplier r
+    into r^u, so specs sharing this value present isomorphic groups.
+    """
+    r %= m
+    best = r
+    for u in range(1, n):
+        if gcd(u, n) == 1:
+            best = min(best, pow(r, u, m))
+    return best
+
+
 def _prime_divisors(n: int) -> list[int]:
     out = []
     d = 2

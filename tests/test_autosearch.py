@@ -364,46 +364,84 @@ def test_refine_matches_bitmask_reference_on_census_classes(order):
 
 @contextmanager
 def recorded_queue():
-    """Record every splitter that ``_refine`` queues after its first ones,
-    as its (splitter, skip, other) entry, in the list this yields."""
-    pushed = []
+    """Record, in the list this yields, every entry that ``_refine`` queues
+    after its first ones, as its (splitter, other) pair, and every entry it
+    pops, as None."""
+    events = []
 
     class RecordingDeque(deque):
         def append(self, item):
-            pushed.append(item)
+            events.append(item)
             super().append(item)
+
+        def popleft(self):
+            events.append(None)
+            return super().popleft()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(autosearch, "deque", RecordingDeque)
-        yield pushed
+        yield events
 
 
-def sibling_counted_splits(pushed) -> int:
-    """Check that each split in ``pushed`` queues its first fragment to be
-    counted by the union of its siblings exactly when they are fewer, and
-    return how many splits into three or more fragments did so.  A split
-    queues its fragments in a row, the last one skipped."""
+def sibling_counted_splits(cells, events) -> int:
+    """Check the splits of one ``_refine`` call on ``cells``, from its
+    ``recorded_queue`` events: each split queues its first fragment to be
+    counted by the union of its siblings exactly when they are fewer, queues
+    its middle fragments to be counted themselves, and does not queue its
+    last fragment.  Return how many splits into three or more fragments
+    counted their first by its siblings.
+
+    The partition is tracked from ``cells``.  A splitter splits a cell at
+    most once, so the entries queued in a row between two pops that lie in
+    one cell are the queued fragments of one split of it, and the rest of
+    the cell is its last fragment."""
+    cell_of = {v: cell for cell in cells for v in cell}
     fired = 0
-    start = 0
-    for end, (_, skip, _) in enumerate(pushed):
-        if not skip:
-            continue
-        (first, _, other), *siblings = pushed[start:end + 1]
-        union = [v for frag, _, _ in siblings for v in frag]
+    split = []  # the entries queued so far by the split being read
+
+    def close():
+        nonlocal fired
+        if not split:
+            return
+        cell = cell_of[split[0][0][0]]
+        frags = [frag for frag, _ in split]
+        assert all(set(frag) <= set(cell) for frag in frags)
+        last = sorted(set(cell).difference(*frags))
+        assert last, "a split queued its last fragment"
+        (first, other), *middle = split
+        union = [v for frag in frags[1:] for v in frag] + last
         assert other == (union if len(union) < len(first) else None)
-        fired += other is not None and len(siblings) > 1
-        start = end + 1
-    assert start == len(pushed)
+        assert all(o is None for _, o in middle)
+        fired += other is not None and len(frags) > 1
+        for frag in frags + [last]:
+            for v in frag:
+                cell_of[v] = frag
+        split.clear()
+
+    for entry in events:
+        if entry is None or split and cell_of[entry[0][0]] is not cell_of[split[0][0][0]]:
+            close()
+        if entry is not None:
+            split.append(entry)
+    close()
     return fired
+
+
+def refine_checking_splits(adj, cells, splitters):
+    """``_refine(adj, cells, splitters)``, its splits checked by
+    ``sibling_counted_splits``, and what that returned."""
+    with recorded_queue() as events:
+        refined = _refine(adj, cells, splitters)
+    return refined, sibling_counted_splits(cells, events)
 
 
 def test_refine_counts_first_fragments_by_their_siblings():
     """On random 3- and 4-regular graphs some cell splits into three or
     more fragments whose first is more than half of it; refinement counts
-    that fragment by its siblings and still gives the reference's cells
-    after every step of a random sequence of individualizations.  The rule
-    must fire at least once over the run, so the test cannot pass without
-    exercising it."""
+    that fragment by its siblings, queues no last fragment, and still gives
+    the reference's cells after every step of a random sequence of
+    individualizations.  The rule must fire at least once over the run, so
+    the test cannot pass without exercising it."""
     fired = []
 
     @given(n=st.integers(8, 40), d=st.sampled_from([3, 4]), rnd=st.random_module())
@@ -413,18 +451,17 @@ def test_refine_counts_first_fragments_by_their_siblings():
         g = random_regular_graph(n - n * d % 2, d, rng)
         adj_bits = vertex_masks(g.adjacency)
         cells, _ = _initial_partition(g)
-        with recorded_queue() as pushed:
-            refined = _refine(g.adjacency, cells, None)
-            assert refined == bitmask_refine(adj_bits, cells, None)
-            while True:
-                open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
-                if not open_cells:
-                    break
-                t = rng.choice(open_cells)
-                child, splitters = _individualize(refined, t, rng.choice(refined[t]))
-                refined = _refine(g.adjacency, child, splitters)
-                assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
-        fired.append(sibling_counted_splits(pushed))
+        refined, k = refine_checking_splits(g.adjacency, cells, None)
+        assert refined == bitmask_refine(adj_bits, cells, None)
+        while True:
+            fired.append(k)
+            open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
+            if not open_cells:
+                break
+            t = rng.choice(open_cells)
+            child, splitters = _individualize(refined, t, rng.choice(refined[t]))
+            refined, k = refine_checking_splits(g.adjacency, child, splitters)
+            assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
 
     check()
     assert sum(fired) > 0
@@ -434,14 +471,15 @@ def test_refine_counts_first_fragments_by_their_siblings():
 def test_refine_counts_first_fragments_by_their_siblings_on_census_classes(order):
     """The unseeded search on a relabeled census class of 125 or 165
     vertices counts some first fragment of a split into three or more by
-    its siblings; its refinements give the reference's cells (see
+    its siblings and queues no last fragment; its refinements give the
+    reference's cells (see
     ``test_refine_matches_bitmask_reference_on_census_classes``)."""
     fired = 0
     for g, refines, _ in census_class_searches(order):
         for cells, splitters, result in refines:
-            with recorded_queue() as pushed:
-                assert _refine(g.adjacency, cells, splitters) == result
-            fired += sibling_counted_splits(pushed)
+            refined, k = refine_checking_splits(g.adjacency, cells, splitters)
+            assert refined == result
+            fired += k
     assert fired > 0
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from math import gcd
 
@@ -11,7 +12,6 @@ from metacirc.groups import (
     IDENTITY,
     Element,
     GroupSpec,
-    canonical_r,
     element_order,
     euler_phi,
     generates,
@@ -28,6 +28,7 @@ from metacirc.groups import (
 from oracles import _generates as search_generates
 from oracles import _right_multiplications as right_multiplications
 from oracles import (
+    canonical_r,
     closure,
     closure_size,
     oracle_mul_index,
@@ -417,6 +418,16 @@ def test_iter_specs_small():
     assert all(s.m * s.n <= 63 for s in specs)
     # no two listed specs present isomorphic groups
     assert len(keys) == len({(s.m, s.n, canonical_r(s.m, s.n, s.r)) for s in specs})
+
+
+def test_iter_specs_list_is_frozen():
+    """The 276 specs of the 1100 sweep, with their n0, in order, as frozen
+    from the enumeration that canonicalized every unit r (``canonical_r``)."""
+    specs = [(s.m, s.n, s.r, s.n0) for s in iter_specs(1100)]
+    assert len(specs) == 276
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == (
+        "369a11f787baeb3f5c4f957bc1cd9913046d90c47de3dea88529682daaf82b9a"
+    )
 
 
 def test_euler_phi():

@@ -402,9 +402,9 @@ def test_normalizer_matches_reference_on_census_classes(mnrl):
     ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
 )
 def test_normalizer_matches_right_translation_membership(spec):
-    """Testing membership in R by commuting with the left translations
-    counts what testing it against the right translations counts, on every
-    edge-transitive class."""
+    """Counting the elements of A_0 that are automorphisms of G (the
+    holomorph criterion) counts what testing each conjugate of R against
+    the right translations counts, on every edge-transitive class."""
     regular = regular_representation(spec)
     for c in classify_spec(spec, bound=spec.order).classes:
         graph = build_cayley(c.connection_set, spec)
@@ -419,8 +419,8 @@ def test_normalizer_matches_right_translation_membership(spec):
 def test_normalizer_needs_every_left_translation(spec):
     """For each generator g, a permutation that fixes 0 and commutes with the
     left translation by g alone: that translation on one orbit of it away
-    from 0, the identity elsewhere.  Its conjugates of R commute with that
-    translation, so the count is right only if every generator is tested."""
+    from 0, the identity elsewhere.  It is no automorphism of G, and the
+    count must still be that of the right-translation reference."""
     regular = regular_representation(spec)
     params = (spec.m, spec.n, spec.r, spec.ell)
     for g in (1, spec.m, spec.m * spec.n):
@@ -432,6 +432,33 @@ def test_normalizer_needs_every_left_translation(spec):
         x = tuple(left[y] if y in moved else y for y in range(spec.order))
         # <x> is cyclic and moves h around one cycle, so [h] is a base
         a0 = PermGroup(spec.order, [x], [h])
+        expected = normalizer_by_right_translations(a0.elements(), *params)
+        assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
+
+
+@pytest.mark.parametrize("spec", [F21, GroupSpec(11, 5, 3, ell=3)], ids=["7-3-2-1", "11-5-3-3"])
+def test_normalizer_tests_every_generator(spec):
+    """For each generator g, a permutation x that fixes 0 and passes the
+    holomorph test for every other generator but not for g: with K the
+    subgroup the others generate, x(gk) = g k0 k for k in K and one
+    k0 != 1 of K, and x is the identity off gK.  Then x(yk) = x(y)k for
+    every y and every k in K: x commutes with the right translations by K
+    and passes their tests.  But x is no automorphism of G, so the count is
+    right only if g is tested too."""
+    regular = regular_representation(spec)
+    params = (spec.m, spec.n, spec.r, spec.ell)
+    for g in (1, spec.m, spec.m * spec.n):
+        if g >= spec.order:
+            continue
+        others = [h for h in (1, spec.m, spec.m * spec.n) if h != g and h < spec.order]
+        subgroup = orbit(0, others, lambda h, y: oracle_mul_index(y, h, *params))
+        assert g not in subgroup
+        k0 = min(subgroup - {0})
+        x = list(range(spec.order))
+        for k in subgroup:
+            x[oracle_mul_index(g, k, *params)] = oracle_mul_index(g, oracle_mul_index(k0, k, *params), *params)
+        # <x> moves g's coset by k -> k0 k, freely, so [g] is a base
+        a0 = PermGroup(spec.order, [tuple(x)], [g])
         expected = normalizer_by_right_translations(a0.elements(), *params)
         assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
 
