@@ -2,11 +2,14 @@
 
 Colour refinement plus individualization backtracking, with automorphism
 (orbit) pruning.  One tree search produces both the automorphism generators
-and the canonical labeling: every leaf is an ordering of the vertices, leaves
-are compared by the packed rows of the relabeled adjacency matrix
-(``graphs.packed_rows``), equal keys yield automorphisms, and the
+and the canonical labeling: every leaf is an ordering of the vertices, and
+its key is the packed rows of the relabeled adjacency matrix
+(``graphs.packed_rows``).  Equal keys yield automorphisms, and the
 lexicographically least key over the surviving leaves is the canonical form,
-emitted as its graph6.
+emitted as its graph6.  Two leaves have equal keys iff the map of one onto
+the other, position by position, is an automorphism, so a leaf is first
+tested against the first leaf by the edge test ``graphs.are_automorphisms``,
+and only a leaf that fails it builds its key (see ``_Search.leaf``).
 
 A branch is pruned when its vertex lies in the orbit of a processed
 branch's vertex under the automorphisms found that fix the node's path
@@ -282,6 +285,14 @@ def _individualize(
     return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v]]
 
 
+def _mapping(order: list[int], image: list[int]) -> tuple[int, ...]:
+    """The permutation taking order[i] to image[i] for every position i."""
+    p = [0] * len(order)
+    for v, w in zip(order, image):
+        p[v] = w
+    return tuple(p)
+
+
 def _target_cell(cells: list[list[int]]) -> int:
     """Index of the first smallest non-singleton cell."""
     best = -1
@@ -333,31 +344,44 @@ class _Search:
                 stack.append(self.node(*child))
 
     def leaf(self, cells: list[list[int]], fixed: list[int]) -> tuple[int, ...]:
+        """Take in the leaf whose partition is the discrete ``cells``,
+        reached by individualizing ``fixed``, and return its key.
+
+        A later leaf is first mapped onto the first leaf, position by
+        position.  If that map is an automorphism, the two keys are equal,
+        so the leaf builds no key: the map is kept as a generator and the
+        search jumps back to the node where this path left the first one.
+        Otherwise the keys differ, and the leaf builds its key to compare
+        with the least so far, where an equal key gives an automorphism the
+        same way."""
         order = [c[0] for c in cells]
-        key = packed_rows(self.g, order)
         if self.first is None:
+            key = packed_rows(self.g, order)
             self.first = self.best = (key, order)
             self.first_path = fixed
             return key
-        for ref in (self.first, self.best):
-            if ref[0] == key and ref[1] != order:
-                p = [0] * self.g.n
-                for v, w in zip(order, ref[1]):
-                    p[v] = w
-                p = tuple(p)
-                if p not in self.gen_set:
-                    self.gens.append(p)
-                    self.gen_set.add(p)
-                if ref is self.first:
-                    # back to the node where this path left the first one
-                    d = 0
-                    while fixed[d] == self.first_path[d]:
-                        d += 1
-                    self.jump = d
-                break
-        if key < self.best[0]:
+        first_key, first_order = self.first
+        p = _mapping(order, first_order)
+        if order != first_order and are_automorphisms(self.g, [p]):
+            self.keep(p)
+            d = 0
+            while fixed[d] == self.first_path[d]:
+                d += 1
+            self.jump = d
+            return first_key
+        key = packed_rows(self.g, order)
+        best_key, best_order = self.best
+        if key == best_key and order != best_order:
+            self.keep(_mapping(order, best_order))
+        elif key < best_key:
             self.best = (key, order)
         return key
+
+    def keep(self, p: tuple[int, ...]) -> None:
+        """Add the automorphism p to the generators unless it is one."""
+        if p not in self.gen_set:
+            self.gens.append(p)
+            self.gen_set.add(p)
 
     def node(
         self,
@@ -419,11 +443,10 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     """Run the search once, returning generators and the canonical labeling."""
     if g.n > MAX_DEGREE:
         raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
-    seeds = [tuple(p) for p in seeds]
-    if not are_automorphisms(g, seeds):
-        raise ValueError("seed is not an automorphism")
     identity = tuple(range(g.n))
-    gens = list(dict.fromkeys(p for p in seeds if p != identity))
+    gens = list(dict.fromkeys(p for p in map(tuple, seeds) if p != identity))
+    if not are_automorphisms(g, gens):
+        raise ValueError("seed is not an automorphism")
     n_seeds = len(gens)
     search = _Search(g, gens)
     for _ in search.leaves():

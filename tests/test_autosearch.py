@@ -7,7 +7,7 @@ import json
 import math
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -833,6 +833,25 @@ def test_seed_validation():
         analyze(K5, seeds=[(1, 2, 3, 4, 0, 5)])  # wrong degree
     with pytest.raises(ValueError):
         analyze(graph_from_edges(5, [(0, 1), (1, 2)]), seeds=[(4, 3, 2, 1, 0)])
+    bad = (4, 3, 2, 1, 0)
+    with pytest.raises(ValueError):
+        analyze(graph_from_edges(5, [(0, 1), (1, 2)]), seeds=[(0, 1, 2, 3, 4), bad, bad])
+
+
+def test_each_distinct_non_identity_seed_is_checked_once(monkeypatch):
+    checked = []
+    are_automorphisms = autosearch.are_automorphisms
+
+    def recording(g, perms):
+        checked.append([tuple(p) for p in perms])
+        return are_automorphisms(g, perms)
+
+    monkeypatch.setattr(autosearch, "are_automorphisms", recording)
+    regular = [tuple(p) for p in regular_representation(F21)]
+    identity = tuple(range(F21.order))
+    g = build_cayley(standard_connection_set(1, F21), F21)
+    analyze(g, seeds=[identity, *regular, *regular])
+    assert checked[0] == [p for p in regular if p != identity]
 
 
 def test_seeds_prune_the_root_only(monkeypatch):
@@ -1013,16 +1032,17 @@ def census_231_classes():
 def test_are_isomorphic_on_census_classes(monkeypatch):
     """Each relabeled class of the frozen census against each relabeled
     class of its order, itself included: the verdict is the comparison of
-    the frozen canonical forms.  ``packed_rows`` runs once per leaf, so it
-    counts the work: two leaves when the classes are the same (g2's first
-    and the first of g1), and otherwise g2's first and every leaf of g1's
-    whole search."""
-    leaves = 0
+    the frozen canonical forms.  ``packed_rows`` builds the key of each
+    leaf that no automorphism maps onto its search's first leaf, so it
+    counts the work: two keys when the classes are the same (g2's first
+    leaf's and g1's), and otherwise g2's first and every key of g1's whole
+    search."""
+    keys = 0
     packed_rows = autosearch.packed_rows
 
     def counted(g, order=None):
-        nonlocal leaves
-        leaves += 1
+        nonlocal keys
+        keys += 1
         return packed_rows(g, order)
 
     monkeypatch.setattr(autosearch, "packed_rows", counted)
@@ -1034,16 +1054,16 @@ def test_are_isomorphic_on_census_classes(monkeypatch):
         if g1.n != g2.n:
             continue
         g1, g2 = random_relabel(g1, rng), random_relabel(g2, rng)
-        leaves = 0
+        keys = 0
         assert are_isomorphic(g1, g2) == (c1 == c2)
         if c1 == c2:
-            assert leaves == 2
+            assert keys == 2
             same += 1
         else:
-            reached = leaves
-            leaves = 0
+            reached = keys
+            keys = 0
             analyze(g1)
-            assert reached == 1 + leaves
+            assert reached == 1 + keys
         pairs += 1
     assert (pairs, same) == (54 + 57, 54)
 
@@ -1120,6 +1140,87 @@ def test_searches_match_frozen_results():
     assert len(frozen) > 1000
     for name, g, seeds in corpus:
         assert search_digest(analyze(g, seeds)) == frozen[name], name
+
+
+CENSUS_REF_SPECS = [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2)]
+
+
+def counting_keys_and_leaves(monkeypatch) -> Counter:
+    """Count the keys leaves build (``packed_rows`` runs once per key), the
+    leaves, and the leaves whose key is not the first leaf's."""
+    counts = Counter()
+    packed_rows = autosearch.packed_rows
+    leaf = autosearch._Search.leaf
+
+    def counted_rows(g, order=None):
+        counts["keys"] += 1
+        return packed_rows(g, order)
+
+    def counted_leaf(self, cells, fixed):
+        key = leaf(self, cells, fixed)
+        counts["leaves"] += 1
+        counts["off_first"] += key != self.first[0]
+        return key
+
+    monkeypatch.setattr(autosearch, "packed_rows", counted_rows)
+    monkeypatch.setattr(autosearch._Search, "leaf", counted_leaf)
+    return counts
+
+
+def test_seeded_census_searches_build_one_key(monkeypatch):
+    """In the seeded search of every class of the reference census specs,
+    each leaf after the first maps onto the first by an automorphism, so
+    only the first leaf builds its key."""
+    counts = counting_keys_and_leaves(monkeypatch)
+    searches = 0
+    for spec in CENSUS_REF_SPECS:
+        regular = regular_representation(spec)
+        for rep, _ in orbit_representatives(spec):
+            g = build_cayley([spec.at_index(x) for x in rep], spec)
+            counts["keys"] = 0
+            analyze(g, regular)
+            assert counts["keys"] == 1
+            searches += 1
+    assert counts["off_first"] == 0 and counts["leaves"] > searches
+
+
+def test_leaves_off_the_first_build_their_keys(monkeypatch):
+    """In the unseeded searches of the random regular graphs of the frozen
+    corpus, a key is built for the first leaf and for each leaf whose key
+    is not the first's, and every result is the frozen one."""
+    frozen = json.loads(SEARCH_RESULTS.read_text())
+    counts = counting_keys_and_leaves(monkeypatch)
+    off_first = 0
+    for name, g, seeds in search_corpus():
+        if name.startswith("regular-"):
+            counts.clear()
+            assert search_digest(analyze(g, seeds)) == frozen[name], name
+            assert counts["keys"] == 1 + counts["off_first"]
+            off_first += counts["off_first"]
+    assert off_first > 0
+
+
+def test_a_leaf_records_each_new_generator_once():
+    """A leaf that an automorphism p maps onto the first leaf keeps p as a
+    generator unless it is one already, and sets the jump to the depth
+    where its path leaves the first; a leaf with the first leaf's order
+    gives no generator, since its map would be the identity."""
+    n = PETERSEN.n
+    p = analyze(PETERSEN).generators[0]
+    first = [[v] for v in range(n)]
+    mapped = [[0]] * n  # the order taking position i to the vertex p maps to i
+    for v in range(n):
+        mapped[p[v]] = [v]
+    search = autosearch._Search(PETERSEN, [])
+    search.leaf(first, [0, 1])
+    assert search.leaf(mapped, [0, 2]) == search.first[0]
+    assert search.gens == [p] and search.jump == 1
+    search.jump = None
+    assert search.leaf(mapped, [3]) == search.first[0]
+    assert search.gens == [p] and search.jump == 0
+    search.jump = None
+    assert search.leaf(first, [4]) == search.first[0]
+    assert search.gens == [p] and search.jump is None
 
 
 if __name__ == "__main__":

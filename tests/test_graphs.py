@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, compress, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -261,34 +262,75 @@ def test_packed_rows_in_any_order_are_the_rows_of_the_relabeled_graph(n, p, rnd)
     assert from_graph6(to_graph6(g)) == g
 
 
+def automorphism_candidates(autos, n, rng):
+    """The automorphisms ``autos`` and, for each of them, it composed with
+    a transposition, a random permutation, a non-permutation and a map of
+    the wrong degree."""
+    candidates = list(autos)
+    for p in autos:
+        q = list(p)
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            q[i], q[j] = q[j], q[i]
+        candidates.append(tuple(q))
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        candidates.append(tuple(shuffled))
+        if n >= 2:
+            candidates.append(tuple(p[:-1]) + (p[0],))  # not a permutation
+        candidates.append(tuple(p[:-1]))  # wrong degree
+    return candidates
+
+
+def check_are_automorphisms(g, autos, candidates):
+    """``are_automorphisms`` against the set oracle on each candidate, alone
+    and after each automorphism, which the test must not remember."""
+    adjacency = [list(r) for r in g.adjacency]
+    assert all(is_automorphism_by_sets(adjacency, p) for p in autos)
+    assert are_automorphisms(g, autos)
+    for p in candidates:
+        expected = is_automorphism_by_sets(adjacency, p)
+        assert are_automorphisms(g, [p]) == expected
+        assert all(are_automorphisms(g, [q, p, *autos]) == expected for q in autos)
+
+
+# the Petersen graph and the 21-vertex census class, as graph6
+GRAPH6_STRINGS = ["IheA@GUAo", "T?OCOs_OAWSOD?`?gA@?H?KA?PHHO?b?OOAo"]
+
+
 def test_are_automorphisms_matches_set_reference():
-    """The packed-row test agrees with neighbour-set comparison on the
-    regular seeds, on the automorphisms a search finds, and on maps that
-    are not automorphisms: random permutations, automorphisms composed with
-    a transposition, and non-permutations."""
+    """The edge test agrees with neighbour-set comparison on the regular
+    seeds and the automorphisms a search finds of Cayley graphs, on the
+    automorphisms found of irregular and disconnected graphs (a star, a
+    path with an isolated vertex, random graphs) and of graphs read from
+    graph6, and on maps that are not automorphisms: random permutations,
+    automorphisms composed with a transposition, non-permutations and maps
+    of the wrong degree; and on every permutation of every graph of at most
+    four vertices."""
     rng = random.Random(13)
     for spec in iter_specs(63):
         g = build_cayley(standard_connection_set(1, spec), spec)
-        adjacency = [list(r) for r in g.adjacency]
         seeds = [tuple(p) for p in regular_representation(spec)]
-        found = analyze(g, seeds=seeds).found
-        candidates = seeds + found
-        for p in seeds + found:
-            q = list(p)
-            i, j = rng.sample(range(g.n), 2)
-            q[i], q[j] = q[j], q[i]
-            candidates.append(tuple(q))
-            shuffled = list(range(g.n))
-            rng.shuffle(shuffled)
-            candidates.append(tuple(shuffled))
-            candidates.append(tuple(p[:-1]) + (p[0],))  # not a permutation
-            candidates.append(tuple(p[:-1]))  # wrong degree
-        assert all(is_automorphism_by_sets(adjacency, p) for p in seeds + found)
-        assert are_automorphisms(g, seeds + found)
-        for p in candidates:
-            expected = is_automorphism_by_sets(adjacency, p)
-            assert are_automorphisms(g, [p]) == expected
-            assert are_automorphisms(g, seeds + [p] + found) == expected
+        autos = seeds + analyze(g, seeds=seeds).found
+        check_are_automorphisms(g, autos, automorphism_candidates(autos, g.n, rng))
+    graphs = [
+        graph_from_edges(8, [(0, v) for v in range(1, 8)]),
+        graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        *(random_graph(n, p, random.Random(n)) for n in (2, 7, 12, 20) for p in (0.15, 0.5, 0.85)),
+        *map(from_graph6, GRAPH6_STRINGS),
+        *(from_graph6(to_graph6(random_graph(15, 0.3, random.Random(seed)))) for seed in range(3)),
+    ]
+    for g in graphs:
+        autos = [tuple(range(g.n)), *analyze(g).generators]
+        check_are_automorphisms(g, autos, automorphism_candidates(autos, g.n, rng))
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for edges in product([False, True], repeat=len(pairs)):
+            g = graph_from_edges(n, compress(pairs, edges))
+            perms = list(permutations(range(n)))
+            adjacency = [list(r) for r in g.adjacency]
+            autos = [p for p in perms if is_automorphism_by_sets(adjacency, p)]
+            check_are_automorphisms(g, autos, perms)
     assert are_automorphisms(Graph(0, ()), [()])
     assert are_automorphisms(K5, [])
 
