@@ -1,10 +1,11 @@
 """The automorphism group of G = <c> x (<a> : <b>), odd order.
 
 An automorphism is fixed by its images of a, b and c, and is held as that
-triple of elements throughout.  So (a, b, c) is a base of Aut(G) acting on
-G, and :func:`aut_generators` finds a generating set and |Aut(G)| by a
-search along that known base, one automorphism per new point of each basic
-orbit, without listing Aut(G).
+triple of elements throughout, until :func:`groups.automorphism_permutation`
+walks it out to a vertex permutation.  So (a, b, c) is a base of Aut(G)
+acting on G, and :func:`aut_generators` finds a generating set and |Aut(G)|
+by a search along that known base, one automorphism per new point of each
+basic orbit, without listing Aut(G).
 
 For Sylow-cyclic specs every automorphism acts as
 
@@ -32,9 +33,9 @@ from typing import Iterable, Iterator, Sequence
 from metacirc import permgroup
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
-    IDENTITY,
     Element,
     GroupSpec,
+    automorphism_permutation,
     element_order,
     euler_phi,
     generates,
@@ -172,7 +173,7 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
                 # keeps the points off its basic orbit off it
                 failed |= _point_orbit(i, gens)
                 continue
-            gens.append(_permutation(f, spec))
+            gens.append(automorphism_permutation(f, spec))
             orbit = _point_orbit(point, gens)
         order *= len(orbit)
     return gens, order
@@ -180,37 +181,3 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
 
 def _point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
     return permgroup.orbit(point, gens, lambda p, x: p[x])
-
-
-def _permutation(f: Triple, spec: GroupSpec) -> list[int]:
-    """Action on vertex indices of the automorphism with images f of
-    (a, b, c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w.
-
-    Only the n * ell products y = f(b)^v f(c)^w are multiplied out.  Each
-    block of m indices (one v and w) is then f(a)^u y for u < m, whose normal
-    form follows from the product rule with no Element built:
-    (x_u + y_u r^-x_v, x_v + y_v, x_w + y_w) for f(a)^u = (x_u, x_v, x_w).
-    """
-    img_a, img_b, img_c = f
-    m, n, ell = spec.m, spec.n, spec.ell
-    a_pow = [(x.u, spec.rpow_inv(x.v), x.v, x.w) for x in _power_table(img_a, m, spec)]
-    b_pow = _power_table(img_b, n, spec)
-    c_pow = _power_table(img_c, ell, spec)
-    perm: list[int] = []
-    for cw in c_pow:
-        for bv in b_pow:
-            y = mul(bv, cw, spec)
-            perm.extend(
-                [
-                    (xu + y.u * rinv) % m + m * ((xv + y.v) % n + n * ((xw + y.w) % ell))
-                    for xu, rinv, xv, xw in a_pow
-                ]
-            )
-    return perm
-
-
-def _power_table(g: Element, count: int, spec: GroupSpec) -> list[Element]:
-    out = [IDENTITY]
-    for _ in range(count - 1):
-        out.append(mul(out[-1], g, spec))
-    return out

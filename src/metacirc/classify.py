@@ -183,13 +183,7 @@ class _PairAction:
     __slots__ = ("pairs", "pair_of", "gens", "base")
 
     def __init__(self, spec: GroupSpec, gens: Sequence[Sequence[int]]):
-        # a^u b^v c^w has inverse a^(-u r^v) b^-v c^-w: one block of m per (v, w)
-        m, n, ell = spec.m, spec.n, spec.ell
-        inverse: list[int] = []
-        for w in range(ell):
-            for v in range(n):
-                start, rv = m * (-v % n + n * (-w % ell)), spec.rpow(v)
-                inverse.extend([start + -u * rv % m for u in range(m)])
+        inverse = [spec.index(inv(x, spec)) for x in spec.elements()]
         pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
         pair_of = [-1] * spec.order
         for i, (x, y) in enumerate(pairs):
@@ -310,13 +304,6 @@ def _distances(perms: Sequence[Sequence[int]], n: int) -> list[int]:
 
 # ------------------------------------------------------------ per-rep work
 
-@lru_cache(maxsize=64)
-def _regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """The right translations by a, b and c: the seeds of every class's
-    search and the generators of R for its normalizer."""
-    return tuple(regular_representation(spec))
-
-
 def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
     """Whether distance-pair counts at vertex 0 prove that the Cayley graph
     of S = {x, x^-1, y, y^-1} has two edge orbits; ``inverse`` maps each
@@ -376,7 +363,7 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     if _distance_split(spec, inverse):
         return None
     graph = build_cayley(S, spec)
-    regular = _regular_representation(spec)
+    regular = regular_representation(spec)
     result = analyze(graph, seeds=regular)
     # the translations fix no vertex, so the found automorphisms are the
     # generators that fix base[0] = 0

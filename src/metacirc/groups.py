@@ -11,6 +11,13 @@ immutable values.
 
 Vertex indexing is fixed at u + m*v + m*n*w and is part of the external
 report contract.
+
+The product rule, and with it the split relation b^n = 1, is written out
+only in :func:`mul` and :func:`inv` for elements, in :func:`left_translation`
+for vertex indices, and in the commutator of :func:`generates`.  Every other
+vertex map (the right translations, the automorphisms' permutations) is one
+walk over left translations (:func:`_walk`), and :func:`power` is
+square-and-multiply on :func:`mul`.
 """
 
 from __future__ import annotations
@@ -199,8 +206,9 @@ def rsum(x: int, k: int, spec: GroupSpec) -> int:
     """Geometric sum x + x^2 + ... + x^k mod m, evaluated without division.
 
     Recursive doubling: S(2t) = S(t)*(1 + x^t), S(2t+1) = S(2t) + x^(2t+1).
-    This is the exponent bracket appearing in the power rule; dividing by
-    (x - 1) would be wrong whenever x - 1 is not invertible mod m.
+    ``aut`` takes rsum(r, n) for the constraint on t in b -> a^t b^(1+l*n0)
+    and for ``parametrized_count``; dividing by (x - 1) would be wrong
+    whenever x - 1 is not invertible mod m.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -219,16 +227,16 @@ def rsum(x: int, k: int, spec: GroupSpec) -> int:
 
 
 def power(g: Element, k: int, spec: GroupSpec) -> Element:
-    """k-th power via the closed form (a^u b^v)^k = b^(kv) a^(u * sum_i (r^v)^i)."""
+    """g^k by square-and-multiply on :func:`mul`; a negative k powers g^-1."""
     if k < 0:
-        return power(inv(g, spec), -k, spec)
-    exponent = g.u * rsum(spec.rpow(g.v), k, spec) % spec.m
-    # convert b^(kv) a^exponent back to a-first form
-    return Element(
-        exponent * spec.rpow_inv(k * g.v) % spec.m,
-        k * g.v % spec.n,
-        k * g.w % spec.ell,
-    )
+        g, k = inv(g, spec), -k
+    out = IDENTITY
+    while k:
+        if k & 1:
+            out = mul(out, g, spec)
+        g = mul(g, g, spec)
+        k >>= 1
+    return out
 
 
 def element_order(g: Element, spec: GroupSpec) -> int:
@@ -312,32 +320,62 @@ def _spans(rows: list[list[int]], q: int, d: int) -> bool:
     return True
 
 
-def regular_representation(spec: GroupSpec) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def regular_representation(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """The right translations x -> x*a, x -> x*b and x -> x*c of the vertex
     indices: together they generate the regular copy of G inside the
-    symmetric group on the vertices."""
-    return [right_translation(spec.index(g), spec)
-            for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())]
+    symmetric group on the vertices.  Cached per spec."""
+    return tuple(right_translation(spec.index(g), spec)
+                 for g in (spec.generator_a(), spec.generator_b(), spec.generator_c()))
 
 
 def right_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:
     """Permutation x -> x*s on vertex indices, for the element of index s.
 
-    Built by blocks of m consecutive indices (one b- and c-exponent (v, w)),
-    as ``left_translation`` is, with no group multiplication: by the product
-    rule the a-exponent of x*s is x.u + s.u * r^-v, so within the block it
-    gains s.u * r^-v, and the block moves to (v + s.v, w + s.w).
+    It sends the identity to s, and g*x to g*(x*s), so it is the walk from s
+    that steps by the left translations by a, b and c (:func:`_walk`).
     """
-    g = spec.at_index(s)
-    m, n, ell = spec.m, spec.n, spec.ell
-    p: list[int] = []
-    for w in range(ell):
-        for v in range(n):
-            start = m * ((v + g.v) % n + n * ((w + g.w) % ell))
-            shift = g.u * spec.rpow_inv(v) % m
-            p.extend(range(start + shift, start + m))
-            p.extend(range(start, start + shift))
-    return tuple(p)
+    gens = (spec.generator_a(), spec.generator_b(), spec.generator_c())
+    return tuple(_walk(s, [left_translation(spec.index(g), spec) for g in gens], spec))
+
+
+def automorphism_permutation(images: Sequence[Element], spec: GroupSpec) -> list[int]:
+    """Action on vertex indices of the automorphism f with images
+    f(a), f(b), f(c): a^u b^v c^w goes to f(a)^u f(b)^v f(c)^w.
+
+    f fixes the identity and sends g*x to f(g)*f(x), so it is the walk from
+    0 that steps by the left translations by f(a), f(b) and f(c)
+    (:func:`_walk`); a homomorphism is fixed by its images of the generators
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005).
+    """
+    return _walk(0, [left_translation(spec.index(g), spec) for g in images], spec)
+
+
+def _walk(start: int, steps: Sequence[Sequence[int]], spec: GroupSpec) -> list[int]:
+    """The map phi on vertex indices with phi(identity) = ``start`` and
+    phi(g*x) = steps_g[phi(x)] for g = a, b, c, listed in vertex-index order.
+
+    Index order meets a^(u+1) b^v c^w = a*(a^u b^v c^w) one index after
+    a^u b^v c^w, b^(v+1) c^w = b*(b^v c^w) m indices after b^v c^w, and
+    c^(w+1) = c*c^w m*n indices after c^w, so each image is one lookup in a
+    step table from one listed before it, with no group arithmetic.
+    """
+    step_a, step_b, step_c = steps
+    m, block = spec.m, spec.m * spec.n
+    out: list[int] = []
+    append = out.append
+    for i in range(0, spec.order, m):
+        if i == 0:
+            x = start
+        elif i % block:
+            x = step_b[out[i - m]]
+        else:
+            x = step_c[out[i - block]]
+        append(x)
+        for _ in range(m - 1):
+            x = step_a[x]
+            append(x)
+    return out
 
 
 def left_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:

@@ -437,9 +437,10 @@ def test_aut_generators_keeps_the_search_bound():
     "spec", ORACLE_SPECS + [GroupSpec(23, 11, 2), GroupSpec(47, 23, 2)], ids=str
 )
 def test_permutation_matches_products(spec, monkeypatch):
-    """Each generator's vertex permutation, built from index arithmetic on
-    power tables, is the permutation a^u b^v c^w -> f(a)^u f(b)^v f(c)^w
-    of its images f, built element by element from products."""
+    """Each generator's vertex permutation, the walk from 0 by the left
+    translations by its images (``groups.automorphism_permutation``), is
+    the permutation a^u b^v c^w -> f(a)^u f(b)^v f(c)^w of its images f,
+    built element by element from products."""
     built = []
 
     def recorded(f, spec):
@@ -447,8 +448,8 @@ def test_permutation_matches_products(spec, monkeypatch):
         built.append((f, p))
         return p
 
-    permutation = aut._permutation
-    monkeypatch.setattr(aut, "_permutation", recorded)
+    permutation = aut.automorphism_permutation
+    monkeypatch.setattr(aut, "automorphism_permutation", recorded)
     gens, _ = aut_generators(spec)
     assert [p for _, p in built] == gens
     for f, p in built:

@@ -10,7 +10,7 @@ import sys
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -954,6 +954,56 @@ def test_canonical_form_is_valid_graph6_of_isomorphic_graph():
     back = from_graph6(canonical_form(g))
     assert back.n == g.n and sorted(back.degrees()) == sorted(g.degrees())
     assert are_isomorphic(back, g)
+
+
+def counted_forms(graphs):
+    """The distinct canonical forms of the graphs, and the sum of n!/|Aut|
+    over the forms, each |Aut| from the search of the form's own graph."""
+    forms = {canonical_form(g) for g in graphs}
+    labelings = sum(
+        math.factorial(g.n) // automorphism_group(g).order for g in map(from_graph6, forms)
+    )
+    return forms, labelings
+
+
+@lru_cache(maxsize=1)
+def forms_on_six_and_seven():
+    """The canonical forms of every labeled graph on 6 vertices, and of
+    every extension of one of those forms by a seventh vertex, each with
+    its sum of n!/|Aut|."""
+    pairs = list(combinations(range(6), 2))
+    six = counted_forms(
+        graph_from_edges(6, [e for k, e in enumerate(pairs) if mask >> k & 1])
+        for mask in range(1 << len(pairs))
+    )
+    seven = counted_forms(
+        graph_from_edges(7, g.edges() + [(v, 6) for v in range(6) if mask >> v & 1])
+        for g in map(from_graph6, six[0])
+        for mask in range(1 << 6)
+    )
+    return six, seven
+
+
+def test_canonical_forms_count_the_graphs_on_six_and_seven_vertices():
+    """An exhaustive oracle with no frozen data.  The 2^15 labeled graphs on
+    6 vertices have 156 canonical forms, and the forms extended by a vertex
+    in every way have 1044: the numbers of graphs on 6 and 7 vertices (OEIS
+    A000088).  A form that splits or merges classes changes a count, and a
+    wrong |Aut| breaks the orbit-stabilizer sum of n!/|Aut| = 2^C(n, 2)."""
+    (six, six_labelings), (seven, seven_labelings) = forms_on_six_and_seven()
+    assert (len(six), six_labelings) == (156, 2**15)
+    assert (len(seven), seven_labelings) == (1044, 2**21)
+
+
+def test_are_isomorphic_on_every_graph_on_seven_vertices():
+    """Each of the 1044 graphs on 7 vertices is isomorphic to a seeded
+    relabeling of itself, and not to one of the next graph in form order."""
+    _, (seven, _) = forms_on_six_and_seven()
+    graphs = [from_graph6(f) for f in sorted(seven)]
+    rng = random.Random(1044)
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        assert are_isomorphic(g, random_relabel(g, rng))
+        assert not are_isomorphic(g, random_relabel(other, rng))
 
 
 # ------------------------------------------------------------ isomorphism

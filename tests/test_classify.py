@@ -26,7 +26,15 @@ from metacirc.classify import (
 from metacirc.autosearch import analyze
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, standard_connection_set
-from metacirc.groups import Element, GroupSpec, euler_phi, inv, iter_specs, regular_representation
+from metacirc.groups import (
+    Element,
+    GroupSpec,
+    automorphism_permutation,
+    euler_phi,
+    inv,
+    iter_specs,
+    regular_representation,
+)
 from metacirc.permgroup import PermGroup, orbits_at_zero
 from oracles import _inverses as inverses
 from oracles import _right_multiplications as right_multiplications
@@ -273,7 +281,7 @@ def test_set_stabilizer_order_matches_reference():
     ids=spec_id,
 )
 def test_pair_action_pairs_match_reference_inverses(spec):
-    """The inverse pairs, from an inverse table built block by block, are
+    """The inverse pairs, from ``groups.inv`` of every element, are
     (x, x^-1) for each x < x^-1 of the oracle's inverses, in order of x."""
     inverse = inverses(right_multiplications(spec.m, spec.n, spec.r, spec.ell))
     assert _PairAction(spec, []).pairs == [(x, y) for x, y in enumerate(inverse) if x < y]
@@ -290,6 +298,29 @@ def test_orbit_representatives_match_reference_walk(spec):
     output of the walk over sorted 4-tuples, each orbit taken by set_orbit."""
     gens, _ = _aut_generators(spec)
     assert orbit_representatives(spec, bound=spec.order) == orbit_walk(spec, gens)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(105)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(7, 3, 2, ell=3), GroupSpec(5, 1, 1, ell=5)],
+    ids=spec_id,
+)
+def test_pair_action_orbits_match_burnside_count(spec):
+    """The walk meets (1/|Aut(G)|) * sum of fix(phi) orbits on raw sets,
+    over every automorphism phi of the oracle's exhaustive list (Burnside),
+    with no frozen data.  Each phi acts on the inverse pairs by the
+    permutation pi that ``automorphism_permutation`` and the pair table
+    give, and fixes the raw sets {i, j} with i and j both fixed by pi or
+    swapped by it: C(#fixed points, 2) + #2-cycles."""
+    triples = aut_triples(spec)
+    action = _PairAction(spec, [automorphism_permutation(f, spec) for f in triples])
+    fixed_sets = 0
+    for pi in action.gens:
+        fixed = sum(1 for i, x in enumerate(pi) if x == i)
+        swaps = sum(1 for i, x in enumerate(pi) if x > i and pi[x] == i)
+        fixed_sets += comb(fixed, 2) + swaps
+    orbits = sum(1 for _ in _pair_action(spec).orbits())
+    assert orbits * len(triples) == fixed_sets
 
 
 @pytest.mark.parametrize(

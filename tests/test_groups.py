@@ -293,7 +293,7 @@ def test_regular_representation_matches_independent_construction():
     for spec in TABLE_SPECS:
         got = regular_representation(spec)
         expected = regular_generator_perms(spec.m, spec.n, spec.r, spec.ell)
-        assert got == [tuple(p) for p in expected]
+        assert got == tuple(tuple(p) for p in expected)
 
 
 def test_regular_representation_satisfies_presentation():
@@ -350,10 +350,11 @@ def test_left_translation_matches_mul(spec):
     ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
 )
 def test_right_translation_matches_oracle_product(spec):
-    """The block-built right translation by s is x -> x*s, the product the
-    oracle takes by composing the right multiplications by a, b and c, for
-    every element s of groups up to 63 elements and for a, b, c and a
-    spread of other elements of the larger ones."""
+    """The right translation by s, walked from s by the left translations
+    by a, b and c, is x -> x*s, the product the oracle takes by composing
+    the right multiplications by a, b and c, for every element s of groups
+    up to 63 elements and for a, b, c and a spread of other elements of the
+    larger ones."""
     order = spec.order
     abc = {spec.index(g) for g in (spec.generator_a(), spec.generator_b(), spec.generator_c())}
     for s in abc | set(range(0, order, 1 if order <= 63 else order // 8)) | {order - 1}:
