@@ -16,8 +16,9 @@ import argparse
 import sys
 import time
 
-from metacirc.classify import classify_spec, verify_table1
+from metacirc.classify import classify_spec
 from metacirc.groups import GroupSpec
+from metacirc.predictions import table1_checks
 
 REFERENCE_SPECS = [
     GroupSpec(5, 1, 1),
@@ -45,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
             kind = f"{c.s}-arc-transitive" if c.arc else "half-transitive"
             print(f"    aut={c.aut_order:<6} stab={c.stab_order:<3} {kind:<18} "
                   f"normal={c.normal_cayley} set={[tuple(x) for x in c.connection_set]}")
-        for name, ok, detail in verify_table1(report):
+        for name, ok, detail in table1_checks(spec, report.classes):
             print(f"    [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
             if not ok and name != "class count equals table n":
                 structural_ok = False

@@ -2,9 +2,10 @@
 
 from metacirc.autosearch import automorphism_group, canonical_form, are_isomorphic
 from metacirc.classify import ClassReport, GroupReport, classify_spec, emit_report
-from metacirc.graphs import Graph, build_cayley, from_graph6, standard_connection_set, to_graph6
+from metacirc.graphs import Graph, build_cayley, from_graph6, to_graph6
 from metacirc.groups import Element, GroupSpec, IDENTITY
 from metacirc.permgroup import PermGroup
+from metacirc.predictions import standard_connection_set
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,6 @@
 """End-to-end census: take one connection set per Aut(G)-orbit of
 tetravalent connection sets, compute full graph automorphism groups,
-classify transitivity, and compare against the bundled theoretical
-predictions.
+classify transitivity, and hand the classes to ``predictions.compare``.
 
 Two modes:
 
@@ -9,8 +8,9 @@ Two modes:
   walk over all of them, is taken once and tested for generation once on a
   single member; each generating orbit's least member is analyzed, one class
   per isomorphism type.  This is the ground truth.
-* ``theorem``: build only the distinguished standard-form sets S_j; equals
-  the oracle list exactly when the count formula phi(n0)/2 is right.
+* ``theorem``: build only the standard sets S_j with j in
+  ``predictions.theorem_js``; equals the oracle list exactly when the count
+  formula phi(n0)/2 is right.
 
 ``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
 takes each class's Aut(G)-orbit size from the walk, or from one walk of the
@@ -25,66 +25,34 @@ from one breadth-first search, before the graph is built
 (``_distance_split``), and the orbits of the vertex stabilizer on the
 neighbours of 0, after the search (``orbits_at_zero``).  Each exit only
 drops sets with more than one edge orbit, so the order changes no report.
-
-Counts are compared against the count formula, its stated exceptions, and
-the reference table of the four exceptional arc-transitive graphs; every
-mismatch is recorded in the report, never silently dropped.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-from math import comb, gcd
+from math import comb
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
+from metacirc import predictions
 from metacirc.aut import aut_generators
 from metacirc.autosearch import PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import (
-    build_cayley,
-    standard_connection_set,
-    to_dot,
-    to_graph6,
-    validate_connection_set,
-)
+from metacirc.graphs import build_cayley, to_dot, to_graph6, validate_connection_set
 from metacirc.groups import (
     Element,
     GroupSpec,
-    euler_phi,
     generates,
     inv,
+    inversion,
     left_translation,
     regular_representation,
     right_translation,
 )
 from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    """Reference data for the four exceptional arc-transitive graphs."""
-
-    group: str
-    aut_group: str
-    aut_order: int
-    stab_order: int
-    s: int
-    n: int
-
-
-TABLE1: dict[tuple[int, int], Table1Row] = {
-    (5, 1): Table1Row("Z5", "S5", 120, 24, 2, 1),
-    (7, 3): Table1Row("Z7:Z3", "PGL(2,7)", 336, 16, 1, 3),
-    (11, 5): Table1Row("Z11:Z5", "PGL(2,11)", 1320, 24, 2, 6),
-    (23, 11): Table1Row("Z23:Z11", "PSL(2,23)", 6072, 24, 2, 11),
-}
-
-# the count formula's stated exceptions: these two groups get explicit counts
-THM2_EXCEPTION_COUNTS = {(11, 5): 3, (23, 11): 6}
 
 
 @dataclass
@@ -144,7 +112,7 @@ class GroupReport:
     phi_n0_half: int
     thm2_exception_count: int | None
     thm2_claim: int | None
-    table1: Table1Row | None
+    table1: predictions.Table1Row | None
     agreement_theorem2: bool | None
     agreement_table1: bool | None
     findings: list[str]
@@ -183,8 +151,7 @@ class _PairAction:
     __slots__ = ("pairs", "pair_of", "gens", "base")
 
     def __init__(self, spec: GroupSpec, gens: Sequence[Sequence[int]]):
-        inverse = [spec.index(inv(x, spec)) for x in spec.elements()]
-        pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+        pairs = [(x, y) for x, y in enumerate(inversion(spec)) if x < y]
         pair_of = [-1] * spec.order
         for i, (x, y) in enumerate(pairs):
             pair_of[x] = pair_of[y] = i
@@ -392,20 +359,12 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
 
 # ---------------------------------------------------------------- pipeline
 
-def theorem_js(spec: GroupSpec) -> list[int]:
-    """One j per isomorphism class of standard sets: j and n0 - j pair up."""
-    return [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1 and 2 * j < spec.n0]
-
-
 def _standard_keys(spec: GroupSpec) -> dict[int, tuple[int, int]]:
-    """Each standard set S_j with gcd(j, n) = 1, as its pair-index key (see
-    ``_PairAction``), by j."""
+    """Each standard set S_j, j in ``predictions.standard_js``, as its
+    pair-index key (see ``_PairAction``), by j."""
     key = _pair_action(spec).key
-    return {
-        j: key([spec.index(x) for x in standard_connection_set(j, spec)])
-        for j in range(1, spec.n0)
-        if gcd(j, spec.n) == 1
-    }
+    return {j: key(map(spec.index, predictions.standard_connection_set(j, spec)))
+            for j in predictions.standard_js(spec)}
 
 
 def classify_spec(
@@ -414,43 +373,31 @@ def classify_spec(
     bound: int = 1000,
     jobs: int = 1,
 ) -> GroupReport:
-    """Classify all connected tetravalent edge-transitive Cayley graphs of G."""
+    """Classify all connected tetravalent edge-transitive Cayley graphs of G,
+    and compare the classes with the predictions (``predictions.compare``)."""
     if mode not in ("oracle", "theorem"):
         raise ValueError(f"unknown mode {mode!r}")
-    findings: list[str] = []
-
-    thm2_applicable = spec.sylow_cyclic and spec.hypothesis_star and not spec.is_abelian
-    phi_n0_half = euler_phi(spec.n0) // 2
-    exception = THM2_EXCEPTION_COUNTS.get((spec.m, spec.n)) if spec.ell == 1 else None
-    thm2_claim = (exception if exception is not None else phi_n0_half) if thm2_applicable else None
-
     if mode == "theorem":
-        if not thm2_applicable:
-            raise ValueError(
-                "theorem mode needs a nonabelian Sylow-cyclic spec satisfying "
-                "the no-central-Sylow condition; use oracle mode"
-            )
+        # (S_j, orbit size), the size taken from the class walk below
+        orbits = [(tuple(map(spec.index, predictions.standard_connection_set(j, spec))), None)
+                  for j in predictions.theorem_js(spec)]
         raw = connected = 0
-        aut_order = _aut_generators(spec)[1]
-        js = theorem_js(spec)
-        reps = [tuple(spec.index(x) for x in standard_connection_set(j, spec)) for j in js]
-        sizes = [None] * len(reps)
     else:
         orbits = orbit_representatives(spec, bound=bound)
-        aut_order = _aut_generators(spec)[1]
         raw = comb((spec.order - 1) // 2, 2)
         connected = sum(size for _, size in orbits)
-        reps = [rep for rep, _ in orbits]
-        sizes = [size for _, size in orbits]
+    aut_order = _aut_generators(spec)[1]
 
+    thm2_applicable = predictions.thm2_applicable(spec)
     standard = _standard_keys(spec) if thm2_applicable else {}
     # merge by canonical form; distinct aut-orbits with equal canonical forms
-    # witness a failure of the CI property and are flagged
+    # witness a failure of the CI property and are passed on as twins
     merged: dict[str, ClassReport] = {}
-    sets = [tuple(map(spec.at_index, rep)) for rep in reps]
+    twins: list[tuple[ClassReport, ClassReport]] = []
+    sets = [tuple(map(spec.at_index, rep)) for rep, _ in orbits]
     results = parallel_map(partial(analyze_connection_set, spec), sets, jobs)
     # strict=True draws the results to their end, which shuts any pool down
-    for rep, size, c in zip(reps, sizes, results, strict=True):
+    for (rep, size), c in zip(orbits, results, strict=True):
         if c is None:
             continue
         standard_j = None
@@ -469,66 +416,19 @@ def classify_spec(
             normalizer_ok=c.normalizer_order == spec.order * set_stab,
             standard_j=standard_j,
         )
-        prev = merged.get(c.canonical)
-        if prev is None:
-            merged[c.canonical] = c
-        else:
+        prev = merged.setdefault(c.canonical, c)
+        if prev is not c:
             merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
-            if mode == "oracle":
-                findings.append(
-                    f"isomorphic graphs from distinct Aut(G)-orbits: "
-                    f"{prev.set_list()} vs {c.set_list()}"
-                )
-            else:
-                findings.append(
-                    f"standard sets j={prev.standard_j} and j={c.standard_j} are isomorphic"
-                )
+            twins.append((prev, c))
     classes = sorted(merged.values(), key=lambda c: c.canonical)
-
-    table_row = TABLE1.get((spec.m, spec.n)) if spec.ell == 1 else None
-    if table_row is not None and spec.is_abelian and (spec.m, spec.n) != (5, 1):
-        table_row = None
-
-    agreement_table1 = None
-    if table_row is not None:
-        agreement_table1 = all(ok for _, ok, _ in _table1_checks(spec, classes, table_row))
-
-    agreement_theorem2 = None
-    if thm2_claim is not None:
-        agreement_theorem2 = len(classes) == thm2_claim
-
-    for c in classes:
-        if not c.normalizer_ok:
-            findings.append(
-                f"normalizer identity fails for {list(map(spec.index, c.connection_set))}: "
-                f"|N| = {c.normalizer_order}, |G|*|Aut(G,S)| = {spec.order * c.set_stabilizer_order}"
-            )
-        if thm2_applicable and c.standard_j is None:
-            findings.append(
-                f"class {c.canonical!r} has no standard-form representative"
-            )
-        expected_generic = c.half and c.normal_cayley and c.aut_order == 2 * spec.order
-        is_table_exception = table_row is not None and c.aut_order == table_row.aut_order
-        if not spec.is_abelian and not expected_generic and not is_table_exception:
-            findings.append(
-                f"class {c.canonical!r} violates the generic half-transitive pattern: "
-                f"aut_order={c.aut_order}, half={c.half}, normal={c.normal_cayley}"
-            )
-
     return GroupReport(
         spec=spec,
         mode=mode,
         classes=classes,
         raw_candidates=raw,
         connected_candidates=connected,
-        orbit_count=len(reps),
-        phi_n0_half=phi_n0_half,
-        thm2_exception_count=exception if thm2_applicable else None,
-        thm2_claim=thm2_claim,
-        table1=table_row,
-        agreement_theorem2=agreement_theorem2,
-        agreement_table1=agreement_table1,
-        findings=findings,
+        orbit_count=len(orbits),
+        **predictions.compare(spec, mode, classes, twins),
     )
 
 
@@ -552,70 +452,14 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
             pool.shutdown(cancel_futures=True)
 
 
-# ------------------------------------------------------------- table check
-
-def _table1_checks(
-    spec: GroupSpec, classes: Sequence[ClassReport], row: Table1Row
-) -> list[tuple[str, bool, str]]:
-    exceptional = [c for c in classes if c.aut_order == row.aut_order]
-    checks = [
-        (
-            "one exceptional class",
-            len(exceptional) == 1,
-            f"classes with aut_order {row.aut_order}: {len(exceptional)}",
-        )
-    ]
-    if len(exceptional) == 1:
-        c = exceptional[0]
-        checks.append(("stabilizer order", c.stab_order == row.stab_order,
-                       f"got {c.stab_order}, expected {row.stab_order}"))
-        checks.append(("s-arc-transitivity", c.s == row.s, f"got {c.s}, expected {row.s}"))
-        checks.append(("arc-transitive", c.arc, f"arc={c.arc}"))
-    others = [c for c in classes if c.aut_order != row.aut_order]
-    checks.append(
-        (
-            "other classes half-transitive normal",
-            all(c.half and c.normal_cayley and c.aut_order == 2 * spec.order for c in others),
-            f"{len(others)} other classes",
-        )
-    )
-    return checks
-
-
-def verify_table1(report: GroupReport) -> list[tuple[str, bool, str]]:
-    """Check a report against the reference row for its group; raises for
-    groups outside the reference table."""
-    if report.table1 is None:
-        raise ValueError(f"no reference data for spec {report.spec}")
-    checks = _table1_checks(report.spec, report.classes, report.table1)
-    checks.append(
-        (
-            "class count equals table n",
-            report.oracle_count == report.table1.n,
-            f"oracle {report.oracle_count}, table {report.table1.n}",
-        )
-    )
-    return checks
-
-
 # ------------------------------------------------------------------- JSON
 
 def report_to_json_dict(report: GroupReport) -> dict:
     spec = report.spec
     group = spec.to_json_dict()
     group["order"] = spec.order
-    table = None
-    if report.table1 is not None:
-        row = report.table1
-        table = {
-            "group": row.group,
-            "aut_group": row.aut_group,
-            "aut_order": row.aut_order,
-            "stab_order": row.stab_order,
-            "s": row.s,
-            "n": row.n,
-            "count_matches_n": report.oracle_count == row.n,
-        }
+    row = report.table1
+    table = None if row is None else {**asdict(row), "count_matches_n": report.oracle_count == row.n}
     return {
         "group": group,
         "theory": {

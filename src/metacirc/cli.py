@@ -36,16 +36,10 @@ from metacirc.classify import (
     report_to_json_dict,
 )
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import (
-    Graph,
-    build_cayley,
-    from_graph6,
-    standard_connection_set,
-    to_dot,
-    to_graph6,
-)
+from metacirc.graphs import Graph, build_cayley, from_graph6, to_dot, to_graph6
 from metacirc.groups import GroupSpec, iter_specs
 from metacirc.permgroup import PermGroup
+from metacirc.predictions import standard_connection_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,9 +139,6 @@ def _cmd_classify(args, mode: str) -> int:
     spec = _spec_from_args(args)
     try:
         report = classify_spec(spec, mode=mode, bound=args.bound, jobs=args.jobs)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:

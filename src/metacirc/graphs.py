@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
-from metacirc.groups import Element, GroupSpec, IDENTITY, inv, left_translation, mul
+from metacirc.groups import Element, GroupSpec, IDENTITY, inv, left_translation
 
 
 @dataclass(frozen=True)
@@ -76,22 +75,6 @@ def validate_connection_set(S: Iterable[Element], spec: GroupSpec) -> tuple[Elem
     if any(inv(x, spec) not in elems for x in elems):
         raise ValueError("connection set must be inverse-closed")
     return tuple(elems)
-
-
-def standard_connection_set(j: int, spec: GroupSpec) -> tuple[Element, ...]:
-    """The distinguished set {c b^j, c^-1 a b^j, c^-1 b^-j, c (a b^j)^-1}.
-
-    For ell = 1 this is S_j = {b^j, a b^j, b^-j, (a b^j)^-1}.  Valid for
-    1 <= j < n0 with gcd(j, n) = 1.
-    """
-    if not 1 <= j < spec.n0:
-        raise ValueError(f"j must satisfy 1 <= j < n0 = {spec.n0}, got {j}")
-    if gcd(j, spec.n) != 1:
-        raise ValueError(f"j must be coprime to n = {spec.n}, got {j}")
-    c = spec.generator_c()
-    x = mul(c, spec.element(0, j, 0), spec)
-    y = mul(inv(c, spec), spec.element(1, j, 0), spec)
-    return validate_connection_set([x, y, inv(x, spec), inv(y, spec)], spec)
 
 
 def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
@@ -228,14 +211,10 @@ def from_graph6(data: bytes | str) -> Graph:
     header = 8 if vals[:2] == [63, 63] else 4 if vals[:1] == [63] else 1
     if len(vals) < header:
         raise ValueError("truncated graph6 header")
-    if header == 8:
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-    elif header == 4:
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-    else:
-        n = vals[0]
+    # n is the big-endian sextets after the header's 0, 1 or 2 bytes 126
+    n = 0
+    for v in vals[header // 3 : header]:
+        n = (n << 6) | v
     body = data[header:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:

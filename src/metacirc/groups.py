@@ -16,8 +16,8 @@ The product rule, and with it the split relation b^n = 1, is written out
 only in :func:`mul` and :func:`inv` for elements, in :func:`left_translation`
 for vertex indices, and in the commutator of :func:`generates`.  Every other
 vertex map (the right translations, the automorphisms' permutations) is one
-walk over left translations (:func:`_walk`), and :func:`power` is
-square-and-multiply on :func:`mul`.
+walk over left translations (:func:`_walk`), inversion is one walk over right
+translations, and :func:`power` is square-and-multiply on :func:`mul`.
 """
 
 from __future__ import annotations
@@ -337,6 +337,17 @@ def right_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:
     """
     gens = (spec.generator_a(), spec.generator_b(), spec.generator_c())
     return tuple(_walk(s, [left_translation(spec.index(g), spec) for g in gens], spec))
+
+
+def inversion(spec: GroupSpec) -> list[int]:
+    """Permutation x -> x^-1 on vertex indices.
+
+    It fixes the identity and sends g*x to x^-1 * g^-1, so it is the walk
+    from 0 that steps by the right translations by a^-1, b^-1 and c^-1
+    (:func:`_walk`).
+    """
+    gens = (spec.generator_a(), spec.generator_b(), spec.generator_c())
+    return _walk(0, [right_translation(spec.index(inv(g, spec)), spec) for g in gens], spec)
 
 
 def automorphism_permutation(images: Sequence[Element], spec: GroupSpec) -> list[int]:

@@ -33,11 +33,11 @@ from metacirc.graphs import (
     build_cayley,
     from_graph6,
     graph_from_edges,
-    standard_connection_set,
     to_graph6,
 )
 from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
 from metacirc.permgroup import PermGroup, orbit
+from metacirc.predictions import standard_connection_set
 from oracles import (
     apply_aut,
     aut_triples,

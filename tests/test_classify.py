@@ -20,12 +20,10 @@ from metacirc.classify import (
     orbit_representatives,
     parallel_map,
     report_to_json_dict,
-    theorem_js,
-    verify_table1,
 )
 from metacirc.autosearch import analyze
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import build_cayley, standard_connection_set
+from metacirc.graphs import build_cayley
 from metacirc.groups import (
     Element,
     GroupSpec,
@@ -33,9 +31,11 @@ from metacirc.groups import (
     euler_phi,
     inv,
     iter_specs,
+    mul,
     regular_representation,
 )
 from metacirc.permgroup import PermGroup, orbits_at_zero
+from metacirc.predictions import TABLE1, standard_connection_set, table1_checks, theorem_js
 from oracles import _inverses as inverses
 from oracles import _right_multiplications as right_multiplications
 from oracles import (
@@ -621,7 +621,7 @@ def test_emit_report_roundtrip(tmp_path):
 
 def test_verify_table1_f21():
     rep = classify_spec(F21)
-    checks = verify_table1(rep)
+    checks = table1_checks(rep.spec, rep.classes)
     named = {name: ok for name, ok, _ in checks}
     assert named["one exceptional class"]
     assert named["stabilizer order"]
@@ -631,7 +631,7 @@ def test_verify_table1_f21():
 
 def test_verify_table1_wrong_spec():
     with pytest.raises(ValueError):
-        verify_table1(classify_spec(GroupSpec(13, 3, 3)))
+        table1_checks(GroupSpec(13, 3, 3), classify_spec(GroupSpec(13, 3, 3)).classes)
 
 
 def test_report_disagrees_on_each_prediction():
@@ -643,6 +643,27 @@ def test_report_disagrees_on_each_prediction():
     f21 = classify_spec(F21)
     assert f21.agreement_table1 and not f21.findings
     assert f21.oracle_count != f21.table1.n and f21.disagrees
+
+
+TABLE1_ROW_CASES = (
+    [(GroupSpec(m, n, 1), None) for m, n in ((7, 3), (11, 5), (23, 11))]
+    + [(Z5, TABLE1[5, 1]), (GroupSpec(7, 3, 2, ell=3), None)]
+    + [
+        (GroupSpec(m, n, r), TABLE1[m, n])
+        for m, n in ((7, 3), (11, 5), (23, 11))
+        for r in range(2, m)
+        if pow(r, n, m) == 1
+    ]
+)
+
+
+@pytest.mark.parametrize("spec, row", TABLE1_ROW_CASES, ids=[spec_id(s) for s, _ in TABLE1_ROW_CASES])
+def test_table1_row_rule(spec, row):
+    """A spec gets the Table-1 row of its (m, n) when it has no central
+    factor and is nonabelian, or is Z5: every multiplier r != 1 of the
+    three nonabelian rows gets its row, while the abelian Z7 x Z3, Z11 x Z5
+    and Z23 x Z11, and Z3 x (Z7:Z3), get none."""
+    assert classify_spec(spec).table1 == row
 
 
 # --------------------------------------------- documented disagreements
@@ -731,3 +752,42 @@ def test_central_factor_second_family():
     assert all(c.half and c.aut_order == 210 and c.normal_cayley for c in rep.classes)
     assert sorted((c.standard_j for c in rep.classes), key=str) == [1, None]
     assert any("no standard-form representative" in f for f in rep.findings)
+
+
+def central_factor_family(spec):
+    """The sets S_(j,eps) = {c b^j, c^eps a b^j} and their inverses, for j
+    in theorem_js and eps^2 = 1 (mod ell); eps = -1 is the standard set."""
+    a, c = spec.generator_a(), spec.generator_c()
+    sets = []
+    for j in theorem_js(spec):
+        b_j = spec.element(0, j, 0)
+        for eps in (e for e in range(1, spec.ell) if e * e % spec.ell == 1):
+            x, y = mul(c, b_j, spec), mul(spec.element(0, 0, eps), mul(a, b_j, spec), spec)
+            sets.append((x, y, inv(x, spec), inv(y, spec)))
+    return sets
+
+
+# every spec of iter_specs times a central factor of odd order ell > 1,
+# up to order 600, where the product is Sylow-cyclic
+SYLOW_CYCLIC_CENTRAL = [
+    spec
+    for spec in (
+        GroupSpec(b.m, b.n, b.r, ell) for b in iter_specs(200) for ell in range(3, 600 // b.order + 1, 2)
+    )
+    if spec.sylow_cyclic
+]
+
+
+@pytest.mark.parametrize("spec", SYLOW_CYCLIC_CENTRAL, ids=spec_id)
+def test_central_factor_family_hits_each_generic_class_once(spec):
+    """On every Sylow-cyclic spec with a central factor c of order ell > 1
+    and order at most 600, the S_(j,eps) hit each class with |Aut| = 2|G|
+    exactly once, and no other class.  The family needs gcd(ell, n) = 1: on
+    (7,3,2,15) only 2 of its 4 sets hit a class."""
+    assert len(SYLOW_CYCLIC_CENTRAL) == 20
+    assert spec.central_a_order == 1
+    report = classify_spec(spec, bound=spec.order)
+    generic = [c.canonical for c in report.classes if c.aut_order == 2 * spec.order]
+    hits = [analyze_connection_set(spec, S) for S in central_factor_family(spec)]
+    assert None not in hits
+    assert sorted(c.canonical for c in hits) == sorted(generic)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import metacirc
 from metacirc.cli import main
-from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set, to_graph6
+from metacirc.graphs import build_cayley, graph_from_edges, to_graph6
 from metacirc.groups import GroupSpec
+from metacirc.predictions import standard_connection_set
 
 
 def run_cli(capsys, *argv):

@@ -17,12 +17,12 @@ from metacirc.graphs import (
     graph6_of_rows,
     graph_from_edges,
     packed_rows,
-    standard_connection_set,
     to_dot,
     to_graph6,
     validate_connection_set,
 )
 from metacirc.groups import Element, GroupSpec, IDENTITY, inv, iter_specs, regular_representation
+from metacirc.predictions import standard_connection_set
 from oracles import (
     apply_aut,
     aut_permutations,

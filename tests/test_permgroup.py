@@ -11,7 +11,7 @@ from metacirc import permgroup
 from metacirc.autosearch import analyze
 from metacirc.classify import classify_spec
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import build_cayley, graph_from_edges, standard_connection_set
+from metacirc.graphs import build_cayley, graph_from_edges
 from metacirc.groups import Element, GroupSpec, inv, iter_specs, regular_representation
 from metacirc.permgroup import (
     PermGroup,
@@ -21,6 +21,7 @@ from metacirc.permgroup import (
     orbits_at_zero,
     s_arcs_at_zero,
 )
+from metacirc.predictions import standard_connection_set
 from oracles import (
     edge_orbit_count,
     group_elements,
