@@ -93,10 +93,16 @@ def _initial_partition(
     of the seeds, at the orbit's least vertex, and given to the whole
     orbit: a graph whose seeds are transitive, as a Cayley graph's
     translations are, gets one.
+
+    In a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
+    k = |N2(v)| the number of vertices at distance 2, so k alone orders them,
+    and it is read off bit rows: the union of the neighbours' rows, less
+    v's own row, is N2(v) and v itself, v being a neighbour of each of its
+    neighbours.  So it counts k + 1 at every vertex, or 0 at every vertex
+    when d = 0.  A row is built when first needed, so a seeded Cayley graph
+    search builds d + 1 rows and an unseeded one n.
     """
     deg = g.degrees()
-    # in a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
-    # k the number of distance-2 vertices, so k alone orders them
     regular = min(deg, default=0) == max(deg, default=0)
     root = list(range(g.n))
     orbits: list[set[int]] | None = None
@@ -109,14 +115,31 @@ def _initial_partition(
                     root[u] = v
         orbits = [orbit_at[v] for v in root]
     adj = g.adjacency
+    rows: list[int | None] = [None] * g.n  # bit rows, each built when first needed
+
+    def row(u: int) -> int:
+        bits = 0
+        for w in adj[u]:
+            bits |= 1 << w
+        rows[u] = bits
+        return bits
+
     sig_of = {}
     for v, r in enumerate(root):
         if r == v:
             nbrs = adj[v]
+            if regular:  # k + 1, or 0 if d = 0 (see above)
+                reach = 0
+                for u in nbrs:
+                    bits = rows[u]
+                    reach |= row(u) if bits is None else bits
+                bits = rows[v]
+                sig_of[v] = (reach & ~(row(v) if bits is None else bits)).bit_count()
+                continue
             two = set().union(*map(adj.__getitem__, nbrs))
             two.discard(v)
             two.difference_update(nbrs)
-            sig_of[v] = len(two) if regular else (
+            sig_of[v] = (
                 deg[v],
                 tuple(sorted(map(deg.__getitem__, nbrs))),
                 tuple(sorted(map(deg.__getitem__, two))),
@@ -145,9 +168,9 @@ def _refine(
     keep their vertices in ascending order.  A splitter is a vertex list.
     Splitting by it walks the adjacency lists of its vertices only: the cells
     holding a counted vertex are the only ones that can split, and the
-    uncounted rest of such a cell is its count-0 fragment.  Every splitter,
-    of one vertex or many, counts into one array of n made once per call,
-    and the counted vertices are grouped in another, indexed by cell start;
+    uncounted rest of such a cell is its count-0 fragment.  The counted
+    vertices are grouped in an array of n made once per call, indexed by
+    cell start, and a splitter of several vertices counts them into another;
     each touched cell clears its entries of both once it is looked at, so a
     splitter builds nothing but its groups.  Touched cells are split in
     partition order, so the work of a splitter is proportional to its edges
@@ -158,7 +181,13 @@ def _refine(
     they are all of it, and otherwise split into the rest of the cell, read
     off count 0, and the counted vertices; a cell with several counts is
     split into the rest, if any, and one bucket per count, in ascending
-    order.
+    order.  Two cases skip the count array.  A splitter of one vertex (the
+    individualized vertex, or a singleton fragment) gives each vertex it
+    touches count 1, so it only groups them, and a touched cell stays whole
+    or splits into [rest, counted], the counted in adjacency order, which is
+    ascending.  A touched cell of two vertices that splits becomes two
+    singletons, the lower count (the rest's 0 if one is uncounted) first,
+    with no fragment list.
 
     One precondition: ``splitters`` is None, which queues every cell, or
     ``cells`` and ``splitters`` are what ``_individualize`` returned for an
@@ -201,51 +230,87 @@ def _refine(
     push = queue.append
     while queue and ncells < n:
         splitter, other = queue.popleft()
+        counted = splitter if other is None else other
+        single = len(counted) == 1
         touched = []  # starts of the cells holding a counted vertex
-        for w in splitter if other is None else other:
-            for u in adj[w]:
+        if single:
+            for u in adj[counted[0]]:
                 s = cell_of[u]
                 if s >= 0:
-                    if count[u]:
-                        count[u] += 1
+                    if hits[s] is None:
+                        hits[s] = [u]
+                        touched.append(s)
                     else:
-                        count[u] = 1
-                        if hits[s] is None:
-                            hits[s] = [u]
-                            touched.append(s)
+                        hits[s].append(u)
+        else:
+            for w in counted:
+                for u in adj[w]:
+                    s = cell_of[u]
+                    if s >= 0:
+                        if count[u]:
+                            count[u] += 1
                         else:
-                            hits[s].append(u)
+                            count[u] = 1
+                            if hits[s] is None:
+                                hits[s] = [u]
+                                touched.append(s)
+                            else:
+                                hits[s].append(u)
         if len(touched) > 1:
             touched.sort()
         for s in touched:
             cell = cell_at[s]
             hit = hits[s]
             hits[s] = None
-            k = count[hit[0]]
-            for v in hit:
-                if count[v] != k:
-                    k = 0  # the counts differ
-                    break
-            if k and len(hit) == len(cell):
-                for v in hit:
-                    count[v] = 0
+            if len(cell) == 2:
+                x, y = cell
+                if single:
+                    cx, cy = x in hit, y in hit
+                else:
+                    cx, cy = count[x], count[y]
+                    count[x] = count[y] = 0
+                if cx == cy:
+                    continue
+                # the lower count first, reversed if `other` was counted; [x]
+                # is not counted by its sibling, and [y], the last, not queued
+                if (cx > cy) == (other is None):
+                    x, y = y, x
+                cell_at[s], cell_at[s + 1] = [x], [y]
+                cell_of[x] = cell_of[y] = -1
+                ncells += 1
+                push(([x], None))
                 continue
-            frags = [[v for v in cell if not count[v]]] if len(hit) < len(cell) else []
-            hit.sort()
-            if k:
-                for v in hit:
-                    count[v] = 0
-                frags.append(hit)
+            if single:
+                if len(hit) == len(cell):
+                    continue
+                marked = set(hit)
+                frags = [[v for v in cell if v not in marked], hit]
             else:
-                buckets: dict[int, list[int]] = {}
+                k = count[hit[0]]
                 for v in hit:
-                    c = count[v]
-                    count[v] = 0
-                    if c in buckets:
-                        buckets[c].append(v)
-                    else:
-                        buckets[c] = [v]
-                frags += [buckets[c] for c in sorted(buckets)]
+                    if count[v] != k:
+                        k = 0  # the counts differ
+                        break
+                if k and len(hit) == len(cell):
+                    for v in hit:
+                        count[v] = 0
+                    continue
+                frags = [[v for v in cell if not count[v]]] if len(hit) < len(cell) else []
+                hit.sort()
+                if k:
+                    for v in hit:
+                        count[v] = 0
+                    frags.append(hit)
+                else:
+                    buckets: dict[int, list[int]] = {}
+                    for v in hit:
+                        c = count[v]
+                        count[v] = 0
+                        if c in buckets:
+                            buckets[c].append(v)
+                        else:
+                            buckets[c] = [v]
+                    frags += [buckets[c] for c in sorted(buckets)]
             if other is not None:
                 frags.reverse()
             pos = s

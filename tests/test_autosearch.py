@@ -12,9 +12,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metacirc import autosearch
@@ -165,20 +166,40 @@ def two_circulants(n, jumps1, jumps2):
 
 @given(
     n=st.integers(1, 30),
-    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant", "regular"]),
+    kind=st.sampled_from(
+        ["sparse", "dense", "disconnected", "circulant", "regular", "empty", "complete", "union", "triangles"]
+    ),
     rnd=st.random_module(),
 )
+@example(n=12, kind="empty", rnd=SimpleNamespace(seed=0))
+@example(n=1, kind="complete", rnd=SimpleNamespace(seed=0))
+@example(n=7, kind="complete", rnd=SimpleNamespace(seed=0))
+@example(n=11, kind="union", rnd=SimpleNamespace(seed=0))
+@example(n=9, kind="triangles", rnd=SimpleNamespace(seed=0))
 @settings(max_examples=100, deadline=None)
 def test_initial_partition_matches_signature_reference(n, kind, rnd):
     """The starting partition groups the vertices by their signature, in
     signature order, also on regular graphs, whose signatures it orders by
-    the number of vertices at distance 2 alone."""
+    the number of vertices at distance 2 alone.  That number is read off bit
+    rows, so these regular graphs are given too: the empty graph, where no
+    vertex reaches any; K_n, where none is at distance 2; C_m(1, 2) beside
+    C_m(1, 3), which have 4 and 6 vertices at distance 2 once m >= 11; and
+    C_m(1, 2) beside C_m(1, 3) for m = 9 or 10, which both have 4 but whose
+    neighbours' rows reach 9 and 7, or 9 and 5, vertices, as triangles put
+    neighbours in them."""
     rng = random.Random(rnd.seed)
     if kind == "regular":
         k = rng.randint(1, 3)
         g = random_relabel(two_circulants(
             max(n, 2 * k + 1), rng.sample(range(1, k + 4), k), rng.sample(range(1, k + 4), k)
         ), rng)
+    elif kind == "empty":
+        g = graph_from_edges(n, [])
+    elif kind == "complete":
+        g = graph_from_edges(n, combinations(range(n), 2))
+    elif kind in ("union", "triangles"):
+        m = max(n, 11) if kind == "union" else 9 + n % 2
+        g = random_relabel(two_circulants(m, [1, 2], [1, 3]), rng)
     else:
         g = refine_fixture(n, kind, rng)
     assert _initial_partition(g) == (signature_cells(g.adjacency), None)
@@ -966,6 +987,14 @@ def counted_forms(graphs):
     return forms, labelings
 
 
+def one_vertex_extensions(forms):
+    """Each graph of the graph6 ``forms`` with a new vertex joined to its
+    vertices in every way."""
+    for g in map(from_graph6, forms):
+        for mask in range(1 << g.n):
+            yield graph_from_edges(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n) if mask >> v & 1])
+
+
 @lru_cache(maxsize=1)
 def forms_on_six_and_seven():
     """The canonical forms of every labeled graph on 6 vertices, and of
@@ -976,12 +1005,7 @@ def forms_on_six_and_seven():
         graph_from_edges(6, [e for k, e in enumerate(pairs) if mask >> k & 1])
         for mask in range(1 << len(pairs))
     )
-    seven = counted_forms(
-        graph_from_edges(7, g.edges() + [(v, 6) for v in range(6) if mask >> v & 1])
-        for g in map(from_graph6, six[0])
-        for mask in range(1 << 6)
-    )
-    return six, seven
+    return six, counted_forms(one_vertex_extensions(six[0]))
 
 
 def test_canonical_forms_count_the_graphs_on_six_and_seven_vertices():
@@ -993,6 +1017,16 @@ def test_canonical_forms_count_the_graphs_on_six_and_seven_vertices():
     (six, six_labelings), (seven, seven_labelings) = forms_on_six_and_seven()
     assert (len(six), six_labelings) == (156, 2**15)
     assert (len(seven), seven_labelings) == (1044, 2**21)
+
+
+@pytest.mark.slow
+def test_canonical_forms_count_the_graphs_on_eight_vertices():
+    """The same oracle one vertex further: the 1044 forms on 7 vertices
+    extended by an eighth vertex in every way have 12346 canonical forms,
+    the number of graphs on 8 vertices, with sum 8!/|Aut| = 2^28."""
+    _, (seven, _) = forms_on_six_and_seven()
+    eight, labelings = counted_forms(one_vertex_extensions(seven))
+    assert (len(eight), labelings) == (12346, 2**28)
 
 
 def test_are_isomorphic_on_every_graph_on_seven_vertices():
