@@ -12,11 +12,12 @@ For Sylow-cyclic specs every automorphism acts as
     a -> a^s,   b -> a^t b^(1+l*n0),   c -> c^sc,
 
 with gcd(s, m) = 1, gcd(1+l*n0, n) = 1, gcd(sc, ell) = 1 and
-t * rsum(r, n) = 0 (mod m).  The t-constraint is vacuous when <a> meets the
-centre trivially (then rsum(r, n) = 0 mod m and the count is
-phi(m) * m * (n/n0) * phi(ell)); on decomposable presentations it restricts t
-to multiples of m / gcd(r-1, m).  The search takes its candidate images
-from this shape there.
+t * (r + r^2 + ... + r^n) = 0 (mod m), which ``_t_count`` of the m values
+of t satisfy.  The t-constraint is vacuous when <a> meets the centre trivially
+(then the sum is 0 mod m and the count is phi(m) * m * (n/n0) * phi(ell));
+on decomposable presentations it restricts t to the multiples of
+gcd(r-1, m), m / gcd(r-1, m) values.  The search takes its candidate
+images from this shape there.
 
 Outside the Sylow-cyclic case <a> need not be characteristic and this shape
 misses automorphisms, so the candidates are the elements of the right
@@ -28,7 +29,8 @@ arithmetic of :func:`groups.generates` decides (:func:`_completions`).
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from operator import getitem
+from typing import Iterable, Iterator
 
 from metacirc import permgroup
 from metacirc.errors import BoundExceeded
@@ -42,7 +44,6 @@ from metacirc.groups import (
     inv,
     mul,
     power,
-    rsum,
 )
 
 # most elements of a non-Sylow-cyclic group whose automorphisms are searched
@@ -51,11 +52,18 @@ SEARCH_BOUND = 4000
 Triple = tuple[Element, Element, Element]
 
 
+def _t_count(spec: GroupSpec) -> int:
+    """gcd(r + r^2 + ... + r^n, m), the number of t mod m with
+    t * (r + ... + r^n) = 0.  r^n0 = 1 and n0 divides n, so the sum is n/n0
+    times the sum of the power table, r^0 + ... + r^(n0-1), mod m."""
+    return gcd(spec.n // spec.n0 * sum(map(spec.rpow, range(spec.n0))), spec.m)
+
+
 def _parametrized_images(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:
     """The images a^s, a^t b^(1+l*n0) and c^sc of a Sylow-cyclic spec's
     automorphisms, each in ascending parameter order."""
     m, n, ell, n0 = spec.m, spec.n, spec.ell, spec.n0
-    t_step = m // gcd(rsum(spec.r, n, spec), m)
+    t_step = m // _t_count(spec)
     a_images = [Element(s, 0, 0) for s in range(m) if gcd(s, m) == 1]
     b_images = [
         Element(t, (1 + l * n0) % n, 0)
@@ -72,9 +80,8 @@ def parametrized_count(spec: GroupSpec) -> int:
     if not spec.sylow_cyclic:
         raise ValueError("count formula needs a Sylow-cyclic spec")
     m, n, n0 = spec.m, spec.n, spec.n0
-    t_count = gcd(rsum(spec.r, n, spec), m)
     l_count = sum(1 for l in range(n // n0) if gcd(1 + l * n0, n) == 1)
-    return euler_phi(m) * t_count * l_count * euler_phi(spec.ell)
+    return euler_phi(m) * _t_count(spec) * l_count * euler_phi(spec.ell)
 
 
 def _image_candidates(spec: GroupSpec) -> tuple[list[Element], list[Element], list[Element]]:
@@ -161,7 +168,7 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     order = 1
     for base, candidates, completions in levels:
         point = spec.index(base)
-        orbit = _point_orbit(point, gens)
+        orbit = permgroup.orbit(point, gens, getitem)
         failed: set[int] = set()
         for x in candidates:
             i = spec.index(x)
@@ -171,13 +178,9 @@ def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
             if f is None:
                 # the generators so far lie in this level's group, which
                 # keeps the points off its basic orbit off it
-                failed |= _point_orbit(i, gens)
+                failed |= permgroup.orbit(i, gens, getitem)
                 continue
             gens.append(automorphism_permutation(f, spec))
-            orbit = _point_orbit(point, gens)
+            orbit = permgroup.orbit(point, gens, getitem)
         order *= len(orbit)
     return gens, order
-
-
-def _point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
-    return permgroup.orbit(point, gens, lambda p, x: p[x])

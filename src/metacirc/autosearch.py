@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from operator import getitem
 from typing import Iterator, Sequence
 
@@ -66,6 +67,9 @@ from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_row
 from metacirc.permgroup import PermGroup, orbit
 
 MAX_DEGREE = 2000
+
+# (cell_at, cell_of, ncells), the ordered partition of ``_refine``
+Partition = tuple[list[list[int] | None], list[int], int]
 
 
 @dataclass
@@ -84,10 +88,11 @@ class SearchResult:
 
 def _initial_partition(
     g: Graph, seeds: Sequence[Sequence[int]] = ()
-) -> tuple[list[list[int]], list[set[int]] | None]:
-    """Cells by (degree, neighbor degrees, distance-2 degrees), an
-    isomorphism-invariant starting colouring, and each vertex's orbit under
-    the automorphisms ``seeds`` (None without seeds).
+) -> tuple[Partition, list[set[int]] | None]:
+    """The partition (see ``_refine``) into cells by (degree, neighbor
+    degrees, distance-2 degrees), an isomorphism-invariant starting
+    colouring, and each vertex's orbit under the automorphisms ``seeds``
+    (None without seeds).
 
     Automorphisms preserve the signature, so it is computed once per orbit
     of the seeds, at the orbit's least vertex, and given to the whole
@@ -145,37 +150,53 @@ def _initial_partition(
                 tuple(sorted(map(deg.__getitem__, two))),
             )
     if len(sig_of) == 1:
-        return [list(range(g.n))], orbits
-    sigs = [sig_of[r] for r in root]
-    order = sorted(range(g.n), key=lambda v: (sigs[v], v))
-    cells: list[list[int]] = []
-    for v in order:
-        if cells and sigs[cells[-1][-1]] == sigs[v]:
-            cells[-1].append(v)
-        else:
-            cells.append([v])
-    # keep each cell in vertex-index order (sorted by construction)
-    return cells, orbits
+        cells = [list(range(g.n))]
+    else:
+        sigs = [sig_of[r] for r in root]
+        order = sorted(range(g.n), key=lambda v: (sigs[v], v))
+        # each cell in vertex-index order (sorted by construction)
+        cells = [list(group) for _, group in groupby(order, sigs.__getitem__)]
+    # the search's one conversion from a list of cells, at its root
+    cell_at: list[list[int] | None] = [None] * g.n
+    cell_of = [-1] * g.n
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell
+        if len(cell) > 1:
+            for v in cell:
+                cell_of[v] = start
+        start += len(cell)
+    return (cell_at, cell_of, len(cells)), orbits
 
 
 def _refine(
-    adj: Sequence[Sequence[int]], cells: list[list[int]], splitters: list[list[int]] | None
-) -> list[list[int]]:
-    """Equitable refinement; fragments are ordered by ascending neighbor count.
+    adj: Sequence[Sequence[int]], part: Partition, splitters: list[list[int]] | None
+) -> Partition:
+    """Equitable refinement of ``part``, in place; fragments are ordered by
+    ascending neighbor count.
 
-    Cells are addressed by their start position in the ordered partition, as
-    in nauty (McKay & Piperno, "Practical graph isomorphism, II", 2014), and
-    keep their vertices in ascending order.  A splitter is a vertex list.
-    Splitting by it walks the adjacency lists of its vertices only: the cells
-    holding a counted vertex are the only ones that can split, and the
-    uncounted rest of such a cell is its count-0 fragment.  The counted
-    vertices are grouped in an array of n made once per call, indexed by
-    cell start, and a splitter of several vertices counts them into another;
-    each touched cell clears its entries of both once it is looked at, so a
-    splitter builds nothing but its groups.  Touched cells are split in
-    partition order, so the work of a splitter is proportional to its edges
-    and to the cells it touches, not to the size of the graph, and once all
-    cells are singletons no splitter is looked at.
+    The partition is ordered, as in nauty (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): ``cell_at`` maps the start position of each
+    cell to the cell, the list of its vertices in ascending order, and every
+    other position to None; ``cell_of`` maps each vertex to the start of its
+    cell, or to -1 in a singleton cell, which cannot split; ``ncells``
+    counts the cells.  A split writes its fragments into both arrays and
+    returns the partition with its new count.  No code changes a cell list
+    in place: ``_individualize`` copies the two arrays, not the cells, so a
+    child shares its cell lists with its parent, whose partition its
+    siblings start from.
+
+    A splitter is a vertex list.  Splitting by it walks the adjacency lists
+    of its vertices only: the cells holding a counted vertex are the only
+    ones that can split, and the uncounted rest of such a cell is its
+    count-0 fragment.  The counted vertices are grouped in an array of n
+    made once per call, indexed by cell start, and a splitter of several
+    vertices counts them into another; each touched cell clears its entries
+    of both once it is looked at, so a splitter builds nothing but its
+    groups.  Touched cells are split in partition order, so the work of a
+    splitter is proportional to its edges and to the cells it touches, not
+    to the size of the graph, and once all cells are singletons no splitter
+    is looked at.
 
     A touched cell whose counted vertices share one count is left whole if
     they are all of it, and otherwise split into the rest of the cell, read
@@ -190,7 +211,7 @@ def _refine(
     with no fragment list.
 
     One precondition: ``splitters`` is None, which queues every cell, or
-    ``cells`` and ``splitters`` are what ``_individualize`` returned for an
+    ``part`` and ``splitters`` are what ``_individualize`` returned for an
     equitable partition.  The last fragment of a split cell C is then not
     queued: at its turn the partition would be equitable to C and to every
     other fragment of C, popped before it, so it would split nothing.  It
@@ -210,23 +231,13 @@ def _refine(
     result is that of counting every splitter.
     """
     n = len(adj)
-    cell_at: list[list[int] | None] = [None] * n  # start position -> cell
-    # vertex -> start of its cell; -1 in a singleton cell, which cannot split
-    cell_of = [-1] * n
-    start = 0
-    for cell in cells:
-        cell_at[start] = cell
-        if len(cell) > 1:
-            for v in cell:
-                cell_of[v] = start
-        start += len(cell)
-    ncells = len(cells)
+    cell_at, cell_of, ncells = part
     # vertex -> its number of neighbours in the splitter, and cell start ->
     # its counted vertices: all 0 and None between splitters
     count = [0] * n
     hits: list[list[int] | None] = [None] * n
     # (splitter, other): `other`, if not None, is counted in the splitter's place
-    queue = deque((c, None) for c in (cells if splitters is None else splitters))
+    queue = deque((c, None) for c in (filter(None, cell_at) if splitters is None else splitters))
     push = queue.append
     while queue and ncells < n:
         splitter, other = queue.popleft()
@@ -330,24 +341,27 @@ def _refine(
             push((first, [v for frag in frags[1:] for v in frag] if fewer else None))
             for frag in frags[1:-1]:
                 push((frag, None))
-    # a split only adds starts, so the cells are the entries of cell_at
-    return list(filter(None, cell_at))
+    return cell_at, cell_of, ncells
 
 
-def _individualize(
-    cells: list[list[int]], target_idx: int, v: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Split the target cell into [v] and the rest; return new cells and the
-    splitters for the follow-up refinement.
+def _individualize(part: Partition, start: int, v: int) -> tuple[Partition, list[list[int]]]:
+    """Split the cell at ``start`` into [v] and the rest, in a copy of the
+    arrays of ``part`` that shares its cell lists (see ``_refine``); return
+    it and the splitters for the follow-up refinement.
 
     The input partition is equitable, so only [v] is a splitter: once it has
     been processed, every cell has a constant number of neighbours in the
     rest of the target cell (its count in the whole cell minus its adjacency
     to v), and that rest would split nothing.
     """
-    cell = cells[target_idx]
-    rest = [u for u in cell if u != v]
-    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v]]
+    cell_at, cell_of = part[0][:], part[1][:]
+    rest = [u for u in cell_at[start] if u != v]
+    cell_at[start], cell_at[start + 1] = [v], rest
+    cell_of[v] = -1
+    rest_start = start + 1 if len(rest) > 1 else -1
+    for u in rest:
+        cell_of[u] = rest_start
+    return (cell_at, cell_of, part[2] + 1), [[v]]
 
 
 def _mapping(order: list[int], image: list[int]) -> tuple[int, ...]:
@@ -358,28 +372,42 @@ def _mapping(order: list[int], image: list[int]) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _target_cell(cells: list[list[int]]) -> int:
-    """Index of the first smallest non-singleton cell."""
-    best = -1
-    best_len = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and (best_len is None or len(cell) < best_len):
-            best, best_len = i, len(cell)
+def _target_cell(cell_at: list[list[int] | None]) -> int:
+    """Start of the first smallest non-singleton cell, -1 if there is none."""
+    best, best_len = -1, len(cell_at) + 1
+    start = 0
+    while start < len(cell_at):
+        k = len(cell_at[start])
+        if 1 < k < best_len:
+            best, best_len = start, k
+        start += k
     return best
 
 
 class _Search:
-    """One run of the search: the generators found so far, the first and
-    best leaves, the first leaf's path, and the depth the search is jumping
-    back to, if any.  Nothing it holds refers back to it, so a search, even
-    one left before its last leaf, is freed as soon as it is dropped."""
+    """One run of the search: the generators found so far, the seeds
+    first, the first and best leaves, the first leaf's path, and the depth
+    the search is jumping back to, if any.  Nothing it holds refers back to
+    it, so a search, even one left before its last leaf, is freed as soon
+    as it is dropped.
 
-    __slots__ = ("g", "gens", "gen_set", "first", "best", "first_path", "jump")
+    A graph of more than ``MAX_DEGREE`` vertices raises ``BoundExceeded``
+    before the seeds are looked at; a seed that is not an automorphism
+    raises ``ValueError``.
+    """
 
-    def __init__(self, g: Graph, gens: list[tuple[int, ...]]):
+    __slots__ = ("g", "gens", "n_seeds", "gen_set", "first", "best", "first_path", "jump")
+
+    def __init__(self, g: Graph, seeds: Sequence[Sequence[int]] = ()):
+        if g.n > MAX_DEGREE:
+            raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
+        identity = tuple(range(g.n))
+        self.gens = list(dict.fromkeys(p for p in map(tuple, seeds) if p != identity))
+        if not are_automorphisms(g, self.gens):
+            raise ValueError("seed is not an automorphism")
         self.g = g
-        self.gens = gens
-        self.gen_set = set(gens)
+        self.n_seeds = len(self.gens)
+        self.gen_set = set(self.gens)
         # (key, order) of the first leaf and of the least key so far
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.best: tuple[tuple[int, ...], list[int]] | None = None
@@ -395,22 +423,23 @@ class _Search:
         So the tree may be as deep as g has vertices, whatever Python's
         recursion limit."""
         g, gens = self.g, self.gens
-        cells, orbits = _initial_partition(g, gens)
+        part, orbits = _initial_partition(g, gens)
         # one cell means one signature, so g is regular and the cell equitable
-        root = cells if len(cells) == 1 else _refine(g.adjacency, cells, None)
+        root = part if part[2] == 1 else _refine(g.adjacency, part, None)
         stack = [iter([(root, [], gens[:], len(gens), orbits)])]
         while stack:
             child = next(stack[-1], None)
             if child is None:
                 stack.pop()
-            elif len(child[0]) == g.n:
-                yield self.leaf(child[0], child[1])
+            elif child[0][2] == g.n:
+                yield self.leaf(child[0][0], child[1])
             else:
                 stack.append(self.node(*child))
 
-    def leaf(self, cells: list[list[int]], fixed: list[int]) -> tuple[int, ...]:
-        """Take in the leaf whose partition is the discrete ``cells``,
-        reached by individualizing ``fixed``, and return its key.
+    def leaf(self, cell_at: list[list[int]], fixed: list[int]) -> tuple[int, ...]:
+        """Take in the leaf whose discrete partition has the singletons
+        ``cell_at``, reached by individualizing ``fixed``, and return its
+        key.
 
         A later leaf is first mapped onto the first leaf, position by
         position.  If that map is an automorphism, the two keys are equal,
@@ -419,7 +448,7 @@ class _Search:
         Otherwise the keys differ, and the leaf builds its key to compare
         with the least so far, where an equal key gives an automorphism the
         same way."""
-        order = [c[0] for c in cells]
+        order = [c[0] for c in cell_at]
         if self.first is None:
             key = packed_rows(self.g, order)
             self.first = self.best = (key, order)
@@ -450,14 +479,14 @@ class _Search:
 
     def node(
         self,
-        cells: list[list[int]],
+        part: Partition,
         fixed: list[int],
         kept: list[tuple[int, ...]],
         fed: int,
         orbits: list[set[int]] | None = None,
     ) -> Iterator[tuple]:
         """Yield each child of the equitable, non-discrete partition
-        ``cells``, reached by individualizing ``fixed``, as its ``node``
+        ``part``, reached by individualizing ``fixed``, as its ``node``
         arguments; ``leaves`` searches its subtree before resuming here.
         ``kept`` holds the generators among the first ``fed`` found that fix
         ``fixed`` pointwise; the later ones are looked at before each
@@ -470,9 +499,9 @@ class _Search:
         seeds' orbits; it is used until a new generator is kept.  While a
         jump is pending, every node deeper than its depth stops once its
         child is searched."""
-        t = _target_cell(cells)
+        t = _target_cell(part[0])
         gens = self.gens
-        cell = cells[t]
+        cell = part[0][t]
         done: set[int] = set()
         for v in cell:
             if fed < len(gens):
@@ -488,7 +517,7 @@ class _Search:
                         orbit(x, kept, getitem, done)
             if v in done:
                 continue
-            child, splitters = _individualize(cells, t, v)
+            child, splitters = _individualize(part, t, v)
             refined = _refine(self.g.adjacency, child, splitters)
             yield refined, fixed + [v], [p for p in kept if p[v] == v], fed
             if self.jump is not None:
@@ -506,18 +535,11 @@ class _Search:
 
 def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     """Run the search once, returning generators and the canonical labeling."""
-    if g.n > MAX_DEGREE:
-        raise BoundExceeded(f"graph too large (n = {g.n} > {MAX_DEGREE})")
-    identity = tuple(range(g.n))
-    gens = list(dict.fromkeys(p for p in map(tuple, seeds) if p != identity))
-    if not are_automorphisms(g, gens):
-        raise ValueError("seed is not an automorphism")
-    n_seeds = len(gens)
-    search = _Search(g, gens)
+    search = _Search(g, seeds)
     for _ in search.leaves():
         pass
     key, order = search.best
-    return SearchResult(gens, order, key, search.first_path, n_seeds)
+    return SearchResult(search.gens, order, key, search.first_path, search.n_seeds)
 
 
 def automorphism_group(g: Graph) -> PermGroup:
@@ -540,6 +562,4 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
-    if g1.n > MAX_DEGREE:
-        raise BoundExceeded(f"graph too large (n = {g1.n} > {MAX_DEGREE})")
-    return next(_Search(g2, []).leaves()) in _Search(g1, []).leaves()
+    return next(_Search(g2).leaves()) in _Search(g1).leaves()

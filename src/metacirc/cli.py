@@ -78,13 +78,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="print group invariants")
+    p.set_defaults(run=_cmd_info)
     _add_group_args(p)
 
     for name in ("classify", "enumerate"):
         p = sub.add_parser(name, help="classification report as JSON")
+        p.set_defaults(run=_cmd_classify, mode="oracle")
         _add_group_args(p)
         if name == "classify":
-            p.add_argument("--mode", choices=("oracle", "theorem"), default="oracle")
+            p.add_argument("--mode", choices=("oracle", "theorem"))
         p.add_argument("--bound", type=int, default=1000,
                        help="oracle mode: max group order whose candidate sets are walked "
                        "(default 1000); theorem mode is capped by the 2000-vertex search")
@@ -94,19 +96,23 @@ def build_parser() -> _Parser:
         p.add_argument("--graphs", action="store_true", help="with --out, dump graph6/dot per class")
 
     p = sub.add_parser("aut", help="automorphism group of a graph")
+    p.set_defaults(run=_cmd_aut)
     p.add_argument("--graph6", type=str, default=None, help="graph6 string")
     p.add_argument("--file", type=str, default=None, help="file with a graph6 line")
 
     p = sub.add_parser("iso", help="isomorphism test")
+    p.set_defaults(run=_cmd_iso)
     p.add_argument("--a", type=str, required=True, help="first graph6 file")
     p.add_argument("--b", type=str, required=True, help="second graph6 file")
 
     p = sub.add_parser("export", help="emit a standard-form Cayley graph")
+    p.set_defaults(run=_cmd_export)
     _add_group_args(p)
     p.add_argument("--j", type=int, required=True, help="standard-set index (1 <= j < n0)")
     p.add_argument("--format", choices=("graph6", "dot", "json"), default="graph6")
 
     p = sub.add_parser("sweep", help="census over hypothesis-(*) specs")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--max-order", dest="bound", metavar="MAX_ORDER", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers, one spec per task")
     p.add_argument("--strict", action="store_true")
@@ -133,12 +139,12 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args, mode: str) -> int:
+def _cmd_classify(args) -> int:
     if args.graphs and not args.out:
         raise _UsageError("--graphs needs --out")
     spec = _spec_from_args(args)
     try:
-        report = classify_spec(spec, mode=mode, bound=args.bound, jobs=args.jobs)
+        report = classify_spec(spec, mode=args.mode, bound=args.bound, jobs=args.jobs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
@@ -220,32 +226,28 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Classify every spec, each as one task of ``parallel_map`` under
+    ``--jobs``, and report them in spec order."""
     try:
         sink = open(args.out, "w") if args.out else nullcontext()
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     with sink as out:
-        return _sweep(args, out)
-
-
-def _sweep(args, out) -> int:
-    """Classify every spec, each as one task of ``parallel_map`` under
-    ``--jobs``, and report them in spec order."""
-    specs = list(iter_specs(args.bound))
-    run = partial(classify_spec, mode="oracle", bound=args.bound, jobs=1)
-    disagreement = False
-    print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
-    for report in parallel_map(run, specs, args.jobs):
-        spec = report.spec
-        if out is not None:
-            out.write(json.dumps(report_to_json_dict(report)) + "\n")
-        orders = ",".join(str(c.aut_order) for c in report.classes) or "-"
-        disagreement |= report.disagrees
-        print(
-            f"{spec.m} {spec.n} {spec.r} {spec.n0} {spec.order} "
-            f"{report.oracle_count} {report.phi_n0_half} {report.thm2_claim} "
-            f"{orders} {report.agreement_theorem2} {len(report.findings)}"
-        )
+        specs = list(iter_specs(args.bound))
+        run = partial(classify_spec, mode="oracle", bound=args.bound, jobs=1)
+        disagreement = False
+        print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
+        for report in parallel_map(run, specs, args.jobs):
+            spec = report.spec
+            if out is not None:
+                out.write(json.dumps(report_to_json_dict(report)) + "\n")
+            orders = ",".join(str(c.aut_order) for c in report.classes) or "-"
+            disagreement |= report.disagrees
+            print(
+                f"{spec.m} {spec.n} {spec.r} {spec.n0} {spec.order} "
+                f"{report.oracle_count} {report.phi_n0_half} {report.thm2_claim} "
+                f"{orders} {report.agreement_theorem2} {len(report.findings)}"
+            )
     if args.strict and disagreement:
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -269,21 +271,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "classify":
-            return _cmd_classify(args, args.mode)
-        if args.command == "enumerate":
-            return _cmd_classify(args, "oracle")
-        if args.command == "aut":
-            return _cmd_aut(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise _UsageError(f"unknown command {args.command}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -143,10 +143,6 @@ class GroupSpec:
         """r^v mod m for any integer v."""
         return self._r_pow[v % self.n0]
 
-    def rpow_inv(self, v: int) -> int:
-        """r^-v mod m."""
-        return self.rpow(-v)
-
     def element(self, u: int, v: int, w: int = 0) -> Element:
         return Element(u % self.m, v % self.n, w % self.ell)
 
@@ -187,7 +183,7 @@ def mul(g: Element, h: Element, spec: GroupSpec) -> Element:
     a^x b^v = b^v a^(x r^v).  The central c-exponents simply add.
     """
     return Element(
-        (g.u + h.u * spec.rpow_inv(g.v)) % spec.m,
+        (g.u + h.u * spec.rpow(-g.v)) % spec.m,
         (g.v + h.v) % spec.n,
         (g.w + h.w) % spec.ell,
     )
@@ -200,30 +196,6 @@ def inv(g: Element, spec: GroupSpec) -> Element:
         -g.v % spec.n,
         -g.w % spec.ell,
     )
-
-
-def rsum(x: int, k: int, spec: GroupSpec) -> int:
-    """Geometric sum x + x^2 + ... + x^k mod m, evaluated without division.
-
-    Recursive doubling: S(2t) = S(t)*(1 + x^t), S(2t+1) = S(2t) + x^(2t+1).
-    ``aut`` takes rsum(r, n) for the constraint on t in b -> a^t b^(1+l*n0)
-    and for ``parametrized_count``; dividing by (x - 1) would be wrong
-    whenever x - 1 is not invertible mod m.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    m = spec.m
-    x %= m
-
-    def go(k: int) -> int:
-        if k == 0:
-            return 0
-        if k % 2 == 0:
-            half = go(k // 2)
-            return half * (1 + pow(x, k // 2, m)) % m
-        return (go(k - 1) + pow(x, k, m)) % m
-
-    return go(k)
 
 
 def power(g: Element, k: int, spec: GroupSpec) -> Element:
@@ -277,9 +249,9 @@ def generates(elements: Sequence[Element], spec: GroupSpec) -> bool:
     if not noncommuting:
         return True
     # [x, y] = (yx)^-1 xy = a^(k r^(x.v + y.v)), k the a-exponent of xy less yx's
-    m, rinv = spec.m, spec.rpow_inv
+    m, rpow = spec.m, spec.rpow
     ks = [
-        (x.u * (1 - rinv(y.v)) - y.u * (1 - rinv(x.v))) % m
+        (x.u * (1 - rpow(-y.v)) - y.u * (1 - rpow(-x.v))) % m
         for x, y in itertools.combinations(elements, 2)
     ]
     return all(any(k % p for k in ks) for p in noncommuting)
@@ -403,7 +375,7 @@ def left_translation(s: int, spec: GroupSpec) -> tuple[int, ...]:
     if p is None:
         g = spec.at_index(s)
         m, n, ell = spec.m, spec.n, spec.ell
-        rinv = spec.rpow_inv(g.v)
+        rinv = spec.rpow(-g.v)
         block = [(g.u + u * rinv) % m for u in range(m)]
         starts = [m * ((g.v + v) % n + n * ((g.w + w) % ell)) for w in range(ell) for v in range(n)]
         if m == 1:

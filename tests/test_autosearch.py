@@ -129,6 +129,24 @@ def refine_fixture(n, kind, rng):
 
 # ------------------------------------------------------------- refinement
 
+def partition(cells):
+    """The search's partition (cell_at, cell_of, ncells) of a list of cells."""
+    n = sum(map(len, cells))
+    cell_at, cell_of = [None] * n, [-1] * n
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell
+        for v in cell:
+            cell_of[v] = start if len(cell) > 1 else -1
+        start += len(cell)
+    return cell_at, cell_of, len(cells)
+
+
+def cells_of(part):
+    """The list of cells of a partition, in order."""
+    return [cell for cell in part[0] if cell is not None]
+
+
 @given(
     n=st.integers(1, 40),
     kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
@@ -138,22 +156,34 @@ def refine_fixture(n, kind, rng):
 def test_refine_matches_bitmask_reference(n, kind, rnd):
     """Splitter-local refinement gives the reference's cells, in the same
     order and each in ascending vertex order, after the initial refinement
-    and after every step of a random sequence of individualizations."""
+    and after every step of a random sequence of individualizations.  Its
+    ``cell_of`` and cell count are those of its cells, and the parent it
+    was individualized from, whose cell lists it shares, is unchanged."""
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     adj_bits = vertex_masks(g.adjacency)
-    cells, _ = _initial_partition(g)
-    refined = _refine(g.adjacency, cells, None)
-    assert refined == bitmask_refine(adj_bits, cells, None)
+    part, _ = _initial_partition(g)
+    cells = cells_of(part)
+    refined = _refine(g.adjacency, part, None)
+    assert cells_of(refined) == bitmask_refine(adj_bits, cells, None)
+    assert refined == partition(cells_of(refined))
     while True:
-        assert all(cell == sorted(cell) for cell in refined)
-        open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
+        assert all(cell == sorted(cell) for cell in cells_of(refined))
+        open_cells = [s for s, cell in enumerate(refined[0]) if cell and len(cell) > 1]
         if not open_cells:
             break
         t = rng.choice(open_cells)
-        child, splitters = _individualize(refined, t, rng.choice(refined[t]))
+        parent = refined
+        before = ([cell and list(cell) for cell in parent[0]], parent[1][:], parent[2])
+        child, splitters = _individualize(parent, t, rng.choice(parent[0][t]))
+        child_cells = cells_of(child)
         refined = _refine(g.adjacency, child, splitters)
-        assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
+        assert cells_of(refined) == bitmask_refine(
+            adj_bits, child_cells, [vertex_mask(s) for s in splitters]
+        )
+        assert refined == partition(cells_of(refined))
+        # the child shares the parent's cell lists and changed none of them
+        assert parent == before
 
 
 def two_circulants(n, jumps1, jumps2):
@@ -202,7 +232,7 @@ def test_initial_partition_matches_signature_reference(n, kind, rnd):
         g = random_relabel(two_circulants(m, [1, 2], [1, 3]), rng)
     else:
         g = refine_fixture(n, kind, rng)
-    assert _initial_partition(g) == (signature_cells(g.adjacency), None)
+    assert _initial_partition(g) == (partition(signature_cells(g.adjacency)), None)
 
 
 @pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
@@ -243,12 +273,11 @@ def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
         assert seed_orbits is None
 
 
-def two_splitter_individualize(cells, target_idx, v):
+def two_splitter_individualize(part, start, v):
     """The former individualization, which also queued the rest of the
     target cell as a splitter."""
-    cell = cells[target_idx]
-    rest = [u for u in cell if u != v]
-    return cells[:target_idx] + [[v], rest] + cells[target_idx + 1:], [[v], rest]
+    child, splitters = _individualize(part, start, v)
+    return child, splitters + [[u for u in part[0][start] if u != v]]
 
 
 @given(
@@ -286,10 +315,10 @@ def recorded_search(g, seeds=()):
     lines, first = inspect.getsourcelines(autosearch._Search.node)
     prune_line = first + [line.strip() for line in lines].index("if v in done:")
 
-    def recording_refine(adj, cells, splitters):
-        given = [list(c) for c in cells], None if splitters is None else [list(s) for s in splitters]
-        result = refine(adj, cells, splitters)
-        refines.append((*given, result))
+    def recording_refine(adj, part, splitters):
+        given = cells_of(part), None if splitters is None else [list(s) for s in splitters]
+        result = refine(adj, part, splitters)
+        refines.append((*given, cells_of(result)))
         return result
 
     # each resume of a node's generator is a new call event of its frame
@@ -452,7 +481,7 @@ def refine_checking_splits(adj, cells, splitters):
     """``_refine(adj, cells, splitters)``, its splits checked by
     ``sibling_counted_splits``, and what that returned."""
     with recorded_queue() as events:
-        refined = _refine(adj, cells, splitters)
+        refined = cells_of(_refine(adj, partition(cells), splitters))
     return refined, sibling_counted_splits(cells, events)
 
 
@@ -471,16 +500,18 @@ def test_refine_counts_first_fragments_by_their_siblings():
         rng = random.Random(rnd.seed)
         g = random_regular_graph(n - n * d % 2, d, rng)
         adj_bits = vertex_masks(g.adjacency)
-        cells, _ = _initial_partition(g)
+        cells = cells_of(_initial_partition(g)[0])
         refined, k = refine_checking_splits(g.adjacency, cells, None)
         assert refined == bitmask_refine(adj_bits, cells, None)
         while True:
             fired.append(k)
-            open_cells = [i for i, cell in enumerate(refined) if len(cell) > 1]
+            part = partition(refined)
+            open_cells = [s for s, cell in enumerate(part[0]) if cell and len(cell) > 1]
             if not open_cells:
                 break
             t = rng.choice(open_cells)
-            child, splitters = _individualize(refined, t, rng.choice(refined[t]))
+            child, splitters = _individualize(part, t, rng.choice(part[0][t]))
+            child = cells_of(child)
             refined, k = refine_checking_splits(g.adjacency, child, splitters)
             assert refined == bitmask_refine(adj_bits, child, [vertex_mask(s) for s in splitters])
 
@@ -509,9 +540,9 @@ def root_refinements(g, seeds=()) -> int:
     roots = []
     refine = autosearch._refine
 
-    def recording_refine(adj, cells, splitters):
+    def recording_refine(adj, part, splitters):
         roots.append(splitters is None)
-        return refine(adj, cells, splitters)
+        return refine(adj, part, splitters)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(autosearch, "_refine", recording_refine)
@@ -529,7 +560,7 @@ def test_one_cell_partitions_skip_the_root_refinement():
     one_cell = [PETERSEN, SHRIKHANDE, cycle_graph(9), graph_from_edges(6, []), K5]
     one_cell += [g for g, _, _ in census_class_searches(55)]
     for g in one_cell:
-        assert len(_initial_partition(g)[0]) == 1
+        assert len(cells_of(_initial_partition(g)[0])) == 1
         assert root_refinements(g) == 0
     for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
         g = build_cayley(standard_connection_set(1, spec), spec)
@@ -538,7 +569,7 @@ def test_one_cell_partitions_skip_the_root_refinement():
     path = graph_from_edges(8, [(i, i + 1) for i in range(7)])
     # a cycle of 8 beside two of 4: 2-regular, with 2 or 1 vertices at distance 2
     for g in (star, path, two_circulants(8, [1], [2])):
-        assert len(_initial_partition(g)[0]) > 1
+        assert len(cells_of(_initial_partition(g)[0])) > 1
         assert root_refinements(g) == 1
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacirc.aut import _t_count
 from metacirc.groups import (
     IDENTITY,
     Element,
@@ -23,7 +24,6 @@ from metacirc.groups import (
     power,
     regular_representation,
     right_translation,
-    rsum,
 )
 from oracles import _generates as search_generates
 from oracles import _right_multiplications as right_multiplications
@@ -196,22 +196,23 @@ def test_power_exhaustive_small():
 # ---------------------------------------------------------------------- rsum
 
 def test_rsum_examples():
-    assert rsum(2, 3, F21) == 0          # 2 + 4 + 8 = 14 = 0 mod 7
-    assert rsum(3, 3, GroupSpec(13, 3, 3)) == 0  # 3 + 9 + 27 = 39 = 0 mod 13
-    assert rsum(1, 5, F21) == 5 % 7
-    assert rsum(1, 12, GroupSpec(5, 1, 1)) == 12 % 5
+    """The t-count gcd(r + r^2 + ... + r^n, m) of Aut(G)'s parametrization."""
+    assert _t_count(F21) == 7                    # 2 + 4 + 8 = 14 = 0 mod 7
+    assert _t_count(GroupSpec(13, 3, 3)) == 13   # 3 + 9 + 27 = 39 = 0 mod 13
+    assert _t_count(GroupSpec(7, 5, 1)) == 1     # 1 + 1 + 1 + 1 + 1 = 5 mod 7
+    assert _t_count(GroupSpec(33, 5, 4)) == 11   # 4 + 16 + 64 + 256 + 1024 = 11 mod 33
 
 
-@given(
-    x=st.integers(0, 50),
-    k=st.integers(0, 60),
-    m=st.integers(1, 30).map(lambda v: 2 * v + 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_rsum_matches_direct_summation(x, k, m):
-    spec = GroupSpec(m, 1, 1) if m > 1 else GroupSpec(1, 1, 0)
-    direct = sum(pow(x, i, m) for i in range(1, k + 1)) % m
-    assert rsum(x, k, spec) == direct
+def test_rsum_matches_direct_summation():
+    """The t-count, read off the power table of r, is gcd(r + ... + r^n, m)
+    summed term by term: on every spec up to order 231, on (11, 5, 3) with
+    a central factor of 3, and on (33, 5, 4), whose <a> meets the centre in
+    a subgroup of order 3."""
+    specs = [*iter_specs(231), GroupSpec(11, 5, 3, ell=3), GroupSpec(33, 5, 4)]
+    assert any(spec.central_a_order > 1 and not spec.is_abelian for spec in specs)
+    for spec in specs:
+        direct = sum(pow(spec.r, i, spec.m) for i in range(1, spec.n + 1))
+        assert _t_count(spec) == gcd(direct, spec.m), spec
 
 
 # ------------------------------------------------------------------- orders
