@@ -189,26 +189,22 @@ def _refine(
     A splitter is a vertex list.  Splitting by it walks the adjacency lists
     of its vertices only: the cells holding a counted vertex are the only
     ones that can split, and the uncounted rest of such a cell is its
-    count-0 fragment.  The counted vertices are grouped in an array of n
-    made once per call, indexed by cell start, and a splitter of several
-    vertices counts them into another; each touched cell clears its entries
-    of both once it is looked at, so a splitter builds nothing but its
-    groups.  Touched cells are split in partition order, so the work of a
-    splitter is proportional to its edges and to the cells it touches, not
-    to the size of the graph, and once all cells are singletons no splitter
-    is looked at.
+    count-0 fragment.  Every splitter counts its neighbours into an array of
+    n made once per call, and groups the counted vertices in another,
+    indexed by cell start; each touched cell clears its entries of both
+    once it is looked at, so a splitter builds nothing but its groups.
+    Touched cells are split in partition order, so the work of a splitter
+    is proportional to its edges and to the cells it touches, not to the
+    size of the graph, and once all cells are singletons no splitter is
+    looked at.
 
     A touched cell whose counted vertices share one count is left whole if
     they are all of it, and otherwise split into the rest of the cell, read
     off count 0, and the counted vertices; a cell with several counts is
     split into the rest, if any, and one bucket per count, in ascending
-    order.  Two cases skip the count array.  A splitter of one vertex (the
-    individualized vertex, or a singleton fragment) gives each vertex it
-    touches count 1, so it only groups them, and a touched cell stays whole
-    or splits into [rest, counted], the counted in adjacency order, which is
-    ascending.  A touched cell of two vertices that splits becomes two
-    singletons, the lower count (the rest's 0 if one is uncounted) first,
-    with no fragment list.
+    order.  One case builds no fragment list: a touched cell of two vertices
+    is read off their two counts, and if they differ it becomes two
+    singletons, the lower count (the rest's 0 if one is uncounted) first.
 
     One precondition: ``splitters`` is None, which queues every cell, or
     ``part`` and ``splitters`` are what ``_individualize`` returned for an
@@ -242,31 +238,20 @@ def _refine(
     while queue and ncells < n:
         splitter, other = queue.popleft()
         counted = splitter if other is None else other
-        single = len(counted) == 1
         touched = []  # starts of the cells holding a counted vertex
-        if single:
-            for u in adj[counted[0]]:
+        for w in counted:
+            for u in adj[w]:
                 s = cell_of[u]
                 if s >= 0:
-                    if hits[s] is None:
-                        hits[s] = [u]
-                        touched.append(s)
+                    if count[u]:
+                        count[u] += 1
                     else:
-                        hits[s].append(u)
-        else:
-            for w in counted:
-                for u in adj[w]:
-                    s = cell_of[u]
-                    if s >= 0:
-                        if count[u]:
-                            count[u] += 1
+                        count[u] = 1
+                        if hits[s] is None:
+                            hits[s] = [u]
+                            touched.append(s)
                         else:
-                            count[u] = 1
-                            if hits[s] is None:
-                                hits[s] = [u]
-                                touched.append(s)
-                            else:
-                                hits[s].append(u)
+                            hits[s].append(u)
         if len(touched) > 1:
             touched.sort()
         for s in touched:
@@ -275,11 +260,8 @@ def _refine(
             hits[s] = None
             if len(cell) == 2:
                 x, y = cell
-                if single:
-                    cx, cy = x in hit, y in hit
-                else:
-                    cx, cy = count[x], count[y]
-                    count[x] = count[y] = 0
+                cx, cy = count[x], count[y]
+                count[x] = count[y] = 0
                 if cx == cy:
                     continue
                 # the lower count first, reversed if `other` was counted; [x]
@@ -291,37 +273,31 @@ def _refine(
                 ncells += 1
                 push(([x], None))
                 continue
-            if single:
-                if len(hit) == len(cell):
-                    continue
-                marked = set(hit)
-                frags = [[v for v in cell if v not in marked], hit]
-            else:
-                k = count[hit[0]]
+            k = count[hit[0]]
+            for v in hit:
+                if count[v] != k:
+                    k = 0  # the counts differ
+                    break
+            if k and len(hit) == len(cell):
                 for v in hit:
-                    if count[v] != k:
-                        k = 0  # the counts differ
-                        break
-                if k and len(hit) == len(cell):
-                    for v in hit:
-                        count[v] = 0
-                    continue
-                frags = [[v for v in cell if not count[v]]] if len(hit) < len(cell) else []
-                hit.sort()
-                if k:
-                    for v in hit:
-                        count[v] = 0
-                    frags.append(hit)
-                else:
-                    buckets: dict[int, list[int]] = {}
-                    for v in hit:
-                        c = count[v]
-                        count[v] = 0
-                        if c in buckets:
-                            buckets[c].append(v)
-                        else:
-                            buckets[c] = [v]
-                    frags += [buckets[c] for c in sorted(buckets)]
+                    count[v] = 0
+                continue
+            frags = [[v for v in cell if not count[v]]] if len(hit) < len(cell) else []
+            hit.sort()
+            if k:
+                for v in hit:
+                    count[v] = 0
+                frags.append(hit)
+            else:
+                buckets: dict[int, list[int]] = {}
+                for v in hit:
+                    c = count[v]
+                    count[v] = 0
+                    if c in buckets:
+                        buckets[c].append(v)
+                    else:
+                        buckets[c] = [v]
+                frags += [buckets[c] for c in sorted(buckets)]
             if other is not None:
                 frags.reverse()
             pos = s

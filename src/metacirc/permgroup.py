@@ -22,7 +22,7 @@ also grow a set of points in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from math import prod
 from operator import getitem, itemgetter
@@ -41,8 +41,6 @@ ELEMENT_BOUND = 10_000_000
 MAX_S = 3
 
 
-# shared, so that the ints of every inverse come from one tuple
-@lru_cache(maxsize=16)
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
