@@ -13,11 +13,12 @@ Two modes:
   formula phi(n0)/2 is right.
 
 ``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
-takes each class's Aut(G)-orbit size from the walk, or from one walk of the
-class's orbit where the count formula applies (theorem mode always), and
-reads |Aut(G, S)|, the normalizer identity and the standard form S_j off
-those orbits.  ``analyze_connection_set`` reads the rest off the graph of
-one set and never needs Aut(G), so neither does a worker process.
+walks each Aut(G)-orbit it needs once (every orbit on raw sets in oracle
+mode, the orbit of each S_j on its own in theorem mode), and reads each
+class's orbit size, |Aut(G, S)|, the normalizer identity and the standard
+form S_j off the walk that met the class's orbit.
+``analyze_connection_set`` reads the rest off the graph of one set and
+never needs Aut(G), so neither does a worker process.
 
 A set whose graph is not edge-transitive leaves the census at the first
 of two exits that sees two edge orbits at vertex 0: distance-pair counts
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -145,7 +146,8 @@ class _PairAction:
     of x; ``pair_of`` gives each vertex's pair index (-1 for the identity);
     ``gens`` holds each generator of Aut(G) as a permutation of pair
     indices.  Raw set {i, j} with i < j has the slot ``base[i] + j`` in a
-    ``marks`` array, in walk order: by i, then by j.
+    ``marks`` array, in walk order: by i, then by j.  A slot read after an
+    orbit's walk tells whether its set lies in an orbit walked so far.
     """
 
     __slots__ = ("pairs", "pair_of", "gens", "base")
@@ -187,12 +189,11 @@ class _PairAction:
                     members.append((x, y))
         return members
 
-    def orbits(self) -> Iterator[list[tuple[int, int]]]:
-        """Every orbit on raw sets once, each from :meth:`orbit` on its
-        first member in walk order, in that order; one byte per raw set
-        marks the sets met, and the next one not met is found by scanning
-        the bytes."""
-        marks = self.marks()
+    def orbits(self, marks: bytearray) -> Iterator[list[tuple[int, int]]]:
+        """Every orbit on raw sets not marked in ``marks`` once, each from
+        :meth:`orbit` on its first member in walk order, in that order;
+        ``marks`` marks the sets met, and the next one not met is found by
+        scanning its bytes."""
         base, count = self.base, len(self.pairs)
         i = 0
         k = marks.find(0)
@@ -205,48 +206,47 @@ class _PairAction:
             k = marks.find(0, k + 1)
 
 
-# one generating set of Aut(G) per spec, and its action on inverse pairs,
-# shared by the orbit reduction and the census of the spec; never needed by
-# the per-class work
-_aut_generators = lru_cache(maxsize=64)(aut_generators)
-
-
-@lru_cache(maxsize=64)
-def _pair_action(spec: GroupSpec) -> _PairAction:
-    return _PairAction(spec, _aut_generators(spec)[0])
+def _standard_j(marks: bytearray, standard: Mapping[int, int]) -> tuple[int | None, dict[int, int]]:
+    """The least j whose S_j has its slot ``standard[j]`` marked in
+    ``marks``, or None, and the unmarked rest of ``standard``: the slots an
+    orbit walked later on the same marks can hold."""
+    met = [j for j, k in standard.items() if marks[k]]
+    return min(met, default=None), {j: k for j, k in standard.items() if not marks[k]}
 
 
 def orbit_representatives(
-    spec: GroupSpec, bound: int = 1000
-) -> list[tuple[tuple[int, ...], int]]:
+    spec: GroupSpec, action: _PairAction, standard: Mapping[int, int]
+) -> list[tuple[tuple[int, ...], int, int | None]]:
     """Aut(G)-orbits of the connected tetravalent connection sets.
 
     The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
     C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so no
     element but the identity is its own inverse).  They are walked as pairs
-    {i, j} of pair indices (see ``_PairAction``), inverse pairs in the order
-    of their smaller vertex index; a set met for the first time has its
-    Aut(G)-orbit taken, and the later members of that orbit are skipped.
-    Automorphisms preserve generation, so one generation test decides the
-    whole orbit (orderly generation in the sense of Read, 1978); it is
-    arithmetic on the exponents of x and y (``groups.generates``), with no
-    search over G.
+    {i, j} of pair indices (``action``, Aut(G) acting on the inverse pairs),
+    inverse pairs in the order of their smaller vertex index; a set met for
+    the first time has its Aut(G)-orbit taken, and the later members of
+    that orbit are skipped.  Automorphisms preserve generation, so one
+    generation test decides the whole orbit (orderly generation in the
+    sense of Read, 1978); it is arithmetic on the exponents of x and y
+    (``groups.generates``), with no search over G.
 
-    Returns [(least member, orbit size)] of the generating orbits, in order
-    of their first member.  The least member, the least sorted 4-tuple of
-    vertex indices, is the first member met, the least (i, j): its least
-    vertex is pairs[i][0], and for one i, j < j' gives a smaller rest, since
-    pairs[j][0] < pairs[j'][0] and pairs[j][0] < pairs[j][1].
+    Returns [(least member, orbit size, standard_j)] of the generating
+    orbits, in order of their first member.  The least member, the least
+    sorted 4-tuple of vertex indices, is the first member met, the least
+    (i, j): its least vertex is pairs[i][0], and for one i, j < j' gives a
+    smaller rest, since pairs[j][0] < pairs[j'][0] and pairs[j][0] <
+    pairs[j][1].  ``standard`` maps each j to the slot of S_j; standard_j,
+    the least j whose S_j lies in the orbit, is read right after each
+    orbit's walk, generating or not (``_standard_j``).
     """
-    if spec.order > bound:
-        raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
-    action = _pair_action(spec)
     pairs = action.pairs
+    marks = action.marks()
     orbits = []
-    for members in action.orbits():
+    for members in action.orbits(marks):
+        standard_j, standard = _standard_j(marks, standard)
         i, j = members[0]
         if generates((spec.at_index(pairs[i][0]), spec.at_index(pairs[j][0])), spec):
-            orbits.append((tuple(sorted(pairs[i] + pairs[j])), len(members)))
+            orbits.append((tuple(sorted(pairs[i] + pairs[j])), len(members), standard_j))
     return orbits
 
 
@@ -359,14 +359,6 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
 
 # ---------------------------------------------------------------- pipeline
 
-def _standard_keys(spec: GroupSpec) -> dict[int, tuple[int, int]]:
-    """Each standard set S_j, j in ``predictions.standard_js``, as its
-    pair-index key (see ``_PairAction``), by j."""
-    key = _pair_action(spec).key
-    return {j: key(map(spec.index, predictions.standard_connection_set(j, spec)))
-            for j in predictions.standard_js(spec)}
-
-
 def classify_spec(
     spec: GroupSpec,
     mode: str = "oracle",
@@ -374,40 +366,46 @@ def classify_spec(
     jobs: int = 1,
 ) -> GroupReport:
     """Classify all connected tetravalent edge-transitive Cayley graphs of G,
-    and compare the classes with the predictions (``predictions.compare``)."""
+    and compare the classes with the predictions (``predictions.compare``).
+
+    The walk bound (oracle mode) and the count formula's hypotheses
+    (theorem mode) are checked before Aut(G) is computed."""
     if mode not in ("oracle", "theorem"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "theorem":
-        # (S_j, orbit size), the size taken from the class walk below
-        orbits = [(tuple(map(spec.index, predictions.standard_connection_set(j, spec))), None)
-                  for j in predictions.theorem_js(spec)]
+        js = predictions.theorem_js(spec)
+    elif spec.order > bound:
+        raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
+    gens, aut_order = aut_generators(spec)
+    action = _PairAction(spec, gens)
+    # the pair-index key and the slot of each standard set S_j, by j, where
+    # the count formula applies
+    keys = {j: action.key(map(spec.index, predictions.standard_connection_set(j, spec)))
+            for j in predictions.standard_js(spec)} if predictions.thm2_applicable(spec) else {}
+    standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
+    if mode == "theorem":
+        # (S_j, orbit size, standard_j), each orbit walked on its own marks
+        orbits = []
+        for j in js:
+            S = tuple(map(spec.index, predictions.standard_connection_set(j, spec)))
+            marks = action.marks()
+            orbits.append((S, len(action.orbit(*keys[j], marks)), _standard_j(marks, standard)[0]))
         raw = connected = 0
     else:
-        orbits = orbit_representatives(spec, bound=bound)
+        orbits = orbit_representatives(spec, action, standard)
         raw = comb((spec.order - 1) // 2, 2)
-        connected = sum(size for _, size in orbits)
-    aut_order = _aut_generators(spec)[1]
+        connected = sum(size for _, size, _ in orbits)
 
-    thm2_applicable = predictions.thm2_applicable(spec)
-    standard = _standard_keys(spec) if thm2_applicable else {}
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are passed on as twins
     merged: dict[str, ClassReport] = {}
     twins: list[tuple[ClassReport, ClassReport]] = []
-    sets = [tuple(map(spec.at_index, rep)) for rep, _ in orbits]
+    sets = [tuple(map(spec.at_index, rep)) for rep, _, _ in orbits]
     results = parallel_map(partial(analyze_connection_set, spec), sets, jobs)
     # strict=True draws the results to their end, which shuts any pool down
-    for (rep, size), c in zip(orbits, results, strict=True):
+    for (_, size, standard_j), c in zip(orbits, results, strict=True):
         if c is None:
             continue
-        standard_j = None
-        if thm2_applicable:
-            # one walk per surviving class: its size in theorem mode, and
-            # the least j whose standard set lies in the class's orbit
-            action = _pair_action(spec)
-            orbit = set(action.orbit(*action.key(rep), action.marks()))
-            size = len(orbit)
-            standard_j = min((j for j, key in standard.items() if key in orbit), default=None)
         set_stab = aut_order // size
         c = replace(
             c,

@@ -15,7 +15,7 @@ import pytest
 
 from metacirc.aut import aut_generators, parametrized_count
 from metacirc.autosearch import analyze, canonical_form
-from metacirc.classify import classify_spec, orbit_representatives, report_to_json_dict
+from metacirc.classify import _PairAction, classify_spec, orbit_representatives, report_to_json_dict
 from metacirc.cli import main
 from metacirc.graphs import build_cayley
 from metacirc.groups import (
@@ -319,7 +319,7 @@ def test_criterion_10_ci_property(capsys):
             # per Aut(G)-orbit of connected candidates: the canonical form
             # and the vertex-stabilizer order of the graph
             rows = []
-            for rep, _ in orbit_representatives(spec):
+            for rep, _, _ in orbit_representatives(spec, _PairAction(spec, aut_generators(spec)[0]), {}):
                 graph = build_cayley([spec.at_index(x) for x in rep], spec)
                 result = analyze(graph, seeds=regular_representation(spec))
                 rows.append((canonical_form(graph, result), PermGroup(graph.n, result.found, result.base).order))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from metacirc import aut, permgroup
 from metacirc.aut import aut_generators, parametrized_count
-from metacirc.classify import _pair_action
+from metacirc.classify import _PairAction
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
@@ -246,7 +246,7 @@ def test_aut_stabilizer_brute_force_backend():
 def pair_orbit(S, spec):
     """The Aut(G)-orbit of the set S of elements, each member as a sorted
     vertex-index tuple, from the census's walk on inverse pairs."""
-    action = _pair_action(spec)
+    action = _PairAction(spec, aut_generators(spec)[0])
     members = action.orbit(*action.key([spec.index(x) for x in S]), action.marks())
     return [tuple(sorted(action.pairs[i] + action.pairs[j])) for i, j in members]
 

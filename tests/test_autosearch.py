@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metacirc import autosearch
-from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
+from metacirc.aut import aut_generators
+from metacirc.classify import _PairAction, analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
     _individualize,
     _initial_partition,
@@ -67,6 +68,13 @@ PETERSEN = graph_from_edges(
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
 )
+
+
+def generating_sets(spec):
+    """The least member of each generating Aut(G)-orbit of connection sets,
+    in the census's walk order (``orbit_representatives``)."""
+    action = _PairAction(spec, aut_generators(spec)[0])
+    return [rep for rep, _, _ in orbit_representatives(spec, action, {})]
 
 
 def z4_squared_graph(steps):
@@ -241,8 +249,7 @@ def test_seeded_initial_partition_on_census_graphs(spec):
     graph gives the partition of a signature per vertex, and every vertex's
     seed orbit is the whole group."""
     regular = regular_representation(spec)
-    orbits = orbit_representatives(spec, bound=spec.order)
-    for rep, _ in orbits:
+    for rep in generating_sets(spec):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
         cells, seed_orbits = _initial_partition(g, regular)
         assert (cells, None) == _initial_partition(g)
@@ -364,7 +371,7 @@ def matches_bitmask_reference(g, refines) -> bool:
     )
 
 
-# the census_ref specs; by index in orbit_representatives, the generating
+# the census_ref specs; by index in generating_sets, the generating
 # orbits whose graph is not edge-transitive
 CENSUS_REF_EXITS = {
     GroupSpec(7, 3, 2): [0],
@@ -396,7 +403,7 @@ def census_ref_searches(spec):
     spec, as ``recorded_search`` records it, with its graph."""
     regular = regular_representation(spec)
     out = []
-    for rep, _ in orbit_representatives(spec):
+    for rep in generating_sets(spec):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
         out.append((g, *recorded_search(g, regular)))
     return tuple(out)
@@ -579,9 +586,9 @@ def test_edge_split_exit_on_census_ref_orbits(spec):
     ones that are not edge-transitive, and no other, and every refinement
     of the census's seeded search on each orbit gives the reference's
     cells."""
-    orbits = orbit_representatives(spec)
+    orbits = generating_sets(spec)
     dropped = [
-        i for i, (rep, _) in enumerate(orbits)
+        i for i, rep in enumerate(orbits)
         if analyze_connection_set(spec, [spec.at_index(x) for x in rep]) is None
     ]
     assert dropped == CENSUS_REF_EXITS[spec]
@@ -742,7 +749,7 @@ def test_search_leaves_no_reference_cycle():
     spec = GroupSpec(11, 5, 3, ell=3)
     g, other = (build_cayley(c.connection_set, spec) for c in classify_spec(spec).classes[:2])
     regular = regular_representation(spec)
-    rep = orbit_representatives(spec)[0][0]
+    rep = generating_sets(spec)[0]
     split = build_cayley([spec.at_index(x) for x in rep], spec)
     relabeled = random_relabel(g, random.Random(165))
     gc.collect()
@@ -851,6 +858,28 @@ def test_order_matches_brute_force_random(n, p, rnd):
     references: every permutation, and every leaf of the unpruned tree."""
     g = random_graph(n, p, random.Random(rnd.seed))
     rows = [list(r) for r in g.adjacency]
+    result = analyze(g)
+    assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
+    assert result.canonical_key == least_leaf_key(rows)
+
+
+# fixed graphs for the same check, each one that a known fault gets wrong on
+# every run, whatever the random test draws
+BRUTE_FORCE_GRAPHS = {
+    # refinement that counts a repeated neighbour once gets its key wrong
+    "repeated-neighbour-8": [
+        [1, 3, 5, 6], [0, 2, 5, 7], [1, 5, 6], [0, 4, 5, 6, 7],
+        [3, 7], [0, 1, 2, 3, 7], [0, 2, 3, 7], [1, 3, 4, 5, 6],
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", list(BRUTE_FORCE_GRAPHS.values()), ids=list(BRUTE_FORCE_GRAPHS))
+def test_order_matches_brute_force_fixed(rows):
+    """The group order and the canonical key of each fixed graph equal
+    those of the exhaustive references."""
+    g = graph_from_edges(len(rows), [(u, v) for u, row in enumerate(rows) for v in row if u < v])
+    assert [list(r) for r in g.adjacency] == rows
     result = analyze(g)
     assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
     assert result.canonical_key == least_leaf_key(rows)
@@ -985,7 +1014,7 @@ def test_canonical_form_matches_relabeled_graph6_on_census_graphs(spec):
     graph, on the graph of every generating orbit, searched as the census
     searches it."""
     regular = regular_representation(spec)
-    for rep, _ in orbit_representatives(spec, bound=spec.order):
+    for rep in generating_sets(spec):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
         result = analyze(g, seeds=regular)
         assert canonical_form(g, result) == relabeled_graph6(g, result)
@@ -1231,7 +1260,7 @@ def search_corpus():
             yield f"cycle-{n}", cycle_graph(n), ()
     for spec in CORPUS_SPECS:
         regular = regular_representation(spec)
-        for rep, _ in orbit_representatives(spec):
+        for rep in generating_sets(spec):
             name = f"{spec.m}-{spec.n}-{spec.r}-{spec.ell}:{'.'.join(map(str, rep))}"
             g = build_cayley([spec.at_index(x) for x in rep], spec)
             yield f"{name}:seeded", g, regular
@@ -1290,7 +1319,7 @@ def test_seeded_census_searches_build_one_key(monkeypatch):
     searches = 0
     for spec in CENSUS_REF_SPECS:
         regular = regular_representation(spec)
-        for rep, _ in orbit_representatives(spec):
+        for rep in generating_sets(spec):
             g = build_cayley([spec.at_index(x) for x in rep], spec)
             counts["keys"] = 0
             analyze(g, regular)

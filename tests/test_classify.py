@@ -9,11 +9,9 @@ from pathlib import Path
 import pytest
 
 from metacirc import classify
+from metacirc.aut import aut_generators
 from metacirc.classify import (
     _PairAction,
-    _aut_generators,
-    _pair_action,
-    _standard_keys,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -71,6 +69,18 @@ def sorted_standard_set(j, spec):
     return tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
 
 
+@lru_cache(maxsize=None)
+def pair_action(spec):
+    """The census's action of Aut(G) on inverse pairs.  Cached, as several
+    tests walk each spec."""
+    return _PairAction(spec, aut_generators(spec)[0])
+
+
+def generating_orbits(spec):
+    """(least member, orbit size) of each generating orbit, in walk order."""
+    return [(rep, size) for rep, size, _ in orbit_representatives(spec, pair_action(spec), {})]
+
+
 # ------------------------------------------------------------- candidates
 
 def test_raw_candidate_counts():
@@ -80,7 +90,7 @@ def test_raw_candidate_counts():
 
 
 def test_candidates_are_valid_and_generating():
-    orbits = orbit_representatives(F21)
+    orbits = generating_orbits(F21)
     assert sum(size for _, size in orbits) == 42
     for rep, size in orbits:
         members = orbit_members(rep, F21)
@@ -93,14 +103,27 @@ def test_candidates_are_valid_and_generating():
 
 
 def test_candidate_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match=r"^\|G\| = 253 exceeds candidate bound 100$"):
         classify_spec(GroupSpec(23, 11, 2), bound=100)
-    with pytest.raises(BoundExceeded):
-        orbit_representatives(GroupSpec(23, 11, 2), bound=100)
+
+
+def test_early_exits_come_before_aut(monkeypatch):
+    """The walk bound (oracle mode) and the count formula's hypotheses
+    (theorem mode) refuse a spec before Aut(G) is computed: a group of 4185
+    elements gets the candidate bound's message, not the element search's,
+    and a spec outside the count formula gets ``theorem_js``'s."""
+    def refuse(spec):
+        raise AssertionError(f"Aut(G) computed for {spec}")
+
+    monkeypatch.setattr(classify, "aut_generators", refuse)
+    with pytest.raises(BoundExceeded, match=r"^\|G\| = 4185 exceeds candidate bound 1000$"):
+        classify_spec(GroupSpec(3, 3, 1, ell=465), bound=1000)
+    with pytest.raises(ValueError, match="^theorem mode needs a nonabelian Sylow-cyclic spec"):
+        classify_spec(GroupSpec(9, 3, 4), mode="theorem")
 
 
 def test_candidate_orbits_cover_everything():
-    orbits = orbit_representatives(F21)
+    orbits = generating_orbits(F21)
     assert sum(size for _, size in orbits) == len(enumerate_candidates(7, 3, 2))
     assert len(orbits) == 2
 
@@ -113,7 +136,7 @@ def test_candidate_orbits_cover_everything():
 def test_candidate_orbits_match_full_group_reference(spec):
     """The orbits agree with reducing the reference candidates by every
     element of Aut(G), not just a generating set."""
-    orbits = orbit_representatives(spec)
+    orbits = generating_orbits(spec)
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
     assert orbits == candidate_orbits(cands, aut_permutations(spec))
 
@@ -130,8 +153,8 @@ def test_orbit_representatives_match_enumerate_then_reduce(spec):
     generating ones by Aut(G)-orbits, and the raw count is the closed form."""
     raw = inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell)
     cands = enumerate_candidates(spec.m, spec.n, spec.r, spec.ell)
-    expected = candidate_orbits(cands, _aut_generators(spec)[0])
-    orbits = orbit_representatives(spec, bound=spec.order)
+    expected = candidate_orbits(cands, aut_generators(spec)[0])
+    orbits = generating_orbits(spec)
     assert orbits == expected
     assert sum(size for _, size in orbits) == len(cands)
     assert comb((spec.order - 1) // 2, 2) == len(raw)
@@ -148,7 +171,7 @@ def test_vertex_zero_analysis_matches_whole_graph(spec):
     in the full group, and the counts at vertex 0 equal the
     whole-graph edge-orbit count and s-arc-transitivity."""
     regular = regular_representation(spec)
-    orbits = orbit_representatives(spec)
+    orbits = generating_orbits(spec)
     for rep, _ in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
         result = analyze(graph, seeds=regular)
@@ -169,7 +192,7 @@ def edge_split_exits(spec):
     """Per generating orbit: the edge orbits that ``orbits_at_zero`` counts
     from the seeded search.  Cached, as several tests walk each spec."""
     regular = regular_representation(spec)
-    orbits = orbit_representatives(spec)
+    orbits = generating_orbits(spec)
     out = []
     for rep, _ in orbits:
         graph = build_cayley([spec.at_index(x) for x in rep], spec)
@@ -199,7 +222,7 @@ def distance_split(spec, rep):
 def test_distance_split_is_sound(spec):
     """On every generating orbit: the distance-pair test drops a set only
     when A_0, from the seeded search, has more than one edge orbit."""
-    orbits = orbit_representatives(spec)
+    orbits = generating_orbits(spec)
     for (rep, _), edge_orbits in zip(orbits, edge_split_exits(spec), strict=True):
         assert edge_orbits > 1 or not distance_split(spec, rep)
 
@@ -210,7 +233,7 @@ def late_exits(spec):
     its edge orbits and whether ``analyze_connection_set`` drops it."""
     return tuple(
         (edge_orbits, analyze_connection_set(spec, [spec.at_index(x) for x in rep]) is None)
-        for (rep, _), edge_orbits in zip(orbit_representatives(spec), edge_split_exits(spec), strict=True)
+        for (rep, _), edge_orbits in zip(generating_orbits(spec), edge_split_exits(spec), strict=True)
         if not distance_split(spec, rep)
     )
 
@@ -246,7 +269,7 @@ def test_distance_split_catches_census_ref_orbits():
     exits = [
         (edge_orbits, distance_split(spec, rep))
         for spec in specs
-        for (rep, _), edge_orbits in zip(orbit_representatives(spec), edge_split_exits(spec), strict=True)
+        for (rep, _), edge_orbits in zip(generating_orbits(spec), edge_split_exits(spec), strict=True)
     ]
     assert len(exits) == 43
     assert sum(edge_orbits > 1 for edge_orbits, _ in exits) == 28
@@ -259,7 +282,7 @@ def test_distance_split_catches_all_at_1081_vertices():
     orbits.  The frozen report has 11 classes, so the 11 survivors are the
     edge-transitive ones, and the test dropped every orbit that is not."""
     spec = GroupSpec(47, 23, 2)
-    orbits = orbit_representatives(spec, bound=spec.order)
+    orbits = generating_orbits(spec)
     dropped = sum(distance_split(spec, rep) for rep, _ in orbits)
     assert (len(orbits), dropped) == (77, 66)
     golden = json.loads((DATA / "classify_47_23_2_1_oracle.json").read_text())
@@ -296,8 +319,8 @@ def test_pair_action_pairs_match_reference_inverses(spec):
 def test_orbit_representatives_match_reference_walk(spec):
     """The walk on inverse-pair indices, one byte per raw set, gives the
     output of the walk over sorted 4-tuples, each orbit taken by set_orbit."""
-    gens, _ = _aut_generators(spec)
-    assert orbit_representatives(spec, bound=spec.order) == orbit_walk(spec, gens)
+    gens, _ = aut_generators(spec)
+    assert generating_orbits(spec) == orbit_walk(spec, gens)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +342,8 @@ def test_pair_action_orbits_match_burnside_count(spec):
         fixed = sum(1 for i, x in enumerate(pi) if x == i)
         swaps = sum(1 for i, x in enumerate(pi) if x > i and pi[x] == i)
         fixed_sets += comb(fixed, 2) + swaps
-    orbits = sum(1 for _ in _pair_action(spec).orbits())
+    census = pair_action(spec)
+    orbits = sum(1 for _ in census.orbits(census.marks()))
     assert orbits * len(triples) == fixed_sets
 
 
@@ -330,41 +354,44 @@ def test_pair_action_orbits_match_burnside_count(spec):
 )
 def test_orbit_cache_holds_least_member_and_size(spec):
     """The walk gives (min(o), len(o)) of the set_orbit o of each generating
-    orbit it meets; the standard table holds the pair-index key of every
-    S_j with gcd(j, n) = 1; and each class's standard_j is the least j whose
-    S_j lies in the class's orbit under every element of Aut(G)."""
-    gens, _ = _aut_generators(spec)
-    orbits = orbit_representatives(spec)
-    for rep, size in orbits:
-        o = set_orbit(rep, gens)
-        assert (min(o), len(o)) == (rep, size)
-    action = _pair_action(spec)
-    standard = _standard_keys(spec)
-    assert sorted(standard) == [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
-    for j, (a, b) in standard.items():
+    orbit it meets, and, given the slot of every S_j with gcd(j, n) = 1,
+    the least j whose S_j lies in o; and each class's standard_j is the
+    least j whose S_j lies in the class's orbit under every element of
+    Aut(G)."""
+    gens, _ = aut_generators(spec)
+    action = pair_action(spec)
+    js = [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
+    standard = {}
+    for j in js:
+        a, b = action.key(sorted_standard_set(j, spec))
         assert a < b
         assert tuple(sorted(action.pairs[a] + action.pairs[b])) == sorted_standard_set(j, spec)
+        standard[j] = action.base[a] + b
+    for rep, size, standard_j in orbit_representatives(spec, action, standard):
+        o = set_orbit(rep, gens)
+        assert (min(o), len(o)) == (rep, size)
+        assert standard_j == min((j for j in js if sorted_standard_set(j, spec) in o), default=None)
     report = classify_spec(spec)
     thm2_applicable = report.thm2_claim is not None
     for c in report.classes:
         members = orbit_members(sorted(map(spec.index, c.connection_set)), spec)
-        expected = min(
-            (j for j in standard if sorted_standard_set(j, spec) in members), default=None
-        )
+        expected = min((j for j in js if sorted_standard_set(j, spec) in members), default=None)
         assert c.standard_j == (expected if thm2_applicable else None)
 
 
 @pytest.mark.parametrize(
     "spec",
-    list(iter_specs(231)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(23, 11, 2)],
+    list(iter_specs(231))
+    + [GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 3, 4), GroupSpec(23, 11, 2), GroupSpec(29, 7, 7, ell=3)],
     ids=spec_id,
 )
 def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
     """In each mode that applies, every class's orbit size and standard_j
     are those of the set_orbit of its connection set: the size of that
     orbit, and the least j with gcd(j, n) = 1 whose sorted S_j lies in it
-    (None where the count formula does not apply)."""
-    gens, _ = _aut_generators(spec)
+    (None where the count formula does not apply, or where no S_j lies in
+    it, as for the generic classes of Z29:Z7 x Z3)."""
+    gens, _ = aut_generators(spec)
     reports = [classify_spec(spec)]
     thm2_applicable = reports[0].thm2_claim is not None
     if thm2_applicable:
@@ -395,6 +422,28 @@ def test_theorem_mode_walks_each_orbit_once(monkeypatch):
     assert len(walked) == len(set(walked)) == len(theorem_js(spec))
 
 
+@pytest.mark.parametrize("spec", [GroupSpec(11, 5, 3), GroupSpec(29, 7, 7, ell=3)], ids=spec_id)
+def test_oracle_mode_walks_each_orbit_once(monkeypatch, spec):
+    """One walk per orbit on raw sets, generating or not, and none for a
+    class: the walks' orbits cover the raw sets exactly once, one walk per
+    orbit that the walk over all raw sets meets."""
+    sizes = []
+    orbit = classify._PairAction.orbit
+
+    def counted(self, i, j, marks):
+        members = orbit(self, i, j, marks)
+        sizes.append(len(members))
+        return members
+
+    monkeypatch.setattr(classify._PairAction, "orbit", counted)
+    report = classify_spec(spec)
+    monkeypatch.undo()
+    assert report.classes and report.thm2_claim is not None
+    assert sum(sizes) == report.raw_candidates
+    action = pair_action(spec)
+    assert len(sizes) == sum(1 for _ in action.orbits(action.marks()))
+
+
 # ----------------------------------------------------------- single sets
 
 def test_analyze_standard_set_f21():
@@ -412,9 +461,9 @@ def test_analyze_connection_set_never_computes_aut(monkeypatch):
 
     def counted(spec):
         calls.append(spec)
-        return _aut_generators(spec)
+        return aut_generators(spec)
 
-    monkeypatch.setattr(classify, "_aut_generators", counted)
+    monkeypatch.setattr(classify, "aut_generators", counted)
     c = analyze_connection_set(F21, standard_connection_set(1, F21))
     assert calls == []
     assert (c.orbit_size, c.set_stabilizer_order, c.normalizer_ok, c.standard_j) == (None,) * 4

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc.autosearch import analyze
-from metacirc.classify import orbit_representatives
+from metacirc.aut import aut_generators
+from metacirc.classify import _PairAction, orbit_representatives
 from metacirc.graphs import (
     Graph,
     are_automorphisms,
@@ -128,7 +129,7 @@ def test_build_cayley_disconnected():
 def test_build_cayley_rows_pass_graph_validation(spec):
     """build_cayley skips Graph's checks; on every generating orbit its rows
     pass them."""
-    for rep, _ in orbit_representatives(spec, bound=spec.order):
+    for rep, _, _ in orbit_representatives(spec, _PairAction(spec, aut_generators(spec)[0]), {}):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
         assert Graph(g.n, g.adjacency) == g
 
