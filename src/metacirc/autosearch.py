@@ -4,12 +4,16 @@ Colour refinement plus individualization backtracking, with automorphism
 (orbit) pruning.  One tree search produces both the automorphism generators
 and the canonical labeling: every leaf is an ordering of the vertices, and
 its key is the packed rows of the relabeled adjacency matrix
-(``graphs.packed_rows``).  Equal keys yield automorphisms, and the
-lexicographically least key over the surviving leaves is the canonical form,
-emitted as its graph6.  Two leaves have equal keys iff the map of one onto
-the other, position by position, is an automorphism, so a leaf is first
-tested against the first leaf by the edge test ``graphs.are_automorphisms``,
-and only a leaf that fails it builds its key (see ``_Search.leaf``).
+(``graphs.packed_rows``).  Equal keys yield automorphisms, and the leaf of
+the lexicographically least key over the surviving leaves gives the
+canonical order, whose graph6 (``graphs.to_graph6``) is the canonical form.
+Two leaves have equal keys iff the map of one onto the other, position by
+position, is an automorphism, so a leaf is first tested against the first
+leaf by the edge test ``graphs.is_isomorphism``, and a key is built only to
+order two leaves that differ: the key of a leaf that fails the test, and
+once, that of the best leaf so far (see ``_Search.leaf``).  A search whose
+every leaf maps onto the first builds no key, and the first leaf's order is
+canonical.
 
 A branch is pruned when its vertex lies in the orbit of a processed
 branch's vertex under the automorphisms found that fix the node's path
@@ -32,8 +36,10 @@ the whole tree; only fewer generators are found.
 
 Refinement does not look at vertex labels, so an isomorphism maps one
 graph's tree onto the other's, keys included: g2 is isomorphic to g1 iff the
-search of g1 reaches the first key that the search of g2 yields, and the
-search of g1 stops there (see ``_Search.leaves``).
+search of g1 reaches a leaf with the key of g2's first leaf, that is, a leaf
+whose map onto g2's first leaf, position by position, is an isomorphism.
+The search of g1 tests each leaf so, with the edge test, and stops at the
+first that passes; no key is compared (see ``are_isomorphic``).
 
 Known automorphisms may be seeded into the search; they only ever prune
 branches that are provably equivalent, so the result is unchanged but e.g.
@@ -63,7 +69,7 @@ from operator import getitem
 from typing import Iterator, Sequence
 
 from metacirc.errors import BoundExceeded
-from metacirc.graphs import Graph, are_automorphisms, graph6_of_rows, packed_rows
+from metacirc.graphs import Graph, are_automorphisms, is_isomorphism, packed_rows, to_graph6
 from metacirc.permgroup import PermGroup, orbit
 
 MAX_DEGREE = 2000
@@ -74,9 +80,12 @@ Partition = tuple[list[list[int] | None], list[int], int]
 
 @dataclass
 class SearchResult:
+    """What one search found.  The canonical form is the graph6 of g in
+    ``canonical_order``; its key, the packed rows in that order, is built
+    only when the search had leaves to order, so it is not kept."""
+
     generators: list[tuple[int, ...]]  # the seeds first, then those found
-    canonical_order: list[int]         # position -> vertex
-    canonical_key: tuple[int, ...]     # packed rows, in canonical_order
+    canonical_order: list[int]         # position -> vertex, the best leaf
     base: list[int]                    # the first leaf's path
     n_seeds: int = 0                   # how many generators are seeds
 
@@ -362,17 +371,18 @@ def _target_cell(cell_at: list[list[int] | None]) -> int:
 
 class _Search:
     """One run of the search: the generators found so far, the seeds
-    first, the first and best leaves, the first leaf's path, and the depth
-    the search is jumping back to, if any.  Nothing it holds refers back to
-    it, so a search, even one left before its last leaf, is freed as soon
-    as it is dropped.
+    first, the orders of the first and best leaves, the best leaf's key
+    once one is built, the first leaf's path, and the depth the search is
+    jumping back to, if any.  Nothing it holds refers back to it, so a
+    search, even one left before its last leaf, is freed as soon as it is
+    dropped.
 
     A graph of more than ``MAX_DEGREE`` vertices raises ``BoundExceeded``
     before the seeds are looked at; a seed that is not an automorphism
     raises ``ValueError``.
     """
 
-    __slots__ = ("g", "gens", "n_seeds", "gen_set", "first", "best", "first_path", "jump")
+    __slots__ = ("g", "gens", "n_seeds", "gen_set", "first", "best", "best_key", "first_path", "jump")
 
     def __init__(self, g: Graph, seeds: Sequence[Sequence[int]] = ()):
         if g.n > MAX_DEGREE:
@@ -384,14 +394,16 @@ class _Search:
         self.g = g
         self.n_seeds = len(self.gens)
         self.gen_set = set(self.gens)
-        # (key, order) of the first leaf and of the least key so far
-        self.first: tuple[tuple[int, ...], list[int]] | None = None
-        self.best: tuple[tuple[int, ...], list[int]] | None = None
+        # the orders of the first leaf and of the least key so far, and
+        # that key, None until a leaf off the first needs it
+        self.first: list[int] | None = None
+        self.best: list[int] | None = None
+        self.best_key: tuple[int, ...] | None = None
         self.first_path: list[int] = []
         self.jump: int | None = None
 
-    def leaves(self) -> Iterator[tuple[int, ...]]:
-        """Search g, pruned at the root by ``gens``, and yield the key of
+    def leaves(self) -> Iterator[list[int]]:
+        """Search g, pruned at the root by ``gens``, and yield the order of
         each leaf in search order, once ``leaf`` has taken it in.  The
         search is one loop over a stack of ``node`` generators, one for each
         node of the current path: each step resumes the deepest for its next
@@ -412,40 +424,41 @@ class _Search:
             else:
                 stack.append(self.node(*child))
 
-    def leaf(self, cell_at: list[list[int]], fixed: list[int]) -> tuple[int, ...]:
+    def leaf(self, cell_at: list[list[int]], fixed: list[int]) -> list[int]:
         """Take in the leaf whose discrete partition has the singletons
         ``cell_at``, reached by individualizing ``fixed``, and return its
-        key.
+        order.
 
         A later leaf is first mapped onto the first leaf, position by
         position.  If that map is an automorphism, the two keys are equal,
         so the leaf builds no key: the map is kept as a generator and the
         search jumps back to the node where this path left the first one.
         Otherwise the keys differ, and the leaf builds its key to compare
-        with the least so far, where an equal key gives an automorphism the
-        same way."""
+        with the least so far, whose key is built the first time it is
+        needed; an equal key gives an automorphism the same way."""
         order = [c[0] for c in cell_at]
         if self.first is None:
-            key = packed_rows(self.g, order)
-            self.first = self.best = (key, order)
+            self.first = self.best = order
             self.first_path = fixed
-            return key
-        first_key, first_order = self.first
-        p = _mapping(order, first_order)
-        if order != first_order and are_automorphisms(self.g, [p]):
-            self.keep(p)
-            d = 0
-            while fixed[d] == self.first_path[d]:
-                d += 1
-            self.jump = d
-            return first_key
-        key = packed_rows(self.g, order)
-        best_key, best_order = self.best
-        if key == best_key and order != best_order:
-            self.keep(_mapping(order, best_order))
-        elif key < best_key:
-            self.best = (key, order)
-        return key
+            return order
+        g = self.g
+        if order != self.first:
+            p = _mapping(order, self.first)
+            if is_isomorphism(g, g, p):
+                self.keep(p)
+                d = 0
+                while fixed[d] == self.first_path[d]:
+                    d += 1
+                self.jump = d
+                return order
+        key = packed_rows(g, order)
+        if self.best_key is None:
+            self.best_key = packed_rows(g, self.best)
+        if key == self.best_key and order != self.best:
+            self.keep(_mapping(order, self.best))
+        elif key < self.best_key:
+            self.best, self.best_key = order, key
+        return order
 
     def keep(self, p: tuple[int, ...]) -> None:
         """Add the automorphism p to the generators unless it is one."""
@@ -514,8 +527,7 @@ def analyze(g: Graph, seeds: Sequence[Sequence[int]] = ()) -> SearchResult:
     search = _Search(g, seeds)
     for _ in search.leaves():
         pass
-    key, order = search.best
-    return SearchResult(search.gens, order, key, search.first_path, search.n_seeds)
+    return SearchResult(search.gens, search.best, search.first_path, search.n_seeds)
 
 
 def automorphism_group(g: Graph) -> PermGroup:
@@ -526,16 +538,19 @@ def automorphism_group(g: Graph) -> PermGroup:
 
 
 def canonical_form(g: Graph, result: SearchResult | None = None) -> bytes:
-    """Complete isomorphism invariant: graph6 of the canonical key, the rows
-    of g in the canonical order."""
-    return graph6_of_rows((result or analyze(g)).canonical_key)
+    """Complete isomorphism invariant: graph6 of g in the canonical order,
+    the order of the leaf whose adjacency matrix is least row by row (which
+    is not the least graph6, see ``graphs.packed_rows``)."""
+    return to_graph6(g, (result or analyze(g)).canonical_order)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Whether the search of g1 reaches the key of g2's first leaf (see the
-    module docstring); equal keys are equal adjacency matrices."""
+    """Whether the search of g1 reaches a leaf whose map onto g2's first
+    leaf, position by position, is an isomorphism (see the module
+    docstring)."""
     if g1.n != g2.n or g1.n_edges != g2.n_edges:
         return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
-    return next(_Search(g2).leaves()) in _Search(g1).leaves()
+    first = next(_Search(g2).leaves())
+    return any(is_isomorphism(g1, g2, _mapping(order, first)) for order in _Search(g1).leaves())

@@ -111,7 +111,11 @@ def packed_rows(g: Graph, order: Sequence[int] | None = None) -> tuple[int, ...]
     ``order[i]`` (vertex i when ``order`` is None).
 
     Bit (n-1-k) of row i is set iff positions i and k are adjacent, so tuple
-    comparison is row-major lexicographic comparison of the matrices.
+    comparison is row-major lexicographic comparison of the matrices.  That
+    is not the order of their graph6 strings, which read the upper triangle
+    column by column: on 4 vertices the edge {1, 2} has the lesser rows,
+    (0, 2, 4, 0) against (1, 0, 0, 8) for the edge {0, 3}, and the greater
+    graph6, ``CG`` against ``CC``.
     """
     n = g.n
     if order is None:
@@ -132,60 +136,68 @@ def packed_rows(g: Graph, order: Sequence[int] | None = None) -> tuple[int, ...]
 
 def are_automorphisms(g: Graph, perms: Sequence[Sequence[int]]) -> bool:
     """Whether every p in ``perms`` permutes the vertices (v -> p[v]) and
-    preserves adjacency.
-
-    A permutation maps the m edges to m distinct pairs, so it maps the
-    edges onto the edges iff it maps each edge to an edge, that is, iff
-    p[u] is a neighbour of p[v] for every v and every u in the row of v.
-    The neighbours of p[v] are marked with v before the row of v is
-    looked at, so a permutation costs O(n + m), whatever the degrees.
-    """
+    preserves adjacency (see ``is_isomorphism``)."""
     points = list(range(g.n))
-    adj = g.adjacency
-    for p in perms:
-        if sorted(p) != points:
-            return False
-        mark = [-1] * g.n
-        for v, row in enumerate(adj):
-            for w in adj[p[v]]:
-                mark[w] = v
-            for u in row:
-                if mark[p[u]] != v:
-                    return False
+    return all(sorted(p) == points and is_isomorphism(g, g, p) for p in perms)
+
+
+def is_isomorphism(g: Graph, h: Graph, p: Sequence[int]) -> bool:
+    """Whether the bijection v -> p[v] from the vertices of g onto those of
+    h maps g onto h, given that g and h have as many edges.
+
+    p maps the m edges of g to m distinct pairs, so it maps them onto the
+    edges of h iff it maps each edge to an edge, that is, iff p[u] is a
+    neighbour of p[v] in h for every v and every u in the row of v.  The
+    neighbours of p[v] are marked with v before the row of v is looked at,
+    so the test costs O(n + m), whatever the degrees.
+    """
+    mark = [-1] * g.n
+    adj = h.adjacency
+    for v, row in enumerate(g.adjacency):
+        for w in adj[p[v]]:
+            mark[w] = v
+        for u in row:
+            if mark[p[u]] != v:
+                return False
     return True
 
 
 # ------------------------------------------------------------------ formats
 
-# graph6 body bytes are 63 plus a 6-bit value, the same sextets base64
-# writes as these letters: the bit packing runs through binascii
+# graph6 body bytes are 63 plus a 6-bit value: sextet -> its body byte, and
+# body byte -> the letter base64 writes for the same sextet, so decoding runs
+# through binascii
+_SEXTETS = bytes(range(63, 127)) + bytes(192)
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
-def to_graph6(g: Graph) -> bytes:
-    """Bit-exact graph6 of g."""
-    return graph6_of_rows(packed_rows(g))
+def to_graph6(g: Graph, order: Sequence[int] | None = None) -> bytes:
+    """Bit-exact graph6 of g with position i holding vertex ``order[i]``
+    (vertex i when ``order`` is None): size bytes, then the upper triangle
+    column by column, six bits to a byte, each byte offset by 63.
 
-
-def graph6_of_rows(rows: Sequence[int]) -> bytes:
-    """Bit-exact graph6 of the packed rows (see ``packed_rows``): size bytes,
-    then the upper triangle column by column.
-
-    Column j holds the bits of positions 0..j-1, so it is the top j bits of
-    row j, position 0 first.  The concatenated bits are padded to whole
-    base64 groups and encoded by ``binascii``.
+    The bit of positions i < j is bit j(j - 1)/2 + i of the body, and only
+    the edges set bits, so the body is a bytearray of sextets with one bit
+    set per edge and no relabeled graph or packed rows built.
     """
-    n = len(rows)
+    n = g.n
     size = _graph6_size(n)
-    nbits = n * (n - 1) // 2
-    if not nbits:
-        return size
-    bits = "".join([format(rows[j] >> (n - j), f"0{j}b") for j in range(1, n)])
-    bits += "0" * (-nbits % 24)
-    body = binascii.b2a_base64(int(bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
-    return size + body[: (nbits + 5) // 6].translate(_TO_GRAPH6)
+    pos = list(range(n))  # vertex -> position
+    if order is not None:
+        for i, v in enumerate(order):
+            pos[v] = i
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    adj = g.adjacency
+    for v in range(n):
+        j = pos[v]
+        column = j * (j - 1) // 2
+        for u in adj[v]:
+            i = pos[u]
+            if i < j:
+                k = column + i
+                body[k // 6] |= 32 >> k % 6
+    return size + body.translate(_SEXTETS)
 
 
 def _graph6_size(n: int) -> bytes:

@@ -35,6 +35,7 @@ from metacirc.graphs import (
     build_cayley,
     from_graph6,
     graph_from_edges,
+    packed_rows,
     to_graph6,
 )
 from metacirc.groups import Element, GroupSpec, iter_specs, regular_representation
@@ -860,7 +861,7 @@ def test_order_matches_brute_force_random(n, p, rnd):
     rows = [list(r) for r in g.adjacency]
     result = analyze(g)
     assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
-    assert result.canonical_key == least_leaf_key(rows)
+    assert packed_rows(g, result.canonical_order) == least_leaf_key(rows)
 
 
 # fixed graphs for the same check, each one that a known fault gets wrong on
@@ -882,7 +883,7 @@ def test_order_matches_brute_force_fixed(rows):
     assert [list(r) for r in g.adjacency] == rows
     result = analyze(g)
     assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
-    assert result.canonical_key == least_leaf_key(rows)
+    assert packed_rows(g, result.canonical_order) == least_leaf_key(rows)
 
 
 def test_generators_preserve_adjacency():
@@ -906,7 +907,7 @@ def test_seeding_changes_nothing():
         seeded = analyze(g, seeds=regular_representation(spec))
         orders = [PermGroup(g.n, r.generators, r.base).order for r in (plain, seeded)]
         assert orders[0] == orders[1]
-        assert plain.canonical_key == seeded.canonical_key
+        assert packed_rows(g, plain.canonical_order) == packed_rows(g, seeded.canonical_order)
 
 
 def test_seed_validation():
@@ -1010,8 +1011,8 @@ def relabeled_graph6(g, result):
 
 @pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
 def test_canonical_form_matches_relabeled_graph6_on_census_graphs(spec):
-    """The graph6 of the canonical key is that of the canonically relabeled
-    graph, on the graph of every generating orbit, searched as the census
+    """The canonical form, graph6 written in the canonical order, is that
+    of the canonically relabeled graph, on the graph of every generating orbit, searched as the census
     searches it."""
     regular = regular_representation(spec)
     for rep in generating_sets(spec):
@@ -1133,13 +1134,14 @@ def test_are_isomorphic_matches_brute_force(n, p, rnd):
     )
     assert are_isomorphic(g1, g2) == expected
     first = next(autosearch._Search(g2, []).leaves())
-    assert expected == (first in leaf_keys([list(r) for r in g1.adjacency]))
+    first_key = rows_in_order([list(r) for r in g2.adjacency], first)
+    assert expected == (first_key in leaf_keys([list(r) for r in g1.adjacency]))
     relabeled = random_relabel(g1, rng)
     assert are_isomorphic(g1, relabeled)
     for g in (g1, g2, relabeled):
         rows = [list(r) for r in g.adjacency]
         result = analyze(g)
-        assert result.canonical_key == least_leaf_key(rows)
+        assert packed_rows(g, result.canonical_order) == least_leaf_key(rows)
         assert PermGroup(g.n, result.generators, result.base).order == len(brute_force_graph_automorphisms(rows))
 
 
@@ -1176,11 +1178,12 @@ def census_231_classes():
 def test_are_isomorphic_on_census_classes(monkeypatch):
     """Each relabeled class of the frozen census against each relabeled
     class of its order, itself included: the verdict is the comparison of
-    the frozen canonical forms.  ``packed_rows`` builds the key of each
-    leaf that no automorphism maps onto its search's first leaf, so it
-    counts the work: two keys when the classes are the same (g2's first
-    leaf's and g1's), and otherwise g2's first and every key of g1's whole
-    search."""
+    the frozen canonical forms.  No key is compared: g1's leaves are
+    tested against g2's first leaf by the edge test, and g2's first leaf
+    builds no key.  So ``packed_rows`` runs only where g1's own search
+    orders leaves: never when the classes are the same, since g1's first
+    leaf maps onto g2's, and otherwise as often as in the whole search of
+    g1 alone."""
     keys = 0
     packed_rows = autosearch.packed_rows
 
@@ -1201,13 +1204,13 @@ def test_are_isomorphic_on_census_classes(monkeypatch):
         keys = 0
         assert are_isomorphic(g1, g2) == (c1 == c2)
         if c1 == c2:
-            assert keys == 2
+            assert keys == 0
             same += 1
         else:
             reached = keys
             keys = 0
             analyze(g1)
-            assert reached == 1 + keys
+            assert reached == keys
         pairs += 1
     assert (pairs, same) == (54 + 57, 54)
 
@@ -1267,8 +1270,17 @@ def search_corpus():
             yield f"{name}:relabeled", random_relabel(g, rng), ()
 
 
-def search_digest(result) -> str:
-    return hashlib.sha256(repr(result).encode()).hexdigest()
+def search_digest(g, result) -> str:
+    """SHA-256 of the repr the digests were frozen from, when
+    ``SearchResult`` held the canonical key, the packed rows of g in the
+    canonical order, between the order and the base."""
+    frozen_repr = (
+        f"SearchResult(generators={result.generators!r}, "
+        f"canonical_order={result.canonical_order!r}, "
+        f"canonical_key={packed_rows(g, result.canonical_order)!r}, "
+        f"base={result.base!r}, n_seeds={result.n_seeds!r})"
+    )
+    return hashlib.sha256(frozen_repr.encode()).hexdigest()
 
 
 def test_searches_match_frozen_results():
@@ -1283,7 +1295,7 @@ def test_searches_match_frozen_results():
     assert [name for name, _, _ in corpus] == list(frozen)
     assert len(frozen) > 1000
     for name, g, seeds in corpus:
-        assert search_digest(analyze(g, seeds)) == frozen[name], name
+        assert search_digest(g, analyze(g, seeds)) == frozen[name], name
 
 
 CENSUS_REF_SPECS = [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3), GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2)]
@@ -1291,30 +1303,32 @@ CENSUS_REF_SPECS = [GroupSpec(7, 3, 2), GroupSpec(11, 5, 3), GroupSpec(11, 5, 3,
 
 def counting_keys_and_leaves(monkeypatch) -> Counter:
     """Count the keys leaves build (``packed_rows`` runs once per key), the
-    leaves, and the leaves whose key is not the first leaf's."""
+    leaves, and the leaves whose key, by the reference ``rows_in_order``,
+    is not the first leaf's."""
     counts = Counter()
-    packed_rows = autosearch.packed_rows
+    rows = autosearch.packed_rows
     leaf = autosearch._Search.leaf
 
     def counted_rows(g, order=None):
         counts["keys"] += 1
-        return packed_rows(g, order)
+        return rows(g, order)
 
     def counted_leaf(self, cells, fixed):
-        key = leaf(self, cells, fixed)
+        order = leaf(self, cells, fixed)
+        adjacency = self.g.adjacency
         counts["leaves"] += 1
-        counts["off_first"] += key != self.first[0]
-        return key
+        counts["off_first"] += rows_in_order(adjacency, order) != rows_in_order(adjacency, self.first)
+        return order
 
     monkeypatch.setattr(autosearch, "packed_rows", counted_rows)
     monkeypatch.setattr(autosearch._Search, "leaf", counted_leaf)
     return counts
 
 
-def test_seeded_census_searches_build_one_key(monkeypatch):
+def test_seeded_census_searches_build_no_key(monkeypatch):
     """In the seeded search of every class of the reference census specs,
     each leaf after the first maps onto the first by an automorphism, so
-    only the first leaf builds its key."""
+    no two leaves are ordered and no key is built."""
     counts = counting_keys_and_leaves(monkeypatch)
     searches = 0
     for spec in CENSUS_REF_SPECS:
@@ -1323,32 +1337,33 @@ def test_seeded_census_searches_build_one_key(monkeypatch):
             g = build_cayley([spec.at_index(x) for x in rep], spec)
             counts["keys"] = 0
             analyze(g, regular)
-            assert counts["keys"] == 1
+            assert counts["keys"] == 0
             searches += 1
     assert counts["off_first"] == 0 and counts["leaves"] > searches
 
 
 def test_leaves_off_the_first_build_their_keys(monkeypatch):
     """In the unseeded searches of the random regular graphs of the frozen
-    corpus, a key is built for the first leaf and for each leaf whose key
-    is not the first's, and every result is the frozen one."""
+    corpus, a key is built for each leaf whose key is not the first's, and
+    one more, once, for the first leaf, to be ordered against them; a search
+    with no such leaf builds none.  Every result is the frozen one."""
     frozen = json.loads(SEARCH_RESULTS.read_text())
     counts = counting_keys_and_leaves(monkeypatch)
     off_first = 0
     for name, g, seeds in search_corpus():
         if name.startswith("regular-"):
             counts.clear()
-            assert search_digest(analyze(g, seeds)) == frozen[name], name
-            assert counts["keys"] == 1 + counts["off_first"]
+            assert search_digest(g, analyze(g, seeds)) == frozen[name], name
+            assert counts["keys"] == counts["off_first"] + (1 if counts["off_first"] else 0)
             off_first += counts["off_first"]
     assert off_first > 0
 
 
 def test_a_leaf_records_each_new_generator_once():
     """A leaf that an automorphism p maps onto the first leaf keeps p as a
-    generator unless it is one already, and sets the jump to the depth
-    where its path leaves the first; a leaf with the first leaf's order
-    gives no generator, since its map would be the identity."""
+    generator unless it is one already, sets the jump to the depth where
+    its path leaves the first, and builds no key; a leaf with the first
+    leaf's order gives no generator, since its map would be the identity."""
     n = PETERSEN.n
     p = analyze(PETERSEN).generators[0]
     first = [[v] for v in range(n)]
@@ -1356,17 +1371,17 @@ def test_a_leaf_records_each_new_generator_once():
     for v in range(n):
         mapped[p[v]] = [v]
     search = autosearch._Search(PETERSEN, [])
-    search.leaf(first, [0, 1])
-    assert search.leaf(mapped, [0, 2]) == search.first[0]
-    assert search.gens == [p] and search.jump == 1
+    assert search.leaf(first, [0, 1]) == search.first == list(range(n))
+    assert search.leaf(mapped, [0, 2]) == [c[0] for c in mapped]
+    assert search.gens == [p] and search.jump == 1 and search.best_key is None
     search.jump = None
-    assert search.leaf(mapped, [3]) == search.first[0]
-    assert search.gens == [p] and search.jump == 0
+    search.leaf(mapped, [3])
+    assert search.gens == [p] and search.jump == 0 and search.best_key is None
     search.jump = None
-    assert search.leaf(first, [4]) == search.first[0]
+    search.leaf(first, [4])
     assert search.gens == [p] and search.jump is None
 
 
 if __name__ == "__main__":
-    digests = {name: search_digest(analyze(g, seeds)) for name, g, seeds in search_corpus()}
+    digests = {name: search_digest(g, analyze(g, seeds)) for name, g, seeds in search_corpus()}
     SEARCH_RESULTS.write_text(json.dumps(digests, indent=0) + "\n")

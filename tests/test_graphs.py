@@ -15,8 +15,8 @@ from metacirc.graphs import (
     are_automorphisms,
     build_cayley,
     from_graph6,
-    graph6_of_rows,
     graph_from_edges,
+    is_isomorphism,
     packed_rows,
     to_dot,
     to_graph6,
@@ -242,7 +242,7 @@ def random_graph(n, p, rng):
 def test_packed_rows_in_any_order_are_the_rows_of_the_relabeled_graph(n, p, rnd):
     """Row i of the rows in the order ``order`` has bit n-1-k set iff
     order[i] and order[k] are adjacent; they are the identity-order rows of
-    g relabeled by v -> position of v, and their graph6 is that graph's."""
+    g relabeled by v -> position of v."""
     rng = random.Random(rnd.seed)
     g = random_graph(n, p, rng)
     order = list(range(n))
@@ -256,11 +256,39 @@ def test_packed_rows_in_any_order_are_the_rows_of_the_relabeled_graph(n, p, rnd)
         pos[v] = i
     relabeled = g.relabel(pos)
     assert rows == packed_rows(relabeled)
-    assert graph6_of_rows(rows) == to_graph6(relabeled) == graph6_bit_by_bit(
-        [list(r) for r in relabeled.adjacency]
-    )
-    assert from_graph6(graph6_of_rows(rows)) == relabeled
-    assert from_graph6(to_graph6(g)) == g
+
+
+@given(st.sampled_from([0, 1, 2, 3, 6, 7, 62, 63, 64, 100]), st.floats(0.0, 1.0), st.random_module())
+@settings(max_examples=80, deadline=None)
+def test_graph6_in_any_order_is_that_of_the_relabeled_graph(n, p, rnd):
+    """``to_graph6(g, order)`` is the bit-by-bit graph6 of g relabeled by
+    v -> position of v in ``order``, and reads back as that graph: on either
+    side of the size header's switch at 63, and with n(n-1)/2 bits that are
+    a multiple of 6 (n = 0, 1, 3, 64) or not."""
+    rng = random.Random(rnd.seed)
+    g = random_graph(n, p, rng)
+    order = list(range(n))
+    rng.shuffle(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    relabeled = g.relabel(pos)
+    data = to_graph6(g, order)
+    assert data == graph6_bit_by_bit([list(r) for r in relabeled.adjacency])
+    assert from_graph6(data) == relabeled
+    assert to_graph6(g, range(n)) == to_graph6(g)
+
+
+def test_key_order_is_not_graph6_order():
+    """Leaf keys order adjacency matrices row by row, and graph6 strings
+    read the upper triangle column by column, so the least key is not the
+    least graph6: on 4 vertices the edge {1, 2} has the lesser rows and the
+    greater graph6.  Comparing graph6 bytes in place of keys would change
+    every canonical form that such a pair decides."""
+    g03, g12 = graph_from_edges(4, [(0, 3)]), graph_from_edges(4, [(1, 2)])
+    assert (packed_rows(g03), to_graph6(g03)) == ((1, 0, 0, 8), b"CC")
+    assert (packed_rows(g12), to_graph6(g12)) == ((0, 2, 4, 0), b"CG")
+    assert packed_rows(g12) < packed_rows(g03) and to_graph6(g12) > to_graph6(g03)
 
 
 def automorphism_candidates(autos, n, rng):
@@ -334,6 +362,22 @@ def test_are_automorphisms_matches_set_reference():
             check_are_automorphisms(g, autos, perms)
     assert are_automorphisms(Graph(0, ()), [()])
     assert are_automorphisms(K5, [])
+
+
+def test_is_isomorphism_matches_relabeling():
+    """The edge test between two graphs: a permutation p maps g onto h iff
+    g relabeled by p is h, for every pair of graphs of at most four vertices
+    with as many edges and every permutation."""
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        graphs = [
+            graph_from_edges(n, compress(pairs, edges))
+            for edges in product([False, True], repeat=len(pairs))
+        ]
+        perms = list(permutations(range(n)))
+        for g, h in product(graphs, repeat=2):
+            if g.n_edges == h.n_edges:
+                assert [is_isomorphism(g, h, p) for p in perms] == [g.relabel(p) == h for p in perms]
 
 
 def test_graph6_decoder_ignores_padding_bits():
