@@ -15,8 +15,8 @@ Two modes:
 ``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
 walks each Aut(G)-orbit it needs once (every orbit on raw sets in oracle
 mode, the orbit of each S_j on its own in theorem mode), and reads each
-class's orbit size, |Aut(G, S)|, the normalizer identity and the standard
-form S_j off the walk that met the class's orbit.
+class's |Aut(G, S)| = |Aut(G)| / orbit size, the normalizer identity and
+the standard form S_j off the walk that met the class's orbit.
 ``analyze_connection_set`` reads the rest off the graph of one set and
 never needs Aut(G), so neither does a worker process.
 
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc import predictions
 from metacirc.aut import aut_generators
@@ -60,10 +60,12 @@ from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 class ClassReport:
     """One isomorphism class of connected tetravalent edge-transitive graphs.
 
-    The fields that need Aut(G) (``set_stabilizer_order``, ``normalizer_ok``,
-    ``standard_j`` and ``orbit_size``) belong to the group, not to the graph:
+    The fields that need Aut(G) (``set_stabilizer_order``, ``normalizer_ok``
+    and ``standard_j``) belong to the group, not to the graph:
     ``analyze_connection_set`` leaves them None and ``classify_spec`` fills
-    them in.  ``standard_j`` stays None for a class with no standard set.
+    them in.  ``set_stabilizer_order`` is |Aut(G)| over the size of the
+    Aut(G)-orbit of the class's set; ``standard_j`` stays None for a class
+    with no standard set.
     """
 
     connection_set: tuple[Element, ...]
@@ -80,7 +82,6 @@ class ClassReport:
     set_stabilizer_order: int | None = None
     normalizer_ok: bool | None = None
     standard_j: int | None = None
-    orbit_size: int | None = None
 
     def set_list(self) -> list[list[int]]:
         return [list(x) for x in self.connection_set]
@@ -298,8 +299,9 @@ def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
     return my != Counter(zip(d0, dx)) and my != Counter(zip(dx, d0))
 
 
-def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport | None:
-    """Full classification data for one connection set.
+def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport | None:
+    """Full classification data for one connection set, whose report holds
+    the set sorted by vertex index in whatever order it comes.
 
     Returns None when the graph is not edge-transitive (such sets leave the
     census).  Every fact is read at vertex 0, since Aut = R * A_0 with R the
@@ -324,8 +326,7 @@ def analyze_connection_set(spec: GroupSpec, S: Sequence[Element]) -> ClassReport
     * the normalizer of R is found by enumerating A_0, and R is normal
       exactly when its normalizer is all of Aut.
     """
-    S = tuple(S)
-    validate_connection_set(S, spec)
+    S = validate_connection_set(S, spec)
     inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
     if _distance_split(spec, inverse):
         return None
@@ -409,14 +410,12 @@ def classify_spec(
         set_stab = aut_order // size
         c = replace(
             c,
-            orbit_size=size,
             set_stabilizer_order=set_stab,
             normalizer_ok=c.normalizer_order == spec.order * set_stab,
             standard_j=standard_j,
         )
         prev = merged.setdefault(c.canonical, c)
         if prev is not c:
-            merged[c.canonical] = replace(prev, orbit_size=prev.orbit_size + c.orbit_size)
             twins.append((prev, c))
     classes = sorted(merged.values(), key=lambda c: c.canonical)
     return GroupReport(

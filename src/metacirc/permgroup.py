@@ -11,9 +11,10 @@ the product of the basic orbit lengths, and transversals are built only to
 enumerate the elements.
 
 The graph orbits are counted on a vertex-transitive graph, from the
-stabilizer A_0 of vertex 0 alone: ``orbits_at_zero`` counts edge orbits and
-decides s-arc-transitivity on the neighbours and the deg*(deg-1)^(s-1)
-s-arcs at vertex 0, and ``normalizer_of_regular`` enumerates A_0 alone.  Every
+stabilizer A_0 of vertex 0 alone: ``orbits_at_zero`` counts edge orbits on
+the neighbours of vertex 0 and decides s-arc-transitivity by the orbit of
+one s-arc against the deg*(deg-1)^(s-1) s-arcs at vertex 0, and
+``normalizer_of_regular`` enumerates A_0 alone.  Every
 orbit, the chain's basic orbits and the orbits that prune the automorphism
 search included, comes from one breadth-first routine, ``orbit``, which can
 also grow a set of points in place.
@@ -191,21 +192,6 @@ def _transversal(level: _Level, degree: int) -> dict[int, Perm]:
 
 # ---------------------------------------------------------- graph orbits
 
-def _orbit_count(items: list[tuple[int, ...]], gens: Sequence[Perm | Mapping[int, int]]) -> int:
-    """Orbits of the group the maps ``gens`` generate on the tuples ``items``;
-    each map needs to be defined on the points of the items only."""
-    def image(g, it):
-        return tuple([g[x] for x in it])
-
-    left = set(items)
-    count = 0
-    for it in items:
-        if it in left:
-            count += 1
-            left -= orbit(it, gens, image)
-    return count
-
-
 def s_arcs_at_zero(graph: Graph, s: int) -> list[tuple[int, ...]]:
     """The s-arcs (0, v1, ..., vs) from vertex 0: non-backtracking walks."""
     if s < 1:
@@ -226,8 +212,10 @@ def orbits_at_zero(stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, in
     graph, right translation by x^-1 maps (x, 1) to (1, x^-1).  Every arc,
     edge and s-arc of the graph is then the image of one at vertex 0, and two
     at vertex 0 share an A-orbit iff A_0 maps one to the other.  So the
-    A-orbits on edges are the A_0-orbits on N(0) merged along x ~ reverse[x],
-    and A is s-arc-transitive iff A_0 is transitive on the s-arcs from 0.
+    A-orbits on edges are the orbits of <A_0, reverse> on N(0), each counted
+    once by its least neighbour, and A is s-arc-transitive iff the A_0-orbit
+    of one s-arc from 0 is as large as the set of them all: A_0 maps s-arcs
+    from 0 to s-arcs from 0, so that orbit is all of them exactly then.
 
     Returns (edge orbit count, largest s <= ``MAX_S`` with one orbit on
     s-arcs, 0 if not arc-transitive).  Raises ValueError when a generator of
@@ -242,11 +230,11 @@ def orbits_at_zero(stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, in
     nbrs = graph.adjacency[0]
     if sorted(reverse.get(x, -1) for x in nbrs) != list(nbrs):
         raise ValueError("reverse does not permute the neighbours of 0")
-    edge_orbits = _orbit_count([(x,) for x in nbrs], [*gens, reverse])
+    edge_orbits = len({min(orbit(x, [*gens, reverse], getitem)) for x in nbrs})
     s = 0
     while s < MAX_S:
         walks = s_arcs_at_zero(graph, s + 1)
-        if not walks or _orbit_count(walks, gens) != 1:
+        if not walks or len(orbit(walks[0], gens, lambda g, w: compose(w, g))) != len(walks):
             break
         s += 1
     return edge_orbits, s

@@ -386,12 +386,12 @@ def test_orbit_cache_holds_least_member_and_size(spec):
     ids=spec_id,
 )
 def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
-    """In each mode that applies, every class's orbit size and standard_j
-    are those of the set_orbit of its connection set: the size of that
-    orbit, and the least j with gcd(j, n) = 1 whose sorted S_j lies in it
-    (None where the count formula does not apply, or where no S_j lies in
-    it, as for the generic classes of Z29:Z7 x Z3)."""
-    gens, _ = aut_generators(spec)
+    """In each mode that applies, every class's set stabilizer order and
+    standard_j are those of the set_orbit of its connection set: |Aut(G)|
+    over the size of that orbit, and the least j with gcd(j, n) = 1 whose
+    sorted S_j lies in it (None where the count formula does not apply, or
+    where no S_j lies in it, as for the generic classes of Z29:Z7 x Z3)."""
+    gens, aut_order = aut_generators(spec)
     reports = [classify_spec(spec)]
     thm2_applicable = reports[0].thm2_claim is not None
     if thm2_applicable:
@@ -401,7 +401,7 @@ def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
         assert not any("isomorphic" in f for f in report.findings)
         for c in report.classes:
             o = set_orbit(map(spec.index, c.connection_set), gens)
-            assert c.orbit_size == len(o)
+            assert c.set_stabilizer_order * len(o) == aut_order
             expected = min((j for j in js if sorted_standard_set(j, spec) in o), default=None)
             assert c.standard_j == (expected if thm2_applicable else None)
 
@@ -466,7 +466,16 @@ def test_analyze_connection_set_never_computes_aut(monkeypatch):
     monkeypatch.setattr(classify, "aut_generators", counted)
     c = analyze_connection_set(F21, standard_connection_set(1, F21))
     assert calls == []
-    assert (c.orbit_size, c.set_stabilizer_order, c.normalizer_ok, c.standard_j) == (None,) * 4
+    assert (c.set_stabilizer_order, c.normalizer_ok, c.standard_j) == (None,) * 3
+
+
+def test_analyze_connection_set_reports_the_set_sorted():
+    """The report's set is sorted by vertex index, whatever order it is
+    given in."""
+    S = standard_connection_set(1, F21)
+    c = analyze_connection_set(F21, reversed(S))
+    assert c.connection_set == S == tuple(sorted(S, key=F21.index))
+    assert c.to_json_dict() == analyze_connection_set(F21, S).to_json_dict()
 
 
 def test_analyze_non_edge_transitive_returns_none():
@@ -508,11 +517,14 @@ def test_classify_f21_theorem_mode_matches_oracle():
 
 def test_theorem_mode_orbit_size_matches_oracle():
     # the standard set of (13,3,3) lies in an Aut(G)-orbit of 78 sets; theorem
-    # mode takes the size from that orbit as oracle mode does
+    # mode takes its set stabilizer from that orbit as oracle mode does
     spec = GroupSpec(13, 3, 3)
+    _, aut_order = aut_generators(spec)
+    assert aut_order % 78 == 0
     oracle = classify_spec(spec, mode="oracle")
     theorem = classify_spec(spec, mode="theorem")
-    assert [c.orbit_size for c in theorem.classes] == [c.orbit_size for c in oracle.classes] == [78]
+    stabs = [[c.set_stabilizer_order for c in r.classes] for r in (theorem, oracle)]
+    assert stabs == [[aut_order // 78]] * 2
 
 
 def test_classify_f39_half_transitive():
