@@ -31,7 +31,6 @@ drops sets with more than one edge orbit, so the order changes no report.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import comb
@@ -51,7 +50,6 @@ from metacirc.groups import (
     inversion,
     left_translation,
     regular_representation,
-    right_translation,
 )
 from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 
@@ -251,25 +249,6 @@ def orbit_representatives(
     return orbits
 
 
-def _distances(perms: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Breadth-first distances from 0 on the points 0..n-1, one step being
-    v -> p[v] for p in ``perms``; -1 where unreachable."""
-    dist = [-1] * n
-    dist[0] = 0
-    frontier = [0]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for p in perms:
-            for w in map(p.__getitem__, frontier):
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 # ------------------------------------------------------------ per-rep work
 
 def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
@@ -277,26 +256,65 @@ def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
     of S = {x, x^-1, y, y^-1} has two edge orbits; ``inverse`` maps each
     vertex index in S to its inverse's.
 
-    M_z counts the pairs (d(0, v), d(z, v)) over the vertices v.  One
-    breadth-first search from 0 over the left translations by S gives the
-    distances from 0, so no graph is built.  Right translations are
-    automorphisms, and the one by z^-1 sends z to 0, so d(z, v) =
-    d(0, v z^-1).  An automorphism fixing 0 and sending z to z' preserves
-    distances, so M_z = M_z'; right translation by x sends x^-1 to 0 and 0
-    to x, so M_(x^-1) is M_x transposed.  The unordered pair {M_z, M_z
-    transposed} is therefore the same for every z in one edge orbit, merged
-    along z ~ z^-1 as ``orbits_at_zero`` merges them; if M_y is neither M_x
-    nor its transpose, the edges at 0 fall into two orbits.  This is the
-    two-point distance invariant of McKay & Piperno ("Practical graph
-    isomorphism, II", 2014): it only drops sets that have more than one
-    edge orbit.
+    M_z counts the pairs (d(0, v), d(z, v)) over the vertices v.  Right
+    translations are automorphisms, and the one by z^-1 sends z to 0, so
+    d(z, v) = d(0, v z^-1).  An automorphism fixing 0 and sending z to z'
+    preserves distances, so M_z = M_z'; right translation by x sends x^-1
+    to 0 and 0 to x, so M_(x^-1) is M_x transposed.  The unordered pair
+    {M_z, M_z transposed} is therefore the same for every z in one edge
+    orbit, merged along z ~ z^-1 as ``orbits_at_zero`` merges them; if M_y
+    is neither M_x nor its transpose, the edges at 0 fall into two orbits.
+    This is the two-point distance invariant of McKay & Piperno ("Practical
+    graph isomorphism, II", 2014): it only drops sets that have more than
+    one edge orbit.
+
+    The matrices are compared row by row in one breadth-first search from
+    0 over the left translations by S, so no graph is built.  Row k of M_z
+    counts d(0, v z^-1) over the vertices v of layer k, and row k of M_x
+    transposed counts d(0, u x) over the vertices u of layer k.  The search
+    carries v x^-1, v y^-1 and v x along its tree: for w = s v, w t =
+    s (v t) is one lookup in the left translation by s.  Both z and x^-1
+    are neighbours of 0, so d(0, v z^-1) = d(z, v) and d(0, u x) =
+    d(x^-1, u) lie within 1 of d(0, v) and d(0, u).  Once layer k is
+    found, every vertex within k of 0 has its distance, so row k is exact,
+    held as two counts, of the entries at k - 1 and at k; the rest are at
+    k + 1.  The search stops at the first row by which M_y has differed
+    from both M_x and its transpose.  Vertices out of reach of 0 (S need
+    not generate) add the same row to every matrix: their translates are
+    out of reach too.
     """
     x = min(inverse)
     y = min(z for z in inverse if z != x and z != inverse[x])
-    d0 = _distances([left_translation(s, spec) for s in inverse], spec.order)
-    dx, dy = ([d0[v] for v in right_translation(inverse[z], spec)] for z in (x, y))
-    my = Counter(zip(d0, dy))
-    return my != Counter(zip(d0, dx)) and my != Counter(zip(dx, d0))
+    steps = [left_translation(s, spec) for s in inverse]
+    dist = [-1] * spec.order
+    dist[0] = 0
+    # the vertices v of layer k, each with v x^-1, v y^-1 and v x
+    layer = [(0, inverse[x], inverse[y], x)]
+    apart_x = apart_xt = False
+    k = 0
+    while layer:
+        # at k = 0 each row reads one vertex not reached yet, so they agree
+        _, xs, ys, ts = zip(*layer)
+        d = [dist[u] for u in ys]
+        row_y = d.count(k - 1), d.count(k)
+        if not apart_x:
+            d = [dist[u] for u in xs]
+            apart_x = (d.count(k - 1), d.count(k)) != row_y
+        if not apart_xt:
+            d = [dist[u] for u in ts]
+            apart_xt = (d.count(k - 1), d.count(k)) != row_y
+        if apart_x and apart_xt:
+            return True
+        k += 1
+        nxt = []
+        for v, a, b, c in layer:
+            for p in steps:
+                w = p[v]
+                if dist[w] < 0:
+                    dist[w] = k
+                    nxt.append((w, p[a], p[b], p[c]))
+        layer = nxt
+    return False
 
 
 def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport | None:

@@ -217,7 +217,8 @@ def from_graph6(data: bytes | str) -> Graph:
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[10:]
-    if data and (min(data) < 63 or max(data) > 126):
+    # what is left once the bytes 63..126 are deleted is out of range
+    if data.translate(None, bytes(range(63, 127))):
         raise ValueError("invalid graph6 byte")
     vals = [c - 63 for c in data[:8]]
     header = 8 if vals[:2] == [63, 63] else 4 if vals[:1] == [63] else 1

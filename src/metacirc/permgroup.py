@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms
-from metacirc.groups import GroupSpec, right_translation
+from metacirc.groups import GroupSpec, mul
 
 Perm = tuple[int, ...]
 
@@ -143,8 +143,11 @@ class PermGroup:
         return (reduce(compose, reversed(reps)) for reps in product(*transversals))
 
     def is_transitive(self) -> bool:
-        """Whether the orbit of point 0 under the generators holds every point."""
-        return self.degree == 0 or len(orbit(0, self.generators, getitem)) == self.degree
+        """Whether the orbit of the first base point under the generators
+        holds every point: that orbit is the first chain level's, whose
+        generators are all of them.  With no base the group is trivial."""
+        levels = self.chain()
+        return len(levels[0].orbit) == self.degree if levels else self.degree <= 1
 
 
 def orbit(start: Hashable, gens: Sequence, image: Callable, seen: set | None = None) -> set:
@@ -254,14 +257,24 @@ def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Seque
     ``compose`` applies them, x^-1 ρ_g x takes 0 to x(g), so it lies in R iff
     it is ρ_x(g), that is, iff ρ_g x = x ρ_x(g).  The right translation ρ_g
     takes 0 to g, so g is read off it.
+
+    Both sides lie in A, so they are equal iff they agree on a base of A
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005),
+    and {0} with the base of ``stabilizer`` is one: an element of A that
+    fixes 0 lies in A_0.  Both sides send 0 to x(g), so the test is
+    x(b g) = x(b) x(g) at the base points b other than 0, the right side
+    multiplied on exponents (``groups.mul``).
     """
     if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
         raise ValueError("degree mismatch")
     if any(g[0] != 0 for g in stabilizer.generators):
         raise ValueError("the stabilizer moves vertex 0, so it is no complement of R")
-    regular_gens = [tuple(p) for p in regular if not is_identity(p)]
+    points = [b for b in stabilizer.base if b]
+    # (g, [(b, b g) for each base point b]) for each generator ρ_g of R
+    tests = [(p[0], [(b, p[b]) for b in points]) for p in regular if p[0]]
+    at, index = spec.at_index, spec.index
     count = 0
     for x in stabilizer.elements():
-        if all(compose(p, x) == compose(x, right_translation(x[p[0]], spec)) for p in regular_gens):
-            count += 1
+        count += all(x[bg] == index(mul(at(x[b]), at(x[g]), spec))
+                     for g, pairs in tests for b, bg in pairs)
     return spec.order * count

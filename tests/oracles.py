@@ -9,7 +9,7 @@ vertex indexing u + m*v + m*n*w (``spec.index``, ``spec.at_index``).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd
@@ -539,6 +539,32 @@ def aut_stabilizer(S, spec, maps) -> list:
     """Aut(G, S): the automorphisms among ``maps`` that fix the set S."""
     S = frozenset(S)
     return [f for f in maps if frozenset(apply_aut(f, x, spec) for x in S) == S]
+
+
+def distance_split(S, m: int, n: int, r: int, ell: int = 1) -> bool:
+    """Whole-matrix reference for the distance-pair test on the raw set S =
+    {x, x^-1, y, y^-1} of vertex indices, x the least and y the least not
+    in {x, x^-1}: whether M_y is neither M_x nor M_x transposed, where M_z
+    counts the pairs (d(0, v), d(z, v)) over every vertex v, -1 standing
+    for out of reach.  d(z, v) = d(0, v z^-1), the right multiplication by
+    z^-1 being an automorphism of the Cayley graph v ~ s v."""
+    right = _right_multiplications(m, n, r, ell)
+    inverse = _inverses(right)
+    dist = [-1] * len(right)
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for s in S:
+            w = right[v][s]
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    x = min(S)
+    y = min(z for z in S if z not in (x, inverse[x]))
+    dx, dy = ([dist[right[inverse[z]][v]] for v in range(len(right))] for z in (x, y))
+    my = Counter(zip(dist, dy))
+    return my != Counter(zip(dist, dx)) and my != Counter(zip(dx, dist))
 
 
 def connected_components(adjacency: list[list[int]]) -> list[list[int]]:

@@ -42,6 +42,7 @@ from oracles import (
     aut_triples,
     candidate_orbits,
     closure_size,
+    distance_split as reference_distance_split,
     edge_orbit_count,
     enumerate_candidates,
     inverse_closed_four_subsets,
@@ -225,6 +226,21 @@ def test_distance_split_is_sound(spec):
     orbits = generating_orbits(spec)
     for (rep, _), edge_orbits in zip(orbits, edge_split_exits(spec), strict=True):
         assert edge_orbits > 1 or not distance_split(spec, rep)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(iter_specs(105)) + [GroupSpec(11, 5, 3, ell=3), GroupSpec(23, 11, 2), GroupSpec(7, 3, 2, ell=5)],
+    ids=spec_id,
+)
+def test_distance_split_matches_whole_matrix_reference(spec):
+    """On every raw set, generating or not, the layer-by-layer test decides
+    as the whole-matrix reference does, so it drops no set the reference
+    keeps and keeps none it drops."""
+    raw = inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell)
+    assert [distance_split(spec, S) for S in raw] == [
+        reference_distance_split(S, spec.m, spec.n, spec.r, spec.ell) for S in raw
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -241,7 +241,8 @@ def test_iso_on_zero_and_one_vertex_graphs(capsys, tmp_path):
 
 
 def test_aut_malformed_graph6_exit_1(capsys):
-    for bad in ("zzz", "~", "~~??", "\x7f"):
+    # K5 is D~{; each byte just out of range 63..126, at its start, middle or end
+    for bad in ("zzz", "~", "~~??", "\x7f", ">D~{", "D~\x7f{", "D~{>"):
         code, out, err = run_cli(capsys, "aut", "--graph6", bad)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed graph6") and err.count("\n") == 1

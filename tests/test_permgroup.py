@@ -264,6 +264,13 @@ def test_is_transitive_is_the_orbit_of_zero():
     assert not aut_group(graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)])).is_transitive()
     for grp in (S5, S4, C5, D6, aut_group(matching(3))):
         assert grp.is_transitive() == (point_orbit(grp, 0) == set(range(grp.degree)))
+    # the orbit of the first base point decides, whichever point that is;
+    # a trivial group is transitive on at most one point
+    assert PermGroup(5, C5.generators, [3]).is_transitive()
+    assert not PermGroup(5, S4.generators, [4, 3, 2]).is_transitive()
+    for degree, base in ((0, []), (1, []), (1, [0]), (2, [1]), (5, [])):
+        grp = PermGroup(degree, [], base)
+        assert grp.is_transitive() == (degree <= 1) == (point_orbit(grp, 0) >= set(range(degree)))
 
 
 # ----------------------------------------------------------- graph orbits
