@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pairs.py --parent HEAD --workload census_ref --pairs 10 --seed 1
     python3 scripts/bench_pairs.py --parent HEAD --workload census_ref --workload sweep_135 \\
-        --pairs 10 --seed 1 --seconds 20 --out BENCH.json
+        --pairs 10 --seed 1 --out BENCH.json
 
 Pair i uses seed ``--seed`` + i; even pairs run the parent first, odd pairs
 the change first, and each pair runs every ``--workload`` back to back.
@@ -11,15 +11,17 @@ Each run gets a fresh copy of its side's files, with no ``__pycache__``:
 the parent from ``git archive``, the change from the tracked and untracked,
 not ignored files of the working tree.  The two copies sit at paths of the
 same length, so path lengths cannot tell the sides apart.  Each run is
-``python3 perfbench/run.py --workload W --seed S --trace 0`` in its copy.
+``python3 perfbench/run.py --workload W --seed S --trace 0`` in its copy, so
+every run measures for the benchmark's own ``run_seconds``.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median, the parent's quartiles, the pairs the change won and the verdict:
 a gain may be claimed when the change wins at least nine tenths of the
 pairs, ties counting for neither, and the medians differ by more than the
-parent's interquartile range; the change is within bound when its median is
-no worse than the parent's by more than the metric's bound.  ``--out``
-writes all of it, with every run's value, as JSON.
+parent's interquartile range, taken as ``perfbench/spread.py`` takes it
+(``statistics.quantiles(values, n=4)``); the change is within bound when
+its median is no worse than the parent's by more than the metric's bound.
+``--out`` writes all of it, with every run's value, as JSON.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ def fresh_copy(dest: Path, root: Path, archive: bytes | None, files: list[str]) 
         shutil.copy2(root / name, dest / name)
 
 
-def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(command: list[str], cwd: Path, workload: str, seed: int) -> dict:
     """The last stdout line of one benchmark run, as JSON."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -83,7 +83,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     paired runs (parent[i] with change[i])."""
     sign = 1 if better == "lower" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     return {
         "parent_median": round(p_med, 4),
@@ -108,8 +108,6 @@ def main(argv: list[str] | None = None, command: list[str] = RUN, root: Path = R
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measuring time per run (default: the benchmark's)")
     ap.add_argument("--out", type=Path, default=None, help="write the results here as JSON")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -126,20 +124,20 @@ def main(argv: list[str] | None = None, command: list[str] = RUN, root: Path = R
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     copy = Path(work) / side
                     fresh_copy(copy, root, archive if side == "parent" else None, files)
-                    runs[workload][side].append(run_once(command, copy, workload, seed, args.seconds))
+                    runs[workload][side].append(run_once(command, copy, workload, seed))
                     shutil.rmtree(copy)
                 print(f"pair {i + 1}/{args.pairs} {workload} done", file=sys.stderr, flush=True)
 
     result = {
         "parent": args.parent,
-        "command": "python3 perfbench/run.py --workload W --seed S --trace 0"
-                   + (f" --seconds {args.seconds:g}" if args.seconds is not None else ""),
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0, measuring for "
+                   f"run_seconds = {bench['run_seconds']:g} of BENCHMARK.json",
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "order": "even pairs run the parent first, odd pairs the change first, each pair's "
                  "workloads back to back; each run from a fresh copy of its side's files at "
                  "a path of the same length, with no __pycache__ at the start",
-        "quartiles": "statistics.quantiles(method='inclusive'); iqr = q3 - q1 of the parent's runs",
+        "quartiles": "statistics.quantiles(n=4), as perfbench/spread.py; iqr = q3 - q1 of the parent's runs",
         "win": "the change's value is better than the parent's in the same pair",
         "gain": "wins >= 9/10 of the pairs and the medians differ by more than the parent's iqr",
         "workloads": {},

@@ -264,6 +264,12 @@ def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Seque
     fixes 0 lies in A_0.  Both sides send 0 to x(g), so the test is
     x(b g) = x(b) x(g) at the base points b other than 0, the right side
     multiplied on exponents (``groups.mul``).
+
+    The count is therefore exact only when ``stabilizer`` is the whole
+    stabilizer A_0 of a group A that contains R, as the census passes it.
+    For a mere subgroup H that fixes 0, R H need not be a group, the two
+    sides need not lie in one group whose base is {0} with H's, and an x
+    that is no automorphism of G can pass the test at H's base points.
     """
     if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
         raise ValueError("degree mismatch")

@@ -428,7 +428,10 @@ def test_normalizer_needs_every_left_translation(spec):
     """For each generator g, a permutation that fixes 0 and commutes with the
     left translation by g alone: that translation on one orbit of it away
     from 0, the identity elsewhere.  It is no automorphism of G, and the
-    count must still be that of the right-translation reference."""
+    count must still be that of the right-translation reference.  <x> is
+    no whole point stabilizer of a group containing R, so this lies outside
+    the base argument of ``normalizer_of_regular``: it checks only that the
+    base point h exposes x."""
     regular = regular_representation(spec)
     params = (spec.m, spec.n, spec.r, spec.ell)
     for g in (1, spec.m, spec.m * spec.n):
@@ -452,7 +455,9 @@ def test_normalizer_tests_every_generator(spec):
     k0 != 1 of K, and x is the identity off gK.  Then x(yk) = x(y)k for
     every y and every k in K: x commutes with the right translations by K
     and passes their tests.  But x is no automorphism of G, so the count is
-    right only if g is tested too."""
+    right only if g is tested too.  As in the test above, <x> is no whole
+    point stabilizer of a group containing R, so only the base point g
+    exposes x here."""
     regular = regular_representation(spec)
     params = (spec.m, spec.n, spec.r, spec.ell)
     for g in (1, spec.m, spec.m * spec.n):

@@ -72,7 +72,7 @@ def test_bench_pairs_with_a_stub_command(tmp_path, capsys):
     bench_pairs = load_script("bench_pairs")
     repo = tmp_path / "repo"
     repo.mkdir()
-    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
         {"name": "wall_ref", "unit": "ref", "better": "lower", "bound": 0.2},
         {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
     (repo / "wall.txt").write_text("10")
@@ -88,6 +88,7 @@ def test_bench_pairs_with_a_stub_command(tmp_path, capsys):
     assert bench_pairs.main(argv, command=[sys.executable, str(stub)], root=repo) == 0
     result = json.loads(out.read_text())
     assert result["seeds"] == [1, 4]
+    assert result["command"].endswith("run_seconds = 20 of BENCHMARK.json")
     w = result["workloads"]["w"]
     assert (w["all_correct"], w["failed_operations"], w["attempted_operations"]) == (
         True, {"parent": 0, "change": 0}, {"parent": 12, "change": 12})
