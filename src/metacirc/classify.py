@@ -258,61 +258,48 @@ def _distance_split(spec: GroupSpec, inverse: Mapping[int, int]) -> bool:
 
     M_z counts the pairs (d(0, v), d(z, v)) over the vertices v.  Right
     translations are automorphisms, and the one by z^-1 sends z to 0, so
-    d(z, v) = d(0, v z^-1).  An automorphism fixing 0 and sending z to z'
-    preserves distances, so M_z = M_z'; right translation by x sends x^-1
-    to 0 and 0 to x, so M_(x^-1) is M_x transposed.  The unordered pair
-    {M_z, M_z transposed} is therefore the same for every z in one edge
-    orbit, merged along z ~ z^-1 as ``orbits_at_zero`` merges them; if M_y
-    is neither M_x nor its transpose, the edges at 0 fall into two orbits.
-    This is the two-point distance invariant of McKay & Piperno ("Practical
-    graph isomorphism, II", 2014): it only drops sets that have more than
-    one edge orbit.
+    d(z, v) = d(0, v z^-1).  So M_z's row sums and its column sums are
+    both the layer sizes at 0.  z is a neighbour of 0, so M_z is
+    tridiagonal, and row and column k give N(k, k-1) + N(k, k+1) =
+    N(k-1, k) + N(k+1, k): induction from N(0, -1) = 0 gives N(k, k+1) =
+    N(k+1, k), so M_z is symmetric.  It is then the count of pairs
+    (d(u, v), d(w, v)) for the edge {u, w} = {0, z} in either direction,
+    which automorphisms preserve: if M_y is not M_x, the edges at 0 fall
+    into two orbits.  This is the two-point distance invariant of McKay &
+    Piperno ("Practical graph isomorphism, II", 2014): it only drops sets
+    that have more than one edge orbit.
 
-    The matrices are compared row by row in one breadth-first search from
-    0 over the left translations by S, so no graph is built.  Row k of M_z
-    counts d(0, v z^-1) over the vertices v of layer k, and row k of M_x
-    transposed counts d(0, u x) over the vertices u of layer k.  The search
-    carries v x^-1, v y^-1 and v x along its tree: for w = s v, w t =
-    s (v t) is one lookup in the left translation by s.  Both z and x^-1
-    are neighbours of 0, so d(0, v z^-1) = d(z, v) and d(0, u x) =
-    d(x^-1, u) lie within 1 of d(0, v) and d(0, u).  Once layer k is
-    found, every vertex within k of 0 has its distance, so row k is exact,
-    held as two counts, of the entries at k - 1 and at k; the rest are at
-    k + 1.  The search stops at the first row by which M_y has differed
-    from both M_x and its transpose.  Vertices out of reach of 0 (S need
-    not generate) add the same row to every matrix: their translates are
-    out of reach too.
+    One breadth-first search from 0 over the left translations by S finds
+    the layers, so no graph is built.  It carries v x^-1 and v y^-1 along
+    its tree: for w = s v, w t = s (v t) is one lookup in the left
+    translation by s.  If rows 0..k-1 of M_x and M_y agree, so do their
+    entries at (k, k-1), by symmetry, and the sum of row k: so row k
+    differs iff its diagonal count does, of the v in layer k whose v z^-1
+    is in layer k too.  The search stops at the first layer where the two
+    counts differ.  Vertices out of reach of 0 (S need not generate) add
+    the same block to both matrices: their translates are out of reach too.
     """
     x = min(inverse)
     y = min(z for z in inverse if z != x and z != inverse[x])
     steps = [left_translation(s, spec) for s in inverse]
     dist = [-1] * spec.order
     dist[0] = 0
-    # the vertices v of layer k, each with v x^-1, v y^-1 and v x
-    layer = [(0, inverse[x], inverse[y], x)]
-    apart_x = apart_xt = False
+    # the vertices v of layer k, each with v x^-1 and v y^-1
+    layer = [(0, inverse[x], inverse[y])]
     k = 0
     while layer:
-        # at k = 0 each row reads one vertex not reached yet, so they agree
-        _, xs, ys, ts = zip(*layer)
-        d = [dist[u] for u in ys]
-        row_y = d.count(k - 1), d.count(k)
-        if not apart_x:
-            d = [dist[u] for u in xs]
-            apart_x = (d.count(k - 1), d.count(k)) != row_y
-        if not apart_xt:
-            d = [dist[u] for u in ts]
-            apart_xt = (d.count(k - 1), d.count(k)) != row_y
-        if apart_x and apart_xt:
+        # at k = 0 each count reads one vertex not reached yet, so they agree
+        _, xs, ys = zip(*layer)
+        if [dist[u] for u in xs].count(k) != [dist[u] for u in ys].count(k):
             return True
         k += 1
         nxt = []
-        for v, a, b, c in layer:
+        for v, a, b in layer:
             for p in steps:
                 w = p[v]
                 if dist[w] < 0:
                     dist[w] = k
-                    nxt.append((w, p[a], p[b], p[c]))
+                    nxt.append((w, p[a], p[b]))
         layer = nxt
     return False
 

@@ -567,6 +567,28 @@ def distance_split(S, m: int, n: int, r: int, ell: int = 1) -> bool:
     return my != Counter(zip(dist, dx)) and my != Counter(zip(dx, dist))
 
 
+def distance_matrix(S, z: int, m: int, n: int, r: int, ell: int = 1) -> Counter:
+    """The whole M_z of ``distance_split`` for the set S of vertex indices:
+    the count of the pairs (d(0, v), d(z, v)) over every vertex v, by one
+    breadth-first search from each end, -1 standing for out of reach."""
+    right = _right_multiplications(m, n, r, ell)
+
+    def distances(root):
+        dist = [-1] * len(right)
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for s in S:
+                w = right[v][s]
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    return Counter(zip(distances(0), distances(z)))
+
+
 def connected_components(adjacency: list[list[int]]) -> list[list[int]]:
     """The vertex sets of the components, each sorted, by least vertex."""
     seen: set[int] = set()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
 from math import comb, gcd, sqrt
@@ -42,12 +43,14 @@ from oracles import (
     aut_triples,
     candidate_orbits,
     closure_size,
+    distance_matrix,
     distance_split as reference_distance_split,
     edge_orbit_count,
     enumerate_candidates,
     inverse_closed_four_subsets,
     max_s_arc_transitive,
     orbit_walk,
+    parse_graph6,
     set_orbit,
 )
 
@@ -241,6 +244,19 @@ def test_distance_split_matches_whole_matrix_reference(spec):
     assert [distance_split(spec, S) for S in raw] == [
         reference_distance_split(S, spec.m, spec.n, spec.r, spec.ell) for S in raw
     ]
+
+
+@pytest.mark.parametrize(
+    "spec", [F21, GroupSpec(11, 5, 3, ell=3), GroupSpec(9, 9, 4), GroupSpec(7, 3, 2, ell=5)], ids=spec_id
+)
+def test_distance_matrices_are_symmetric(spec):
+    """On every raw set, generating or not, the whole M_x and M_y of the
+    reference are their own transposes: the premise that lets
+    ``_distance_split`` compare one count per layer."""
+    for S in inverse_closed_four_subsets(spec.m, spec.n, spec.r, spec.ell):
+        for z in S:
+            matrix = distance_matrix(S, z, spec.m, spec.n, spec.r, spec.ell)
+            assert matrix == Counter({(j, i): count for (i, j), count in matrix.items()}), (S, z)
 
 
 @lru_cache(maxsize=None)
@@ -578,13 +594,40 @@ def test_classify_465_vertices():
     assert report_to_json_dict(rep)["agreement"]["theorem2"] is True
 
 
-def test_classify_non_sylow_cyclic_27():
-    # the 27-vertex census: one half-transitive class with |Aut| = 2|G| = 54
+def girth_and_diameter(adjacency):
+    """By a breadth-first search from each vertex: the least d(u) + d(w) + 1
+    over the edges u ~ w off the search tree, and the largest distance."""
+    girth, diameter = len(adjacency), 0
+    for root in range(len(adjacency)):
+        dist, parent = {root: 0}, {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif w != parent[u]:
+                    girth = min(girth, dist[u] + dist[w] + 1)
+        assert len(dist) == len(adjacency)
+        diameter = max(diameter, *dist.values())
+    return girth, diameter
+
+
+def test_census_27_is_the_doyle_holt_graph():
+    """The census of the non-Sylow-cyclic group Z9:Z3 has one class: the
+    Doyle-Holt graph, the smallest half-transitive tetravalent graph (Holt,
+    "A graph which is edge transitive but not arc transitive", J. Graph
+    Theory 5, 1981), with |Aut| = 2|G| = 54, girth 5 and diameter 3.  On 21
+    vertices there is none."""
     rep = classify_spec(GroupSpec(9, 3, 4))
     assert rep.oracle_count == 1
     c = rep.classes[0]
-    assert c.aut_order == 54 and c.half and c.normal_cayley
+    assert (c.aut_order, c.stab_order) == (54, 2)
+    assert c.half and c.normal_cayley
+    assert girth_and_diameter(parse_graph6(c.canonical.encode())) == (5, 3)
     assert rep.thm2_claim is None and rep.agreement_theorem2 is None
+    assert not any(c.half for c in classify_spec(F21).classes)
 
 
 def test_classify_theorem_mode_rejects_out_of_domain():

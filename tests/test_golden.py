@@ -16,17 +16,27 @@ splitter-local refinement and are compared byte for byte:
   was added, with every other line unchanged.  Being a generating set, not
   a fixed one, they are also checked against the independent oracles: each
   is an automorphism, and together they generate a group of the frozen
-  order.
+  order;
+* ``sweep_2000_reports.sha256``: one line ``m n r ell digest`` per spec of
+  ``metacirc sweep --max-order 2000``, in sweep order, the digest being the
+  SHA-256 of that spec's JSONL line (without its newline).  Frozen from
+  abee032, whose 1100 sweep matches ``sweep_1100.sha256``, before the
+  distance-pair test compared one count per layer.  The whole check takes
+  minutes, so it is marked slow, one test per spec, and a mismatch names
+  its spec.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from metacirc.classify import classify_spec, report_to_json_dict
 from metacirc.cli import main
+from metacirc.groups import GroupSpec, iter_specs
 from oracles import group_elements, is_automorphism_by_sets, parse_graph6
 
 DATA = Path(__file__).parent / "data"
@@ -66,3 +76,23 @@ def test_golden_aut_generators_generate_the_frozen_group(row):
     order = int(dict(fields)["aut_order"])
     assert all(is_automorphism_by_sets(adjacency, p) for p in gens)
     assert len(group_elements(gens, len(adjacency))) == order
+
+
+SWEEP_2000 = {
+    tuple(map(int, key)): digest
+    for *key, digest in map(str.split, (DATA / "sweep_2000_reports.sha256").read_text().splitlines())
+}
+
+
+def test_sweep_2000_digests_cover_every_spec_in_order():
+    assert list(SWEEP_2000) == [(s.m, s.n, s.r, s.ell) for s in iter_specs(2000)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("key", SWEEP_2000, ids=lambda key: "-".join(map(str, key)))
+def test_sweep_2000_report_matches_its_digest(key):
+    """The spec's report, as the 2000 sweep writes it to its JSONL, hashes to
+    the frozen digest."""
+    m, n, r, ell = key
+    line = json.dumps(report_to_json_dict(classify_spec(GroupSpec(m, n, r, ell), bound=2000)))
+    assert hashlib.sha256(line.encode()).hexdigest() == SWEEP_2000[key]
