@@ -125,6 +125,36 @@ def _completions(
                 yield img_a, img_b, img_c
 
 
+def standard_set_stabilizer_order(spec: GroupSpec) -> int:
+    """|Aut(G, S_j)| for every theorem j (``predictions.theorem_js``): 2 if
+    <a> meets the centre trivially (gcd(r-1, m) = 1), else 1.
+
+    S_j = {x, x^-1, y, y^-1} with x = c b^j and y = w c^-1, w = a b^j.  The
+    spec is Sylow-cyclic, so m, n and ell are pairwise coprime, and n0 >= 3
+    is odd.  Every automorphism sends b to a^t b^(1+l*n0), so it keeps each
+    b-exponent mod n0: x and y have j, their inverses -j != j.  And x, y
+    generate G: b = x^k and c = x^k' for k = 1/j mod n, k = 0 mod ell,
+    k' = 0 mod n, k' = 1 mod ell, and a = c^2 y x^-1.  So an automorphism
+    mapping S_j onto itself is the identity or swaps x and y.
+
+    A swap needs o(y) = o(x) = n*ell, that is o(w) = n.  Then a -> a^-1,
+    b -> w^k, c -> c^-1 is one: w^k = a^u b, so the images satisfy the
+    presentation and generate G, and the map sends x = b^j c to w c^-1 = y
+    and y to a^-1 w c = x.  w^n = a^((n/n0)(1 + r + ... + r^(n0-1))), as
+    r^-j runs over <r>.  For a prime p | m, the sum is 0 mod p's power in
+    m if r != 1 (mod p), as (r-1) times it is r^n0 - 1, and n0 mod p if
+    r = 1 (mod p), where p does not divide n.  So o(w) = n iff
+    gcd(r-1, m) = 1.
+
+    By the same b-exponents, S_j' lies in the orbit of S_j only for
+    j' = +-j (mod n0), so j is its least standard j.  A swap fixes vertex 0
+    and maps edge {0, x} to {0, y}, and the right translations by x and y
+    join {0, x^-1} to {0, x} and {0, y^-1} to {0, y}: the graph is then
+    edge-transitive.
+    """
+    return 2 if spec.central_a_order == 1 else 1
+
+
 def aut_generators(spec: GroupSpec) -> tuple[list[list[int]], int]:
     """A generating set of Aut(G) as vertex permutations, and |Aut(G)|.
 

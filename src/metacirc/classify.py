@@ -12,11 +12,14 @@ Two modes:
   ``predictions.theorem_js``; equals the oracle list exactly when the count
   formula phi(n0)/2 is right.
 
-``classify_spec`` owns what belongs to the group: it computes Aut(G) once,
-walks each Aut(G)-orbit it needs once (every orbit on raw sets in oracle
-mode, the orbit of each S_j on its own in theorem mode), and reads each
-class's |Aut(G, S)| = |Aut(G)| / orbit size, the normalizer identity and
-the standard form S_j off the walk that met the class's orbit.
+``classify_spec`` owns what belongs to the group, and reads each class's
+|Aut(G, S)|, the normalizer identity and the standard form S_j without a
+graph.  Oracle mode computes Aut(G) once and walks each Aut(G)-orbit on
+raw sets once: |Aut(G, S)| = |Aut(G)| / orbit size, and S_j is read off
+the walk that met the class's orbit.  Theorem mode computes no Aut(G):
+|Aut(G, S_j)| is 2 if an automorphism swaps S_j's generating pair, which
+happens iff <a> meets the centre trivially, and 1 otherwise
+(``aut.standard_set_stabilizer_order``), and S_j is its own standard form.
 ``analyze_connection_set`` reads the rest off the graph of one set and
 never needs Aut(G), so neither does a worker process.
 
@@ -25,7 +28,9 @@ of two exits that sees two edge orbits at vertex 0: distance-pair counts
 from one breadth-first search, before the graph is built
 (``_distance_split``), and the orbits of the vertex stabilizer on the
 neighbours of 0, after the search (``orbits_at_zero``).  Each exit only
-drops sets with more than one edge orbit, so the order changes no report.
+drops sets with more than one edge orbit, so the order changes no report,
+and a theorem set whose swap is an automorphism, which is edge-transitive,
+skips the first.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc import predictions
-from metacirc.aut import aut_generators
+from metacirc.aut import aut_generators, standard_set_stabilizer_order
 from metacirc.autosearch import PermGroup, analyze, canonical_form
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import build_cayley, to_dot, to_graph6, validate_connection_set
@@ -314,8 +319,9 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
     set that is not edge-transitive run in this order, the second for the
     sets the first misses:
 
-    1. distance-pair counts at vertex 0, before the graph is built, see
-       two edge orbits (``_distance_split``);
+    1. distance-pair counts at vertex 0, before the graph is built,
+       see two edge orbits (``_distance_split``; ``classify_spec`` skips
+       it for a theorem set whose swap is an automorphism);
     2. the orbits of A_0 on the neighbours of vertex 0, merged along
        x ~ x^-1, are more than one (``orbits_at_zero``), after the search.
 
@@ -332,9 +338,18 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
       exactly when its normalizer is all of Aut.
     """
     S = validate_connection_set(S, spec)
-    inverse = {spec.index(x): spec.index(inv(x, spec)) for x in S}
-    if _distance_split(spec, inverse):
+    if _distance_split(spec, _inverses(S, spec)):
         return None
+    return _search(spec, S)
+
+
+def _inverses(S: Sequence[Element], spec: GroupSpec) -> dict[int, int]:
+    return {spec.index(x): spec.index(inv(x, spec)) for x in S}
+
+
+def _search(spec: GroupSpec, S: tuple[Element, ...]) -> ClassReport | None:
+    """``analyze_connection_set`` from the search on, for a validated S."""
+    inverse = _inverses(S, spec)
     graph = build_cayley(S, spec)
     regular = regular_representation(spec)
     result = analyze(graph, seeds=regular)
@@ -365,6 +380,13 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
 
 # ---------------------------------------------------------------- pipeline
 
+def _analyze_task(spec: GroupSpec, task: tuple[tuple[Element, ...], bool]) -> ClassReport | None:
+    """One set of ``classify_spec``, (S validated, edge_transitive): a set
+    known to be edge-transitive skips the distance test."""
+    S, edge_transitive = task
+    return _search(spec, S) if edge_transitive else analyze_connection_set(spec, S)
+
+
 def classify_spec(
     spec: GroupSpec,
     mode: str = "oracle",
@@ -374,45 +396,42 @@ def classify_spec(
     """Classify all connected tetravalent edge-transitive Cayley graphs of G,
     and compare the classes with the predictions (``predictions.compare``).
 
-    The walk bound (oracle mode) and the count formula's hypotheses
-    (theorem mode) are checked before Aut(G) is computed."""
+    Oracle mode checks the walk bound before it computes Aut(G); theorem
+    mode checks the count formula's hypotheses, and computes no Aut(G)."""
     if mode not in ("oracle", "theorem"):
         raise ValueError(f"unknown mode {mode!r}")
+    # (set, |Aut(G, S)|, standard_j) per set analyzed
     if mode == "theorem":
         js = predictions.theorem_js(spec)
-    elif spec.order > bound:
-        raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
-    gens, aut_order = aut_generators(spec)
-    action = _PairAction(spec, gens)
-    # the pair-index key and the slot of each standard set S_j, by j, where
-    # the count formula applies
-    keys = {j: action.key(map(spec.index, predictions.standard_connection_set(j, spec)))
-            for j in predictions.standard_js(spec)} if predictions.thm2_applicable(spec) else {}
-    standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
-    if mode == "theorem":
-        # (S_j, orbit size, standard_j), each orbit walked on its own marks
-        orbits = []
-        for j in js:
-            S = tuple(map(spec.index, predictions.standard_connection_set(j, spec)))
-            marks = action.marks()
-            orbits.append((S, len(action.orbit(*keys[j], marks)), _standard_j(marks, standard)[0]))
+        set_stab = standard_set_stabilizer_order(spec)
+        sets = [(predictions.standard_connection_set(j, spec), set_stab, j) for j in js]
         raw = connected = 0
     else:
-        orbits = orbit_representatives(spec, action, standard)
+        if spec.order > bound:
+            raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
+        gens, aut_order = aut_generators(spec)
+        action = _PairAction(spec, gens)
+        # the slot of each standard set S_j, by j, where the count formula applies
+        keys = {j: action.key(map(spec.index, predictions.standard_connection_set(j, spec)))
+                for j in predictions.standard_js(spec)} if predictions.thm2_applicable(spec) else {}
+        standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
+        reps = orbit_representatives(spec, action, standard)
+        sets = [(tuple(map(spec.at_index, rep)), aut_order // size, standard_j)
+                for rep, size, standard_j in reps]
         raw = comb((spec.order - 1) // 2, 2)
-        connected = sum(size for _, size, _ in orbits)
+        connected = sum(size for _, size, _ in reps)
 
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are passed on as twins
     merged: dict[str, ClassReport] = {}
     twins: list[tuple[ClassReport, ClassReport]] = []
-    sets = [tuple(map(spec.at_index, rep)) for rep, _, _ in orbits]
-    results = parallel_map(partial(analyze_connection_set, spec), sets, jobs)
+    # a theorem set with |Aut(G, S_j)| = 2 has the swap, so it is edge-transitive
+    tasks = [(S, mode == "theorem" and set_stab == 2) for S, set_stab, _ in sets]
+    results = parallel_map(partial(_analyze_task, spec), tasks, jobs)
     # strict=True draws the results to their end, which shuts any pool down
-    for (_, size, standard_j), c in zip(orbits, results, strict=True):
+    for (_, set_stab, standard_j), c in zip(sets, results, strict=True):
         if c is None:
             continue
-        set_stab = aut_order // size
         c = replace(
             c,
             set_stabilizer_order=set_stab,
@@ -429,7 +448,7 @@ def classify_spec(
         classes=classes,
         raw_candidates=raw,
         connected_candidates=connected,
-        orbit_count=len(orbits),
+        orbit_count=len(sets),
         **predictions.compare(spec, mode, classes, twins),
     )
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacirc import aut, permgroup
-from metacirc.aut import aut_generators, parametrized_count
+from metacirc.aut import aut_generators, parametrized_count, standard_set_stabilizer_order
 from metacirc.classify import _PairAction
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
@@ -27,6 +27,7 @@ from metacirc.groups import (
     mul,
     power,
 )
+from metacirc.predictions import standard_connection_set, theorem_js
 from oracles import (
     apply_aut,
     aut_permutation,
@@ -216,6 +217,33 @@ def test_aut_stabilizer_standard_set():
     stab = aut_stabilizer(S1(F21), F21, aut_triples(F21))
     assert len(stab) == 2
     assert identity_map(F21) in stab
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [F21, GroupSpec(11, 5, 3), GroupSpec(7, 9, 2), GroupSpec(19, 9, 4), GroupSpec(7, 3, 2, ell=5),
+     GroupSpec(35, 3, 11), GroupSpec(33, 5, 4)],
+    ids=lambda s: f"{s.m}-{s.n}-{s.r}-{s.ell}",
+)
+def test_standard_set_stabilizer_order_matches_the_oracle(spec):
+    """|Aut(G, S_j)| is the oracle's count for each theorem j; where <a>
+    meets the centre trivially, the one automorphism besides the identity
+    is a -> a^-1, b -> (a b^j)^k, c -> c^-1, with k = 1/j mod n and
+    k = 0 mod ell, and it swaps x = c b^j and y = c^-1 a b^j.  (35,3,11)
+    and (33,5,4) have <a> meeting the centre."""
+    triples = cached_aut_triples(spec)
+    swaps = spec.central_a_order == 1
+    for j in theorem_js(spec):
+        S = standard_connection_set(j, spec)
+        stabilizer = aut_stabilizer(S, spec, triples)
+        assert standard_set_stabilizer_order(spec) == len(stabilizer) == 1 + swaps
+        if swaps:
+            k = spec.ell * pow(j * spec.ell, -1, spec.n)
+            swap = (inv(spec.generator_a(), spec), power(spec.element(1, j, 0), k, spec),
+                    inv(spec.generator_c(), spec))
+            assert set(stabilizer) == {identity_map(spec), swap}
+            x, y = spec.element(0, j, 1), spec.element(1, j, -1)
+            assert (apply_aut(swap, x, spec), apply_aut(swap, y, spec)) == (y, x)
 
 
 def test_aut_stabilizer_complete_graph_set():

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from metacirc import classify
-from metacirc.aut import aut_generators
+from metacirc.aut import aut_generators, standard_set_stabilizer_order
 from metacirc.classify import (
     _PairAction,
+    _standard_j,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -34,7 +35,14 @@ from metacirc.groups import (
     regular_representation,
 )
 from metacirc.permgroup import PermGroup, orbits_at_zero
-from metacirc.predictions import TABLE1, standard_connection_set, table1_checks, theorem_js
+from metacirc.predictions import (
+    TABLE1,
+    standard_connection_set,
+    standard_js,
+    table1_checks,
+    theorem_js,
+    thm2_applicable,
+)
 from oracles import _inverses as inverses
 from oracles import _right_multiplications as right_multiplications
 from oracles import (
@@ -322,11 +330,16 @@ def test_distance_split_catches_all_at_1081_vertices():
 
 
 def test_set_stabilizer_order_matches_reference():
-    for spec in (F21, GroupSpec(11, 5, 3)):
-        report = classify_spec(spec)
-        assert report.classes
-        for c in report.classes:
-            assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, aut_triples(spec)))
+    """Each class's |Aut(G, S)|, off the orbit walk in oracle mode and from
+    ``aut.standard_set_stabilizer_order`` in theorem mode, counts the
+    oracle's automorphisms that fix S."""
+    for spec in (F21, GroupSpec(11, 5, 3), GroupSpec(19, 9, 4), GroupSpec(7, 3, 2, ell=5)):
+        triples = aut_triples(spec)
+        for mode in ("oracle", "theorem"):
+            report = classify_spec(spec, mode=mode)
+            assert report.classes
+            for c in report.classes:
+                assert c.set_stabilizer_order == len(aut_stabilizer(c.connection_set, spec, triples))
 
 
 @pytest.mark.parametrize(
@@ -438,20 +451,71 @@ def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
             assert c.standard_j == (expected if thm2_applicable else None)
 
 
-def test_theorem_mode_walks_each_orbit_once(monkeypatch):
-    """One walk per class: it gives the class's orbit size and standard_j."""
-    spec = GroupSpec(29, 7, 7)
-    walked = []
-    orbit = classify._PairAction.orbit
+# the thm2-applicable specs to order 1100: iter_specs(1100), and its specs
+# times a central Z_ell for odd ell <= 11
+THEOREM_FAMILY = [
+    spec
+    for base in iter_specs(1100)
+    for spec in (replace(base, ell=ell) for ell in (1, 3, 5, 7, 9, 11))
+    if spec.order <= 1100 and thm2_applicable(spec)
+]
 
-    def counted(self, i, j, marks):
-        walked.append((i, j))
-        return orbit(self, i, j, marks)
 
-    monkeypatch.setattr(classify._PairAction, "orbit", counted)
+@pytest.mark.parametrize("spec", THEOREM_FAMILY, ids=spec_id)
+def test_theorem_set_stabilizer_matches_the_orbit_walk(spec):
+    """For each theorem j, theorem mode's |Aut(G, S_j)| is |Aut(G)| over
+    the size of S_j's orbit, walked on its own marks; j is the least j
+    whose S_j those marks hold; and where the swap is an automorphism, the
+    distance test sees one edge orbit, as it must on an edge-transitive
+    graph."""
+    gens, aut_order = aut_generators(spec)
+    action = _PairAction(spec, gens)
+    keys = {j: action.key(sorted_standard_set(j, spec)) for j in standard_js(spec)}
+    standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
+    set_stab = standard_set_stabilizer_order(spec)
+    for j in theorem_js(spec):
+        marks = action.marks()
+        assert set_stab * len(action.orbit(*keys[j], marks)) == aut_order
+        assert _standard_j(marks, standard)[0] == j
+        if set_stab == 2:
+            assert not distance_split(spec, sorted_standard_set(j, spec))
+
+
+def test_theorem_family_takes_both_set_stabilizers():
+    """The family has 207 specs and 332 theorem sets, 247 of them with the
+    swap."""
+    counts = [standard_set_stabilizer_order(spec) for spec in THEOREM_FAMILY for _ in theorem_js(spec)]
+    assert (len(THEOREM_FAMILY), len(counts), counts.count(2)) == (207, 332, 247)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(29, 7, 7), GroupSpec(29, 7, 7, ell=3), GroupSpec(35, 3, 11), GroupSpec(33, 5, 4)],
+    ids=spec_id,
+)
+def test_theorem_mode_computes_no_aut(monkeypatch, spec):
+    """Theorem mode computes no Aut(G) and builds no pair action, so it
+    walks no orbit, and it runs the distance test only on the sets whose
+    swap is not an automorphism; on these specs each of those leaves the
+    census, and each set with the swap is a class."""
+    def refuse(*args):
+        raise AssertionError("theorem mode used Aut(G)")
+
+    tested = []
+    split = classify._distance_split
+
+    def counted(spec, inverse):
+        tested.append(sorted(inverse))
+        return split(spec, inverse)
+
+    monkeypatch.setattr(classify, "aut_generators", refuse)
+    monkeypatch.setattr(classify, "_PairAction", refuse)
+    monkeypatch.setattr(classify, "_distance_split", counted)
     report = classify_spec(spec, mode="theorem")
-    assert report.classes
-    assert len(walked) == len(set(walked)) == len(theorem_js(spec))
+    swap = standard_set_stabilizer_order(spec) == 2
+    without_swap = [] if swap else [list(sorted_standard_set(j, spec)) for j in theorem_js(spec)]
+    assert tested == without_swap
+    assert len(report.classes) == len(theorem_js(spec)) - len(without_swap)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec(11, 5, 3), GroupSpec(29, 7, 7, ell=3)], ids=spec_id)
@@ -549,7 +613,7 @@ def test_classify_f21_theorem_mode_matches_oracle():
 
 def test_theorem_mode_orbit_size_matches_oracle():
     # the standard set of (13,3,3) lies in an Aut(G)-orbit of 78 sets; theorem
-    # mode takes its set stabilizer from that orbit as oracle mode does
+    # mode's closed form gives the set stabilizer that oracle mode's walk does
     spec = GroupSpec(13, 3, 3)
     _, aut_order = aut_generators(spec)
     assert aut_order % 78 == 0

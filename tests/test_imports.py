@@ -60,7 +60,6 @@ CALLER_FILES = sorted((ROOT / "scripts").glob("**/*.py")) + sorted((ROOT / "perf
 UNCALLED_ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "graphs.graph_from_edges": "builds a Graph from an edge list, the form small graphs are written in",
-    "groups.GroupSpec.central_a_order": "the paper's hypothesis <a> ∩ Z(G) = 1, which the README's findings use",
 }
 
 
@@ -93,13 +92,28 @@ def identifiers(tree: ast.AST) -> Counter[str]:
     return out
 
 
+def imports_metacirc(tree: ast.AST) -> bool:
+    """Whether the tree imports ``metacirc`` or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "metacirc" for module in modules):
+            return True
+    return False
+
+
 def uncalled_definitions(package: dict[str, str], callers: list[str], exported: set[str]) -> list[str]:
     """The definitions of the package modules (module name -> source) that
-    no package code outside their own definition, no caller source and no
-    exported name names."""
+    no package code outside their own definition, no caller source that
+    imports ``metacirc`` and no exported name names."""
     trees = [(module, ast.parse(source)) for module, source in package.items()]
     in_package = sum((identifiers(tree) for _, tree in trees), Counter())
-    named = set(exported).union(*(identifiers(ast.parse(source)) for source in callers))
+    caller_trees = [tree for tree in map(ast.parse, callers) if imports_metacirc(tree)]
+    named = set(exported).union(*map(identifiers, caller_trees))
     return sorted(
         name
         for module, tree in trees
@@ -114,10 +128,18 @@ def test_finds_a_test_only_definition():
         "def recursive(k):\n    return recursive(k - 1)\n\n"
         "class C:\n    def __init__(self):\n        pass\n\n    def method(self):\n        return 'unused'\n",
     }
-    assert uncalled_definitions(package, ["from m import used\nC()\n"], set()) == [
+    assert uncalled_definitions(package, ["from metacirc.m import used\nC()\n"], set()) == [
         "m.C.method",
         "m.recursive",
     ]
+    # a caller that never imports metacirc names none of it, whatever its
+    # attributes are called; one that does, in a function body, names them
+    assert uncalled_definitions(package, ["ap.method()\nrecursive(1)\n"], {"used", "C"}) == [
+        "m.C.method",
+        "m.recursive",
+    ]
+    assert uncalled_definitions(package, ["def f():\n    import metacirc.m\n    C().method()\n"],
+                                {"used", "recursive"}) == []
     assert uncalled_definitions(package, [], {"used", "recursive", "C", "unused"}) == ["m.C.method"]
 
 
