@@ -42,11 +42,13 @@ The search of g1 tests each leaf so, with the edge test, and stops at the
 first that passes; no key is compared (see ``are_isomorphic``).
 
 Known automorphisms may be seeded into the search; they only ever prune
-branches that are provably equivalent, so the result is unchanged but e.g.
-Cayley graphs (with their regular translations supplied) search a single
-root branch instead of one per vertex.  That branch individualizes vertex 0:
-the initial partition of a vertex-transitive graph is one cell, whose first
-vertex is 0.  Every automorphism found then fixes vertex 0.
+branches that are provably equivalent, so the result is unchanged.  Seeds
+that are transitive, as a Cayley graph's regular translations are, make
+every branch of the root equivalent to vertex 0's: the initial partition
+of a vertex-transitive graph is one cell, whose first vertex is 0.  So such
+a search starts at vertex 0's branch, with the seeds that fix 0, and has no
+root node; every automorphism found then fixes vertex 0.  Other seeds prune
+at the root as found generators prune at every node.
 
 The first leaf's path, individualized vertex by vertex, is a base of the
 automorphism group, and the generators are a strong generating set for it:
@@ -95,87 +97,53 @@ class SearchResult:
         return self.generators[self.n_seeds:]
 
 
-def _initial_partition(
-    g: Graph, seeds: Sequence[Sequence[int]] = ()
-) -> tuple[Partition, list[set[int]] | None]:
+def _initial_partition(g: Graph) -> Partition:
     """The partition (see ``_refine``) into cells by (degree, neighbor
     degrees, distance-2 degrees), an isomorphism-invariant starting
-    colouring, and each vertex's orbit under the automorphisms ``seeds``
-    (None without seeds).
-
-    Automorphisms preserve the signature, so it is computed once per orbit
-    of the seeds, at the orbit's least vertex, and given to the whole
-    orbit: a graph whose seeds are transitive, as a Cayley graph's
-    translations are, gets one.
+    colouring.
 
     In a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
     k = |N2(v)| the number of vertices at distance 2, so k alone orders them,
     and it is read off bit rows: the union of the neighbours' rows, less
     v's own row, is N2(v) and v itself, v being a neighbour of each of its
     neighbours.  So it counts k + 1 at every vertex, or 0 at every vertex
-    when d = 0.  A row is built when first needed, so a seeded Cayley graph
-    search builds d + 1 rows and an unseeded one n.
+    when d = 0.
     """
     deg = g.degrees()
-    regular = min(deg, default=0) == max(deg, default=0)
-    root = list(range(g.n))
-    orbits: list[set[int]] | None = None
-    if seeds:
-        orbit_at: dict[int, set[int]] = {}
-        for v in range(g.n):
-            if root[v] == v:
-                orbit_at[v] = orbit(v, seeds, getitem)
-                for u in orbit_at[v]:
-                    root[u] = v
-        orbits = [orbit_at[v] for v in root]
     adj = g.adjacency
-    rows: list[int | None] = [None] * g.n  # bit rows, each built when first needed
-
-    def row(u: int) -> int:
-        bits = 0
-        for w in adj[u]:
-            bits |= 1 << w
-        rows[u] = bits
-        return bits
-
-    sig_of = {}
-    for v, r in enumerate(root):
-        if r == v:
-            nbrs = adj[v]
-            if regular:  # k + 1, or 0 if d = 0 (see above)
-                reach = 0
-                for u in nbrs:
-                    bits = rows[u]
-                    reach |= row(u) if bits is None else bits
-                bits = rows[v]
-                sig_of[v] = (reach & ~(row(v) if bits is None else bits)).bit_count()
-                continue
+    regular = min(deg, default=0) == max(deg, default=0)
+    rows = [sum(1 << w for w in nbrs) for nbrs in adj] if regular else []
+    sigs: list = []
+    for v, nbrs in enumerate(adj):
+        if regular:  # k + 1, or 0 if d = 0 (see above)
+            reach = 0
+            for u in nbrs:
+                reach |= rows[u]
+            sigs.append((reach & ~rows[v]).bit_count())
+        else:
             two = set().union(*map(adj.__getitem__, nbrs))
             two.discard(v)
             two.difference_update(nbrs)
-            sig_of[v] = (
+            sigs.append((
                 deg[v],
                 tuple(sorted(map(deg.__getitem__, nbrs))),
                 tuple(sorted(map(deg.__getitem__, two))),
-            )
-    if len(sig_of) == 1:
-        cells = [list(range(g.n))]
-    else:
-        sigs = [sig_of[r] for r in root]
-        order = sorted(range(g.n), key=lambda v: (sigs[v], v))
-        # each cell in vertex-index order (sorted by construction)
-        cells = [list(group) for _, group in groupby(order, sigs.__getitem__)]
-    # the search's one conversion from a list of cells, at its root
+            ))
+    # a stable sort: each cell in vertex-index order.  The search's one
+    # conversion from a list of cells, at its root
+    order = sorted(range(g.n), key=sigs.__getitem__)
     cell_at: list[list[int] | None] = [None] * g.n
     cell_of = [-1] * g.n
-    start = 0
-    for cell in cells:
+    ncells = start = 0
+    for _, group in groupby(order, sigs.__getitem__):
+        cell = list(group)
         cell_at[start] = cell
         if len(cell) > 1:
             for v in cell:
                 cell_of[v] = start
         start += len(cell)
-    return (cell_at, cell_of, len(cells)), orbits
+        ncells += 1
+    return cell_at, cell_of, ncells
 
 
 def _refine(
@@ -403,18 +371,28 @@ class _Search:
         self.jump: int | None = None
 
     def leaves(self) -> Iterator[list[int]]:
-        """Search g, pruned at the root by ``gens``, and yield the order of
-        each leaf in search order, once ``leaf`` has taken it in.  The
-        search is one loop over a stack of ``node`` generators, one for each
-        node of the current path: each step resumes the deepest for its next
-        child, a discrete child is a leaf, and an exhausted node is popped.
-        So the tree may be as deep as g has vertices, whatever Python's
-        recursion limit."""
+        """Search g, from vertex 0's branch if the seeds are transitive
+        and from the root otherwise, and yield the order of each leaf in
+        search order, once ``leaf`` has taken it in.  The search is one
+        loop over a stack of ``node`` generators, one for each node of the
+        current path: each step resumes the deepest for its next child, a
+        discrete child is a leaf, and an exhausted node is popped.  So the
+        tree may be as deep as g has vertices, whatever Python's recursion
+        limit."""
         g, gens = self.g, self.gens
-        part, orbits = _initial_partition(g, gens)
-        # one cell means one signature, so g is regular and the cell equitable
-        root = part if part[2] == 1 else _refine(g.adjacency, part, None)
-        stack = [iter([(root, [], gens[:], len(gens), orbits)])]
+        if gens and len(orbit(0, gens, getitem)) == g.n:
+            # transitive seeds give every vertex one signature, so the root
+            # is one cell, each of whose branches is equivalent to vertex 0's
+            cell_at: list[list[int] | None] = [None] * g.n
+            cell_at[0] = list(range(g.n))
+            child, splitters = _individualize((cell_at, [0] * g.n, 1), 0, 0)
+            start = (_refine(g.adjacency, child, splitters), [0], [p for p in gens if p[0] == 0], len(gens))
+        else:
+            part = _initial_partition(g)
+            # one cell means one signature, so g is regular and the cell equitable
+            root = part if part[2] == 1 else _refine(g.adjacency, part, None)
+            start = (root, [], gens[:], len(gens))
+        stack = [iter([start])]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -467,12 +445,7 @@ class _Search:
             self.gen_set.add(p)
 
     def node(
-        self,
-        part: Partition,
-        fixed: list[int],
-        kept: list[tuple[int, ...]],
-        fed: int,
-        orbits: list[set[int]] | None = None,
+        self, part: Partition, fixed: list[int], kept: list[tuple[int, ...]], fed: int
     ) -> Iterator[tuple]:
         """Yield each child of the equitable, non-discrete partition
         ``part``, reached by individualizing ``fixed``, as its ``node``
@@ -483,11 +456,8 @@ class _Search:
         lies in the orbit of a processed vertex under those generators, that
         is, in ``done``.  They fix every cell, so done stays in the target
         cell; once it is all of the cell the node is finished, and a node
-        that takes one branch builds none of it.  ``orbits``, if given,
-        holds each vertex's orbit under ``kept``, as the root is given the
-        seeds' orbits; it is used until a new generator is kept.  While a
-        jump is pending, every node deeper than its depth stops once its
-        child is searched."""
+        that takes one branch builds none of it.  While a jump is pending,
+        every node deeper than its depth stops once its child is searched."""
         t = _target_cell(part[0])
         gens = self.gens
         cell = part[0][t]
@@ -496,8 +466,6 @@ class _Search:
             if fed < len(gens):
                 new = [p for p in gens[fed:] if all(p[x] == x for x in fixed)]
                 fed = len(gens)
-                if new:
-                    orbits = None
                 kept += new
                 # every image of done under a new generator is in done or
                 # is expanded here, so done ends closed under all of kept
@@ -513,10 +481,7 @@ class _Search:
                 if self.jump < len(fixed):
                     return
                 self.jump = None
-            if orbits is None:
-                orbit(v, kept, getitem, done)
-            else:
-                done |= orbits[v]
+            orbit(v, kept, getitem, done)
             if len(done) == len(cell):
                 # every other branch is equivalent to a processed one
                 return

@@ -127,6 +127,13 @@ class GroupReport:
         return len(self.classes)
 
     @property
+    def count_matches_n(self) -> bool | None:
+        """Whether the class count equals the reference row's n, None
+        without a row.  It is reported apart from ``agreement_table1``,
+        since the census disagrees with the row's n."""
+        return None if self.table1 is None else self.oracle_count == self.table1.n
+
+    @property
     def disagrees(self) -> bool:
         """Whether the census disagrees with the bundled predictions: the
         count formula or the reference row fails, the class count differs
@@ -134,7 +141,7 @@ class GroupReport:
         return (
             self.agreement_theorem2 is False
             or self.agreement_table1 is False
-            or (self.table1 is not None and self.oracle_count != self.table1.n)
+            or self.count_matches_n is False
             or bool(self.findings)
         )
 
@@ -338,18 +345,19 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
       exactly when its normalizer is all of Aut.
     """
     S = validate_connection_set(S, spec)
-    if _distance_split(spec, _inverses(S, spec)):
+    inverse = _inverses(S, spec)
+    if _distance_split(spec, inverse):
         return None
-    return _search(spec, S)
+    return _search(spec, S, inverse)
 
 
 def _inverses(S: Sequence[Element], spec: GroupSpec) -> dict[int, int]:
     return {spec.index(x): spec.index(inv(x, spec)) for x in S}
 
 
-def _search(spec: GroupSpec, S: tuple[Element, ...]) -> ClassReport | None:
-    """``analyze_connection_set`` from the search on, for a validated S."""
-    inverse = _inverses(S, spec)
+def _search(spec: GroupSpec, S: tuple[Element, ...], inverse: dict[int, int]) -> ClassReport | None:
+    """``analyze_connection_set`` from the search on, for a validated S and
+    its map ``_inverses(S, spec)``."""
     graph = build_cayley(S, spec)
     regular = regular_representation(spec)
     result = analyze(graph, seeds=regular)
@@ -384,7 +392,7 @@ def _analyze_task(spec: GroupSpec, task: tuple[tuple[Element, ...], bool]) -> Cl
     """One set of ``classify_spec``, (S validated, edge_transitive): a set
     known to be edge-transitive skips the distance test."""
     S, edge_transitive = task
-    return _search(spec, S) if edge_transitive else analyze_connection_set(spec, S)
+    return _search(spec, S, _inverses(S, spec)) if edge_transitive else analyze_connection_set(spec, S)
 
 
 def classify_spec(
@@ -480,7 +488,7 @@ def report_to_json_dict(report: GroupReport) -> dict:
     group = spec.to_json_dict()
     group["order"] = spec.order
     row = report.table1
-    table = None if row is None else {**asdict(row), "count_matches_n": report.oracle_count == row.n}
+    table = None if row is None else {**asdict(row), "count_matches_n": report.count_matches_n}
     return {
         "group": group,
         "theory": {

@@ -153,7 +153,14 @@ def _cmd_classify(args) -> int:
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(json.dumps(report_to_json_dict(report), indent=2))
-    if args.strict and report.disagrees:
+    return _strict_exit(args, report.disagrees)
+
+
+def _strict_exit(args, disagrees: bool) -> int:
+    """The exit code of ``classify`` and ``sweep``: under ``--strict``, a
+    census that disagrees with the bundled predictions says so on stderr
+    and exits 3."""
+    if args.strict and disagrees:
         print("strict: disagreement with bundled predictions", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -248,9 +255,7 @@ def _cmd_sweep(args) -> int:
                 f"{report.oracle_count} {report.phi_n0_half} {report.thm2_claim} "
                 f"{orders} {report.agreement_theorem2} {len(report.findings)}"
             )
-    if args.strict and disagreement:
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    return _strict_exit(args, disagreement)
 
 
 def main(argv: list[str] | None = None) -> int:

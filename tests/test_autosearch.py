@@ -171,7 +171,7 @@ def test_refine_matches_bitmask_reference(n, kind, rnd):
     rng = random.Random(rnd.seed)
     g = refine_fixture(n, kind, rng)
     adj_bits = vertex_masks(g.adjacency)
-    part, _ = _initial_partition(g)
+    part = _initial_partition(g)
     cells = cells_of(part)
     refined = _refine(g.adjacency, part, None)
     assert cells_of(refined) == bitmask_refine(adj_bits, cells, None)
@@ -241,44 +241,98 @@ def test_initial_partition_matches_signature_reference(n, kind, rnd):
         g = random_relabel(two_circulants(m, [1, 2], [1, 3]), rng)
     else:
         g = refine_fixture(n, kind, rng)
-    assert _initial_partition(g) == (partition(signature_cells(g.adjacency)), None)
+    assert _initial_partition(g) == partition(signature_cells(g.adjacency))
+
+
+def first_node(g, seeds):
+    """``analyze(g, seeds)`` and the path and partition of its first
+    ``_Search.node`` call, or None if the search is one leaf."""
+    calls = []
+    node = autosearch._Search.node
+
+    def recording_node(self, part, fixed, kept, fed):
+        calls.append((list(fixed), (list(part[0]), list(part[1]), part[2])))
+        return node(self, part, fixed, kept, fed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autosearch._Search, "node", recording_node)
+        result = analyze(g, seeds)
+    return result, calls[0] if calls else None
+
+
+def assert_seeding_changes_nothing(g, seeded):
+    """The seeded search gives the unseeded one's canonical form and group
+    order."""
+    plain = analyze(g)
+    assert canonical_form(g, seeded) == canonical_form(g, plain)
+    assert PermGroup(g.n, seeded.generators, seeded.base).order == PermGroup(
+        g.n, plain.generators, plain.base
+    ).order
+
+
+def vertex_0_branch(g):
+    """The refined partition of vertex 0 individualized in one cell."""
+    child, splitters = _individualize(partition([list(range(g.n))]), 0, 0)
+    return _refine(g.adjacency, child, splitters)
 
 
 @pytest.mark.parametrize("spec", list(iter_specs(135)), ids=lambda s: f"{s.m}-{s.n}-{s.r}")
 def test_seeded_initial_partition_on_census_graphs(spec):
-    """With the regular translations as seeds, one signature per Cayley
-    graph gives the partition of a signature per vertex, and every vertex's
-    seed orbit is the whole group."""
+    """With the regular translations as seeds, the search of a Cayley graph
+    starts at vertex 0's branch: its first node's partition is vertex 0
+    individualized in one cell and refined, or its one leaf is that
+    partition when it is discrete; the initial partition, which the search
+    does not compute, is that one cell.  Seeding changes neither the
+    canonical form nor the group order."""
     regular = regular_representation(spec)
     for rep in generating_sets(spec):
         g = build_cayley([spec.at_index(x) for x in rep], spec)
-        cells, seed_orbits = _initial_partition(g, regular)
-        assert (cells, None) == _initial_partition(g)
-        assert all(o == set(range(g.n)) for o in seed_orbits)
+        assert cells_of(_initial_partition(g)) == [list(range(g.n))]
+        start = vertex_0_branch(g)
+        result, first = first_node(g, regular)
+        if first is None:
+            assert start[2] == g.n and result.canonical_order == [c[0] for c in start[0]]
+        else:
+            assert first == ([0], start)
+        assert_seeding_changes_nothing(g, result)
 
 
-@given(
-    n=st.integers(1, 30),
-    kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
-    rnd=st.random_module(),
-)
-@settings(max_examples=60, deadline=None)
-def test_seeded_initial_partition_with_intransitive_seeds(n, kind, rnd):
-    """The same when the seeds have several orbits: any subset of the
-    automorphisms an unseeded search finds.  Each vertex's seed orbit is
-    the reference's."""
-    rng = random.Random(rnd.seed)
-    g = refine_fixture(n, kind, rng)
-    gens = analyze(g).generators
-    seeds = rng.sample(gens, rng.randint(0, len(gens)))
-    cells, seed_orbits = _initial_partition(g, seeds)
-    assert (cells, None) == _initial_partition(g)
-    if seeds:
-        assert [sorted(seed_orbits[v]) for v in range(g.n)] == [
-            o for v in range(g.n) for o in point_orbits(seeds, g.n) if v in o
-        ]
-    else:
-        assert seed_orbits is None
+def test_seeded_initial_partition_with_intransitive_seeds():
+    """The same equalities when the seeds have several orbits, any subset of
+    the automorphisms an unseeded search finds: the search then starts at
+    the root, whose partition is the initial one, refined unless it is one
+    cell.  Transitive subsets start at vertex 0's branch as above.
+    Intransitive seeds must occur over the run."""
+    intransitive = []
+
+    @given(
+        n=st.integers(1, 30),
+        kind=st.sampled_from(["sparse", "dense", "disconnected", "circulant"]),
+        rnd=st.random_module(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(n, kind, rnd):
+        rng = random.Random(rnd.seed)
+        g = refine_fixture(n, kind, rng)
+        gens = analyze(g).generators
+        seeds = rng.sample(gens, rng.randint(0, len(gens)))
+        result, first = first_node(g, seeds)
+        transitive = bool(seeds) and len(point_orbits(seeds, g.n)) == 1
+        if transitive:
+            assert cells_of(_initial_partition(g)) == [list(range(g.n))]
+            start, path = vertex_0_branch(g), [0]
+        else:
+            part = _initial_partition(g)
+            start, path = (part if part[2] == 1 else _refine(g.adjacency, part, None)), []
+        if first is None:
+            assert start[2] == g.n and result.canonical_order == [c[0] for c in start[0]]
+        else:
+            assert first == (path, start)
+        intransitive.append(bool(seeds) and not transitive)
+        assert_seeding_changes_nothing(g, result)
+
+    check()
+    assert any(intransitive)
 
 
 def two_splitter_individualize(part, start, v):
@@ -508,7 +562,7 @@ def test_refine_counts_first_fragments_by_their_siblings():
         rng = random.Random(rnd.seed)
         g = random_regular_graph(n - n * d % 2, d, rng)
         adj_bits = vertex_masks(g.adjacency)
-        cells = cells_of(_initial_partition(g)[0])
+        cells = cells_of(_initial_partition(g))
         refined, k = refine_checking_splits(g.adjacency, cells, None)
         assert refined == bitmask_refine(adj_bits, cells, None)
         while True:
@@ -568,7 +622,7 @@ def test_one_cell_partitions_skip_the_root_refinement():
     one_cell = [PETERSEN, SHRIKHANDE, cycle_graph(9), graph_from_edges(6, []), K5]
     one_cell += [g for g, _, _ in census_class_searches(55)]
     for g in one_cell:
-        assert len(cells_of(_initial_partition(g)[0])) == 1
+        assert len(cells_of(_initial_partition(g))) == 1
         assert root_refinements(g) == 0
     for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
         g = build_cayley(standard_connection_set(1, spec), spec)
@@ -577,7 +631,7 @@ def test_one_cell_partitions_skip_the_root_refinement():
     path = graph_from_edges(8, [(i, i + 1) for i in range(7)])
     # a cycle of 8 beside two of 4: 2-regular, with 2 or 1 vertices at distance 2
     for g in (star, path, two_circulants(8, [1], [2])):
-        assert len(cells_of(_initial_partition(g)[0])) > 1
+        assert len(cells_of(_initial_partition(g))) > 1
         assert root_refinements(g) == 1
 
 
@@ -618,9 +672,9 @@ def test_pruning_orbits_match_fresh_orbits():
 
 def test_pruning_orbits_with_intransitive_seeds():
     """The same when the seeds move one component of a graph only: the
-    root takes the seeds' orbits from the initial partition until the
-    search finds generators of its own, which move the other component,
-    and from then on grows ``done`` under all of them."""
+    search starts at the root, which grows ``done`` under the seeds until
+    the search finds generators of its own, which move the other
+    component, and from then on under all of them."""
     union = graph_from_edges(
         32, SHRIKHANDE.edges() + [(u + 16, v + 16) for u, v in ROOK_4X4.edges()]
     )
@@ -937,15 +991,16 @@ def test_each_distinct_non_identity_seed_is_checked_once(monkeypatch):
 
 
 def test_seeds_prune_the_root_only(monkeypatch):
-    """The seeds prune every branch of the root but vertex 0's, since the
-    translations are transitive; deeper nodes keep only generators that fix
-    their path, which no translation does."""
+    """The translations are transitive, so a search seeded with them has no
+    root node: its first node has path [0], and no node keeps a seed, since
+    deeper nodes keep only generators that fix their path, which no
+    translation does."""
     calls = []
     node = autosearch._Search.node
 
-    def recording_node(self, cells, fixed, kept, fed, *orbits):
+    def recording_node(self, cells, fixed, kept, fed):
         calls.append((list(fixed), list(kept)))
-        return node(self, cells, fixed, kept, fed, *orbits)
+        return node(self, cells, fixed, kept, fed)
 
     monkeypatch.setattr(autosearch._Search, "node", recording_node)
     for spec in (F21, GroupSpec(11, 5, 3, ell=3)):
@@ -954,16 +1009,15 @@ def test_seeds_prune_the_root_only(monkeypatch):
         g = build_cayley(standard_connection_set(1, spec), spec)
         calls.clear()
         analyze(g, seeds=regular)
-        (root_path, root_kept), *deeper = calls
-        assert root_path == [] and set(root_kept) == seeds
-        assert [path for path, _ in deeper if len(path) == 1] == [[0]]
-        assert deeper and not any(p in seeds for _, kept in deeper for p in kept)
+        assert calls and calls[0][0] == [0]
+        assert all(path[:1] == [0] for path, _ in calls)
+        assert not any(p in seeds for _, kept in calls for p in kept)
 
 
 def test_seeded_search_takes_the_seed_orbits_once(monkeypatch):
-    """The root reuses the seeds' orbits that the initial partition found:
-    a seeded Cayley graph search takes the orbit of a vertex under the
-    translations once, not again after the root's one branch."""
+    """A seeded Cayley graph search takes the orbit of a vertex under the
+    translations once, to see that they are transitive, and no node takes
+    it again."""
     calls = []
     orbit = autosearch.orbit
 

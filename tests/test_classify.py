@@ -810,7 +810,7 @@ def test_verify_table1_f21():
     assert named["one exceptional class"]
     assert named["stabilizer order"]
     assert named["s-arc-transitivity"]
-    assert not named["class count equals table n"]  # oracle 1 vs table 3
+    assert rep.count_matches_n is False  # oracle 1 vs table 3
 
 
 def test_verify_table1_wrong_spec():
@@ -827,6 +827,37 @@ def test_report_disagrees_on_each_prediction():
     f21 = classify_spec(F21)
     assert f21.agreement_table1 and not f21.findings
     assert f21.oracle_count != f21.table1.n and f21.disagrees
+    assert f21.count_matches_n is False and agreeing.count_matches_n is None
+
+
+def test_isomorphic_twins_merge_into_one_class_and_a_finding(monkeypatch):
+    """No census spec of the 1100 sweep has two analyzed sets with
+    isomorphic graphs, so twins are forced: in oracle mode F21's
+    edge-transitive orbit is walked twice, in theorem mode S_1 and S_2 are
+    both analyzed, their graphs being isomorphic.  One class holds the
+    first set, the finding names the twins in each mode's words, and the
+    report disagrees."""
+    s1 = [[0, 1, 0], [1, 1, 0], [0, 2, 0], [5, 2, 0]]
+    assert [list(x) for x in standard_connection_set(1, F21)] == s1
+    walk = classify.orbit_representatives
+
+    def twice(spec, action, standard):
+        (orbit,) = [rep for rep in walk(spec, action, standard) if rep[2] == 1]
+        return [orbit, orbit]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(classify, "orbit_representatives", twice)
+        oracle = classify_spec(F21)
+    assert [c.set_list() for c in oracle.classes] == [s1]
+    assert oracle.findings == [f"isomorphic graphs from distinct Aut(G)-orbits: {s1} vs {s1}"]
+    assert oracle.disagrees
+
+    monkeypatch.setattr(classify.predictions, "theorem_js", standard_js)
+    theorem = classify_spec(F21, mode="theorem")
+    assert standard_js(F21) == [1, 2] and theorem.orbit_count == 2
+    assert [(c.set_list(), c.standard_j) for c in theorem.classes] == [(s1, 1)]
+    assert theorem.findings == ["standard sets j=1 and j=2 are isomorphic"]
+    assert theorem.disagrees
 
 
 TABLE1_ROW_CASES = (

@@ -160,14 +160,18 @@ def test_strict_disagreement_exit_3(capsys):
 
 def test_strict_is_one_test_for_classify_and_sweep(capsys):
     """F21 has one class where the reference row counts 3: classify and a
-    sweep that holds the same report both exit 3 under --strict."""
-    assert run_cli(capsys, "classify", "--m", "7", "--n", "3", "--r", "2", "--strict")[0] == 3
-    code, out, _ = run_cli(capsys, "sweep", "--max-order", "21", "--strict")
-    assert code == 3 and out.splitlines()[1].split()[:3] == ["7", "3", "2"]
-    assert run_cli(capsys, "classify", "--m", "13", "--n", "3", "--r", "3", "--strict")[0] == 0
+    sweep that holds the same report both exit 3 under --strict, and both
+    say so on stderr, in the same line; an agreeing census says nothing."""
+    strict = "strict: disagreement with bundled predictions\n"
+    code, _, err = run_cli(capsys, "classify", "--m", "7", "--n", "3", "--r", "2", "--strict")
+    assert code == 3 and err == strict
+    code, out, err = run_cli(capsys, "sweep", "--max-order", "21", "--strict")
+    assert code == 3 and out.splitlines()[1].split()[:3] == ["7", "3", "2"] and err == strict
+    code, _, err = run_cli(capsys, "classify", "--m", "13", "--n", "3", "--r", "3", "--strict")
+    assert code == 0 and err == ""
     # no spec has at most 20 elements
-    code, out, _ = run_cli(capsys, "sweep", "--max-order", "20", "--strict")
-    assert code == 0 and len(out.splitlines()) == 1
+    code, out, err = run_cli(capsys, "sweep", "--max-order", "20", "--strict")
+    assert code == 0 and len(out.splitlines()) == 1 and err == ""
 
 
 # ------------------------------------------------------------- aut / iso
