@@ -63,8 +63,15 @@ from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 class ClassReport:
     """One isomorphism class of connected tetravalent edge-transitive graphs.
 
-    The fields that need Aut(G) (``set_stabilizer_order``, ``normalizer_ok``
-    and ``standard_j``) belong to the group, not to the graph:
+    The fields hold what was computed; the transitivity flags are read off
+    them.  The graph is vertex-transitive, as a Cayley graph, and
+    edge-transitive, since a set whose graph is not leaves the census
+    before a report is made, so the JSON report's ``vertex`` and ``edge``
+    are always true.  It is arc-transitive iff s >= 1, and half-transitive
+    otherwise; R is normal iff its normalizer is all of Aut.
+
+    The fields that need Aut(G) (``set_stabilizer_order`` and
+    ``standard_j``) belong to the group, not to the graph:
     ``analyze_connection_set`` leaves them None and ``classify_spec`` fills
     them in.  ``set_stabilizer_order`` is |Aut(G)| over the size of the
     Aut(G)-orbit of the class's set; ``standard_j`` stays None for a class
@@ -75,16 +82,30 @@ class ClassReport:
     canonical: str
     aut_order: int
     stab_order: int
-    vertex: bool
-    edge: bool
-    arc: bool
-    half: bool
     s: int
-    normal_cayley: bool
     normalizer_order: int
     set_stabilizer_order: int | None = None
-    normalizer_ok: bool | None = None
     standard_j: int | None = None
+
+    @property
+    def arc(self) -> bool:
+        return self.s >= 1
+
+    @property
+    def half(self) -> bool:
+        return not self.arc
+
+    @property
+    def normal_cayley(self) -> bool:
+        return self.normalizer_order == self.aut_order
+
+    @property
+    def normalizer_ok(self) -> bool | None:
+        """Whether |N| = |G| * |Aut(G, S)|, None without |Aut(G, S)|; |G|
+        is |Aut| / |A_0|."""
+        if self.set_stabilizer_order is None:
+            return None
+        return self.normalizer_order * self.stab_order == self.aut_order * self.set_stabilizer_order
 
     def set_list(self) -> list[list[int]]:
         return [list(x) for x in self.connection_set]
@@ -95,8 +116,8 @@ class ClassReport:
             "canonical": self.canonical,
             "aut_order": self.aut_order,
             "stab_order": self.stab_order,
-            "vertex": self.vertex,
-            "edge": self.edge,
+            "vertex": True,
+            "edge": True,
             "arc": self.arc,
             "half": self.half,
             "s": self.s,
@@ -148,116 +169,75 @@ class GroupReport:
 
 # ------------------------------------------------------------- candidates
 
-class _PairAction:
-    """Aut(G) acting on the (|G|-1)/2 inverse pairs {x, x^-1}.
-
-    Automorphisms commute with inversion, so they permute the pairs, and a
-    raw set {x, x^-1, y, y^-1} is the unordered pair {i, j} of its pairs'
-    indices.  ``pairs`` lists each pair as (x, x^-1) with x < x^-1, in order
-    of x; ``pair_of`` gives each vertex's pair index (-1 for the identity);
-    ``gens`` holds each generator of Aut(G) as a permutation of pair
-    indices.  Raw set {i, j} with i < j has the slot ``base[i] + j`` in a
-    ``marks`` array, in walk order: by i, then by j.  A slot read after an
-    orbit's walk tells whether its set lies in an orbit walked so far.
-    """
-
-    __slots__ = ("pairs", "pair_of", "gens", "base")
-
-    def __init__(self, spec: GroupSpec, gens: Sequence[Sequence[int]]):
-        pairs = [(x, y) for x, y in enumerate(inversion(spec)) if x < y]
-        pair_of = [-1] * spec.order
-        for i, (x, y) in enumerate(pairs):
-            pair_of[x] = pair_of[y] = i
-        count = len(pairs)
-        self.pairs, self.pair_of = pairs, pair_of
-        self.gens = [[pair_of[g[x]] for x, _ in pairs] for g in gens]
-        self.base = [i * (2 * count - i - 3) // 2 - 1 for i in range(count)]
-
-    def marks(self) -> bytearray:
-        """One zero byte per raw set."""
-        return bytearray(comb(len(self.pairs), 2))
-
-    def key(self, S: Sequence[int]) -> tuple[int, int]:
-        """The pair indices (i, j), i < j, of the raw set S of vertex indices."""
-        i, j = sorted({self.pair_of[x] for x in S})
-        return i, j
-
-    def orbit(self, i: int, j: int, marks: bytearray) -> list[tuple[int, int]]:
-        """The orbit of the raw set {i, j} (i < j) as pair-index keys, (i, j)
-        first, breadth first; every member is marked in ``marks``, which
-        must not mark any member yet."""
-        gens, base = self.gens, self.base
-        marks[base[i] + j] = 1
-        members = [(i, j)]
-        for a, b in members:
-            for p in gens:
-                x, y = p[a], p[b]
-                if x > y:
-                    x, y = y, x
-                k = base[x] + y
-                if not marks[k]:
-                    marks[k] = 1
-                    members.append((x, y))
-        return members
-
-    def orbits(self, marks: bytearray) -> Iterator[list[tuple[int, int]]]:
-        """Every orbit on raw sets not marked in ``marks`` once, each from
-        :meth:`orbit` on its first member in walk order, in that order;
-        ``marks`` marks the sets met, and the next one not met is found by
-        scanning its bytes."""
-        base, count = self.base, len(self.pairs)
-        i = 0
-        k = marks.find(0)
-        while k >= 0:
-            j = k - base[i]
-            while j >= count:
-                i += 1
-                j = k - base[i]
-            yield self.orbit(i, j, marks)
-            k = marks.find(0, k + 1)
-
-
-def _standard_j(marks: bytearray, standard: Mapping[int, int]) -> tuple[int | None, dict[int, int]]:
-    """The least j whose S_j has its slot ``standard[j]`` marked in
-    ``marks``, or None, and the unmarked rest of ``standard``: the slots an
-    orbit walked later on the same marks can hold."""
-    met = [j for j, k in standard.items() if marks[k]]
-    return min(met, default=None), {j: k for j, k in standard.items() if not marks[k]}
-
-
 def orbit_representatives(
-    spec: GroupSpec, action: _PairAction, standard: Mapping[int, int]
+    spec: GroupSpec, gens: Sequence[Sequence[int]], standard: Mapping[int, Sequence[int]]
 ) -> list[tuple[tuple[int, ...], int, int | None]]:
     """Aut(G)-orbits of the connected tetravalent connection sets.
 
+    ``gens`` generate Aut(G) as vertex permutations (``aut_generators``);
+    ``standard`` maps each j to S_j as vertex indices, and is empty where
+    the count formula does not apply.
+
     The identity-free inverse-closed 4-subsets {x, x^-1, y, y^-1} are the
     C((|G|-1)/2, 2) pairs of distinct inverse pairs (|G| is odd, so no
-    element but the identity is its own inverse).  They are walked as pairs
-    {i, j} of pair indices (``action``, Aut(G) acting on the inverse pairs),
-    inverse pairs in the order of their smaller vertex index; a set met for
-    the first time has its Aut(G)-orbit taken, and the later members of
-    that orbit are skipped.  Automorphisms preserve generation, so one
-    generation test decides the whole orbit (orderly generation in the
-    sense of Read, 1978); it is arithmetic on the exponents of x and y
-    (``groups.generates``), with no search over G.
+    element but the identity is its own inverse).  Automorphisms commute
+    with inversion, so they permute the inverse pairs, listed as (x, x^-1)
+    with x < x^-1 in order of x, and a raw set is the pair {i, j} of its
+    pairs' indices.  Raw set {i, j} with i < j has the slot ``base[i] + j``
+    in one byte array, in walk order: by i, then by j.  A set not marked
+    yet has its Aut(G)-orbit taken breadth first on pair indices, and every
+    member is marked, so the later members of that orbit are skipped.
+    Automorphisms preserve generation, so one generation test decides the
+    whole orbit (orderly generation in the sense of Read, 1978); it is
+    arithmetic on the exponents of x and y (``groups.generates``), with no
+    search over G.
 
     Returns [(least member, orbit size, standard_j)] of the generating
     orbits, in order of their first member.  The least member, the least
     sorted 4-tuple of vertex indices, is the first member met, the least
     (i, j): its least vertex is pairs[i][0], and for one i, j < j' gives a
     smaller rest, since pairs[j][0] < pairs[j'][0] and pairs[j][0] <
-    pairs[j][1].  ``standard`` maps each j to the slot of S_j; standard_j,
-    the least j whose S_j lies in the orbit, is read right after each
-    orbit's walk, generating or not (``_standard_j``).
+    pairs[j][1].  standard_j, the least j whose S_j lies in the orbit, is
+    read right after each orbit's walk, generating or not, from the slots
+    of the S_j not met by an earlier orbit.
     """
-    pairs = action.pairs
-    marks = action.marks()
+    pairs = [(x, y) for x, y in enumerate(inversion(spec)) if x < y]
+    pair_of = [-1] * spec.order
+    for i, (x, y) in enumerate(pairs):
+        pair_of[x] = pair_of[y] = i
+    count = len(pairs)
+    perms = [[pair_of[g[x]] for x, _ in pairs] for g in gens]
+    base = [i * (2 * count - i - 3) // 2 - 1 for i in range(count)]
+    # the slot of each S_j not met yet, by j
+    unmet = {}
+    for t, S in standard.items():
+        i, j = sorted({pair_of[x] for x in S})
+        unmet[t] = base[i] + j
+    marks = bytearray(comb(count, 2))
     orbits = []
-    for members in action.orbits(marks):
-        standard_j, standard = _standard_j(marks, standard)
-        i, j = members[0]
+    i = 0
+    k = marks.find(0)
+    while k >= 0:
+        j = k - base[i]
+        while j >= count:
+            i += 1
+            j = k - base[i]
+        marks[k] = 1
+        members = [(i, j)]
+        for a, b in members:
+            for p in perms:
+                x, y = p[a], p[b]
+                if x > y:
+                    x, y = y, x
+                slot = base[x] + y
+                if not marks[slot]:
+                    marks[slot] = 1
+                    members.append((x, y))
+        standard_j = min((t for t, slot in unmet.items() if marks[slot]), default=None)
+        unmet = {t: slot for t, slot in unmet.items() if not marks[slot]}
         if generates((spec.at_index(pairs[i][0]), spec.at_index(pairs[j][0])), spec):
             orbits.append((tuple(sorted(pairs[i] + pairs[j])), len(members), standard_j))
+        k = marks.find(0, k + 1)
     return orbits
 
 
@@ -359,30 +339,20 @@ def _search(spec: GroupSpec, S: tuple[Element, ...], inverse: dict[int, int]) ->
     """``analyze_connection_set`` from the search on, for a validated S and
     its map ``_inverses(S, spec)``."""
     graph = build_cayley(S, spec)
-    regular = regular_representation(spec)
-    result = analyze(graph, seeds=regular)
+    result = analyze(graph, seeds=regular_representation(spec))
     # the translations fix no vertex, so the found automorphisms are the
     # generators that fix base[0] = 0
     a0 = PermGroup(graph.n, result.found, result.base)
     edge_orbits, s = orbits_at_zero(a0, graph, inverse)
     if edge_orbits != 1:
         return None
-    arc = s >= 1
-    stab_order = a0.order
-    aut_order = spec.order * stab_order
-    normalizer_order = normalizer_of_regular(a0, spec, regular)
     return ClassReport(
         connection_set=S,
         canonical=canonical_form(graph, result).decode("ascii"),
-        aut_order=aut_order,
-        stab_order=stab_order,
-        vertex=True,
-        edge=True,
-        arc=arc,
-        half=not arc,
+        aut_order=spec.order * a0.order,
+        stab_order=a0.order,
         s=s,
-        normal_cayley=normalizer_order == aut_order,
-        normalizer_order=normalizer_order,
+        normalizer_order=normalizer_of_regular(a0, spec),
     )
 
 
@@ -418,12 +388,10 @@ def classify_spec(
         if spec.order > bound:
             raise BoundExceeded(f"|G| = {spec.order} exceeds candidate bound {bound}")
         gens, aut_order = aut_generators(spec)
-        action = _PairAction(spec, gens)
-        # the slot of each standard set S_j, by j, where the count formula applies
-        keys = {j: action.key(map(spec.index, predictions.standard_connection_set(j, spec)))
-                for j in predictions.standard_js(spec)} if predictions.thm2_applicable(spec) else {}
-        standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
-        reps = orbit_representatives(spec, action, standard)
+        # each standard set S_j, by j, where the count formula applies
+        standard = {j: [spec.index(x) for x in predictions.standard_connection_set(j, spec)]
+                    for j in predictions.standard_js(spec)} if predictions.thm2_applicable(spec) else {}
+        reps = orbit_representatives(spec, gens, standard)
         sets = [(tuple(map(spec.at_index, rep)), aut_order // size, standard_j)
                 for rep, size, standard_j in reps]
         raw = comb((spec.order - 1) // 2, 2)
@@ -440,12 +408,7 @@ def classify_spec(
     for (_, set_stab, standard_j), c in zip(sets, results, strict=True):
         if c is None:
             continue
-        c = replace(
-            c,
-            set_stabilizer_order=set_stab,
-            normalizer_ok=c.normalizer_order == spec.order * set_stab,
-            standard_j=standard_j,
-        )
+        c = replace(c, set_stabilizer_order=set_stab, standard_j=standard_j)
         prev = merged.setdefault(c.canonical, c)
         if prev is not c:
             twins.append((prev, c))

@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms
-from metacirc.groups import GroupSpec, mul
+from metacirc.groups import GroupSpec, mul, regular_representation
 
 Perm = tuple[int, ...]
 
@@ -243,14 +243,15 @@ def orbits_at_zero(stabilizer: PermGroup, graph: Graph, reverse: Mapping[int, in
     return edge_orbits, s
 
 
-def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Sequence[Perm]) -> int:
+def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec) -> int:
     """Order of the normalizer N of the regular copy R of G in A = R * A_0.
 
     ``stabilizer`` is A_0, the stabilizer of vertex 0 in a group A of
-    permutations of the vertex indices that contains R, and ``regular``
-    holds right translations that generate R.  R is transitive, so
-    N = R(N ∩ A_0), and R ∩ A_0 = 1 gives |N| = |G| * #{x in A_0 : x
-    normalizes R}.  Only A_0 is enumerated, from its own chain.  The
+    permutations of the vertex indices that contains R, which the right
+    translations by a, b and c generate (``regular_representation``).  R
+    is transitive, so N = R(N ∩ A_0), and R ∩ A_0 = 1 gives |N| = |G| *
+    #{x in A_0 : x normalizes R}.  Only A_0 is enumerated, from its own
+    chain.  The
     normalizer of R in the symmetric group is the holomorph R Aut(G), so an
     x that fixes the identity normalizes R iff it is an automorphism of G.
     It is tested on the generators: with products read left to right, as
@@ -271,13 +272,13 @@ def normalizer_of_regular(stabilizer: PermGroup, spec: GroupSpec, regular: Seque
     sides need not lie in one group whose base is {0} with H's, and an x
     that is no automorphism of G can pass the test at H's base points.
     """
-    if stabilizer.degree != spec.order or any(len(g) != spec.order for g in regular):
+    if stabilizer.degree != spec.order:
         raise ValueError("degree mismatch")
     if any(g[0] != 0 for g in stabilizer.generators):
         raise ValueError("the stabilizer moves vertex 0, so it is no complement of R")
     points = [b for b in stabilizer.base if b]
     # (g, [(b, b g) for each base point b]) for each generator ρ_g of R
-    tests = [(p[0], [(b, p[b]) for b in points]) for p in regular if p[0]]
+    tests = [(p[0], [(b, p[b]) for b in points]) for p in regular_representation(spec) if p[0]]
     at, index = spec.at_index, spec.index
     count = 0
     for x in stabilizer.elements():

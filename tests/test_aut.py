@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacirc import aut, permgroup
+from metacirc import aut, classify, permgroup
 from metacirc.aut import aut_generators, parametrized_count, standard_set_stabilizer_order
-from metacirc.classify import _PairAction
 from metacirc.errors import BoundExceeded
 from metacirc.groups import (
     IDENTITY,
@@ -271,12 +270,23 @@ def test_aut_stabilizer_brute_force_backend():
 
 # ------------------------------------------------------- orbit canonical
 
+@lru_cache(maxsize=None)
+def every_orbit(spec):
+    """(least member, size) of every Aut(G)-orbit on raw sets, generating or
+    not: the census's walk with ``generates`` accepting every set.  Cached,
+    as several tests walk each spec."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "generates", lambda *args: True)
+        return {(rep, size) for rep, size, _ in classify.orbit_representatives(spec, aut_generators(spec)[0], {})}
+
+
 def pair_orbit(S, spec):
     """The Aut(G)-orbit of the set S of elements, each member as a sorted
-    vertex-index tuple, from the census's walk on inverse pairs."""
-    action = _PairAction(spec, aut_generators(spec)[0])
-    members = action.orbit(*action.key([spec.index(x) for x in S]), action.marks())
-    return [tuple(sorted(action.pairs[i] + action.pairs[j])) for i, j in members]
+    vertex-index tuple, under the census's generators of Aut(G); its least
+    member and size are those of an orbit the census's walk reports."""
+    orbit = sorted(set_orbit([spec.index(x) for x in S], aut_generators(spec)[0]))
+    assert (orbit[0], len(orbit)) in every_orbit(spec)
+    return orbit
 
 
 def orbit_min(S, spec):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from metacirc import autosearch
 from metacirc.aut import aut_generators
-from metacirc.classify import _PairAction, analyze_connection_set, classify_spec, orbit_representatives
+from metacirc.classify import analyze_connection_set, classify_spec, orbit_representatives
 from metacirc.autosearch import (
     _individualize,
     _initial_partition,
@@ -74,8 +74,7 @@ PETERSEN = graph_from_edges(
 def generating_sets(spec):
     """The least member of each generating Aut(G)-orbit of connection sets,
     in the census's walk order (``orbit_representatives``)."""
-    action = _PairAction(spec, aut_generators(spec)[0])
-    return [rep for rep, _, _ in orbit_representatives(spec, action, {})]
+    return [rep for rep, _, _ in orbit_representatives(spec, aut_generators(spec)[0], {})]
 
 
 def z4_squared_graph(steps):

@@ -4,6 +4,7 @@ import json
 from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations
 from math import comb, gcd, sqrt
 from pathlib import Path
 
@@ -12,8 +13,6 @@ import pytest
 from metacirc import classify
 from metacirc.aut import aut_generators, standard_set_stabilizer_order
 from metacirc.classify import (
-    _PairAction,
-    _standard_j,
     analyze_connection_set,
     classify_spec,
     emit_report,
@@ -81,16 +80,17 @@ def sorted_standard_set(j, spec):
     return tuple(sorted(spec.index(x) for x in standard_connection_set(j, spec)))
 
 
-@lru_cache(maxsize=None)
-def pair_action(spec):
-    """The census's action of Aut(G) on inverse pairs.  Cached, as several
-    tests walk each spec."""
-    return _PairAction(spec, aut_generators(spec)[0])
-
-
 def generating_orbits(spec):
     """(least member, orbit size) of each generating orbit, in walk order."""
-    return [(rep, size) for rep, size, _ in orbit_representatives(spec, pair_action(spec), {})]
+    return [(rep, size) for rep, size, _ in orbit_representatives(spec, aut_generators(spec)[0], {})]
+
+
+def every_orbit(spec, gens):
+    """The walk's output with ``generates`` accepting every set, so that it
+    reports every orbit on raw sets, generating or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "generates", lambda *args: True)
+        return orbit_representatives(spec, gens, {})
 
 
 # ------------------------------------------------------------- candidates
@@ -349,10 +349,15 @@ def test_set_stabilizer_order_matches_reference():
     ids=spec_id,
 )
 def test_pair_action_pairs_match_reference_inverses(spec):
-    """The inverse pairs, from ``groups.inv`` of every element, are
-    (x, x^-1) for each x < x^-1 of the oracle's inverses, in order of x."""
+    """With no automorphism and every set taken as generating, each raw set
+    is its own orbit, so the walk lists the raw sets in walk order: the
+    pairs {i, j}, i < j, of the inverse pairs (x, x^-1) for each x < x^-1
+    of the oracle's inverses, in order of x."""
     inverse = inverses(right_multiplications(spec.m, spec.n, spec.r, spec.ell))
-    assert _PairAction(spec, []).pairs == [(x, y) for x, y in enumerate(inverse) if x < y]
+    pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+    assert every_orbit(spec, []) == [
+        (tuple(sorted(pairs[i] + pairs[j])), 1, None) for i, j in combinations(range(len(pairs)), 2)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -374,22 +379,27 @@ def test_orbit_representatives_match_reference_walk(spec):
     ids=spec_id,
 )
 def test_pair_action_orbits_match_burnside_count(spec):
-    """The walk meets (1/|Aut(G)|) * sum of fix(phi) orbits on raw sets,
-    over every automorphism phi of the oracle's exhaustive list (Burnside),
-    with no frozen data.  Each phi acts on the inverse pairs by the
-    permutation pi that ``automorphism_permutation`` and the pair table
-    give, and fixes the raw sets {i, j} with i and j both fixed by pi or
-    swapped by it: C(#fixed points, 2) + #2-cycles."""
+    """The walk, every set taken as generating, meets (1/|Aut(G)|) * sum of
+    fix(phi) orbits on raw sets, over every automorphism phi of the
+    oracle's exhaustive list (Burnside), with no frozen data.  Each phi
+    acts on the oracle's inverse pairs by the permutation pi that
+    ``automorphism_permutation`` gives, and fixes the raw sets {i, j} with
+    i and j both fixed by pi or swapped by it: C(#fixed points, 2) +
+    #2-cycles."""
+    inverse = inverses(right_multiplications(spec.m, spec.n, spec.r, spec.ell))
+    pairs = [(x, y) for x, y in enumerate(inverse) if x < y]
+    pair_of = {x: i for i, pair in enumerate(pairs) for x in pair}
     triples = aut_triples(spec)
-    action = _PairAction(spec, [automorphism_permutation(f, spec) for f in triples])
     fixed_sets = 0
-    for pi in action.gens:
+    for f in triples:
+        g = automorphism_permutation(f, spec)
+        pi = [pair_of[g[x]] for x, _ in pairs]
         fixed = sum(1 for i, x in enumerate(pi) if x == i)
         swaps = sum(1 for i, x in enumerate(pi) if x > i and pi[x] == i)
         fixed_sets += comb(fixed, 2) + swaps
-    census = pair_action(spec)
-    orbits = sum(1 for _ in census.orbits(census.marks()))
-    assert orbits * len(triples) == fixed_sets
+    orbits = every_orbit(spec, aut_generators(spec)[0])
+    assert sum(size for _, size, _ in orbits) == comb(len(pairs), 2)
+    assert len(orbits) * len(triples) == fixed_sets
 
 
 @pytest.mark.parametrize(
@@ -399,20 +409,13 @@ def test_pair_action_orbits_match_burnside_count(spec):
 )
 def test_orbit_cache_holds_least_member_and_size(spec):
     """The walk gives (min(o), len(o)) of the set_orbit o of each generating
-    orbit it meets, and, given the slot of every S_j with gcd(j, n) = 1,
-    the least j whose S_j lies in o; and each class's standard_j is the
-    least j whose S_j lies in the class's orbit under every element of
-    Aut(G)."""
+    orbit it meets, and, given every S_j with gcd(j, n) = 1, the least j
+    whose S_j lies in o; and each class's standard_j is the least j whose
+    S_j lies in the class's orbit under every element of Aut(G)."""
     gens, _ = aut_generators(spec)
-    action = pair_action(spec)
     js = [j for j in range(1, spec.n0) if gcd(j, spec.n) == 1]
-    standard = {}
-    for j in js:
-        a, b = action.key(sorted_standard_set(j, spec))
-        assert a < b
-        assert tuple(sorted(action.pairs[a] + action.pairs[b])) == sorted_standard_set(j, spec)
-        standard[j] = action.base[a] + b
-    for rep, size, standard_j in orbit_representatives(spec, action, standard):
+    standard = {j: sorted_standard_set(j, spec) for j in js}
+    for rep, size, standard_j in orbit_representatives(spec, gens, standard):
         o = set_orbit(rep, gens)
         assert (min(o), len(o)) == (rep, size)
         assert standard_j == min((j for j in js if sorted_standard_set(j, spec) in o), default=None)
@@ -463,20 +466,18 @@ THEOREM_FAMILY = [
 
 @pytest.mark.parametrize("spec", THEOREM_FAMILY, ids=spec_id)
 def test_theorem_set_stabilizer_matches_the_orbit_walk(spec):
-    """For each theorem j, theorem mode's |Aut(G, S_j)| is |Aut(G)| over
-    the size of S_j's orbit, walked on its own marks; j is the least j
-    whose S_j those marks hold; and where the swap is an automorphism, the
-    distance test sees one edge orbit, as it must on an edge-transitive
-    graph."""
+    """For each theorem j, one generating orbit of the walk, given every
+    S_j, has j as its least j whose S_j it holds, and theorem mode's
+    |Aut(G, S_j)| is |Aut(G)| over that orbit's size; and where the swap
+    is an automorphism, the distance test sees one edge orbit, as it must
+    on an edge-transitive graph."""
     gens, aut_order = aut_generators(spec)
-    action = _PairAction(spec, gens)
-    keys = {j: action.key(sorted_standard_set(j, spec)) for j in standard_js(spec)}
-    standard = {j: action.base[i] + k for j, (i, k) in keys.items()}
+    standard = {j: sorted_standard_set(j, spec) for j in standard_js(spec)}
+    orbits = orbit_representatives(spec, gens, standard)
     set_stab = standard_set_stabilizer_order(spec)
     for j in theorem_js(spec):
-        marks = action.marks()
-        assert set_stab * len(action.orbit(*keys[j], marks)) == aut_order
-        assert _standard_j(marks, standard)[0] == j
+        (size,) = [size for _, size, standard_j in orbits if standard_j == j]
+        assert set_stab * size == aut_order
         if set_stab == 2:
             assert not distance_split(spec, sorted_standard_set(j, spec))
 
@@ -494,10 +495,10 @@ def test_theorem_family_takes_both_set_stabilizers():
     ids=spec_id,
 )
 def test_theorem_mode_computes_no_aut(monkeypatch, spec):
-    """Theorem mode computes no Aut(G) and builds no pair action, so it
-    walks no orbit, and it runs the distance test only on the sets whose
-    swap is not an automorphism; on these specs each of those leaves the
-    census, and each set with the swap is a class."""
+    """Theorem mode computes no Aut(G) and walks no orbit, and it runs the
+    distance test only on the sets whose swap is not an automorphism; on
+    these specs each of those leaves the census, and each set with the swap
+    is a class."""
     def refuse(*args):
         raise AssertionError("theorem mode used Aut(G)")
 
@@ -509,7 +510,7 @@ def test_theorem_mode_computes_no_aut(monkeypatch, spec):
         return split(spec, inverse)
 
     monkeypatch.setattr(classify, "aut_generators", refuse)
-    monkeypatch.setattr(classify, "_PairAction", refuse)
+    monkeypatch.setattr(classify, "orbit_representatives", refuse)
     monkeypatch.setattr(classify, "_distance_split", counted)
     report = classify_spec(spec, mode="theorem")
     swap = standard_set_stabilizer_order(spec) == 2
@@ -520,24 +521,30 @@ def test_theorem_mode_computes_no_aut(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [GroupSpec(11, 5, 3), GroupSpec(29, 7, 7, ell=3)], ids=spec_id)
 def test_oracle_mode_walks_each_orbit_once(monkeypatch, spec):
-    """One walk per orbit on raw sets, generating or not, and none for a
-    class: the walks' orbits cover the raw sets exactly once, one walk per
-    orbit that the walk over all raw sets meets."""
-    sizes = []
-    orbit = classify._PairAction.orbit
+    """One walk per census and one generation test per orbit on raw sets,
+    generating or not, and none for a class: with every set taken as
+    generating, the walk's orbits cover the raw sets exactly once, and
+    there are as many of them as the census made generation tests."""
+    walks, tests = [], []
+    walk, test = classify.orbit_representatives, classify.generates
 
-    def counted(self, i, j, marks):
-        members = orbit(self, i, j, marks)
-        sizes.append(len(members))
-        return members
+    def counted_walk(*args):
+        walks.append(args[0])
+        return walk(*args)
 
-    monkeypatch.setattr(classify._PairAction, "orbit", counted)
+    def counted_test(*args):
+        tests.append(args)
+        return test(*args)
+
+    monkeypatch.setattr(classify, "orbit_representatives", counted_walk)
+    monkeypatch.setattr(classify, "generates", counted_test)
     report = classify_spec(spec)
     monkeypatch.undo()
     assert report.classes and report.thm2_claim is not None
-    assert sum(sizes) == report.raw_candidates
-    action = pair_action(spec)
-    assert len(sizes) == sum(1 for _ in action.orbits(action.marks()))
+    assert walks == [spec]
+    orbits = every_orbit(spec, aut_generators(spec)[0])
+    assert sum(size for _, size, _ in orbits) == report.raw_candidates
+    assert len(tests) == len(orbits)
 
 
 # ----------------------------------------------------------- single sets
@@ -547,7 +554,7 @@ def test_analyze_standard_set_f21():
     assert c is not None
     assert (c.aut_order, c.stab_order, c.s) == (336, 16, 1)
     assert c.arc and not c.half and not c.normal_cayley
-    assert c.vertex and c.edge
+    assert c.to_json_dict()["vertex"] and c.to_json_dict()["edge"]
 
 
 def test_analyze_connection_set_never_computes_aut(monkeypatch):
@@ -707,7 +714,8 @@ def test_classify_invariants():
         canons = [c.canonical for c in rep.classes]
         assert canons == sorted(canons) and len(set(canons)) == len(canons)
         for c in rep.classes:
-            assert c.half == (c.vertex and c.edge and not c.arc)
+            flags = c.to_json_dict()
+            assert flags["half"] == (flags["vertex"] and flags["edge"] and not flags["arc"])
             assert c.aut_order == spec.order * c.stab_order
             assert c.normalizer_order == spec.order * c.set_stabilizer_order
             if c.normal_cayley:
@@ -722,9 +730,21 @@ def test_theorem_js():
     assert theorem_js(GroupSpec(19, 9, 4)) == [1, 2, 4]
 
 
-def test_jobs_give_identical_reports():
-    seq = report_to_json_dict(classify_spec(GroupSpec(11, 5, 3), jobs=1))
-    par = report_to_json_dict(classify_spec(GroupSpec(11, 5, 3), jobs=3))
+@pytest.mark.parametrize(
+    "spec, mode, jobs",
+    [
+        (GroupSpec(11, 5, 3), "oracle", 3),
+        # all three sets have the swap, so the workers skip the distance test
+        (GroupSpec(29, 7, 7, ell=3), "theorem", 2),
+        # gcd(r - 1, m) = 3, so no swap: the workers run the distance test,
+        # and both sets leave the census
+        (GroupSpec(33, 5, 4), "theorem", 2),
+    ],
+    ids=lambda x: spec_id(x) if isinstance(x, GroupSpec) else str(x),
+)
+def test_jobs_give_identical_reports(spec, mode, jobs):
+    seq = report_to_json_dict(classify_spec(spec, mode=mode, jobs=1))
+    par = report_to_json_dict(classify_spec(spec, mode=mode, jobs=jobs))
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
 
@@ -841,8 +861,8 @@ def test_isomorphic_twins_merge_into_one_class_and_a_finding(monkeypatch):
     assert [list(x) for x in standard_connection_set(1, F21)] == s1
     walk = classify.orbit_representatives
 
-    def twice(spec, action, standard):
-        (orbit,) = [rep for rep in walk(spec, action, standard) if rep[2] == 1]
+    def twice(spec, gens, standard):
+        (orbit,) = [rep for rep in walk(spec, gens, standard) if rep[2] == 1]
         return [orbit, orbit]
 
     with monkeypatch.context() as mp:

@@ -365,28 +365,26 @@ def test_orbits_at_zero_rejects_non_automorphism():
 
 def test_normalizer_k5():
     # N = AGL(1,5) of order 20; index over |G| = 4 = |Aut(G,S)|
-    assert normalizer_of_regular(S4, Z5, regular_representation(Z5)) == 20
+    assert normalizer_of_regular(S4, Z5) == 20
     assert normalizer_order(S5.generators, 5, 1, 1) == 20
 
 
 def test_normalizer_of_regular_in_itself():
     ghat = regular_group(F21)
-    assert normalizer_of_regular(PermGroup(21, [], []), F21, regular_representation(F21)) == 21
+    assert normalizer_of_regular(PermGroup(21, [], []), F21) == 21
     assert normalizer_order(ghat.generators, 7, 3, 2) == 21
 
 
 def test_normalizer_degree_mismatch():
     with pytest.raises(ValueError):
-        normalizer_of_regular(S4, F21, regular_representation(F21))
-    with pytest.raises(ValueError):
-        normalizer_of_regular(S4, Z5, regular_representation(F21))
+        normalizer_of_regular(S4, F21)
 
 
 def test_normalizer_needs_the_regular_copy():
     # R * A_0 is a group only for the stabilizer A_0 of vertex 0, which R
     # complements; a group moving 0 is none
     with pytest.raises(ValueError):
-        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)], [0]), Z5, regular_representation(Z5))
+        normalizer_of_regular(PermGroup(5, [cycle(5, 0, 1)], [0]), Z5)
 
 
 @pytest.mark.parametrize("mnrl", [(5, 1, 1, 1), (7, 3, 2, 1), (11, 5, 3, 1), (11, 5, 3, 3)])
@@ -400,7 +398,7 @@ def test_normalizer_matches_reference_on_census_classes(mnrl):
         result = analyze(graph, seeds=regular)
         ref = normalizer_order(result.generators, *mnrl)
         a0 = PermGroup(graph.n, result.found, result.base)
-        assert normalizer_of_regular(a0, spec, regular) == ref == c.normalizer_order
+        assert normalizer_of_regular(a0, spec) == ref == c.normalizer_order
         assert c.normal_cayley == (ref == PermGroup(graph.n, result.generators, result.base).order)
 
 
@@ -413,14 +411,13 @@ def test_normalizer_matches_right_translation_membership(spec):
     """Counting the elements of A_0 that are automorphisms of G (the
     holomorph criterion) counts what testing each conjugate of R against
     the right translations counts, on every edge-transitive class."""
-    regular = regular_representation(spec)
     for c in classify_spec(spec, bound=spec.order).classes:
         graph = build_cayley(c.connection_set, spec)
         a0 = stabilizer_group(graph, spec)
         expected = normalizer_by_right_translations(
             a0.elements(), spec.m, spec.n, spec.r, spec.ell
         )
-        assert normalizer_of_regular(a0, spec, regular) == expected == c.normalizer_order
+        assert normalizer_of_regular(a0, spec) == expected == c.normalizer_order
 
 
 @pytest.mark.parametrize("spec", [F21, GroupSpec(11, 5, 3, ell=3)], ids=["7-3-2-1", "11-5-3-3"])
@@ -432,7 +429,6 @@ def test_normalizer_needs_every_left_translation(spec):
     no whole point stabilizer of a group containing R, so this lies outside
     the base argument of ``normalizer_of_regular``: it checks only that the
     base point h exposes x."""
-    regular = regular_representation(spec)
     params = (spec.m, spec.n, spec.r, spec.ell)
     for g in (1, spec.m, spec.m * spec.n):
         if g >= spec.order:
@@ -444,7 +440,7 @@ def test_normalizer_needs_every_left_translation(spec):
         # <x> is cyclic and moves h around one cycle, so [h] is a base
         a0 = PermGroup(spec.order, [x], [h])
         expected = normalizer_by_right_translations(a0.elements(), *params)
-        assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
+        assert normalizer_of_regular(a0, spec) == expected < spec.order * a0.order
 
 
 @pytest.mark.parametrize("spec", [F21, GroupSpec(11, 5, 3, ell=3)], ids=["7-3-2-1", "11-5-3-3"])
@@ -458,7 +454,6 @@ def test_normalizer_tests_every_generator(spec):
     right only if g is tested too.  As in the test above, <x> is no whole
     point stabilizer of a group containing R, so only the base point g
     exposes x here."""
-    regular = regular_representation(spec)
     params = (spec.m, spec.n, spec.r, spec.ell)
     for g in (1, spec.m, spec.m * spec.n):
         if g >= spec.order:
@@ -473,7 +468,7 @@ def test_normalizer_tests_every_generator(spec):
         # <x> moves g's coset by k -> k0 k, freely, so [g] is a base
         a0 = PermGroup(spec.order, [tuple(x)], [g])
         expected = normalizer_by_right_translations(a0.elements(), *params)
-        assert normalizer_of_regular(a0, spec, regular) == expected < spec.order * a0.order
+        assert normalizer_of_regular(a0, spec) == expected < spec.order * a0.order
 
 
 def _cycle(p, x):
