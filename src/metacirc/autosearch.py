@@ -104,15 +104,15 @@ def _initial_partition(g: Graph) -> Partition:
 
     In a regular graph of degree d each signature is (d, (d,) * d, (d,) * k),
     k = |N2(v)| the number of vertices at distance 2, so k alone orders them,
-    and it is read off bit rows: the union of the neighbours' rows, less
-    v's own row, is N2(v) and v itself, v being a neighbour of each of its
-    neighbours.  So it counts k + 1 at every vertex, or 0 at every vertex
-    when d = 0.
+    and it is read off the bit rows of ``graphs.packed_rows``: the union of
+    the neighbours' rows, less v's own row, is N2(v) and v itself, v being
+    a neighbour of each of its neighbours.  So it counts k + 1 at every
+    vertex, or 0 at every vertex when d = 0.
     """
     deg = g.degrees()
     adj = g.adjacency
     regular = min(deg, default=0) == max(deg, default=0)
-    rows = [sum(1 << w for w in nbrs) for nbrs in adj] if regular else []
+    rows = packed_rows(g) if regular else ()
     sigs: list = []
     for v, nbrs in enumerate(adj):
         if regular:  # k + 1, or 0 if d = 0 (see above)

@@ -24,13 +24,15 @@ happens iff <a> meets the centre trivially, and 1 otherwise
 never needs Aut(G), so neither does a worker process.
 
 A set whose graph is not edge-transitive leaves the census at the first
-of two exits that sees two edge orbits at vertex 0: distance-pair counts
-from one breadth-first search, before the graph is built
-(``_distance_split``), and the orbits of the vertex stabilizer on the
-neighbours of 0, after the search (``orbits_at_zero``).  Each exit only
-drops sets with more than one edge orbit, so the order changes no report,
-and a theorem set whose swap is an automorphism, which is edge-transitive,
-skips the first.
+of two exits that sees two edge orbits at vertex 0.  The first is a stage
+of ``classify_spec``: distance-pair counts from one breadth-first search,
+run on every set in this process before any graph is built
+(``_distance_split``).  The second is in ``analyze_connection_set``, the
+one per-set step, which takes the sets that pass: the orbits of the vertex
+stabilizer on the neighbours of 0, after the search (``orbits_at_zero``),
+which alone decides whether it returns a class.  The first exit only drops
+sets with more than one edge orbit, so it changes no report, and a theorem
+set whose swap is an automorphism, which is edge-transitive, skips it.
 """
 
 from __future__ import annotations
@@ -301,18 +303,10 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
     the set sorted by vertex index in whatever order it comes.
 
     Returns None when the graph is not edge-transitive (such sets leave the
-    census).  Every fact is read at vertex 0, since Aut = R * A_0 with R the
-    regular copy of G and A_0 the stabilizer of vertex 0.  The exits for a
-    set that is not edge-transitive run in this order, the second for the
-    sets the first misses:
-
-    1. distance-pair counts at vertex 0, before the graph is built,
-       see two edge orbits (``_distance_split``; ``classify_spec`` skips
-       it for a theorem set whose swap is an automorphism);
-    2. the orbits of A_0 on the neighbours of vertex 0, merged along
-       x ~ x^-1, are more than one (``orbits_at_zero``), after the search.
-
-    The rest is read off the search:
+    census): when the orbits of A_0 on the neighbours of vertex 0, merged
+    along x ~ x^-1, are more than one (``orbits_at_zero``).  Every fact is
+    read at vertex 0, since Aut = R * A_0 with R the regular copy of G and
+    A_0 the stabilizer of vertex 0, and off one search:
 
     * the automorphism search is seeded with R, so every automorphism it
       finds fixes vertex 0, and those found generate A_0 (first-path
@@ -325,25 +319,12 @@ def analyze_connection_set(spec: GroupSpec, S: Iterable[Element]) -> ClassReport
       exactly when its normalizer is all of Aut.
     """
     S = validate_connection_set(S, spec)
-    inverse = _inverses(S, spec)
-    if _distance_split(spec, inverse):
-        return None
-    return _search(spec, S, inverse)
-
-
-def _inverses(S: Sequence[Element], spec: GroupSpec) -> dict[int, int]:
-    return {spec.index(x): spec.index(inv(x, spec)) for x in S}
-
-
-def _search(spec: GroupSpec, S: tuple[Element, ...], inverse: dict[int, int]) -> ClassReport | None:
-    """``analyze_connection_set`` from the search on, for a validated S and
-    its map ``_inverses(S, spec)``."""
     graph = build_cayley(S, spec)
     result = analyze(graph, seeds=regular_representation(spec))
     # the translations fix no vertex, so the found automorphisms are the
     # generators that fix base[0] = 0
     a0 = PermGroup(graph.n, result.found, result.base)
-    edge_orbits, s = orbits_at_zero(a0, graph, inverse)
+    edge_orbits, s = orbits_at_zero(a0, graph, _inverses(S, spec))
     if edge_orbits != 1:
         return None
     return ClassReport(
@@ -356,14 +337,11 @@ def _search(spec: GroupSpec, S: tuple[Element, ...], inverse: dict[int, int]) ->
     )
 
 
+def _inverses(S: Sequence[Element], spec: GroupSpec) -> dict[int, int]:
+    return {spec.index(x): spec.index(inv(x, spec)) for x in S}
+
+
 # ---------------------------------------------------------------- pipeline
-
-def _analyze_task(spec: GroupSpec, task: tuple[tuple[Element, ...], bool]) -> ClassReport | None:
-    """One set of ``classify_spec``, (S validated, edge_transitive): a set
-    known to be edge-transitive skips the distance test."""
-    S, edge_transitive = task
-    return _search(spec, S, _inverses(S, spec)) if edge_transitive else analyze_connection_set(spec, S)
-
 
 def classify_spec(
     spec: GroupSpec,
@@ -378,7 +356,7 @@ def classify_spec(
     mode checks the count formula's hypotheses, and computes no Aut(G)."""
     if mode not in ("oracle", "theorem"):
         raise ValueError(f"unknown mode {mode!r}")
-    # (set, |Aut(G, S)|, standard_j) per set analyzed
+    # (set, |Aut(G, S)|, standard_j) per candidate set
     if mode == "theorem":
         js = predictions.theorem_js(spec)
         set_stab = standard_set_stabilizer_order(spec)
@@ -397,13 +375,17 @@ def classify_spec(
         raw = comb((spec.order - 1) // 2, 2)
         connected = sum(size for _, size, _ in reps)
 
+    orbit_count = len(sets)
+    # the distance filter, in this process; a theorem set with |Aut(G, S_j)|
+    # = 2 has the swap, so it is edge-transitive and skips it
+    if mode == "oracle" or set_stab != 2:
+        sets = [t for t in sets if not _distance_split(spec, _inverses(t[0], spec))]
+
     # merge by canonical form; distinct aut-orbits with equal canonical forms
     # witness a failure of the CI property and are passed on as twins
     merged: dict[str, ClassReport] = {}
     twins: list[tuple[ClassReport, ClassReport]] = []
-    # a theorem set with |Aut(G, S_j)| = 2 has the swap, so it is edge-transitive
-    tasks = [(S, mode == "theorem" and set_stab == 2) for S, set_stab, _ in sets]
-    results = parallel_map(partial(_analyze_task, spec), tasks, jobs)
+    results = parallel_map(partial(analyze_connection_set, spec), [S for S, _, _ in sets], jobs)
     # strict=True draws the results to their end, which shuts any pool down
     for (_, set_stab, standard_j), c in zip(sets, results, strict=True):
         if c is None:
@@ -419,7 +401,7 @@ def classify_spec(
         classes=classes,
         raw_candidates=raw,
         connected_candidates=connected,
-        orbit_count=len(sets),
+        orbit_count=orbit_count,
         **predictions.compare(spec, mode, classes, twins),
     )
 

@@ -28,6 +28,7 @@ from metacirc.groups import (
     GroupSpec,
     automorphism_permutation,
     euler_phi,
+    generates,
     inv,
     iter_specs,
     mul,
@@ -170,6 +171,41 @@ def test_orbit_representatives_match_enumerate_then_reduce(spec):
     assert orbits == expected
     assert sum(size for _, size in orbits) == len(cands)
     assert comb((spec.order - 1) // 2, 2) == len(raw)
+
+
+def check_eulerian_function(spec):
+    """P. Hall's phi_2(G), the number of ordered pairs that generate G,
+    against the walk and |Aut(G)|.  G is nonabelian, so no generating pair
+    lies in one cyclic subgroup: each generating set {x^+-1, y^+-1} is 8
+    generating ordered pairs, on which Aut(G) acts freely.  So phi_2 is 8
+    times the generating sets, |Aut(G)| divides it, each |Aut(G, S)| =
+    |Aut(G)| / orbit size divides 8, and the 8 / |Aut(G, S)| sum to
+    phi_2 / |Aut(G)|."""
+    assert not spec.is_abelian
+    elements = list(spec.elements())
+    phi2 = sum(generates((x, y), spec) for x in elements for y in elements)
+    gens, aut_order = aut_generators(spec)
+    sizes = [size for _, size, _ in orbit_representatives(spec, gens, {})]
+    # the walk's sizes are the report's candidates.connected
+    assert phi2 == 8 * sum(sizes)
+    assert phi2 % aut_order == 0
+    assert all(aut_order % size == 0 and 8 % (aut_order // size) == 0 for size in sizes)
+    assert sum(8 // (aut_order // size) for size in sizes) == phi2 // aut_order
+
+
+@pytest.mark.parametrize("spec", list(iter_specs(135)) + [GroupSpec(7, 3, 2, ell=5)], ids=spec_id)
+def test_eulerian_function_counts_the_walk(spec):
+    check_eulerian_function(spec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in iter_specs(231) if s.order > 135] + [GroupSpec(11, 5, 3, ell=3)],
+    ids=spec_id,
+)
+def test_eulerian_function_counts_the_walk_to_231(spec):
+    check_eulerian_function(spec)
 
 
 @pytest.mark.parametrize(
@@ -581,11 +617,55 @@ def test_analyze_connection_set_reports_the_set_sorted():
     assert c.to_json_dict() == analyze_connection_set(F21, S).to_json_dict()
 
 
-def test_analyze_non_edge_transitive_returns_none():
-    # S = {a, a^-1, b, b^-1} in F21 is connected but not edge-transitive
+def test_analyze_non_edge_transitive_returns_none(monkeypatch):
+    # S = {a, a^-1, b, b^-1} in F21 is connected but not edge-transitive;
+    # the search drops it, with no distance-pair test
+    def refuse(*args):
+        raise AssertionError("analyze_connection_set ran the distance-pair test")
+
+    monkeypatch.setattr(classify, "_distance_split", refuse)
     S = (Element(1, 0, 0), Element(6, 0, 0), Element(0, 1, 0), Element(0, 2, 0))
     assert closure_size(S, F21) == 21
     assert analyze_connection_set(F21, S) is None
+
+
+@pytest.mark.parametrize(
+    "spec, tested, analyzed",
+    [(GroupSpec(11, 5, 3), 5, 3), (GroupSpec(47, 23, 2), 77, 11)],
+    ids=["11-5-3-1", "47-23-2-1"],
+)
+def test_distance_filter_is_a_stage_of_classify_spec(monkeypatch, spec, tested, analyzed):
+    """Oracle mode runs the distance-pair test once per generating orbit,
+    on its least member, before any search, and hands the sets it keeps to
+    ``analyze_connection_set``, which runs no test of its own; the orbit
+    count still counts every orbit."""
+    walks, splits, searched = [], [], []
+    walk, split, analyze_set = classify.orbit_representatives, classify._distance_split, analyze_connection_set
+
+    def recorded_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    def counted_split(spec, inverse):
+        splits.append((sorted(inverse), split(spec, inverse)))
+        return splits[-1][1]
+
+    def counted_analyze(spec, S):
+        # every set was tested before the first search, and a search tests none
+        assert len(splits) == tested
+        searched.append(sorted(map(spec.index, S)))
+        c = analyze_set(spec, S)
+        assert len(splits) == tested
+        return c
+
+    monkeypatch.setattr(classify, "orbit_representatives", recorded_walk)
+    monkeypatch.setattr(classify, "_distance_split", counted_split)
+    monkeypatch.setattr(classify, "analyze_connection_set", counted_analyze)
+    report = classify_spec(spec, bound=spec.order)
+    (reps,) = walks
+    assert [rep for rep, _ in splits] == [list(rep) for rep, _, _ in reps]
+    assert searched == [rep for rep, dropped in splits if not dropped]
+    assert (len(splits), len(searched), report.orbit_count) == (tested, analyzed, tested)
 
 
 # -------------------------------------------------------------- pipeline

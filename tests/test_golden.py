@@ -52,9 +52,16 @@ REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
-def test_golden_classify_report(name, capsysbinary):
-    assert main(["classify", *REPORTS[name]]) == 0
+@pytest.mark.parametrize(
+    "name, jobs",
+    # the report's name alone is the id of the run in this process
+    [pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+     for name in sorted(REPORTS) for jobs in (1, 2)],
+)
+def test_golden_classify_report(name, jobs, capsysbinary):
+    """The report is the frozen one in this process and on a pool of two
+    workers."""
+    assert main(["classify", *REPORTS[name], "--jobs", str(jobs)]) == 0
     assert capsysbinary.readouterr().out == (DATA / name).read_bytes()
 
 
