@@ -65,10 +65,9 @@ of vertex 0 for the same base.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import groupby
 from operator import getitem
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms, is_isomorphism, packed_rows, to_graph6
@@ -80,8 +79,7 @@ MAX_DEGREE = 2000
 Partition = tuple[list[list[int] | None], list[int], int]
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """What one search found.  The canonical form is the graph6 of g in
     ``canonical_order``; its key, the packed rows in that order, is built
     only when the search had leaves to order, so it is not kept."""

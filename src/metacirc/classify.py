@@ -38,11 +38,10 @@ set whose swap is an automorphism, which is edge-transitive, skips it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from metacirc import predictions
 from metacirc.aut import aut_generators, standard_set_stabilizer_order
@@ -61,8 +60,7 @@ from metacirc.groups import (
 from metacirc.permgroup import normalizer_of_regular, orbits_at_zero
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     """One isomorphism class of connected tetravalent edge-transitive graphs.
 
     The fields hold what was computed; the transitivity flags are read off
@@ -129,8 +127,7 @@ class ClassReport:
         }
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     spec: GroupSpec
     mode: str
     classes: list[ClassReport]
@@ -390,7 +387,7 @@ def classify_spec(
     for (_, set_stab, standard_j), c in zip(sets, results, strict=True):
         if c is None:
             continue
-        c = replace(c, set_stabilizer_order=set_stab, standard_j=standard_j)
+        c = c._replace(set_stabilizer_order=set_stab, standard_j=standard_j)
         prev = merged.setdefault(c.canonical, c)
         if prev is not c:
             twins.append((prev, c))
@@ -433,7 +430,7 @@ def report_to_json_dict(report: GroupReport) -> dict:
     group = spec.to_json_dict()
     group["order"] = spec.order
     row = report.table1
-    table = None if row is None else {**asdict(row), "count_matches_n": report.count_matches_n}
+    table = None if row is None else {**row._asdict(), "count_matches_n": report.count_matches_n}
     return {
         "group": group,
         "theory": {

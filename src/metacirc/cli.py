@@ -73,6 +73,12 @@ def _spec_from_args(args) -> GroupSpec:
         raise _UsageError(str(exc)) from exc
 
 
+def _jobs_from_args(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="metacirc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,8 +149,9 @@ def _cmd_classify(args) -> int:
     if args.graphs and not args.out:
         raise _UsageError("--graphs needs --out")
     spec = _spec_from_args(args)
+    jobs = _jobs_from_args(args)
     try:
-        report = classify_spec(spec, mode=args.mode, bound=args.bound, jobs=args.jobs)
+        report = classify_spec(spec, mode=args.mode, bound=args.bound, jobs=jobs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
@@ -235,6 +242,7 @@ def _cmd_export(args) -> int:
 def _cmd_sweep(args) -> int:
     """Classify every spec, each as one task of ``parallel_map`` under
     ``--jobs``, and report them in spec order."""
+    jobs = _jobs_from_args(args)
     try:
         sink = open(args.out, "w") if args.out else nullcontext()
     except OSError as exc:
@@ -244,7 +252,7 @@ def _cmd_sweep(args) -> int:
         run = partial(classify_spec, mode="oracle", bound=args.bound, jobs=1)
         disagreement = False
         print("m n r n0 order classes phi_n0_half thm2_claim aut_orders agree findings")
-        for report in parallel_map(run, specs, args.jobs):
+        for report in parallel_map(run, specs, jobs):
             spec = report.spec
             if out is not None:
                 out.write(json.dumps(report_to_json_dict(report)) + "\n")

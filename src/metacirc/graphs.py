@@ -3,33 +3,60 @@
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from metacirc.groups import Element, GroupSpec, IDENTITY, inv, left_translation
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple graph as per-vertex sorted neighbor tuples."""
+    """Simple graph as per-vertex sorted neighbor tuples.
+
+    Immutable; equality, hash, repr and pickle read (n, adjacency).  The
+    constructor checks the rows: sorted, duplicate-free, loop-free, in range
+    and symmetric.
+    """
+
+    __slots__ = ("n", "adjacency")
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.adjacency) != self.n:
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+        if len(adjacency) != n:
             raise ValueError("adjacency length must equal n")
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             if list(row) != sorted(set(row)):
                 raise ValueError(f"neighbor list of {v} must be sorted and duplicate-free")
             if v in row:
                 raise ValueError(f"loop at vertex {v}")
-            if any(u < 0 or u >= self.n for u in row):
+            if any(u < 0 or u >= n for u in row):
                 raise ValueError("neighbor out of range")
-        nbrs = [set(row) for row in self.adjacency]
-        for v, row in enumerate(self.adjacency):
+        nbrs = [set(row) for row in adjacency]
+        for v, row in enumerate(adjacency):
             if any(v not in nbrs[u] for u in row):
                 raise ValueError("adjacency is not symmetric")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adjacency == other.adjacency
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adjacency))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adjacency={self.adjacency!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adjacency)
 
     @property
     def n_edges(self) -> int:
@@ -88,7 +115,8 @@ def build_cayley(S: Iterable[Element], spec: GroupSpec) -> Graph:
 
 
 def _trusted_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
-    """A Graph of rows valid by construction, skipping ``__post_init__``.
+    """A Graph of rows valid by construction, skipping the checks of
+    ``Graph.__init__``.
 
     A Cayley graph's rows need no check: the four left translations by
     distinct s map x to distinct s*x, none is x since 1 is not in S, and

@@ -23,7 +23,6 @@ translations, and :func:`power` is square-and-multiply on :func:`mul`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
@@ -80,43 +79,74 @@ def multiplicative_order(x: int, m: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """Presentation parameters (m, n, r, ell) of G = <c> x (<a> : <b>).
 
-    Derived data computed at construction:
+    A spec is immutable: its fields are m, n, r (reduced mod m) and ell,
+    which its equality, hash, repr and pickle read, and two derived at
+    construction, which they do not:
 
     * ``n0``: multiplicative order of r mod m (1 when m = 1); <b^n0> is the
       central part of <b>.
+    * ``_r_pow``: the powers r^0, ..., r^(n0-1) mod m, read by ``rpow``.
+
+    Derived properties:
+
     * ``sylow_cyclic``: all Sylow subgroups of G are cyclic, i.e.
       gcd(m, n) = 1 and gcd(ell, m*n) = 1.
     * ``hypothesis_star``: no Sylow p-subgroup of <b> is central, i.e. every
       prime dividing n also divides n0.
     """
 
+    __slots__ = ("m", "n", "r", "ell", "n0", "_r_pow")
+
     m: int
     n: int
     r: int
-    ell: int = 1
-    n0: int = field(init=False, compare=False, repr=False)
-    _r_pow: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    ell: int
+    n0: int
+    _r_pow: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "ell"):
-            val = getattr(self, name)
+    def __init__(self, m: int, n: int, r: int, ell: int = 1) -> None:
+        for name, val in (("m", m), ("n", n), ("ell", ell)):
             if val < 1 or val % 2 == 0:
                 raise ValueError(f"{name} must be a positive odd integer, got {val}")
-        object.__setattr__(self, "r", self.r % self.m)
-        if gcd(self.r, self.m) != 1:
-            raise ValueError(f"gcd(r, m) must be 1, got r={self.r}, m={self.m}")
-        if pow(self.r, self.n, self.m) != 1 % self.m:
-            raise ValueError(f"r^n must be 1 mod m, got r={self.r}, n={self.n}, m={self.m}")
-        object.__setattr__(self, "n0", multiplicative_order(self.r, self.m))
+        r %= m
+        if gcd(r, m) != 1:
+            raise ValueError(f"gcd(r, m) must be 1, got r={r}, m={m}")
+        if pow(r, n, m) != 1 % m:
+            raise ValueError(f"r^n must be 1 mod m, got r={r}, n={n}, m={m}")
+        n0 = multiplicative_order(r, m)
         # power table; r^n0 = 1, so r^v = r^(v mod n0) for any integer v
-        pows = [1 % self.m]
-        for _ in range(self.n0 - 1):
-            pows.append(pows[-1] * self.r % self.m)
-        object.__setattr__(self, "_r_pow", tuple(pows))
+        pows = [1 % m]
+        for _ in range(n0 - 1):
+            pows.append(pows[-1] * r % m)
+        for name, val in zip(self.__slots__, (m, n, r, ell, n0, tuple(pows))):
+            object.__setattr__(self, name, val)
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self.m, self.n, self.r, self.ell)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(m={self.m!r}, n={self.n!r}, r={self.r!r}, ell={self.ell!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from the four parameters, as a worker process receives it
+        return GroupSpec, self._key()
 
     @property
     def order(self) -> int:

@@ -22,12 +22,11 @@ also grow a set of points in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import prod
 from operator import getitem, itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from metacirc.errors import BoundExceeded
 from metacirc.graphs import Graph, are_automorphisms
@@ -65,8 +64,7 @@ def _check_perm(p: Sequence[int], degree: int) -> Perm:
     return p
 
 
-@dataclass
-class _Level:
+class _Level(NamedTuple):
     point: int
     gens: list[Perm]  # the generators that fix the earlier base points
     orbit: set[int]   # the basic orbit of point under gens

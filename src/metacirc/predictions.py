@@ -17,9 +17,8 @@ normalizer identity), becomes a finding of the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from metacirc.graphs import validate_connection_set
 from metacirc.groups import Element, GroupSpec, euler_phi, inv, mul
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     from metacirc.classify import ClassReport
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     """Reference data for the four exceptional arc-transitive graphs."""
 
     group: str

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import json
+import pickle
 from collections import Counter, deque
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, sqrt
@@ -495,7 +495,7 @@ def test_class_orbit_size_and_standard_j_match_set_orbit(spec):
 THEOREM_FAMILY = [
     spec
     for base in iter_specs(1100)
-    for spec in (replace(base, ell=ell) for ell in (1, 3, 5, 7, 9, 11))
+    for spec in (GroupSpec(base.m, base.n, base.r, ell) for ell in (1, 3, 5, 7, 9, 11))
     if spec.order <= 1100 and thm2_applicable(spec)
 ]
 
@@ -918,11 +918,21 @@ def test_verify_table1_wrong_spec():
         table1_checks(GroupSpec(13, 3, 3), classify_spec(GroupSpec(13, 3, 3)).classes)
 
 
+def test_reports_pickle_to_equal_reports():
+    """A ``--jobs`` pool ships each ``ClassReport`` back from its worker;
+    class and group reports round trip through pickle unchanged."""
+    report = classify_spec(GroupSpec(7, 3, 2))
+    (c,) = report.classes
+    assert pickle.loads(pickle.dumps(c)) == c
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and report_to_json_dict(back) == report_to_json_dict(report)
+
+
 def test_report_disagrees_on_each_prediction():
     agreeing = classify_spec(GroupSpec(13, 3, 3))
     assert not agreeing.disagrees
     for change in ({"agreement_theorem2": False}, {"agreement_table1": False}, {"findings": ["x"]}):
-        assert replace(agreeing, **change).disagrees
+        assert agreeing._replace(**change).disagrees
     # F21 agrees with its reference row but has one class, not the row's n = 3
     f21 = classify_spec(F21)
     assert f21.agreement_table1 and not f21.findings
@@ -1023,7 +1033,7 @@ def test_reduced_and_unreduced_presentations_agree(unreduced, reduced):
 
     def fields(spec):
         return [
-            {k: v for k, v in vars(c).items() if k not in ("connection_set", "standard_j")}
+            {k: v for k, v in c._asdict().items() if k not in ("connection_set", "standard_j")}
             for c in classify_spec(spec, bound=spec.order).classes
         ]
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import metacirc
 from metacirc.cli import main
 from metacirc.graphs import build_cayley, graph_from_edges, to_graph6
@@ -134,6 +136,21 @@ def test_usage_error_exit_1(capsys):
     assert run_cli(capsys, "export", "--m", "7", "--n", "3", "--r", "2", "--j", "5")[0] == 1
     assert run_cli(capsys, "classify", "--m", "5", "--n", "1", "--r", "1",
                    "--mode", "theorem")[0] == 1  # abelian: no theorem mode
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["classify", "--m", "7", "--n", "3", "--r", "2"],
+    ["enumerate", "--m", "7", "--n", "3", "--r", "2"],
+    ["sweep", "--max-order", "21"],
+], ids=lambda c: c[0])
+def test_jobs_below_one_is_a_usage_error(capsys, tmp_path, command, jobs):
+    """A worker count below 1 is refused before any work, and before
+    ``sweep --out`` opens its file."""
+    out = tmp_path / "report.jsonl"
+    code, stdout, err = run_cli(capsys, *command, "--jobs", jobs, "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_missing_argument_exit_1(capsys):

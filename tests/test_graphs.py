@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import combinations, compress, permutations, product
 
@@ -53,6 +54,18 @@ def test_graph_validation():
         Graph(1, ((0,),))  # loop
     with pytest.raises(ValueError):
         Graph(2, ((1, 1), (0,)))  # duplicates
+
+
+def test_graph_is_an_immutable_value():
+    """Graphs compare and hash by (n, adjacency), refuse assignment and
+    pickle to an equal graph."""
+    g = cycle_graph(5)
+    assert g == cycle_graph(5) and hash(g) == hash(cycle_graph(5)) and g != cycle_graph(6)
+    assert repr(Graph(2, ((1,), (0,)))) == "Graph(n=2, adjacency=((1,), (0,)))"
+    with pytest.raises(AttributeError):
+        g.n = 6
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(K5)) == K5
 
 
 def test_connection_set_validation():

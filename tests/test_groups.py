@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 from math import gcd
 
@@ -100,6 +101,34 @@ def test_spec_derived_values():
     # Z5 x (Z7:Z3) presented un-reduced on m = 35
     assert GroupSpec(35, 3, 16).central_a_order == 5
     assert F21.central_a_order == 1
+
+
+def test_spec_repr_equality_and_hash():
+    """The repr names the four parameters, which the frozen digests of
+    ``tests/data/aut_generators.json`` are keyed by; a spec is equal to,
+    and hashes as, the spec of the same group with r reduced mod m."""
+    assert repr(GroupSpec(7, 3, 2)) == "GroupSpec(m=7, n=3, r=2, ell=1)"
+    assert repr(GroupSpec(7, 3, 2, 3)) == "GroupSpec(m=7, n=3, r=2, ell=3)"
+    assert GroupSpec(7, 3, 9) == GroupSpec(7, 3, 2)
+    assert hash(GroupSpec(7, 3, 9)) == hash(GroupSpec(7, 3, 2))
+    assert GroupSpec(7, 3, 2) != GroupSpec(7, 3, 4) and GroupSpec(7, 3, 2) != GroupSpec(7, 3, 2, 3)
+
+
+def test_spec_is_immutable():
+    spec = GroupSpec(7, 3, 2)
+    for name, value in (("m", 9), ("r", 4), ("n0", 1)):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, value)
+    assert (spec.m, spec.r, spec.n0) == (7, 2, 3)
+
+
+def test_spec_pickles_by_its_parameters():
+    """``parallel_map`` ships specs to worker processes: a pickled spec
+    comes back equal, with its power table rebuilt."""
+    for spec in (GroupSpec(7, 3, 2), GroupSpec(11, 5, 3, 3), GroupSpec(9, 3, 4)):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and back.n0 == spec.n0
+        assert [back.rpow(v) for v in range(-4, 5)] == [spec.rpow(v) for v in range(-4, 5)]
 
 
 def test_vertex_indexing_roundtrip():

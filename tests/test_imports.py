@@ -1,15 +1,20 @@
-"""No module imports a name it never uses, and no package code is there
-only for its tests.
+"""No module imports a name it never uses, no package module imports
+``dataclasses``, and no package code is there only for its tests.
 
 The package and its tests are parsed with ``ast``: every name an import
 binds must appear as a name elsewhere in the module, or in its ``__all__``;
-and every function, class and method of the package must be named by code
+no package module imports a module of ``HEAVY_MODULES``, and a fresh
+interpreter that imports ``metacirc.cli`` has loaded none of them; and
+every function, class and method of the package must be named by code
 outside the tests.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +55,47 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ------------------------------------------------------------ start-up cost
+
+PACKAGE_MODULES = sorted((ROOT / "src" / "metacirc").glob("*.py"))
+
+# ``dataclasses`` and what it loads on Python 3.10-3.13; every metacirc
+# process would pay for them before its first operation
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def imported_modules(source: str) -> list[str]:
+    """The top-level names of the modules the source imports, in order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append(node.module.split(".")[0])
+    return out
+
+
+def test_finds_an_imported_module():
+    source = "import os.path\nfrom dataclasses import field\nfrom . import x\ndef f():\n    import ast\n"
+    assert imported_modules(source) == ["os", "dataclasses", "ast"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_package_imports_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_no_heavy_module():
+    """A fresh interpreter, without site-packages, imports the command-line
+    entry point, which loads every package module, and none of
+    ``HEAVY_MODULES``."""
+    probe = f"import sys, metacirc.cli; print(*sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 # ------------------------------------------------------ test-only definitions
